@@ -8,6 +8,7 @@ is fitted on the training partition only and applied downstream.
 from __future__ import annotations
 
 import csv
+import importlib.util
 import logging
 import math
 import os
@@ -171,7 +172,11 @@ def map_per_file(fn, jobs, workers: int | None):
     workers = default_workers() if workers is None else max(workers, 1)
     if workers == 1 or len(jobs) < 2:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+    pool_size = min(workers, len(jobs))
+    logger.debug("%d worker processes; BLAS thread limit of 1 per worker %s", pool_size,
+                 "applies" if importlib.util.find_spec("threadpoolctl")
+                 else "does not apply: threadpoolctl is not installed")
+    with ProcessPoolExecutor(max_workers=pool_size,
                              initializer=_limit_worker_threads) as pool:
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
@@ -304,14 +309,10 @@ def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
     schema width exactly.
     """
     expected_header = ["path", "label", *feature_names(n_features - N_BASE_FEATURES)]
-    meta: dict[str, str] = {}
+    meta = read_features_meta(path)
     with open(path, newline="") as fh:
         first = fh.readline()
         while first.startswith("#"):
-            for token in first[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
             first = fh.readline()
         header = next(csv.reader([first]), None)
         if header != expected_header:

@@ -3,7 +3,8 @@
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
 spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
 shared frame grid. ZCR and RMS read raw frames; everything else reads the
-one-sided magnitude spectrogram of the same frames.
+one-sided magnitude spectrogram of the same frames, or its power spectrum
+(`Spectrogram.power`), which is squared once and shared.
 
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
@@ -102,11 +103,7 @@ def rms_mean(frames: np.ndarray) -> float:
 def spectral_centroid_mean(spec: Spectrogram) -> float:
     """Mean magnitude-weighted mean frequency (Hz); silent frames contribute 0."""
     _require_frames(spec.n_frames)
-    weights = spec.magnitudes
-    totals = weights.sum(axis=1)
-    raw = weights @ spec.bin_freqs
-    centroids = np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
-    return float(centroids.mean())
+    return float(_frame_centroids(spec).mean())
 
 
 def _frame_centroids(spec: Spectrogram) -> np.ndarray:
@@ -123,7 +120,10 @@ def spectral_bandwidth_mean(spec: Spectrogram, p: int = 2) -> float:
         raise ValueError(f"bandwidth order must be >= 1, got {p}")
     weights = spec.magnitudes
     totals = weights.sum(axis=1)
-    deviations = np.abs(spec.bin_freqs[None, :] - _frame_centroids(spec)[:, None]) ** p
+    # built in place: no full-size temporaries beyond `deviations` itself
+    deviations = np.subtract(spec.bin_freqs[None, :], _frame_centroids(spec)[:, None])
+    np.abs(deviations, out=deviations)
+    deviations **= p
     moments = np.einsum("fb,fb->f", weights, deviations)
     normed = np.divide(moments, totals, out=np.zeros_like(moments), where=totals > 0)
     return float(np.mean(normed ** (1.0 / p)))
@@ -134,8 +134,7 @@ def spectral_rolloff_mean(spec: Spectrogram, pct: float = 0.85) -> float:
     _require_frames(spec.n_frames)
     if not 0 < pct <= 1:
         raise ValueError(f"rolloff fraction must be in (0, 1], got {pct}")
-    energy = spec.magnitudes**2
-    cumulative = np.cumsum(energy, axis=1)
+    cumulative = np.cumsum(spec.power, axis=1)
     totals = cumulative[:, -1]
     first = np.argmax(cumulative >= pct * totals[:, None], axis=1)
     freqs = spec.bin_freqs[first]
@@ -210,7 +209,7 @@ def mfcc_means(spec: Spectrogram, cfg: FeatureConfig) -> np.ndarray:
     """Per-coefficient mean of the first n_mfcc cepstral coefficients."""
     _require_frames(spec.n_frames)
     bank = _cached_filterbank(cfg, spec.config.frame_len, spec.sample_rate)
-    energies = spec.magnitudes**2 @ bank.T
+    energies = spec.power @ bank.T
     return mfccs_from_mel_energies(energies, cfg).mean(axis=0)
 
 
@@ -219,14 +218,20 @@ def _pitch_classes(bin_freqs: np.ndarray) -> np.ndarray:
     return (np.round(12.0 * np.log2(bin_freqs / 440.0)).astype(int)) % 12
 
 
+@lru_cache(maxsize=8)
+def _chroma_projector(frame_len: int, sample_rate: int) -> np.ndarray:
+    """(n_bins, 12) 0/1 map of FFT bins onto pitch classes; the DC row is zero."""
+    positive = np.arange(1, frame_len // 2 + 1)
+    projector = np.zeros((frame_len // 2 + 1, 12), dtype=np.float64)
+    projector[positive, _pitch_classes(positive * (sample_rate / frame_len))] = 1.0
+    projector.setflags(write=False)
+    return projector
+
+
 def chroma_mean(spec: Spectrogram) -> float:
     """Mean of the per-frame max-normalized 12-bin pitch-class energy profile."""
     _require_frames(spec.n_frames)
-    positive = spec.bin_freqs > 0
-    classes = _pitch_classes(spec.bin_freqs[positive])
-    projector = np.zeros((classes.shape[0], 12), dtype=np.float64)
-    projector[np.arange(classes.shape[0]), classes] = 1.0
-    profile = (spec.magnitudes[:, positive] ** 2) @ projector
+    profile = spec.power @ _chroma_projector(spec.config.frame_len, spec.sample_rate)
     peaks = profile.max(axis=1, keepdims=True)
     normalized = np.divide(profile, peaks, out=np.zeros_like(profile), where=peaks > 0)
     return float(normalized.mean())

@@ -6,7 +6,7 @@ import pytest
 from conftest import TINY_SECONDS, TINY_SR, TINY_STFT
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dataset import (LabeledDataset, Scaler, apply_scaler, encode_labels,
-                           fit_scaler, ingest_corpus, read_features_csv,
+                           fit_scaler, ingest_corpus, map_per_file, read_features_csv,
                            read_features_meta, scale_rows, stratified_split,
                            write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
@@ -177,6 +177,15 @@ class TestIngest:
         assert list(tiny_dataset.class_counts()) == [4, 4, 4, 4]
         assert all(p.endswith(".wav") for p in tiny_dataset.source_paths)
 
+    def test_worker_count_does_not_change_the_dataset(self, tiny_corpus):
+        serial, pooled = (ingest_corpus(tiny_corpus, TINY_STFT, FeatureConfig(),
+                                        sample_rate=TINY_SR, segment_seconds=TINY_SECONDS,
+                                        workers=workers)
+                          for workers in (1, 2))
+        assert np.array_equal(serial.features, pooled.features)
+        assert np.array_equal(serial.labels, pooled.labels)
+        assert serial.source_paths == pooled.source_paths
+
     def test_long_file_contributes_row_per_segment(self, tmp_path):
         root = tmp_path / "corpus"
         rng = np.random.default_rng(0)
@@ -235,3 +244,10 @@ class TestIngest:
         (root / "one" / "broken.wav").write_bytes(b"RIFX garbage")
         with pytest.raises(Exception, match="broken.wav"):
             ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR)
+
+
+class TestMapPerFile:
+    def test_pool_logs_whether_blas_thread_limit_applies(self, caplog):
+        with caplog.at_level("DEBUG", logger="wrice.dataset"):
+            assert map_per_file(abs, [-1, -2], workers=2) == [1, 2]
+        assert any("BLAS thread limit" in r.getMessage() for r in caplog.records)

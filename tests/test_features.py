@@ -7,13 +7,14 @@ import scipy.fft
 
 from conftest import naive_dft, noise_buffer, sine_buffer, spectrogram_from
 from wrice.audio_io import AudioBuffer
-from wrice.dsp import StftConfig, frame_signal, hann_window, stft
+from wrice.dsp import Spectrogram, StftConfig, frame_signal, hann_window, rfft, stft
 from wrice.features import (FeatureConfig, FeatureVector, chroma_mean,
                             dct_ortho_matrix, extract_features, feature_names,
                             hz_to_mel, mel_filterbank, mfcc_means,
                             mfccs_from_mel_energies, rms_mean,
                             spectral_bandwidth_mean, spectral_centroid_mean,
                             spectral_rolloff_mean, zcr_mean)
+from wrice.synth import spec_for_category, synth_sample
 
 SR = 22050
 CFG = StftConfig()
@@ -314,6 +315,46 @@ class TestExtractFeatures:
         assert abs(rolloff - freq) <= 2 * bin_width
         assert spectral_bandwidth_mean(spec, 2) <= 4 * bin_width
         assert zcr_mean(frames) == pytest.approx(2 * freq / SR, rel=0.05)
+
+
+def radix2_spectrogram(buf, cfg: StftConfig) -> Spectrogram:
+    """Hann-windowed magnitudes on the STFT frame grid, via the radix-2 rfft."""
+    frames = frame_signal(buf.samples, cfg) * hann_window(cfg.frame_len)
+    magnitudes = np.vstack([np.abs(rfft(frames[i : i + 256]))
+                            for i in range(0, frames.shape[0], 256)])
+    bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (buf.sample_rate / cfg.frame_len)
+    return Spectrogram(magnitudes=magnitudes, bin_freqs=bin_freqs,
+                       config=cfg, sample_rate=buf.sample_rate)
+
+
+class TestGoldenAgainstRadix2:
+    """extract_features pinned to the seven families on a radix-2 spectrogram."""
+
+    @pytest.mark.parametrize("category,seed", [("dry_40", 11), ("wet_60", 12),
+                                               ("dry_60", 13)])
+    def test_thirty_second_buffers_agree(self, category, seed):
+        buf = synth_sample(spec_for_category(category), SR, seed)
+        assert len(buf) == 30 * SR
+        feat_cfg = FeatureConfig()
+        frames = frame_signal(buf.samples, CFG)
+        spec = radix2_spectrogram(buf, CFG)
+        want = np.concatenate([
+            [zcr_mean(frames),
+             spectral_centroid_mean(spec),
+             spectral_bandwidth_mean(spec, feat_cfg.bandwidth_order),
+             spectral_rolloff_mean(spec, feat_cfg.rolloff_pct),
+             rms_mean(frames),
+             chroma_mean(spec)],
+            mfcc_means(spec, feat_cfg),
+        ])
+        got = extract_features(buf, CFG, feat_cfg).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_power_is_computed_once(self):
+        spec = stft(noise_buffer(0.3, SR, seed=8), CFG)
+        power = spec.power
+        assert spec.power is power
+        np.testing.assert_array_equal(power, spec.magnitudes**2)
 
 
 class TestFeatureVectorType:
