@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
 from .audio_io import read_wav, resample_linear, to_mono, write_wav
@@ -229,7 +230,8 @@ def _cmd_predict(args) -> int:
     _, channels = read_wav(args.wav)
     buf = resample_linear(to_mono(channels),
                           model.sample_rate or ds_mod.DEFAULT_SAMPLE_RATE)
-    fv = extract_features(buf, model.stft_config, model.feature_config)
+    with blas.one_thread():  # as in map_per_file, so the features match eval's
+        fv = extract_features(buf, model.stft_config, model.feature_config)
     label, probs = mlp.predict(model, fv)
     print(label)
     for name, p in zip(model.label_map, probs):

@@ -8,7 +8,6 @@ is fitted on the training partition only and applied downstream.
 from __future__ import annotations
 
 import csv
-import importlib.util
 import logging
 import math
 import os
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .audio_io import read_wav, resample_linear, segment, to_mono
 from .dsp import StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
@@ -141,17 +141,6 @@ def default_workers() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def _limit_worker_threads() -> None:
-    # one BLAS thread per worker process; n_workers x n_blas_threads would
-    # oversubscribe the cores and slow everything down
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
-
-
 def _extract_file_rows(job) -> list[np.ndarray]:
     path, stft_cfg, feat_cfg, sample_rate, segment_seconds = job
     try:
@@ -162,22 +151,41 @@ def _extract_file_rows(job) -> list[np.ndarray]:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _log_blas_limit(processes: str, read_threads) -> None:
+    """Debug line: who runs the jobs, and each OpenBLAS's thread count read back there."""
+    if not logger.isEnabledFor(logging.DEBUG):
+        return
+    counts = read_threads()
+    if counts:
+        logger.debug("%s; BLAS thread limit of 1 per process: %s", processes,
+                     ", ".join(f"{name} reads back {n} thread(s)"
+                               for name, n in counts.items()))
+    else:
+        logger.debug("%s; BLAS thread limit not applied: no OpenBLAS found; "
+                     "threads not limited", processes)
+
+
 def map_per_file(fn, jobs, workers: int | None):
     """Run a per-file job list, optionally on a process pool, preserving order.
 
-    Results are assembled in job order, so the outcome is identical for any
-    worker count.
+    Results are assembled in job order, and every job runs with one BLAS
+    thread, in the pool workers and in-process alike, so the outcome is
+    identical for any worker count. The in-process path restores the
+    caller's BLAS thread count afterwards.
     """
     jobs = list(jobs)
     workers = default_workers() if workers is None else max(workers, 1)
     if workers == 1 or len(jobs) < 2:
-        return [fn(job) for job in jobs]
+        with blas.one_thread():
+            _log_blas_limit("1 process (in-process)", blas.thread_counts)
+            return [fn(job) for job in jobs]
     pool_size = min(workers, len(jobs))
-    logger.debug("%d worker processes; BLAS thread limit of 1 per worker %s", pool_size,
-                 "applies" if importlib.util.find_spec("threadpoolctl")
-                 else "does not apply: threadpoolctl is not installed")
+    # one BLAS thread per worker: pool_size x the default (one per core)
+    # would oversubscribe the cores
     with ProcessPoolExecutor(max_workers=pool_size,
-                             initializer=_limit_worker_threads) as pool:
+                             initializer=blas.limit_to_one_thread) as pool:
+        _log_blas_limit(f"{pool_size} worker processes",
+                        lambda: pool.submit(blas.thread_counts).result())
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
 
@@ -306,10 +314,14 @@ def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
     Raises SchemaMismatchError if the header does not match the expected
-    schema width exactly.
+    schema width exactly, or if the `#` meta names another schema version.
     """
     expected_header = ["path", "label", *feature_names(n_features - N_BASE_FEATURES)]
     meta = read_features_meta(path)
+    version = meta.get("schema_version", str(SCHEMA_VERSION))
+    if version != str(SCHEMA_VERSION):
+        raise SchemaMismatchError(
+            f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
     with open(path, newline="") as fh:
         first = fh.readline()
         while first.startswith("#"):
@@ -337,6 +349,5 @@ def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
     except KeyError as exc:
         raise SchemaMismatchError(f"{path}: label {exc} not in label map") from exc
     features = np.array([[float(v) for v in row[2:]] for row in rows])
-    version = int(meta.get("schema_version", SCHEMA_VERSION))
     return LabeledDataset(features=features, labels=labels, label_map=label_map,
-                          source_paths=paths, schema_version=version)
+                          source_paths=paths)

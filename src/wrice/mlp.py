@@ -358,7 +358,16 @@ def load_model(path) -> MlpModel:
     checksum = "sha256:" + hashlib.sha256(body).hexdigest()
     if checksum != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
+    # the checksum covers only the body, so the header's structure is checked
+    # by parsing it: a missing key or a bad value is damage, not a caller error
+    try:
+        return _model_from(header, body, path)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptModelError(
+            f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
 
+
+def _model_from(header: dict, body: bytes, path) -> MlpModel:
     lines = body.decode().splitlines()
     tensors = header["tensors"]
     if len(lines) != len(tensors):

@@ -115,3 +115,18 @@ def tiny_dataset(tiny_corpus):
 
     return ingest_corpus(tiny_corpus, TINY_STFT, FeatureConfig(),
                          sample_rate=TINY_SR, segment_seconds=TINY_SECONDS)
+
+
+@pytest.fixture(scope="session")
+def realistic_corpus(tmp_path_factory) -> Path:
+    """Four 30 s, 22050 Hz files, one per category, for the default 2048/512 STFT.
+
+    This is the size users and the benchmark run, where OpenBLAS splits the
+    mel and chroma products across threads, so a BLAS thread count that
+    differs between worker counts shows in the last bits of the features.
+    """
+    from wrice.synth import CATEGORIES, synth_corpus
+
+    root = tmp_path_factory.mktemp("corpus") / "realistic"
+    synth_corpus(root, counts={c: 1 for c in CATEGORIES}, seed=4321, duration_s=30.0)
+    return root

@@ -137,6 +137,27 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # the checksum covers only the tensor body, so these header edits pass it
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
+        pytest.param(lambda h: h.pop("layer_dims"), id="no-layer-dims"),
+        pytest.param(lambda h: h["tensors"][0].pop("shape"), id="no-shape"),
+        pytest.param(lambda h: h["stft"].update(bogus=1), id="bad-stft-kwargs"),
+        pytest.param(lambda h: h["features"].update(bogus=1), id="bad-features-kwargs"),
+    ])
+    def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
+                                                    edit):
+        head, _, body = (workspace / "model.wrice").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        edit(header)
+        model = tmp_path / "broken.wrice"
+        model.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
+        assert run(["predict", "--model", str(model), str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed model file" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_identical_command_lines_identical_artifacts(self, tmp_path):

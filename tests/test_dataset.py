@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_SECONDS, TINY_SR, TINY_STFT
+from wrice import blas
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dataset import (LabeledDataset, Scaler, apply_scaler, encode_labels,
                            fit_scaler, ingest_corpus, map_per_file, read_features_csv,
@@ -11,7 +12,7 @@ from wrice.dataset import (LabeledDataset, Scaler, apply_scaler, encode_labels,
                            write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
                           EmptyCorpusError, SchemaMismatchError)
-from wrice.features import FeatureConfig, FeatureVector
+from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 
 
 def make_dataset(counts, d=26, seed=0):
@@ -169,6 +170,15 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaMismatchError):
             read_features_csv(path)
 
+    def test_other_schema_version_rejected(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        text = path.read_text()
+        path.write_text(text.replace(f"schema_version={SCHEMA_VERSION}",
+                                     f"schema_version={SCHEMA_VERSION + 1}", 1))
+        with pytest.raises(SchemaMismatchError, match="schema version"):
+            read_features_csv(path)
+
 
 class TestIngest:
     def test_tiny_corpus_row_per_file(self, tiny_corpus, tiny_dataset):
@@ -185,6 +195,11 @@ class TestIngest:
         assert np.array_equal(serial.features, pooled.features)
         assert np.array_equal(serial.labels, pooled.labels)
         assert serial.source_paths == pooled.source_paths
+
+    def test_worker_count_does_not_change_realistic_size_features(self, realistic_corpus):
+        serial, pooled = (ingest_corpus(realistic_corpus, workers=workers)
+                          for workers in (1, 2))
+        assert np.array_equal(serial.features, pooled.features)
 
     def test_long_file_contributes_row_per_segment(self, tmp_path):
         root = tmp_path / "corpus"
@@ -246,8 +261,50 @@ class TestIngest:
             ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR)
 
 
+def _blas_thread_counts(_job) -> list[int]:
+    return list(blas.thread_counts().values())
+
+
+needs_openblas = pytest.mark.skipif(
+    not blas.loaded_openblas(),
+    reason="no OpenBLAS loaded in this process, so there is no thread count to pin")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's BLAS at two threads (whatever the core count), restored after."""
+    libs = blas.loaded_openblas()
+    before = [lib.threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(2)
+    yield libs
+    for lib, n in zip(libs, before):
+        lib.set_threads(n)
+
+
 class TestMapPerFile:
     def test_pool_logs_whether_blas_thread_limit_applies(self, caplog):
         with caplog.at_level("DEBUG", logger="wrice.dataset"):
             assert map_per_file(abs, [-1, -2], workers=2) == [1, 2]
         assert any("BLAS thread limit" in r.getMessage() for r in caplog.records)
+
+    @needs_openblas
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_log_reads_back_one_thread(self, workers, caplog):
+        with caplog.at_level("DEBUG", logger="wrice.dataset"):
+            map_per_file(abs, [-1, -2], workers=workers)
+        line = next(r.getMessage() for r in caplog.records
+                    if "BLAS thread limit" in r.getMessage())
+        assert "reads back 1 thread(s)" in line
+        assert "reads back 2" not in line
+
+    @needs_openblas
+    def test_pool_workers_run_with_one_blas_thread(self, two_blas_threads):
+        per_job = map_per_file(_blas_thread_counts, range(4), workers=2)
+        assert per_job == [[1] * len(two_blas_threads)] * 4
+
+    @needs_openblas
+    def test_in_process_run_pins_then_restores_the_callers_threads(self, two_blas_threads):
+        per_job = map_per_file(_blas_thread_counts, range(2), workers=1)
+        assert per_job == [[1] * len(two_blas_threads)] * 2
+        assert [lib.threads() for lib in two_blas_threads] == [2] * len(two_blas_threads)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import TINY_SECONDS, TINY_SR, TINY_STFT
+from wrice import evaluation
 from wrice.dataset import LabeledDataset, Scaler, fit_scaler, scale_rows, stratified_split
+from wrice.dsp import StftConfig
 from wrice.errors import SchemaMismatchError
 from wrice.evaluation import (EvalReport, evaluate, format_report, noise_validation,
                               report_document)
 from wrice.features import FeatureConfig
-from wrice.mlp import MlpModel, TrainConfig, init_model, train
+from wrice.mlp import MlpModel, TrainConfig, init_model, layer_dims_for, train
+from wrice.synth import CATEGORIES
 
 
 def passthrough_model(n_classes=4):
@@ -130,6 +133,29 @@ class TestNoiseValidation:
         serial = noise_validation(model, tiny_corpus, [0.05], seed=2, workers=1)
         parallel = noise_validation(model, tiny_corpus, [0.05], seed=2, workers=2)
         np.testing.assert_array_equal(serial[0].confusion, parallel[0].confusion)
+
+    def test_worker_count_does_not_change_realistic_size_rows(self, realistic_corpus,
+                                                              monkeypatch):
+        model = init_model(layer_dims_for("compact3", 26, 4), seed=0,
+                           scaler=Scaler(mean=np.zeros(26), std=np.ones(26)),
+                           label_map=list(CATEGORIES), stft_config=StftConfig(),
+                           feature_config=FeatureConfig(), sample_rate=22050,
+                           segment_seconds=30.0)
+        classified = []
+
+        def recording_scale_rows(scaler, features):
+            classified.append(features)
+            return scale_rows(scaler, features)
+
+        monkeypatch.setattr(evaluation, "scale_rows", recording_scale_rows)
+        reports = [noise_validation(model, realistic_corpus, [0.5, 0.005], seed=3,
+                                    workers=workers)
+                   for workers in (1, 2)]
+        assert len(classified) == 4
+        serial, pooled = classified[:2], classified[2:]
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+        for a, b in zip(*reports):
+            assert np.array_equal(a.confusion, b.confusion)
 
 
 class TestReportOutput:
