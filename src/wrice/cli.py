@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import blas
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import read_wav, resample_linear, to_mono, write_wav
+from .audio_io import read_wav, to_mono, write_wav
 from .dsp import StftConfig, stft
 from .errors import WriceError
-from .features import FeatureConfig, extract_features
+from .features import FeatureConfig
 
 _LOG_FLOOR_DB = -80.0  # PGM dynamic range floor below the spectrogram peak
 
@@ -200,20 +198,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = mlp.load_model(args.model)
-    data = ds_mod.ingest_corpus(args.in_path, model.stft_config, model.feature_config,
-                                sample_rate=model.sample_rate or ds_mod.DEFAULT_SAMPLE_RATE,
-                                segment_seconds=model.segment_seconds
-                                or ds_mod.DEFAULT_SEGMENT_SECONDS,
-                                workers=args.workers)
-    clean = evaluation.evaluate(model, data)
-    print(evaluation.format_report(clean))
-    noisy: list[evaluation.EvalReport] = []
-    if args.noise:
-        scales = [float(v) for v in args.noise.split(",")]
-        noisy = evaluation.noise_validation(model, args.in_path, scales,
-                                            seed=args.seed, workers=args.workers)
-        for report in noisy:
-            print(evaluation.format_report(report))
+    scales = [float(v) for v in args.noise.split(",")] if args.noise else []
+    # clean goes last so each noise scale keeps its index, hence its realization
+    *noisy, clean = evaluation.noise_validation(model, args.in_path, [*scales, None],
+                                                seed=args.seed, workers=args.workers)
+    for report in (clean, *noisy):
+        print(evaluation.format_report(report))
     if args.json_path:
         configs = {"model": str(args.model), "corpus": str(args.in_path),
                    "sample_rate": model.sample_rate, "layer_dims": model.layer_dims}
@@ -225,17 +215,22 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
-    if model.stft_config is None or model.feature_config is None:
+    if model.stft_config is None or model.feature_config is None or model.sample_rate is None:
         raise ValueError(f"{args.model}: model has no bundled extraction settings")
-    _, channels = read_wav(args.wav)
-    buf = resample_linear(to_mono(channels),
-                          model.sample_rate or ds_mod.DEFAULT_SAMPLE_RATE)
-    with blas.one_thread():  # as in map_per_file, so the features match eval's
-        fv = extract_features(buf, model.stft_config, model.feature_config)
-    label, probs = mlp.predict(model, fv)
+    # the per-file job of extract and eval, so the file is segmented like training
+    [[rows]] = ds_mod._map_file_rows(
+        [args.wav], [None], None, model.sample_rate,
+        model.segment_seconds or ds_mod.DEFAULT_SEGMENT_SECONDS,
+        model.stft_config, model.feature_config, workers=1)
+    label, probs = mlp.predict(model, np.vstack(rows))
     print(label)
     for name, p in zip(model.label_map, probs):
         print(f"  {name}: {p:.6f}")
+    if len(rows) > 1:
+        for i, row in enumerate(rows):
+            seg_label, seg_probs = mlp.predict(model, row)
+            print(f"segment {i}: {seg_label} "
+                  + " ".join(f"{name}={p:.6f}" for name, p in zip(model.label_map, seg_probs)))
     return 0
 
 
@@ -269,9 +264,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
-    _, channels = read_wav(args.in_path)
-    buf = resample_linear(to_mono(channels), args.sr)
-    spec = stft(buf, _stft_config(args))
+    spec = stft(ds_mod.load_audio(args.in_path, args.sr), _stft_config(args))
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
             f"window={spec.config.window} source={args.in_path}")
     if fmt == "csv":

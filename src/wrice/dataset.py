@@ -24,6 +24,7 @@ from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      SchemaMismatchError, WriceError)
 from .features import (N_BASE_FEATURES, SCHEMA_VERSION, FeatureConfig,
                        FeatureVector, extract_features, feature_names)
+from .synth import add_noise
 
 logger = logging.getLogger(__name__)
 
@@ -141,12 +142,23 @@ def default_workers() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def _extract_file_rows(job) -> list[np.ndarray]:
-    path, stft_cfg, feat_cfg, sample_rate, segment_seconds = job
+def _file_rows(job) -> list[list[np.ndarray]]:
+    """One file decoded once: its segment feature rows for each entry of `scales`.
+
+    A `None` scale is the clean buffer; a float scale adds the file's noise
+    realization for (seed, scale index, file index), so rows do not depend
+    on processing order or worker count.
+    """
+    path, file_idx, scales, seed, sample_rate, segment_seconds, stft_cfg, feat_cfg = job
     try:
-        buf = load_audio(path, sample_rate)
-        return [extract_features(piece, stft_cfg, feat_cfg).values
-                for piece in file_segments(buf, segment_seconds)]
+        clean = load_audio(path, sample_rate)
+        per_scale = []
+        for scale_idx, scale in enumerate(scales):
+            buf = clean if scale is None else add_noise(
+                clean, scale, np.random.SeedSequence([seed, scale_idx, file_idx]))
+            per_scale.append([extract_features(piece, stft_cfg, feat_cfg).values
+                              for piece in file_segments(buf, segment_seconds)])
+        return per_scale
     except (WriceError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -189,6 +201,15 @@ def map_per_file(fn, jobs, workers: int | None):
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
 
+def _map_file_rows(paths, scales, seed, sample_rate: int, segment_seconds: float,
+                   stft_cfg: StftConfig, feat_cfg: FeatureConfig,
+                   workers: int | None) -> list[list[list[np.ndarray]]]:
+    """`_file_rows` of each file in path order (the order fixes each file's noise)."""
+    jobs = [(str(path), file_idx, scales, seed, sample_rate, segment_seconds,
+             stft_cfg, feat_cfg) for file_idx, path in enumerate(paths)]
+    return map_per_file(_file_rows, jobs, workers)
+
+
 def ingest_corpus(root, stft_cfg: StftConfig | None = None,
                   feat_cfg: FeatureConfig | None = None, *,
                   sample_rate: int = DEFAULT_SAMPLE_RATE,
@@ -206,14 +227,13 @@ def ingest_corpus(root, stft_cfg: StftConfig | None = None,
     label_map, pairs = corpus_files(root)
     ids = {name: i for i, name in enumerate(label_map)}
 
-    jobs = [(str(path), stft_cfg, feat_cfg, sample_rate, segment_seconds)
-            for path, _ in pairs]
-    per_file = map_per_file(_extract_file_rows, jobs, workers)
+    per_file = _map_file_rows([path for path, _ in pairs], [None], None, sample_rate,
+                              segment_seconds, stft_cfg, feat_cfg, workers)
 
     rows: list[np.ndarray] = []
     labels: list[int] = []
     paths: list[str] = []
-    for (path, category), vectors in zip(pairs, per_file):
+    for (path, category), (vectors,) in zip(pairs, per_file):
         for values in vectors:
             rows.append(values)
             labels.append(ids[category])

@@ -8,12 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (DEFAULT_SEGMENT_SECONDS, LabeledDataset, corpus_files,
-                      file_segments, load_audio, map_per_file, scale_rows)
-from .errors import SchemaMismatchError, WriceError
-from .features import extract_features
+from .dataset import (DEFAULT_SEGMENT_SECONDS, LabeledDataset, _map_file_rows,
+                      corpus_files, scale_rows)
+from .errors import SchemaMismatchError
 from .mlp import MlpModel, forward
-from .synth import add_noise
 
 DEFAULT_NOISE_SCALES = (0.5, 0.05, 0.005)
 
@@ -56,80 +54,58 @@ def _report(true_labels: np.ndarray, predicted: np.ndarray, label_map,
                       label_map=list(label_map), noise_scale=noise_scale, seed=seed)
 
 
+def _label_ids(model: MlpModel, label_map) -> np.ndarray:
+    """Model label id of each category; every category must be a model label."""
+    if model.scaler is None or model.label_map is None:
+        raise ValueError("model has no bundled scaler/label map")
+    unknown = sorted(set(label_map) - set(model.label_map))
+    if unknown:
+        raise SchemaMismatchError(
+            f"categories {unknown} not in model labels {model.label_map}")
+    return np.array([model.label_map.index(name) for name in label_map], dtype=np.intp)
+
+
+def _score(model: MlpModel, features, true_ids, noise_scale=None, seed=None) -> EvalReport:
+    """Classify raw feature rows with the model's bundled scaler and report."""
+    predicted = forward(model, scale_rows(model.scaler, features)).argmax(axis=1)
+    return _report(true_ids, predicted, model.label_map, noise_scale, seed)
+
+
 def evaluate(model: MlpModel, test: LabeledDataset) -> EvalReport:
     """Classify every raw feature row with the model's bundled scaler."""
     if test.n == 0:
         raise ValueError("evaluation set is empty")
-    if model.scaler is None or model.label_map is None:
-        raise ValueError("model has no bundled scaler/label map")
-    if list(test.label_map) != list(model.label_map):
-        raise SchemaMismatchError(
-            f"dataset labels {test.label_map} do not match model labels {model.label_map}")
-    scaled = scale_rows(model.scaler, test.features)
-    predicted = forward(model, scaled).argmax(axis=1)
-    return _report(test.labels, predicted, model.label_map)
-
-
-def _noisy_file_rows(job) -> list[list[np.ndarray]]:
-    """Per-scale feature rows of one file under its derived noise realizations."""
-    (path, scales, seed, file_idx, sample_rate, segment_seconds,
-     stft_cfg, feat_cfg) = job
-    try:
-        clean = load_audio(path, sample_rate)
-        per_scale = []
-        for scale_idx, scale in enumerate(scales):
-            noise_seed = np.random.SeedSequence([seed, scale_idx, file_idx])
-            noisy = add_noise(clean, scale, noise_seed)
-            per_scale.append([extract_features(piece, stft_cfg, feat_cfg).values
-                              for piece in file_segments(noisy, segment_seconds)])
-        return per_scale
-    except (WriceError, ValueError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _score(model, test.features, _label_ids(model, test.label_map)[test.labels])
 
 
 def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
                      seed: int = 0, workers: int | None = None) -> list[EvalReport]:
     """Re-extract the corpus under additive standard-normal noise per scale.
 
-    Each file gets one independent noise realization per scale, derived from
-    (seed, scale index, file index in path order), so results do not depend on
-    processing order or worker count. The model's bundled scaler is reused
-    without refitting.
+    Each file is decoded once and gets one independent noise realization per
+    scale, derived from (seed, scale index, file index in path order), so
+    results do not depend on processing order or worker count. A `None`
+    scale scores the clean corpus (its report has no noise scale and no
+    seed). The model's bundled scaler is reused without refitting.
     """
     scales = list(scales)
     if not scales:
         raise ValueError("no noise scales given")
-    if model.scaler is None or model.label_map is None:
-        raise ValueError("model has no bundled scaler/label map")
     if model.stft_config is None or model.feature_config is None or model.sample_rate is None:
         raise ValueError("model has no bundled extraction settings")
     label_map, pairs = corpus_files(root)
-    unknown = set(label_map) - set(model.label_map)
-    if unknown:
-        raise SchemaMismatchError(f"corpus categories {sorted(unknown)} not in model labels")
-    ids = {name: i for i, name in enumerate(model.label_map)}
-    segment_seconds = model.segment_seconds or DEFAULT_SEGMENT_SECONDS
+    model_ids = dict(zip(label_map, _label_ids(model, label_map)))
+    per_file = _map_file_rows([path for path, _ in pairs], scales, seed, model.sample_rate,
+                              model.segment_seconds or DEFAULT_SEGMENT_SECONDS,
+                              model.stft_config, model.feature_config, workers)
 
-    jobs = [(str(path), scales, seed, file_idx, model.sample_rate, segment_seconds,
-             model.stft_config, model.feature_config)
-            for file_idx, (path, _) in enumerate(pairs)]
-    per_file = map_per_file(_noisy_file_rows, jobs, workers)
-
-    per_scale_rows: list[list[np.ndarray]] = [[] for _ in scales]
-    true_labels: list[int] = []
-    for (path, category), file_rows in zip(pairs, per_file):
-        for scale_idx, vectors in enumerate(file_rows):
-            per_scale_rows[scale_idx].extend(vectors)
-            if scale_idx == 0:
-                true_labels.extend([ids[category]] * len(vectors))
-
-    labels = np.array(true_labels, dtype=np.intp)
+    true_ids = np.array([model_ids[category]
+                         for (_, category), file_rows in zip(pairs, per_file)
+                         for _ in file_rows[0]], dtype=np.intp)
     reports = []
-    for scale, rows in zip(scales, per_scale_rows):
-        scaled = scale_rows(model.scaler, np.vstack(rows))
-        predicted = forward(model, scaled).argmax(axis=1)
-        reports.append(_report(labels, predicted, model.label_map,
-                               noise_scale=scale, seed=seed))
+    for scale_idx, scale in enumerate(scales):
+        rows = np.vstack([row for file_rows in per_file for row in file_rows[scale_idx]])
+        reports.append(_score(model, rows, true_ids, scale, None if scale is None else seed))
     return reports
 
 

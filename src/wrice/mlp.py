@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset, Scaler
+from .dataset import LabeledDataset, Scaler, scale_rows
 from .dsp import StftConfig
 from .errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
 from .features import SCHEMA_VERSION, FeatureConfig, FeatureVector
@@ -77,8 +77,6 @@ class MlpModel:
     layer_dims: list[int]
     weights: list[np.ndarray]       # per layer, (out, in)
     biases: list[np.ndarray]        # per layer, (out,)
-    hidden_activation: str = "relu"
-    output_activation: str = "softmax"
     scaler: Scaler | None = None
     label_map: list[str] | None = None
     stft_config: StftConfig | None = None
@@ -278,19 +276,16 @@ def train(model: MlpModel, train_set: LabeledDataset,
 
 
 def predict(model: MlpModel, fv: FeatureVector | np.ndarray) -> tuple[str, np.ndarray]:
-    """Scale a raw feature vector with the bundled scaler and classify it.
+    """Scale raw features with the bundled scaler and classify them.
 
+    `fv` is one feature vector, or an (n_segments, d) matrix of one file's
+    segment rows, classified by the mean of the per-segment probabilities.
     Returns (label name, class probabilities); ties break to the lowest id.
     """
     if model.scaler is None or model.label_map is None:
         raise ValueError("model has no bundled scaler/label map; train before predicting")
-    values = fv.values if isinstance(fv, FeatureVector) else np.asarray(fv, dtype=np.float64)
-    if values.shape != model.scaler.mean.shape:
-        raise SchemaMismatchError(
-            f"feature width {values.shape} does not match scaler "
-            f"{model.scaler.mean.shape}")
-    scaled = (values - model.scaler.mean) / model.scaler.std
-    probs = forward(model, scaled)
+    values = fv.values if isinstance(fv, FeatureVector) else fv
+    probs = forward(model, scale_rows(model.scaler, np.atleast_2d(values))).mean(axis=0)
     return model.label_map[int(np.argmax(probs))], probs
 
 
@@ -309,8 +304,6 @@ def save_model(model: MlpModel, path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "layer_dims": model.layer_dims,
-        "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
         "label_map": model.label_map,
         "scaler": None if model.scaler is None else
                   {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
@@ -358,6 +351,10 @@ def load_model(path) -> MlpModel:
     checksum = "sha256:" + hashlib.sha256(body).hexdigest()
     if checksum != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
+    version = header.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise SchemaMismatchError(
+            f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
     # the checksum covers only the body, so the header's structure is checked
     # by parsing it: a missing key or a bad value is damage, not a caller error
     try:
@@ -368,6 +365,10 @@ def load_model(path) -> MlpModel:
 
 
 def _model_from(header: dict, body: bytes, path) -> MlpModel:
+    # files written before these fields were dropped name the only supported pair
+    if (header.get("hidden_activation", "relu"), header.get("output_activation", "softmax")) \
+            != ("relu", "softmax"):
+        raise ValueError("only ReLU hidden layers and a softmax output are supported")
     lines = body.decode().splitlines()
     tensors = header["tensors"]
     if len(lines) != len(tensors):
@@ -394,10 +395,7 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
         feat_cfg = FeatureConfig(**header["features"])
     audio = header.get("audio") or {}
     return MlpModel(layer_dims=header["layer_dims"], weights=weights, biases=biases,
-                    hidden_activation=header.get("hidden_activation", "relu"),
-                    output_activation=header.get("output_activation", "softmax"),
                     scaler=scaler, label_map=header.get("label_map"),
                     stft_config=stft_cfg, feature_config=feat_cfg,
                     sample_rate=audio.get("sample_rate"),
-                    segment_seconds=audio.get("segment_seconds"),
-                    schema_version=header.get("schema_version", SCHEMA_VERSION))
+                    segment_seconds=audio.get("segment_seconds"))

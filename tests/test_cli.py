@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: workflow, exit codes, artifact determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from wrice import dataset
+from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
-from wrice.dataset import read_features_csv
+from wrice.dataset import (file_segments, ingest_corpus, load_audio, read_features_csv,
+                           scale_rows)
+from wrice.evaluation import evaluate, noise_validation
+from wrice.features import extract_features
+from wrice.mlp import forward, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
          "--segment-seconds", "1.5"]
@@ -59,6 +66,84 @@ class TestWorkflow:
         probs = [float(line.split(":")[1]) for line in lines[1:]]
         assert len(probs) == 4
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)
+
+    def test_eval_decodes_each_file_once(self, workspace, tmp_path, monkeypatch):
+        corpus = workspace / "corpus"
+        model_path = workspace / "model.wrice"
+        report = tmp_path / "report.json"
+        decoded = []
+
+        def counting_read_wav(path):
+            decoded.append(str(path))
+            return read_wav(path)
+
+        monkeypatch.setattr(dataset, "read_wav", counting_read_wav)
+        assert run(["eval", "--model", str(model_path), "--in", str(corpus),
+                    "--noise", "0.5,0.005", "--seed", "4", "--json", str(report),
+                    "--workers", "1"]) == 0
+        assert sorted(decoded) == sorted(str(p) for p in corpus.rglob("*.wav"))
+        assert len(decoded) == 16
+
+        doc = json.loads(report.read_text())
+        model = load_model(model_path)
+        data = ingest_corpus(corpus, model.stft_config, model.feature_config,
+                             sample_rate=model.sample_rate,
+                             segment_seconds=model.segment_seconds, workers=1)
+        assert doc["clean"] == evaluate(model, data).to_dict()
+        noisy = noise_validation(model, corpus, [0.5, 0.005], seed=4, workers=1)
+        assert doc["noise"] == [r.to_dict() for r in noisy]
+
+    def test_eval_corpus_with_a_subset_of_the_model_labels(self, workspace, tmp_path,
+                                                           capsys):
+        corpus = tmp_path / "three"
+        for category in ("dry_40", "dry_60", "wet_40"):
+            shutil.copytree(workspace / "corpus" / category, corpus / category)
+        assert run(["eval", "--model", str(workspace / "model.wrice"),
+                    "--in", str(corpus), "--noise", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "/12)" in out.splitlines()[0]
+        assert "wet_60" in out  # the confusion matrix keeps the model's four labels
+
+    def test_eval_unknown_category_is_domain_error(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "extra"
+        shutil.copytree(workspace / "corpus", corpus)
+        (corpus / "icy_40").mkdir()
+        shutil.copy(next((corpus / "dry_40").glob("*.wav")), corpus / "icy_40" / "a.wav")
+        assert run(["eval", "--model", str(workspace / "model.wrice"),
+                    "--in", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "icy_40" in err
+        assert "Traceback" not in err
+
+    def test_predict_averages_the_segments_of_a_long_file(self, workspace, tmp_path,
+                                                          capsys):
+        parts = [next((workspace / "corpus" / c).glob("*.wav")) for c in ("dry_40", "wet_60")]
+        wav = tmp_path / "long.wav"  # two 1.5 s analysis segments
+        write_wav(wav, AudioBuffer(np.concatenate([read_wav(p)[1][0].samples for p in parts]),
+                                   11025))
+        model_path = workspace / "model.wrice"
+        assert run(["predict", "--model", str(model_path), str(wav)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+
+        model = load_model(model_path)
+        rows = np.vstack([extract_features(piece, model.stft_config,
+                                           model.feature_config).values
+                          for piece in file_segments(load_audio(wav, model.sample_rate),
+                                                     model.segment_seconds)])
+        assert rows.shape[0] == 2
+        per_segment = forward(model, scale_rows(model.scaler, rows))
+        mean = per_segment.mean(axis=0)
+        assert lines[0] == model.label_map[int(np.argmax(mean))]
+        assert [line.split(":")[0].strip() for line in lines[1:5]] == model.label_map
+        np.testing.assert_allclose([float(line.split(":")[1]) for line in lines[1:5]],
+                                   mean, atol=1e-6)
+        assert len(lines) == 7
+        for i, line in enumerate(lines[5:]):
+            head, _, probs = line.partition(": ")
+            assert head == f"segment {i}"
+            assert probs.split()[0] == model.label_map[int(np.argmax(per_segment[i]))]
+            np.testing.assert_allclose([float(p.split("=")[1]) for p in probs.split()[1:]],
+                                       per_segment[i], atol=1e-6)
 
     def test_train_from_corpus_directly(self, workspace, tmp_path):
         model = tmp_path / "direct.wrice"
@@ -144,6 +229,7 @@ class TestExitCodes:
         pytest.param(lambda h: h["tensors"][0].pop("shape"), id="no-shape"),
         pytest.param(lambda h: h["stft"].update(bogus=1), id="bad-stft-kwargs"),
         pytest.param(lambda h: h["features"].update(bogus=1), id="bad-features-kwargs"),
+        pytest.param(lambda h: h.update(hidden_activation="tanh"), id="tanh-activation"),
     ])
     def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
                                                     edit):

@@ -70,6 +70,14 @@ class TestEvaluate:
         with pytest.raises(SchemaMismatchError):
             evaluate(passthrough_model(), ds)
 
+    def test_labels_are_mapped_to_model_ids(self):
+        ds = LabeledDataset(features=one_hot_rows([2, 0, 2]), labels=np.array([0, 1, 0]),
+                            label_map=["c2", "c0"], source_paths=["a", "b", "c"])
+        report = evaluate(passthrough_model(), ds)
+        assert report.label_map == ["c0", "c1", "c2", "c3"]
+        assert report.accuracy == 1.0
+        np.testing.assert_array_equal(np.diag(report.confusion), [1, 0, 2, 0])
+
     def test_empty_set(self):
         ds = crafted_dataset([0], [0]).subset([])
         with pytest.raises(ValueError):
@@ -104,6 +112,15 @@ class TestNoiseValidation:
         reports = noise_validation(model, tiny_corpus, [0.0], seed=5)
         assert reports[0].accuracy == clean.accuracy
         np.testing.assert_array_equal(reports[0].confusion, clean.confusion)
+
+    def test_none_scale_is_the_clean_evaluation(self, tiny_corpus, tiny_dataset,
+                                                trained_tiny):
+        model, _ = trained_tiny
+        noisy, clean = noise_validation(model, tiny_corpus, [0.05, None], seed=5)
+        assert clean.to_dict() == evaluate(model, tiny_dataset).to_dict()
+        assert (clean.noise_scale, clean.seed) == (None, None)
+        assert noisy.to_dict() == noise_validation(model, tiny_corpus, [0.05],
+                                                   seed=5)[0].to_dict()
 
     def test_seeded_reproducibility(self, tiny_corpus, trained_tiny):
         model, _ = trained_tiny

@@ -1,12 +1,14 @@
 """Network forward/backward math, Adam, training loop, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grads
 from wrice.dataset import LabeledDataset, Scaler
 from wrice.errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
-from wrice.features import FeatureVector
+from wrice.features import SCHEMA_VERSION, FeatureVector
 from wrice.mlp import (AdamState, MlpModel, TrainConfig, adam_step, backward,
                        forward, init_model, layer_dims_for, load_model,
                        loss_sparse_ce, predict, save_model, softmax, train)
@@ -277,6 +279,16 @@ class TestPredict:
         np.testing.assert_allclose(probs, forward(model, np.array([1.0, 1.0])),
                                    atol=1e-15)
 
+    def test_segment_matrix_averages_segment_probabilities(self):
+        model = self.make_bundled(seed=2)
+        rows = np.random.default_rng(4).normal(scale=3.0, size=(3, 3))
+        label, probs = predict(model, rows)
+        per_segment = forward(model, rows)  # identity scaler
+        np.testing.assert_allclose(probs, per_segment.mean(axis=0), rtol=1e-15)
+        assert label == model.label_map[int(np.argmax(per_segment.mean(axis=0)))]
+        _, single = predict(model, FeatureVector(values=rows[0]))
+        np.testing.assert_array_equal(predict(model, rows[:1])[1], single)
+
     def test_unbundled_model_rejected(self):
         model = init_model([2, 4, 2], seed=0)
         with pytest.raises(ValueError):
@@ -332,6 +344,20 @@ class TestPersistence:
         path.write_bytes(head.replace(b'"version": 1', b'"version": 2') + b"\n" + tail)
         with pytest.raises(VersionMismatchError):
             load_model(path)
+
+    def test_other_schema_version_rejected(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "model.wrice"
+        save_model(model, path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["schema_version"] = SCHEMA_VERSION + 1
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(SchemaMismatchError, match="schema version"):
+            load_model(path)
+        del header["schema_version"]  # absent means the current version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        assert load_model(path).schema_version == SCHEMA_VERSION
 
     def test_truncated_file(self, tmp_path):
         model = self.make_model()
