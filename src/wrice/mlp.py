@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
 from .features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 
 MODEL_FORMAT = "wrice-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Two supported readings of the reference topology: four dense layers with
 # every non-output layer 512 wide, or a compact variant with two hidden layers.
@@ -289,18 +290,14 @@ def predict(model: MlpModel, fv: FeatureVector | np.ndarray) -> tuple[str, np.nd
     return model.label_map[int(np.argmax(probs))], probs
 
 
-def save_model(model: MlpModel, path) -> None:
-    """Write the versioned model file: a JSON header line, then one text line
-    of full-precision values per parameter tensor, checksummed."""
+def _header(model: MlpModel) -> dict:
+    """The model file's header, without its checksum; also what the checksum
+    covers, re-derived from the parsed model when a file is loaded."""
     tensors = []
-    lines = []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         tensors.append({"name": f"w{i}", "shape": list(w.shape)})
-        lines.append(" ".join(format(v, ".17g") for v in w.ravel()))
         tensors.append({"name": f"b{i}", "shape": list(b.shape)})
-        lines.append(" ".join(format(v, ".17g") for v in b.ravel()))
-    body = ("\n".join(lines) + "\n").encode()
-    header = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "layer_dims": model.layer_dims,
@@ -323,16 +320,33 @@ def save_model(model: MlpModel, path) -> None:
                   "segment_seconds": model.segment_seconds},
         "schema_version": model.schema_version,
         "tensors": tensors,
-        "checksum": "sha256:" + hashlib.sha256(body).hexdigest(),
     }
+
+
+def _checksum(header: dict, body: bytes) -> str:
+    """sha256 over the canonical JSON of the header, a newline, and the body."""
+    canonical = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return "sha256:" + hashlib.sha256(canonical + b"\n" + body).hexdigest()
+
+
+def save_model(model: MlpModel, path) -> None:
+    """Write the versioned model file: a JSON header line, then every
+    parameter tensor as raw little-endian float64 in `parameters()` order.
+    The header's checksum covers the header and the body."""
+    body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes()
+                    for t in model.parameters())
+    header = _header(model)
+    header["checksum"] = _checksum(header, body)
     Path(path).write_bytes((json.dumps(header) + "\n").encode() + body)
 
 
 def load_model(path) -> MlpModel:
     """Read a model file back; restores parameters bit-exactly.
 
-    Raises VersionMismatchError on a wrong version field and CorruptModelError
-    on structural damage or checksum failure.
+    Raises VersionMismatchError on a wrong version field (files of an older
+    version must be written again by `wrice train`), SchemaMismatchError on
+    another feature schema, and CorruptModelError on structural damage or
+    checksum failure.
     """
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
@@ -346,40 +360,44 @@ def load_model(path) -> MlpModel:
         raise CorruptModelError(f"{path}: not a {MODEL_FORMAT} file")
     if header.get("version") != MODEL_VERSION:
         raise VersionMismatchError(
-            f"{path}: model version {header.get('version')!r}, expected {MODEL_VERSION}")
-    body = raw[newline + 1 :]
-    checksum = "sha256:" + hashlib.sha256(body).hexdigest()
-    if checksum != header.get("checksum"):
-        raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
+            f"{path}: model version {header.get('version')!r}, expected {MODEL_VERSION}; "
+            "re-run `wrice train` to write a current model file")
     version = header.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    # the checksum covers only the body, so the header's structure is checked
-    # by parsing it: a missing key or a bad value is damage, not a caller error
+    body = raw[newline + 1 :]
+    # a missing key or a bad value is damage, not a caller error; parsing
+    # comes first so such damage is named, and the checksum then catches any
+    # edited value that still parses
     try:
-        return _model_from(header, body, path)
+        model = _model_from(header, body, path)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModelError(
             f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+    expected = _header(model)
+    unknown = sorted(set(header) - set(expected) - {"checksum"})
+    if unknown:
+        raise CorruptModelError(f"{path}: malformed model file (unknown fields {unknown})")
+    if _checksum(expected, body) != header.get("checksum"):
+        raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
+    return model
 
 
 def _model_from(header: dict, body: bytes, path) -> MlpModel:
-    # files written before these fields were dropped name the only supported pair
-    if (header.get("hidden_activation", "relu"), header.get("output_activation", "softmax")) \
-            != ("relu", "softmax"):
-        raise ValueError("only ReLU hidden layers and a softmax output are supported")
-    lines = body.decode().splitlines()
-    tensors = header["tensors"]
-    if len(lines) != len(tensors):
-        raise CorruptModelError(f"{path}: expected {len(tensors)} tensor lines, found {len(lines)}")
+    shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
+    counts = [math.prod(shape) for shape in shapes]
+    if 8 * sum(counts) != len(body):
+        raise CorruptModelError(
+            f"{path}: body has {len(body)} bytes, its tensors need {8 * sum(counts)}")
     arrays = []
-    for entry, line in zip(tensors, lines):
-        values = np.array(line.split(), dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if values.size != int(np.prod(shape)):
-            raise CorruptModelError(f"{path}: tensor {entry['name']} has wrong element count")
-        arrays.append(values.reshape(shape))
+    offset = 0
+    for shape, count in zip(shapes, counts):
+        # frombuffer on bytes is read-only; astype copies into an owning,
+        # writable array
+        arrays.append(np.frombuffer(body, "<f8", count, offset)
+                      .reshape(shape).astype(np.float64))
+        offset += 8 * count
     weights = arrays[0::2]
     biases = arrays[1::2]
 

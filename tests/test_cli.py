@@ -222,7 +222,7 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    # the checksum covers only the tensor body, so these header edits pass it
+    # header damage that the parser sees is named before the checksum is compared
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
         pytest.param(lambda h: h.pop("layer_dims"), id="no-layer-dims"),
@@ -242,6 +242,19 @@ class TestExitCodes:
         assert run(["predict", "--model", str(model), str(wav)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "malformed model file" in err
+        assert "Traceback" not in err
+
+
+    def test_edited_model_header_is_domain_error(self, workspace, tmp_path, capsys):
+        head, _, body = (workspace / "model.wrice").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["scaler"]["mean"][0] += 1.0
+        model = tmp_path / "edited.wrice"
+        model.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
+        assert run(["predict", "--model", str(model), str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checksum mismatch" in err
         assert "Traceback" not in err
 
 

@@ -9,8 +9,8 @@ from conftest import finite_difference_grads
 from wrice.dataset import LabeledDataset, Scaler
 from wrice.errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
 from wrice.features import SCHEMA_VERSION, FeatureVector
-from wrice.mlp import (AdamState, MlpModel, TrainConfig, adam_step, backward,
-                       forward, init_model, layer_dims_for, load_model,
+from wrice.mlp import (MODEL_VERSION, AdamState, MlpModel, TrainConfig, adam_step,
+                       backward, forward, init_model, layer_dims_for, load_model,
                        loss_sparse_ce, predict, save_model, softmax, train)
 
 
@@ -341,8 +341,64 @@ class TestPersistence:
         save_model(model, path)
         raw = path.read_bytes()
         head, _, tail = raw.partition(b"\n")
-        path.write_bytes(head.replace(b'"version": 1', b'"version": 2') + b"\n" + tail)
+        path.write_bytes(head.replace(f'"version": {MODEL_VERSION}'.encode(),
+                                      f'"version": {MODEL_VERSION + 1}'.encode())
+                         + b"\n" + tail)
         with pytest.raises(VersionMismatchError):
+            load_model(path)
+
+    def test_version_1_text_file_must_be_retrained(self, tmp_path):
+        # the version-1 layout: one line of .17g text per tensor after the header
+        model = self.make_model()
+        lines = [" ".join(format(v, ".17g") for v in t.ravel()) for t in model.parameters()]
+        header = {"format": "wrice-model", "version": 1, "layer_dims": model.layer_dims,
+                  "tensors": [{"name": f"t{i}", "shape": list(t.shape)}
+                              for i, t in enumerate(model.parameters())]}
+        path = tmp_path / "model.wrice"
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + ("\n".join(lines) + "\n").encode())
+        with pytest.raises(VersionMismatchError, match="model version 1,.*wrice train"):
+            load_model(path)
+
+    def test_body_is_raw_little_endian_float64_in_parameter_order(self, tmp_path):
+        model = self.make_model()
+        path = tmp_path / "model.wrice"
+        save_model(model, path)
+        raw = path.read_bytes()
+        head, _, body = raw.partition(b"\n")
+        assert body == b"".join(p.astype("<f8").tobytes() for p in model.parameters())
+        n_params = sum(p.size for p in model.parameters())
+        assert len(raw) == len(head) + 1 + 8 * n_params
+        assert [t["shape"] for t in json.loads(head)["tensors"]] == \
+            [list(p.shape) for p in model.parameters()]
+
+    @pytest.mark.parametrize("cut", [
+        pytest.param(lambda body: body[:-8], id="short-by-one-value"),
+        pytest.param(lambda body: body + bytes(8), id="one-value-left-over"),
+    ])
+    def test_body_length_must_match_the_shapes(self, tmp_path, cut):
+        model = self.make_model()
+        path = tmp_path / "model.wrice"
+        save_model(model, path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(head + b"\n" + cut(body))
+        with pytest.raises(CorruptModelError, match="body has"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h["scaler"]["mean"].__setitem__(1, 1.5), id="scaler-mean"),
+        pytest.param(lambda h: h["label_map"].reverse(), id="label-map-order"),
+        pytest.param(lambda h: h["audio"].update(sample_rate=44100), id="sample-rate"),
+    ])
+    def test_checksum_covers_the_header(self, tmp_path, edit):
+        model = self.make_model()
+        path = tmp_path / "model.wrice"
+        save_model(model, path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(CorruptModelError, match="checksum mismatch"):
             load_model(path)
 
     def test_other_schema_version_rejected(self, tmp_path):
