@@ -8,8 +8,9 @@ from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, LabeledDatas
                       write_features_csv)
 from .dsp import Spectrogram, StftConfig, fft, frame_signal, hann_window, rfft, stft
 from .errors import (ClassTooSmallError, CorruptModelError, DuplicateLabelError,
-                     EmptyCorpusError, MalformedWavError, SchemaMismatchError,
-                     UnsupportedEncodingError, VersionMismatchError, WriceError)
+                     EmptyCorpusError, MalformedWavError, NonFiniteError,
+                     SchemaMismatchError, UnsupportedEncodingError,
+                     VersionMismatchError, WriceError)
 from .evaluation import EvalReport, evaluate, noise_validation
 from .features import (FeatureConfig, FeatureVector, chroma_mean, extract_features,
                        feature_names, mel_filterbank, mfcc_means, rms_mean,

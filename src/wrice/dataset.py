@@ -8,6 +8,7 @@ is fitted on the training partition only and applied downstream.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -21,7 +22,7 @@ from . import blas
 from .audio_io import read_wav, resample_linear, segment, to_mono
 from .dsp import StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
-                     SchemaMismatchError, WriceError)
+                     NonFiniteError, SchemaMismatchError, WriceError)
 from .features import (N_BASE_FEATURES, SCHEMA_VERSION, FeatureConfig,
                        FeatureVector, extract_features, feature_names)
 from .synth import add_noise
@@ -53,6 +54,10 @@ class LabeledDataset:
             raise ValueError("row count mismatch between features and labels")
         if len(self.source_paths) != self.features.shape[0]:
             raise ValueError("row count mismatch between features and source paths")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise NonFiniteError(f"{bad.size} feature row(s) hold NaN or Inf, first row "
+                                 f"{bad[0]} ({self.source_paths[bad[0]]})")
         if len(set(self.label_map)) != len(self.label_map):
             raise DuplicateLabelError(f"duplicate category names in {self.label_map}")
         if self.labels.size and not (0 <= self.labels.min() and
@@ -307,7 +312,7 @@ def write_features_csv(ds: LabeledDataset, path, metadata: dict | None = None) -
     meta = {"schema_version": ds.schema_version,
             "label_map": "|".join(ds.label_map)}
     meta.update(metadata or {})
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["path", "label", *names])
@@ -316,49 +321,70 @@ def write_features_csv(ds: LabeledDataset, path, metadata: dict | None = None) -
                              *(format(v, ".17g") for v in ds.features[i])])
 
 
+def _feature_csv_text(path) -> io.StringIO:
+    """A feature CSV's text, to be read with `csv`; a byte that is not UTF-8
+    is a SchemaMismatchError naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SchemaMismatchError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_meta(fh) -> tuple[dict[str, str], str, int]:
+    """Key=value tokens of the leading `#` lines, then the first other line
+    and its line number."""
+    meta: dict[str, str] = {}
+    line, number = fh.readline(), 1
+    while line.startswith("#"):
+        for token in line[1:].split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                meta[key] = value
+        line, number = fh.readline(), number + 1
+    return meta, line, number
+
+
 def read_features_meta(path) -> dict[str, str]:
     """Key=value tokens from the leading comment line of a feature CSV."""
-    meta: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
-            line = fh.readline()
-    return meta
+    return _read_meta(_feature_csv_text(path))[0]
 
 
 def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
     Raises SchemaMismatchError if the header does not match the expected
-    schema width exactly, or if the `#` meta names another schema version.
+    schema width exactly, if the `#` meta names another schema version, or
+    if a line is not UTF-8 or holds a row of the wrong width or a value that
+    is not a number (the message names the path and the line), and
+    NonFiniteError if a feature value is NaN or infinite.
     """
     expected_header = ["path", "label", *feature_names(n_features - N_BASE_FEATURES)]
-    meta = read_features_meta(path)
+    fh = _feature_csv_text(path)
+    meta, first, header_line = _read_meta(fh)
     version = meta.get("schema_version", str(SCHEMA_VERSION))
     if version != str(SCHEMA_VERSION):
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        while first.startswith("#"):
-            first = fh.readline()
-        header = next(csv.reader([first]), None)
-        if header != expected_header:
-            raise SchemaMismatchError(
-                f"{path}: header does not match the {n_features}-column feature schema")
-        rows = list(csv.reader(fh))
-
+    header = next(csv.reader([first]), None)
+    if header != expected_header:
+        raise SchemaMismatchError(
+            f"{path}: header does not match the {n_features}-column feature schema")
+    paths, names, rows = [], [], []
+    reader = csv.reader(fh)
+    for row in reader:
+        line = header_line + reader.line_num
+        if len(row) != len(expected_header):
+            raise SchemaMismatchError(f"{path}: line {line}: row with {len(row)} columns")
+        try:
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise SchemaMismatchError(f"{path}: line {line}: {exc}") from exc
+        paths.append(row[0])
+        names.append(row[1])
     if not rows:
         raise SchemaMismatchError(f"{path}: no feature rows")
-    for row in rows:
-        if len(row) != len(expected_header):
-            raise SchemaMismatchError(f"{path}: row with {len(row)} columns")
-    paths = [row[0] for row in rows]
-    names = [row[1] for row in rows]
     if "label_map" in meta:
         label_map = meta["label_map"].split("|")
     else:
@@ -368,6 +394,8 @@ def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
         labels = np.array([ids[name] for name in names])
     except KeyError as exc:
         raise SchemaMismatchError(f"{path}: label {exc} not in label map") from exc
-    features = np.array([[float(v) for v in row[2:]] for row in rows])
-    return LabeledDataset(features=features, labels=labels, label_map=label_map,
-                          source_paths=paths)
+    try:
+        return LabeledDataset(features=np.array(rows), labels=labels, label_map=label_map,
+                              source_paths=paths)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{path}: {exc}") from exc

@@ -1,7 +1,8 @@
 """Framing, windowing, and short-time Fourier analysis.
 
-`stft` transforms windowed frames with `numpy.fft.rfft` (frame lengths must
-be powers of two). The module also keeps its own iterative radix-2 FFT,
+`spectrum_blocks` windows frames and takes `numpy.fft.rfft` magnitudes one
+block of frames at a time (frame lengths must be powers of two); `stft`
+stacks its blocks. The module also keeps its own iterative radix-2 FFT,
 vectorized over a batch of frames, as the checked reference the tests compare
 against: `fft`, and `rfft`, which packs real frames into a half-length complex
 FFT to halve the work without changing the result.
@@ -9,8 +10,9 @@ FFT to halve the work without changing the result.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,11 +51,6 @@ class Spectrogram:
     def n_bins(self) -> int:
         return self.magnitudes.shape[1]
 
-    @cached_property
-    def power(self) -> np.ndarray:
-        """Squared magnitudes (n_frames, n_bins), computed on first access and kept."""
-        return self.magnitudes * self.magnitudes
-
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window, w[i] = 0.5 - 0.5*cos(2*pi*i/n)."""
@@ -82,30 +79,22 @@ def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return frames[:: cfg.hop]
 
 
-_BIT_REVERSE_CACHE: dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=32)
 def _bit_reverse_indices(n: int) -> np.ndarray:
-    cached = _BIT_REVERSE_CACHE.get(n)
-    if cached is None:
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for _ in range(n.bit_length() - 1):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        rev.setflags(write=False)
-        _BIT_REVERSE_CACHE[n] = cached = rev
-    return cached
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for _ in range(n.bit_length() - 1):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    rev.setflags(write=False)
+    return rev
 
 
+@lru_cache(maxsize=32)
 def _twiddles(half: int) -> np.ndarray:
-    cached = _TWIDDLE_CACHE.get(half)
-    if cached is None:
-        cached = np.exp(-1j * np.pi * np.arange(half) / half)
-        cached.setflags(write=False)
-        _TWIDDLE_CACHE[half] = cached
-    return cached
+    twiddles = np.exp(-1j * np.pi * np.arange(half) / half)
+    twiddles.setflags(write=False)
+    return twiddles
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -155,31 +144,32 @@ def rfft(x: np.ndarray) -> np.ndarray:
     return even_part + np.exp(-2j * np.pi * k / n) * odd_part
 
 
-# Frames per transform block. Blocks bound memory: transforming a long
-# recording in one call would hold a windowed copy and a complex spectrum of
-# every frame at once; in blocks, `magnitudes` is the only full-size array.
-_FFT_CHUNK = 64
+# Frames per transform block: a block's windowed copy and complex spectrum
+# stay cache-sized, and no caller that reduces blocks holds every frame's.
+BLOCK_FRAMES = 64
 
 
-def stft(buf, cfg: StftConfig = StftConfig()) -> Spectrogram:
-    """Window each frame and keep one-sided FFT magnitudes.
-
-    Raises ValueError if the buffer is shorter than one frame or frame_len is
-    not a power of two.
-    """
+def spectrum_blocks(samples, cfg: StftConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (raw frames, magnitudes of their windowed one-sided FFT) for
+    consecutive blocks of up to BLOCK_FRAMES frames. Raises ValueError if the
+    signal is shorter than one frame or frame_len is not a power of two."""
     n = cfg.frame_len
     if n & (n - 1):
         raise ValueError(f"frame_len must be a power of two, got {n}")
-    if len(buf.samples) < n:
-        raise ValueError(f"buffer too short for one frame ({len(buf.samples)} < {n})")
-    frames = frame_signal(buf.samples, cfg)
+    if len(samples) < n:
+        raise ValueError(f"buffer too short for one frame ({len(samples)} < {n})")
+    frames = frame_signal(samples, cfg)
     window = _cached_hann(n) if cfg.window == "hann" else None
-    magnitudes = np.empty((frames.shape[0], n // 2 + 1), dtype=np.float64)
-    for i in range(0, frames.shape[0], _FFT_CHUNK):
-        block = frames[i : i + _FFT_CHUNK]
-        if window is not None:
-            block = block * window
-        np.abs(np.fft.rfft(block, axis=-1), out=magnitudes[i : i + block.shape[0]])
-    bin_freqs = np.arange(n // 2 + 1) * (buf.sample_rate / n)
+    for i in range(0, frames.shape[0], BLOCK_FRAMES):
+        block = frames[i : i + BLOCK_FRAMES]
+        windowed = block if window is None else block * window
+        yield block, np.abs(np.fft.rfft(windowed, axis=-1))
+
+
+def stft(buf, cfg: StftConfig = StftConfig()) -> Spectrogram:
+    """Window each frame and keep one-sided FFT magnitudes (raises as
+    `spectrum_blocks` does)."""
+    magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+    bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (buf.sample_rate / cfg.frame_len)
     return Spectrogram(magnitudes=magnitudes, bin_freqs=bin_freqs,
                        config=cfg, sample_rate=buf.sample_rate)

@@ -40,3 +40,7 @@ class VersionMismatchError(WriceError):
 
 class CorruptModelError(WriceError):
     """A model file is truncated, tampered with, or otherwise unreadable."""
+
+
+class NonFiniteError(WriceError):
+    """A feature value, training loss or model parameter is NaN or infinite."""

@@ -2,9 +2,12 @@
 
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
 spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
-shared frame grid. ZCR and RMS read raw frames; everything else reads the
-one-sided magnitude spectrogram of the same frames, or its power spectrum
-(`Spectrogram.power`), which is squared once and shared.
+shared frame grid. Each family has one per-frame function: ZCR and RMS read
+raw frames, centroid and bandwidth one-sided magnitudes, roll-off, chroma
+and MFCC the power (squared magnitudes, with sparse mel and chroma
+projections). `extract_features` sums them over the blocks of
+`dsp.spectrum_blocks`, so no full spectrogram is held; each public family
+function is their mean over a whole `Spectrogram`.
 
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 
-from .dsp import Spectrogram, StftConfig, frame_signal, stft
+from .dsp import Spectrogram, StftConfig, spectrum_blocks
 
 SCHEMA_VERSION = 1
 
@@ -78,67 +82,84 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-def _require_frames(count: int) -> None:
-    if count == 0:
+def _frame_mean(values: np.ndarray):
+    if values.shape[0] == 0:
         raise ValueError("no frames to aggregate")
+    return values.mean(axis=0)
+
+
+def _zcr(frames: np.ndarray) -> np.ndarray:
+    nonneg = frames >= 0
+    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / frames.shape[1]
+
+
+def _rms(frames: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", frames, frames) / frames.shape[1])
+
+
+def _centroids(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    totals = mags.sum(axis=1)
+    raw = mags @ freqs
+    return np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
+
+
+def _bandwidths(mags, freqs, centroids, p: int) -> np.ndarray:
+    totals = mags.sum(axis=1)
+    # built in place: no temporaries of the block's size beyond `deviations`
+    deviations = np.subtract(freqs[None, :], centroids[:, None])
+    np.abs(deviations, out=deviations)
+    deviations **= p
+    moments = np.einsum("fb,fb->f", mags, deviations)
+    normed = np.divide(moments, totals, out=np.zeros_like(moments), where=totals > 0)
+    return normed ** (1.0 / p)
+
+
+def _rolloffs(power: np.ndarray, freqs: np.ndarray, pct: float) -> np.ndarray:
+    cumulative = np.cumsum(power, axis=1)
+    totals = cumulative[:, -1]
+    first = np.argmax(cumulative >= pct * totals[:, None], axis=1)
+    return np.where(totals > 0, freqs[first], 0.0)
+
+
+def _chromas(power: np.ndarray, projector: csr_array) -> np.ndarray:
+    profile = (projector @ power.T).T
+    peaks = profile.max(axis=1, keepdims=True)
+    normalized = np.divide(profile, peaks, out=np.zeros_like(profile), where=peaks > 0)
+    return normalized.mean(axis=1)
+
+
+def _mfccs(power: np.ndarray, bank: csr_array, cfg: FeatureConfig) -> np.ndarray:
+    return mfccs_from_mel_energies((bank @ power.T).T, cfg)
 
 
 def zcr_mean(frames: np.ndarray) -> float:
     """Mean per-frame zero-crossing rate; zero counts as non-negative."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    _require_frames(frames.shape[0])
-    nonneg = frames >= 0
-    flips = np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
-    return float(np.mean(flips / frames.shape[1]))
+    return float(_frame_mean(_zcr(np.atleast_2d(np.asarray(frames, dtype=np.float64)))))
 
 
 def rms_mean(frames: np.ndarray) -> float:
     """Mean per-frame root-mean-square amplitude, on raw (unwindowed) frames."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    _require_frames(frames.shape[0])
-    power = np.einsum("ij,ij->i", frames, frames) / frames.shape[1]
-    return float(np.mean(np.sqrt(power)))
+    return float(_frame_mean(_rms(np.atleast_2d(np.asarray(frames, dtype=np.float64)))))
 
 
 def spectral_centroid_mean(spec: Spectrogram) -> float:
     """Mean magnitude-weighted mean frequency (Hz); silent frames contribute 0."""
-    _require_frames(spec.n_frames)
-    return float(_frame_centroids(spec).mean())
-
-
-def _frame_centroids(spec: Spectrogram) -> np.ndarray:
-    weights = spec.magnitudes
-    totals = weights.sum(axis=1)
-    raw = weights @ spec.bin_freqs
-    return np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
+    return float(_frame_mean(_centroids(spec.magnitudes, spec.bin_freqs)))
 
 
 def spectral_bandwidth_mean(spec: Spectrogram, p: int = 2) -> float:
     """Mean p-th order magnitude-weighted spread about the per-frame centroid."""
-    _require_frames(spec.n_frames)
     if p < 1:
         raise ValueError(f"bandwidth order must be >= 1, got {p}")
-    weights = spec.magnitudes
-    totals = weights.sum(axis=1)
-    # built in place: no full-size temporaries beyond `deviations` itself
-    deviations = np.subtract(spec.bin_freqs[None, :], _frame_centroids(spec)[:, None])
-    np.abs(deviations, out=deviations)
-    deviations **= p
-    moments = np.einsum("fb,fb->f", weights, deviations)
-    normed = np.divide(moments, totals, out=np.zeros_like(moments), where=totals > 0)
-    return float(np.mean(normed ** (1.0 / p)))
+    centroids = _centroids(spec.magnitudes, spec.bin_freqs)
+    return float(_frame_mean(_bandwidths(spec.magnitudes, spec.bin_freqs, centroids, p)))
 
 
 def spectral_rolloff_mean(spec: Spectrogram, pct: float = 0.85) -> float:
     """Mean frequency below which `pct` of the spectral energy lies per frame."""
-    _require_frames(spec.n_frames)
     if not 0 < pct <= 1:
         raise ValueError(f"rolloff fraction must be in (0, 1], got {pct}")
-    cumulative = np.cumsum(spec.power, axis=1)
-    totals = cumulative[:, -1]
-    first = np.argmax(cumulative >= pct * totals[:, None], axis=1)
-    freqs = spec.bin_freqs[first]
-    return float(np.where(totals > 0, freqs, 0.0).mean())
+    return float(_frame_mean(_rolloffs(np.square(spec.magnitudes), spec.bin_freqs, pct)))
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:
@@ -175,18 +196,14 @@ def mel_filterbank(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> np.n
     return bank
 
 
+@lru_cache(maxsize=8)
 def dct_ortho_matrix(size: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix; row k left-multiplies to give coefficient k."""
+    """Orthonormal DCT-II matrix (read-only, cached); row k left-multiplies to
+    give coefficient k."""
     k = np.arange(size)[:, None]
     m = np.arange(size)[None, :]
     mat = np.cos(np.pi * (2 * m + 1) * k / (2 * size)) * np.sqrt(2.0 / size)
     mat[0] /= np.sqrt(2.0)
-    return mat
-
-
-@lru_cache(maxsize=8)
-def _cached_dct(size: int) -> np.ndarray:
-    mat = dct_ortho_matrix(size)
     mat.setflags(write=False)
     return mat
 
@@ -195,68 +212,60 @@ def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndar
     """Log (with floor) then orthonormal DCT-II; keeps the first n_mfcc coefficients."""
     energies = np.atleast_2d(np.asarray(energies, dtype=np.float64))
     logs = np.log(np.maximum(energies, cfg.log_floor))
-    return logs @ _cached_dct(energies.shape[1]).T[:, : cfg.n_mfcc]
+    return logs @ dct_ortho_matrix(energies.shape[1]).T[:, : cfg.n_mfcc]
 
 
 @lru_cache(maxsize=8)
-def _cached_filterbank(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> np.ndarray:
-    bank = mel_filterbank(cfg, frame_len, sample_rate)
-    bank.setflags(write=False)
+def _mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_array:
+    bank = csr_array(mel_filterbank(cfg, frame_len, sample_rate))
+    bank.data.setflags(write=False)
     return bank
 
 
 def mfcc_means(spec: Spectrogram, cfg: FeatureConfig) -> np.ndarray:
     """Per-coefficient mean of the first n_mfcc cepstral coefficients."""
-    _require_frames(spec.n_frames)
-    bank = _cached_filterbank(cfg, spec.config.frame_len, spec.sample_rate)
-    energies = spec.power @ bank.T
-    return mfccs_from_mel_energies(energies, cfg).mean(axis=0)
-
-
-def _pitch_classes(bin_freqs: np.ndarray) -> np.ndarray:
-    # class 0 is aligned to A4 = 440 Hz; DC is excluded by the caller
-    return (np.round(12.0 * np.log2(bin_freqs / 440.0)).astype(int)) % 12
+    bank = _mel_projector(cfg, spec.config.frame_len, spec.sample_rate)
+    return _frame_mean(_mfccs(np.square(spec.magnitudes), bank, cfg))
 
 
 @lru_cache(maxsize=8)
-def _chroma_projector(frame_len: int, sample_rate: int) -> np.ndarray:
-    """(n_bins, 12) 0/1 map of FFT bins onto pitch classes; the DC row is zero."""
+def _chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
+    """(12, n_bins) 0/1 map of FFT bins onto pitch classes; DC maps to none."""
     positive = np.arange(1, frame_len // 2 + 1)
-    projector = np.zeros((frame_len // 2 + 1, 12), dtype=np.float64)
-    projector[positive, _pitch_classes(positive * (sample_rate / frame_len))] = 1.0
-    projector.setflags(write=False)
+    freqs = positive * (sample_rate / frame_len)
+    classes = np.round(12.0 * np.log2(freqs / 440.0)).astype(int) % 12  # 0 is A4 = 440 Hz
+    projector = csr_array((np.ones(positive.size), (classes, positive)),
+                          shape=(12, frame_len // 2 + 1))
+    projector.data.setflags(write=False)
     return projector
 
 
 def chroma_mean(spec: Spectrogram) -> float:
     """Mean of the per-frame max-normalized 12-bin pitch-class energy profile."""
-    _require_frames(spec.n_frames)
-    profile = spec.power @ _chroma_projector(spec.config.frame_len, spec.sample_rate)
-    peaks = profile.max(axis=1, keepdims=True)
-    normalized = np.divide(profile, peaks, out=np.zeros_like(profile), where=peaks > 0)
-    return float(normalized.mean())
+    projector = _chroma_projector(spec.config.frame_len, spec.sample_rate)
+    return float(_frame_mean(_chromas(np.square(spec.magnitudes), projector)))
 
 
 def extract_features(buf, stft_cfg: StftConfig | None = None,
                      feat_cfg: FeatureConfig | None = None) -> FeatureVector:
-    """Compute all feature families on one shared frame grid.
-
-    Raises ValueError if the buffer is too short for a single frame.
-    """
+    """Compute all feature families on one shared frame grid, one block of
+    frames at a time: a block is squared once and each family's per-frame
+    values go into running sums. Raises ValueError as `spectrum_blocks` does."""
     stft_cfg = stft_cfg or StftConfig()
     feat_cfg = feat_cfg or FeatureConfig()
-    frames = frame_signal(buf.samples, stft_cfg)
-    if frames.shape[0] == 0:
-        raise ValueError(f"buffer too short for one frame "
-                         f"({len(buf.samples)} < {stft_cfg.frame_len} samples)")
-    spec = stft(buf, stft_cfg)
-    values = np.concatenate([
-        [zcr_mean(frames),
-         spectral_centroid_mean(spec),
-         spectral_bandwidth_mean(spec, feat_cfg.bandwidth_order),
-         spectral_rolloff_mean(spec, feat_cfg.rolloff_pct),
-         rms_mean(frames),
-         chroma_mean(spec)],
-        mfcc_means(spec, feat_cfg),
-    ])
-    return FeatureVector(values=values, schema_version=SCHEMA_VERSION)
+    freqs = np.arange(stft_cfg.frame_len // 2 + 1) * (buf.sample_rate / stft_cfg.frame_len)
+    bank = _mel_projector(feat_cfg, stft_cfg.frame_len, buf.sample_rate)
+    chroma = _chroma_projector(stft_cfg.frame_len, buf.sample_rate)
+    sums = np.zeros(feat_cfg.n_features)
+    n_frames = 0
+    for frames, mags in spectrum_blocks(buf.samples, stft_cfg):
+        power = np.square(mags)
+        centroids = _centroids(mags, freqs)
+        sums += np.column_stack([
+            _zcr(frames), centroids,
+            _bandwidths(mags, freqs, centroids, feat_cfg.bandwidth_order),
+            _rolloffs(power, freqs, feat_cfg.rolloff_pct), _rms(frames),
+            _chromas(power, chroma), _mfccs(power, bank, feat_cfg),
+        ]).sum(axis=0)
+        n_frames += frames.shape[0]
+    return FeatureVector(values=sums / n_frames, schema_version=SCHEMA_VERSION)

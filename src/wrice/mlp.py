@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataset import LabeledDataset, Scaler, scale_rows
 from .dsp import StftConfig
-from .errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
+from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
+                     VersionMismatchError)
 from .features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 
 MODEL_FORMAT = "wrice-model"
@@ -240,7 +241,9 @@ def train(model: MlpModel, train_set: LabeledDataset,
 
     Shuffles per epoch with a generator seeded from cfg.seed; the final
     partial batch is trained on. The input model is not modified. History
-    holds the per-epoch mean training loss and accuracy.
+    holds the per-epoch mean training loss and accuracy. Raises
+    NonFiniteError if a batch loss becomes NaN or infinite (a learning rate
+    too large for the data can diverge).
     """
     if train_set.n == 0:
         raise ValueError("training set is empty")
@@ -255,7 +258,7 @@ def train(model: MlpModel, train_set: LabeledDataset,
     x_all = train_set.features
     y_all = train_set.labels
     history = TrainHistory()
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(train_set.n)
         total_loss = 0.0
         total_correct = 0
@@ -264,7 +267,11 @@ def train(model: MlpModel, train_set: LabeledDataset,
             xb = x_all[picked]
             yb = y_all[picked]
             probs, activations, _ = _forward_cached(trained, xb)
-            total_loss += loss_sparse_ce(probs, yb) * len(picked)
+            loss = loss_sparse_ce(probs, yb)
+            if not math.isfinite(loss):
+                raise NonFiniteError(f"training loss became {loss} in epoch {epoch}; "
+                                     f"the learning rate {cfg.learning_rate} may be too large")
+            total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
             grad_w, grad_b = _gradients_from_cache(trained, activations, probs, yb)
             grads = []
@@ -332,7 +339,10 @@ def _checksum(header: dict, body: bytes) -> str:
 def save_model(model: MlpModel, path) -> None:
     """Write the versioned model file: a JSON header line, then every
     parameter tensor as raw little-endian float64 in `parameters()` order.
-    The header's checksum covers the header and the body."""
+    The header's checksum covers the header and the body. Raises
+    NonFiniteError, and writes nothing, if a parameter is NaN or infinite."""
+    if not all(np.isfinite(t).all() for t in model.parameters()):
+        raise NonFiniteError(f"{path}: model has non-finite parameters; not saved")
     body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes()
                     for t in model.parameters())
     header = _header(model)

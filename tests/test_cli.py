@@ -257,6 +257,34 @@ class TestExitCodes:
         assert err.startswith("error:") and "checksum mismatch" in err
         assert "Traceback" not in err
 
+    # a NaN row lands in the training or the test partition depending on the seed
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_non_finite_feature_is_domain_error(self, workspace, tmp_path, capsys, seed):
+        lines = (workspace / "feats.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "nan"
+        lines[2] = ",".join(cells)
+        feats = tmp_path / "nan.csv"
+        feats.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.wrice"
+        assert run(["train", "--features", str(feats), "--out", str(model),
+                    "--epochs", "5", "--seed", str(seed), "--arch", "compact3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN or Inf" in err and str(feats) in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_diverging_training_is_domain_error(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model.wrice"
+        assert run(["train", "--features", str(workspace / "feats.csv"), "--out", str(model),
+                    "--epochs", "5", "--seed", "3", "--arch", "compact3",
+                    "--lr", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "training loss became nan" in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
 
 class TestDeterminism:
     def test_identical_command_lines_identical_artifacts(self, tmp_path):

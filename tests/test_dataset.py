@@ -11,7 +11,7 @@ from wrice.dataset import (LabeledDataset, Scaler, apply_scaler, encode_labels,
                            read_features_meta, scale_rows, stratified_split,
                            write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
-                          EmptyCorpusError, SchemaMismatchError)
+                          EmptyCorpusError, NonFiniteError, SchemaMismatchError)
 from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 
 
@@ -178,6 +178,39 @@ class TestCsvRoundTrip:
                                      f"schema_version={SCHEMA_VERSION + 1}", 1))
         with pytest.raises(SchemaMismatchError, match="schema version"):
             read_features_csv(path)
+
+    # line 1 is the `#` meta line, line 2 the header, line 3 the first row
+    @pytest.mark.parametrize("bad,match", [
+        (b"x1.5", r"line 4: could not convert string to float: 'x1.5'"),
+        (b"1.5\xff", r"line 4: not UTF-8 text"),
+    ])
+    def test_bad_cell_names_path_and_line(self, tmp_path, bad, match):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[3].split(b",")
+        cells[4] = bad
+        lines[3] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(SchemaMismatchError, match=match) as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        ds = make_dataset({"a": 2, "b": 2})
+        features = ds.features.copy()
+        features[1, 3] = bad
+        with pytest.raises(NonFiniteError, match=r"first row 1 \(a/a_001.wav\)"):
+            LabeledDataset(features=features, labels=ds.labels, label_map=ds.label_map,
+                           source_paths=ds.source_paths)
+        path = tmp_path / "feats.csv"
+        write_features_csv(ds, path)
+        path.write_text(path.read_text().replace(format(ds.features[1, 3], ".17g"),
+                                                 str(bad), 1))
+        with pytest.raises(NonFiniteError, match="NaN or Inf") as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
 
 
 class TestIngest:

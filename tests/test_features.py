@@ -1,5 +1,7 @@
 """Feature families: closed forms, independent oracles, and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ import scipy.fft
 
 from conftest import naive_dft, noise_buffer, sine_buffer, spectrogram_from
 from wrice.audio_io import AudioBuffer
-from wrice.dsp import Spectrogram, StftConfig, frame_signal, hann_window, rfft, stft
+from wrice.dsp import (BLOCK_FRAMES, Spectrogram, StftConfig, frame_signal, hann_window,
+                       rfft, stft)
 from wrice.features import (FeatureConfig, FeatureVector, chroma_mean,
                             dct_ortho_matrix, extract_features, feature_names,
                             hz_to_mel, mel_filterbank, mfcc_means,
@@ -350,11 +353,79 @@ class TestGoldenAgainstRadix2:
         got = extract_features(buf, CFG, feat_cfg).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    def test_power_is_computed_once(self):
-        spec = stft(noise_buffer(0.3, SR, seed=8), CFG)
-        power = spec.power
-        assert spec.power is power
-        np.testing.assert_array_equal(power, spec.magnitudes**2)
+
+def assert_matches_families(buf, stft_cfg: StftConfig, feat_cfg: FeatureConfig):
+    """extract_features, reduced block by block, against the seven public
+    family functions on the whole `stft` spectrogram."""
+    frames = frame_signal(buf.samples, stft_cfg)
+    spec = stft(buf, stft_cfg)
+    want = np.concatenate([
+        [zcr_mean(frames),
+         spectral_centroid_mean(spec),
+         spectral_bandwidth_mean(spec, feat_cfg.bandwidth_order),
+         spectral_rolloff_mean(spec, feat_cfg.rolloff_pct),
+         rms_mean(frames),
+         chroma_mean(spec)],
+        mfcc_means(spec, feat_cfg),
+    ])
+    got = extract_features(buf, stft_cfg, feat_cfg).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestBlockEdges:
+    @pytest.fixture(scope="class")
+    def rolling(self):
+        return synth_sample(spec_for_category("wet_40"), SR, 21).samples
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES,
+                                          BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 1])
+    def test_frame_counts_around_the_block_size(self, rolling, n_frames):
+        buf = AudioBuffer(rolling[: CFG.frame_len + (n_frames - 1) * CFG.hop], SR)
+        assert frame_signal(buf.samples, CFG).shape[0] == n_frames
+        assert_matches_families(buf, CFG, FeatureConfig())
+
+    def test_silence_across_a_block_boundary(self, rolling):
+        samples = rolling[: CFG.frame_len + 199 * CFG.hop].copy()
+        samples[40 * CFG.hop : 90 * CFG.hop] = 0.0  # frames 40..86 hold only zeros
+        buf = AudioBuffer(samples, SR)
+        spec = stft(buf, CFG)
+        loud_rows = spec.magnitudes.max(axis=1) > 0
+        silent = np.flatnonzero(~loud_rows)
+        assert silent.min() < BLOCK_FRAMES < silent.max()
+        assert_matches_families(buf, CFG, FeatureConfig())
+        # silent frames count in the frame total but add 0
+        loud = Spectrogram(magnitudes=spec.magnitudes[loud_rows], bin_freqs=spec.bin_freqs,
+                           config=CFG, sample_rate=SR)
+        share = loud.n_frames / spec.n_frames
+        got = dict(zip(feature_names(), extract_features(buf, CFG, FeatureConfig()).values))
+        for name, family in [("centroid_mean", spectral_centroid_mean),
+                             ("rolloff_mean", spectral_rolloff_mean),
+                             ("chroma_mean", chroma_mean)]:
+            assert got[name] == pytest.approx(share * family(loud), rel=1e-12), name
+
+    @pytest.mark.parametrize("stft_cfg,feat_cfg", [
+        pytest.param(StftConfig(window="rectangular"), FeatureConfig(), id="rectangular"),
+        pytest.param(CFG, FeatureConfig(bandwidth_order=1), id="bandwidth-order-1"),
+        pytest.param(CFG, FeatureConfig(bandwidth_order=3), id="bandwidth-order-3"),
+        pytest.param(CFG, FeatureConfig(rolloff_pct=1.0), id="rolloff-pct-1"),
+        pytest.param(CFG, FeatureConfig(fmin=200.0, fmax=8000.0), id="fmin-fmax"),
+        pytest.param(CFG, FeatureConfig(n_mels=40, n_mfcc=13), id="40-mels-13-mfccs"),
+        pytest.param(StftConfig(frame_len=1024, hop=256), FeatureConfig(), id="frame-1024-hop-256"),
+    ])
+    def test_non_default_configs(self, rolling, stft_cfg, feat_cfg):
+        assert_matches_families(AudioBuffer(rolling[: 5 * SR], SR), stft_cfg, feat_cfg)
+
+    def test_peak_memory_of_a_thirty_second_buffer(self, rolling):
+        buf = AudioBuffer(rolling, SR)
+        assert len(buf) == 30 * SR
+        extract_features(buf, CFG, FeatureConfig())  # caches filled before tracing
+        tracemalloc.start()
+        try:
+            extract_features(buf, CFG, FeatureConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFeatureVectorType:

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import finite_difference_grads
 from wrice.dataset import LabeledDataset, Scaler
-from wrice.errors import CorruptModelError, SchemaMismatchError, VersionMismatchError
+from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
+                          VersionMismatchError)
 from wrice.features import SCHEMA_VERSION, FeatureVector
 from wrice.mlp import (MODEL_VERSION, AdamState, MlpModel, TrainConfig, adam_step,
                        backward, forward, init_model, layer_dims_for, load_model,
@@ -246,6 +247,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_model([2, 8, 2], seed=0), ds, TrainConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_diverging_loss_raises(self):
+        with pytest.raises(NonFiniteError, match="training loss became nan"):
+            train(init_model([2, 8, 2], seed=0), blob_dataset(),
+                  TrainConfig(epochs=5, batch_size=8, learning_rate=1e300, seed=0))
+
 
 class TestPredict:
     def make_bundled(self, seed=0):
@@ -328,6 +335,15 @@ class TestPersistence:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 4))
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_not_saved(self, tmp_path, bad):
+        model = self.make_model()
+        model.biases[1][0] = bad  # as an in-place update in `train` could leave it
+        path = tmp_path / "model.wrice"
+        with pytest.raises(NonFiniteError):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_save_is_deterministic(self, tmp_path):
         model = self.make_model()
