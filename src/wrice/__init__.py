@@ -3,7 +3,7 @@
 from .audio_io import (AudioBuffer, WavInfo, read_wav, resample_linear, segment,
                        to_mono, write_wav)
 from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, LabeledDataset,
-                      Scaler, apply_scaler, encode_labels, fit_scaler, ingest_corpus,
+                      Scaler, encode_labels, fit_scaler, ingest_corpus,
                       read_features_csv, scale_rows, stratified_split,
                       write_features_csv)
 from .dsp import Spectrogram, StftConfig, fft, frame_signal, hann_window, rfft, stft

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedWavError, UnsupportedEncodingError
+from .errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -65,6 +65,7 @@ def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
     Raises:
         MalformedWavError: bad magic bytes or chunk structure.
         UnsupportedEncodingError: compressed codecs or unhandled sample formats.
+        NonFiniteError: float samples that are NaN or infinite.
         OSError: the file cannot be read.
     """
     data = Path(path).read_bytes()
@@ -121,7 +122,10 @@ def _decode_samples(payload: bytes, format_tag: int, bits: int, path) -> np.ndar
         if bits != 32:
             raise UnsupportedEncodingError(f"{path}: {bits}-bit float WAV not supported")
         n = len(payload) // 4
-        return np.frombuffer(payload, dtype="<f4", count=n).astype(np.float64)
+        vals = np.frombuffer(payload, dtype="<f4", count=n)
+        if not np.isfinite(vals).all():
+            raise NonFiniteError(f"{path}: samples contain NaN or Inf")
+        return vals.astype(np.float64)
     if format_tag != _WAVE_FORMAT_PCM:
         raise UnsupportedEncodingError(f"{path}: compressed WAV (format tag 0x{format_tag:04x})")
     if bits == 24:

@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas
 from .audio_io import read_wav, resample_linear, segment, to_mono
 from .dsp import StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
 from .features import (N_BASE_FEATURES, SCHEMA_VERSION, FeatureConfig,
-                       FeatureVector, extract_features, feature_names)
+                       extract_features, feature_names)
 from .synth import add_noise
 
 logger = logging.getLogger(__name__)
@@ -43,7 +42,6 @@ class LabeledDataset:
     labels: np.ndarray            # (n,) int
     label_map: list[str]          # id -> category name
     source_paths: list[str]
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -76,8 +74,7 @@ class LabeledDataset:
         return LabeledDataset(features=self.features[indices],
                               labels=self.labels[indices],
                               label_map=list(self.label_map),
-                              source_paths=[self.source_paths[i] for i in indices],
-                              schema_version=self.schema_version)
+                              source_paths=[self.source_paths[i] for i in indices])
 
 
 @dataclass(frozen=True)
@@ -168,41 +165,17 @@ def _file_rows(job) -> list[list[np.ndarray]]:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _log_blas_limit(processes: str, read_threads) -> None:
-    """Debug line: who runs the jobs, and each OpenBLAS's thread count read back there."""
-    if not logger.isEnabledFor(logging.DEBUG):
-        return
-    counts = read_threads()
-    if counts:
-        logger.debug("%s; BLAS thread limit of 1 per process: %s", processes,
-                     ", ".join(f"{name} reads back {n} thread(s)"
-                               for name, n in counts.items()))
-    else:
-        logger.debug("%s; BLAS thread limit not applied: no OpenBLAS found; "
-                     "threads not limited", processes)
-
-
 def map_per_file(fn, jobs, workers: int | None):
     """Run a per-file job list, optionally on a process pool, preserving order.
 
-    Results are assembled in job order, and every job runs with one BLAS
-    thread, in the pool workers and in-process alike, so the outcome is
-    identical for any worker count. The in-process path restores the
-    caller's BLAS thread count afterwards.
+    Results are assembled in job order, so the outcome is identical for any
+    worker count.
     """
     jobs = list(jobs)
     workers = default_workers() if workers is None else max(workers, 1)
     if workers == 1 or len(jobs) < 2:
-        with blas.one_thread():
-            _log_blas_limit("1 process (in-process)", blas.thread_counts)
-            return [fn(job) for job in jobs]
-    pool_size = min(workers, len(jobs))
-    # one BLAS thread per worker: pool_size x the default (one per core)
-    # would oversubscribe the cores
-    with ProcessPoolExecutor(max_workers=pool_size,
-                             initializer=blas.limit_to_one_thread) as pool:
-        _log_blas_limit(f"{pool_size} worker processes",
-                        lambda: pool.submit(blas.thread_counts).result())
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
 
@@ -283,15 +256,6 @@ def fit_scaler(train: LabeledDataset) -> Scaler:
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, fv: FeatureVector) -> FeatureVector:
-    """z-score a single feature vector."""
-    if len(fv) != scaler.mean.shape[0]:
-        raise SchemaMismatchError(
-            f"feature width {len(fv)} does not match scaler width {scaler.mean.shape[0]}")
-    return FeatureVector(values=(fv.values - scaler.mean) / scaler.std,
-                         schema_version=fv.schema_version)
-
-
 def scale_rows(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     """z-score a feature matrix row-wise."""
     features = np.asarray(features, dtype=np.float64)
@@ -309,7 +273,7 @@ def write_features_csv(ds: LabeledDataset, path, metadata: dict | None = None) -
     extraction settings passed in `metadata`.
     """
     names = feature_names(ds.features.shape[1] - N_BASE_FEATURES)
-    meta = {"schema_version": ds.schema_version,
+    meta = {"schema_version": SCHEMA_VERSION,
             "label_map": "|".join(ds.label_map)}
     meta.update(metadata or {})
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -11,6 +11,12 @@ function is their mean over a whole `Spectrogram`.
 
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
+
+Extraction calls no BLAS routine: the transform is pocketfft, the mel and
+chroma projections are scipy sparse products, and the dense products are
+`np.einsum`, whose default `optimize=False` never dispatches to BLAS. So a
+pool worker starts no BLAS helper threads and the result does not depend
+on a BLAS thread count.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ class FeatureVector:
     """Fixed-order per-sample feature summary (26 values with defaults)."""
 
     values: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -99,7 +104,7 @@ def _rms(frames: np.ndarray) -> np.ndarray:
 
 def _centroids(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     totals = mags.sum(axis=1)
-    raw = mags @ freqs
+    raw = np.einsum("fb,b->f", mags, freqs)
     return np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
 
 
@@ -212,7 +217,8 @@ def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndar
     """Log (with floor) then orthonormal DCT-II; keeps the first n_mfcc coefficients."""
     energies = np.atleast_2d(np.asarray(energies, dtype=np.float64))
     logs = np.log(np.maximum(energies, cfg.log_floor))
-    return logs @ dct_ortho_matrix(energies.shape[1]).T[:, : cfg.n_mfcc]
+    dct = dct_ortho_matrix(energies.shape[1])
+    return np.einsum("fm,km->fk", logs, dct[: cfg.n_mfcc])
 
 
 @lru_cache(maxsize=8)
@@ -268,4 +274,4 @@ def extract_features(buf, stft_cfg: StftConfig | None = None,
             _chromas(power, chroma), _mfccs(power, bank, feat_cfg),
         ]).sum(axis=0)
         n_frames += frames.shape[0]
-    return FeatureVector(values=sums / n_frames, schema_version=SCHEMA_VERSION)
+    return FeatureVector(values=sums / n_frames)

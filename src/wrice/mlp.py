@@ -56,16 +56,21 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators, one per parameter tensor."""
+    """Bias-corrected first/second moment accumulators, one per parameter
+    tensor, and two flat scratch buffers as large as the largest tensor, so a
+    step allocates no temporaries."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
+        size = max((p.size for p in params), default=0)
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=(np.empty(size), np.empty(size)))
 
 
 @dataclass
@@ -217,7 +222,12 @@ def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, cfg: TrainConfig) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, in place on `params`."""
+    """One Adam update, in place on `params`.
+
+    Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
+    p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t. Every
+    intermediate goes through the state's scratch buffers.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state tensor counts differ")
     for p, g in zip(params, grads):
@@ -227,11 +237,21 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     correction1 = 1.0 - cfg.beta1**state.t
     correction2 = 1.0 - cfg.beta2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m += a
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + cfg.epsilon)
+        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, correction1, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.epsilon
+        a /= b
+        p -= a
     return params, state
 
 

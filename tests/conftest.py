@@ -5,6 +5,7 @@ radix-2 transform it checks. Spectrogram construction helpers let feature
 tests pin degenerate spectra directly instead of going through the STFT.
 """
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,17 @@ def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
     raise RuntimeError("could not find a kink-free draw")
 
 
+def wav_bytes(payload: bytes, format_tag=1, channels=1, sample_rate=44100,
+              bits=16, data_id=b"data") -> bytes:
+    """A RIFF/WAVE file with one fmt chunk and one data chunk around `payload`."""
+    block_align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", format_tag, channels, sample_rate,
+                      sample_rate * block_align, block_align, bits)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + data_id + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 def sine_buffer(freq_hz: float, sample_rate: int = 22050, seconds: float = 1.0,
                 amplitude: float = 1.0, phase: float = 0.0) -> AudioBuffer:
     t = np.arange(int(seconds * sample_rate)) / sample_rate
@@ -121,9 +133,10 @@ def tiny_dataset(tiny_corpus):
 def realistic_corpus(tmp_path_factory) -> Path:
     """Four 30 s, 22050 Hz files, one per category, for the default 2048/512 STFT.
 
-    This is the size users and the benchmark run, where OpenBLAS splits the
-    mel and chroma products across threads, so a BLAS thread count that
-    differs between worker counts shows in the last bits of the features.
+    This is the size users and the benchmark run: 1,288 frames per file,
+    reduced in 21 blocks of up to 64 frames into running sums, so anything
+    that made the sums depend on the worker count would show in the last
+    bits of the features.
     """
     from wrice.synth import CATEGORIES, synth_corpus
 

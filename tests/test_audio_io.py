@@ -5,19 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import wav_bytes
 from wrice.audio_io import (AudioBuffer, read_wav, resample_linear, segment,
                             to_mono, write_wav)
-from wrice.errors import MalformedWavError, UnsupportedEncodingError
-
-
-def wav_bytes(payload: bytes, format_tag=1, channels=1, sample_rate=44100,
-              bits=16, data_id=b"data") -> bytes:
-    block_align = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", format_tag, channels, sample_rate,
-                      sample_rate * block_align, block_align, bits)
-    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + data_id + struct.pack("<I", len(payload)) + payload)
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
 
 
 def write_blob(tmp_path, blob: bytes):
@@ -71,6 +62,13 @@ class TestReadWav:
         blob = wav_bytes(payload, format_tag=3, bits=32)
         _, bufs = read_wav(write_blob(tmp_path, blob))
         np.testing.assert_allclose(bufs[0].samples, [0.25, -0.75, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float32_names_the_file(self, tmp_path, bad):
+        blob = wav_bytes(struct.pack("<3f", 0.25, bad, 1.0), format_tag=3, bits=32)
+        path = write_blob(tmp_path, blob)
+        with pytest.raises(NonFiniteError, match=str(path)):
+            read_wav(path)
 
     def test_24bit_pcm(self, tmp_path):
         # +2^22 then -2^22 as little-endian 3-byte two's complement

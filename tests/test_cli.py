@@ -2,10 +2,12 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
+from conftest import wav_bytes
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
@@ -221,6 +223,17 @@ class TestExitCodes:
         assert run(["extract", "--in", str(tmp_path / "empty"),
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [["spectrogram"], ["augment", "--scale", "0.1"]],
+                             ids=["spectrogram", "augment"])
+    def test_non_finite_wav_sample_names_the_file(self, tmp_path, capsys, verb):
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(wav_bytes(struct.pack("<3f", 0.25, float("nan"), 1.0),
+                                  format_tag=3, bits=32))
+        assert run([*verb, "--in", str(wav), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(wav) in err and "NaN or Inf" in err
+        assert len(err.strip().splitlines()) == 1
 
     # header damage that the parser sees is named before the checksum is compared
     @pytest.mark.parametrize("edit", [

@@ -1,18 +1,20 @@
 """Corpus ingestion, splitting, scaling, and CSV persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
-from conftest import TINY_SECONDS, TINY_SR, TINY_STFT
-from wrice import blas
+from conftest import TINY_SECONDS, TINY_SR, TINY_STFT, noise_buffer
 from wrice.audio_io import AudioBuffer, write_wav
-from wrice.dataset import (LabeledDataset, Scaler, apply_scaler, encode_labels,
+from wrice.dataset import (LabeledDataset, Scaler, encode_labels,
                            fit_scaler, ingest_corpus, map_per_file, read_features_csv,
                            read_features_meta, scale_rows, stratified_split,
                            write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
                           EmptyCorpusError, NonFiniteError, SchemaMismatchError)
-from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
+from wrice.dsp import StftConfig
+from wrice.features import SCHEMA_VERSION, FeatureConfig, extract_features
 
 
 def make_dataset(counts, d=26, seed=0):
@@ -112,21 +114,19 @@ class TestScaler:
 
     def test_apply_closed_forms(self):
         scaler = Scaler(mean=np.array([1.0, 2.0]), std=np.array([2.0, 4.0]))
-        at_mean = apply_scaler(scaler, FeatureVector(values=np.array([1.0, 2.0])))
-        np.testing.assert_array_equal(at_mean.values, [0.0, 0.0])
-        plus_std = apply_scaler(scaler, FeatureVector(values=np.array([3.0, 6.0])))
-        np.testing.assert_array_equal(plus_std.values, [1.0, 1.0])
+        scaled = scale_rows(scaler, np.array([[1.0, 2.0], [3.0, 6.0]]))
+        np.testing.assert_array_equal(scaled, [[0.0, 0.0], [1.0, 1.0]])
 
     def test_not_idempotent(self):
         scaler = Scaler(mean=np.array([1.0]), std=np.array([2.0]))
-        once = apply_scaler(scaler, FeatureVector(values=np.array([5.0])))
-        twice = apply_scaler(scaler, once)
-        assert once.values[0] != twice.values[0]
+        once = scale_rows(scaler, np.array([[5.0]]))
+        twice = scale_rows(scaler, once)
+        assert once[0, 0] != twice[0, 0]
 
     def test_width_mismatch(self):
         scaler = Scaler(mean=np.zeros(26), std=np.ones(26))
         with pytest.raises(SchemaMismatchError):
-            apply_scaler(scaler, FeatureVector(values=np.zeros(25)))
+            scale_rows(scaler, np.zeros((3, 25)))
 
     def test_too_few_rows(self):
         ds = make_dataset({"a": 2, "b": 2}).subset([0])
@@ -294,50 +294,25 @@ class TestIngest:
             ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR)
 
 
-def _blas_thread_counts(_job) -> list[int]:
-    return list(blas.thread_counts().values())
+_THREAD_MODEL_CONFIGS = [
+    (StftConfig(), FeatureConfig()),
+    (StftConfig(frame_len=16384, hop=4096), FeatureConfig(n_mels=512)),
+]
 
 
-needs_openblas = pytest.mark.skipif(
-    not blas.loaded_openblas(),
-    reason="no OpenBLAS loaded in this process, so there is no thread count to pin")
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The caller's BLAS at two threads (whatever the core count), restored after."""
-    libs = blas.loaded_openblas()
-    before = [lib.threads() for lib in libs]
-    for lib in libs:
-        lib.set_threads(2)
-    yield libs
-    for lib, n in zip(libs, before):
-        lib.set_threads(n)
+def _threads_after_extraction(_job) -> list[int]:
+    """This process's thread count after extracting a 30 s buffer at each config."""
+    buf = noise_buffer(seconds=30.0)
+    counts = []
+    for stft_cfg, feat_cfg in _THREAD_MODEL_CONFIGS:
+        extract_features(buf, stft_cfg, feat_cfg)
+        counts.append(len(os.listdir("/proc/self/task")))
+    return counts
 
 
 class TestMapPerFile:
-    def test_pool_logs_whether_blas_thread_limit_applies(self, caplog):
-        with caplog.at_level("DEBUG", logger="wrice.dataset"):
-            assert map_per_file(abs, [-1, -2], workers=2) == [1, 2]
-        assert any("BLAS thread limit" in r.getMessage() for r in caplog.records)
-
-    @needs_openblas
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_log_reads_back_one_thread(self, workers, caplog):
-        with caplog.at_level("DEBUG", logger="wrice.dataset"):
-            map_per_file(abs, [-1, -2], workers=workers)
-        line = next(r.getMessage() for r in caplog.records
-                    if "BLAS thread limit" in r.getMessage())
-        assert "reads back 1 thread(s)" in line
-        assert "reads back 2" not in line
-
-    @needs_openblas
-    def test_pool_workers_run_with_one_blas_thread(self, two_blas_threads):
-        per_job = map_per_file(_blas_thread_counts, range(4), workers=2)
-        assert per_job == [[1] * len(two_blas_threads)] * 4
-
-    @needs_openblas
-    def test_in_process_run_pins_then_restores_the_callers_threads(self, two_blas_threads):
-        per_job = map_per_file(_blas_thread_counts, range(2), workers=1)
-        assert per_job == [[1] * len(two_blas_threads)] * 2
-        assert [lib.threads() for lib in two_blas_threads] == [2] * len(two_blas_threads)
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count this process's threads")
+    def test_pool_workers_extract_on_one_thread(self):
+        per_job = map_per_file(_threads_after_extraction, range(4), workers=2)
+        assert per_job == [[1] * len(_THREAD_MODEL_CONFIGS)] * 4

@@ -191,6 +191,29 @@ class TestAdam:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_matches_the_textbook_update(self):
+        rng = np.random.default_rng(3)
+        shapes = [(4, 3), (4,), (2, 4), (2,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref_p = [p.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        state = AdamState.for_params(params)
+        cfg = TrainConfig(learning_rate=0.05)
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
+        for t in range(1, 7):
+            grads = [rng.normal(size=s) for s in shapes]
+            adam_step(params, grads, state, cfg)
+            for i, g in enumerate(grads):
+                ref_m[i] = b1 * ref_m[i] + (1 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1 - b2) * g * g
+                m_hat = ref_m[i] / (1 - b1**t)
+                v_hat = ref_v[i] / (1 - b2**t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # the same per-element operations in the same order: bit-equal
+        for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
+            np.testing.assert_array_equal(got, want)
+
     def test_shape_mismatch(self):
         params = [np.zeros(3)]
         state = AdamState.for_params(params)
