@@ -161,6 +161,8 @@ def _cmd_train(args) -> int:
     if args.features:
         data = ds_mod.read_features_csv(args.features)
         meta = ds_mod.read_features_meta(args.features)
+        feat_cfg = FeatureConfig(n_mfcc=int(meta.get("n_mfcc", feat_cfg.n_mfcc)),
+                                 n_mels=int(meta.get("n_mels", feat_cfg.n_mels)))
         sr = int(meta.get("sr", sr))
         segment_seconds = float(meta.get("segment_seconds", segment_seconds))
         if "frame" in meta and "hop" in meta:

@@ -315,26 +315,32 @@ def read_features_meta(path) -> dict[str, str]:
     return _read_meta(_feature_csv_text(path))[0]
 
 
-def read_features_csv(path, n_features: int = 26) -> LabeledDataset:
+def read_features_csv(path) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
-    Raises SchemaMismatchError if the header does not match the expected
-    schema width exactly, if the `#` meta names another schema version, or
-    if a line is not UTF-8 or holds a row of the wrong width or a value that
-    is not a number (the message names the path and the line), and
-    NonFiniteError if a feature value is NaN or infinite.
+    The expected columns are the schema's base features plus as many MFCCs
+    as the `#` meta's `n_mfcc` names (20 when it names none). Raises
+    SchemaMismatchError if the header does not match them exactly, if the
+    meta names another schema version or an `n_mfcc` that is not a positive
+    integer, or if a line is not UTF-8 or holds a row of the wrong width or
+    a value that is not a number (the message names the path and the line),
+    and NonFiniteError if a feature value is NaN or infinite.
     """
-    expected_header = ["path", "label", *feature_names(n_features - N_BASE_FEATURES)]
     fh = _feature_csv_text(path)
     meta, first, header_line = _read_meta(fh)
     version = meta.get("schema_version", str(SCHEMA_VERSION))
     if version != str(SCHEMA_VERSION):
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
+    n_mfcc = meta.get("n_mfcc", str(FeatureConfig.n_mfcc))
+    if not n_mfcc.isdecimal() or int(n_mfcc) < 1:
+        raise SchemaMismatchError(f"{path}: meta n_mfcc={n_mfcc} is not a positive integer")
+    expected_header = ["path", "label", *feature_names(int(n_mfcc))]
     header = next(csv.reader([first]), None)
     if header != expected_header:
         raise SchemaMismatchError(
-            f"{path}: header does not match the {n_features}-column feature schema")
+            f"{path}: header does not match the {len(expected_header) - 2}-column "
+            f"feature schema of n_mfcc={n_mfcc}")
     paths, names, rows = [], [], []
     reader = csv.reader(fh)
     for row in reader:

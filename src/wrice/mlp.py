@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,9 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Bias-corrected first/second moment accumulators, one per parameter
-    tensor, and two flat scratch buffers as large as the largest tensor, so a
-    step allocates no temporaries."""
+    array (`train` passes the one flat `MlpModel.params`), and two flat
+    scratch buffers as large as the largest array, so a step allocates no
+    temporaries."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -79,31 +80,56 @@ class TrainHistory:
     accuracy: list[float] = field(default_factory=list)
 
 
+def _tensor_shapes(layer_dims) -> list[tuple[int, ...]]:
+    """The parameter layout: w0, b0, w1, b1, ..., each weight (out, in) and
+    each bias (out,). This is the order of `MlpModel.params` and of the
+    model file's body."""
+    return [shape for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])
+            for shape in ((fan_out, fan_in), (fan_out,))]
+
+
+def _views(flat: np.ndarray, layer_dims) -> list[np.ndarray]:
+    """`flat` cut into the tensors of `_tensor_shapes`, as views of it;
+    ValueError unless its length is theirs."""
+    shapes = _tensor_shapes(layer_dims)
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"params shape {flat.shape}; layer_dims {layer_dims} need {ends[-1]}")
+    return [flat[start:end].reshape(shape)
+            for start, end, shape in zip(ends, ends[1:], shapes)]
+
+
 @dataclass
 class MlpModel:
+    """A dense ReLU network and the settings that inference needs.
+
+    `params` holds every parameter in one 1-D float64 array, in the model
+    file's body order (w0, b0, w1, b1, ...). `weights`, `biases` and
+    `parameters()` are views into it, so a write through them changes
+    `params`, and rebinding `params` would leave them stale.
+    """
+
     layer_dims: list[int]
-    weights: list[np.ndarray]       # per layer, (out, in)
-    biases: list[np.ndarray]        # per layer, (out,)
+    params: np.ndarray
     scaler: Scaler | None = None
     label_map: list[str] | None = None
     stft_config: StftConfig | None = None
     feature_config: FeatureConfig | None = None
     sample_rate: int | None = None
     segment_seconds: float | None = None
-    schema_version: int = SCHEMA_VERSION
+    weights: list[np.ndarray] = field(init=False, repr=False)  # per layer, (out, in)
+    biases: list[np.ndarray] = field(init=False, repr=False)   # per layer, (out,)
 
     def __post_init__(self):
         dims = [int(d) for d in self.layer_dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("one weight matrix and bias vector per layer required")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-                raise ValueError(f"layer {i} parameter shapes do not chain with dims {dims}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} has non-finite parameters")
         self.layer_dims = dims
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        if not np.isfinite(self.params).all():
+            raise ValueError("params holds non-finite values")
+        tensors = _views(self.params, dims)
+        self.weights, self.biases = tensors[0::2], tensors[1::2]
 
     @property
     def n_inputs(self) -> int:
@@ -114,16 +140,11 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        """Weights then biases, layer by layer; the canonical tensor order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Views of `params`, tensor by tensor, in its order."""
+        return _views(self.params, self.layer_dims)
 
     def copy(self) -> "MlpModel":
-        return replace(self, weights=[w.copy() for w in self.weights],
-                       biases=[b.copy() for b in self.biases],
-                       layer_dims=list(self.layer_dims))
+        return replace(self, params=self.params.copy(), layer_dims=list(self.layer_dims))
 
 
 def layer_dims_for(arch: str, n_inputs: int, n_outputs: int) -> list[int]:
@@ -135,16 +156,14 @@ def layer_dims_for(arch: str, n_inputs: int, n_outputs: int) -> list[int]:
 def init_model(layer_dims, seed: int = 0, **bundle) -> MlpModel:
     """Glorot-uniform weights, zero biases; deterministic per seed."""
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
+    size = sum(math.prod(shape) for shape in _tensor_shapes(dims))
+    model = MlpModel(layer_dims=dims, params=np.zeros(size), **bundle)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for w in model.weights:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases, **bundle)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,19 +212,18 @@ def loss_sparse_ce(probs: np.ndarray, labels) -> float:
     return float(-np.log(np.maximum(picked, _CE_CLAMP)).mean())
 
 
-def _gradients_from_cache(model: MlpModel, activations, probs, labels):
+def _gradients_from_cache(model: MlpModel, activations, probs, labels,
+                          grads: list[np.ndarray]) -> None:
+    """Writes the gradients into `grads`, tensors laid out like `parameters()`."""
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch_size), labels] = 1.0
     delta = (probs - onehot) / batch_size  # d(mean CE)/d(logits)
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[layer], out=grads[2 * layer])
+        np.sum(delta, axis=0, out=grads[2 * layer + 1])
         if layer > 0:
             delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
-    return grad_w, grad_b
 
 
 def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -217,7 +235,9 @@ def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np
     if labels.shape[0] != batch.shape[0]:
         raise ValueError("batch and label counts differ")
     probs, activations, _ = _forward_cached(model, batch)
-    return _gradients_from_cache(model, activations, probs, labels)
+    grads = _views(np.empty_like(model.params), model.layer_dims)
+    _gradients_from_cache(model, activations, probs, labels, grads)
+    return grads[0::2], grads[1::2]
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
@@ -272,8 +292,9 @@ def train(model: MlpModel, train_set: LabeledDataset,
             f"feature width {train_set.features.shape[1]} does not match "
             f"model input {model.n_inputs}")
     trained = model.copy()
-    params = trained.parameters()
-    state = AdamState.for_params(params)
+    grad = np.empty_like(trained.params)
+    grads = _views(grad, trained.layer_dims)
+    state = AdamState.for_params([trained.params])
     rng = np.random.default_rng(cfg.seed)
     x_all = train_set.features
     y_all = train_set.labels
@@ -293,11 +314,8 @@ def train(model: MlpModel, train_set: LabeledDataset,
                                      f"the learning rate {cfg.learning_rate} may be too large")
             total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
-            grad_w, grad_b = _gradients_from_cache(trained, activations, probs, yb)
-            grads = []
-            for gw, gb in zip(grad_w, grad_b):
-                grads.extend((gw, gb))
-            adam_step(params, grads, state, cfg)
+            _gradients_from_cache(trained, activations, probs, yb, grads)
+            adam_step([trained.params], [grad], state, cfg)
         history.loss.append(total_loss / train_set.n)
         history.accuracy.append(total_correct / train_set.n)
     return trained, history
@@ -320,10 +338,8 @@ def predict(model: MlpModel, fv: FeatureVector | np.ndarray) -> tuple[str, np.nd
 def _header(model: MlpModel) -> dict:
     """The model file's header, without its checksum; also what the checksum
     covers, re-derived from the parsed model when a file is loaded."""
-    tensors = []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        tensors.append({"name": f"w{i}", "shape": list(w.shape)})
-        tensors.append({"name": f"b{i}", "shape": list(b.shape)})
+    tensors = [{"name": f"{'wb'[i % 2]}{i // 2}", "shape": list(shape)}
+               for i, shape in enumerate(_tensor_shapes(model.layer_dims))]
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -331,21 +347,11 @@ def _header(model: MlpModel) -> dict:
         "label_map": model.label_map,
         "scaler": None if model.scaler is None else
                   {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-        "stft": None if model.stft_config is None else
-                {"frame_len": model.stft_config.frame_len,
-                 "hop": model.stft_config.hop,
-                 "window": model.stft_config.window},
-        "features": None if model.feature_config is None else
-                    {"n_mfcc": model.feature_config.n_mfcc,
-                     "n_mels": model.feature_config.n_mels,
-                     "rolloff_pct": model.feature_config.rolloff_pct,
-                     "bandwidth_order": model.feature_config.bandwidth_order,
-                     "fmin": model.feature_config.fmin,
-                     "fmax": model.feature_config.fmax,
-                     "log_floor": model.feature_config.log_floor},
+        "stft": None if model.stft_config is None else asdict(model.stft_config),
+        "features": None if model.feature_config is None else asdict(model.feature_config),
         "audio": {"sample_rate": model.sample_rate,
                   "segment_seconds": model.segment_seconds},
-        "schema_version": model.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "tensors": tensors,
     }
 
@@ -357,14 +363,13 @@ def _checksum(header: dict, body: bytes) -> str:
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the versioned model file: a JSON header line, then every
-    parameter tensor as raw little-endian float64 in `parameters()` order.
-    The header's checksum covers the header and the body. Raises
-    NonFiniteError, and writes nothing, if a parameter is NaN or infinite."""
-    if not all(np.isfinite(t).all() for t in model.parameters()):
+    """Write the versioned model file: a JSON header line, then `params` as
+    raw little-endian float64. The header's checksum covers the header and
+    the body. Raises NonFiniteError, and writes nothing, if a parameter is
+    NaN or infinite."""
+    if not np.isfinite(model.params).all():
         raise NonFiniteError(f"{path}: model has non-finite parameters; not saved")
-    body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes()
-                    for t in model.parameters())
+    body = model.params.astype("<f8", copy=False).tobytes()
     header = _header(model)
     header["checksum"] = _checksum(header, body)
     Path(path).write_bytes((json.dumps(header) + "\n").encode() + body)
@@ -415,21 +420,15 @@ def load_model(path) -> MlpModel:
 
 
 def _model_from(header: dict, body: bytes, path) -> MlpModel:
-    shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
-    counts = [math.prod(shape) for shape in shapes]
-    if 8 * sum(counts) != len(body):
-        raise CorruptModelError(
-            f"{path}: body has {len(body)} bytes, its tensors need {8 * sum(counts)}")
-    arrays = []
-    offset = 0
-    for shape, count in zip(shapes, counts):
-        # frombuffer on bytes is read-only; astype copies into an owning,
-        # writable array
-        arrays.append(np.frombuffer(body, "<f8", count, offset)
-                      .reshape(shape).astype(np.float64))
-        offset += 8 * count
-    weights = arrays[0::2]
-    biases = arrays[1::2]
+    dims = [int(d) for d in header["layer_dims"]]
+    shapes = _tensor_shapes(dims)
+    if [tuple(entry["shape"]) for entry in header["tensors"]] != shapes:
+        raise ValueError(f"tensor shapes do not match layer_dims {dims}")
+    size = 8 * sum(math.prod(shape) for shape in shapes)
+    if len(body) != size:
+        raise CorruptModelError(f"{path}: body has {len(body)} bytes, its tensors need {size}")
+    # frombuffer on bytes is read-only; astype copies into an owning, writable array
+    params = np.frombuffer(body, "<f8").astype(np.float64)
 
     scaler = None
     if header.get("scaler"):
@@ -442,7 +441,7 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
     if header.get("features"):
         feat_cfg = FeatureConfig(**header["features"])
     audio = header.get("audio") or {}
-    return MlpModel(layer_dims=header["layer_dims"], weights=weights, biases=biases,
+    return MlpModel(layer_dims=dims, params=params,
                     scaler=scaler, label_map=header.get("label_map"),
                     stft_config=stft_cfg, feature_config=feat_cfg,
                     sample_rate=audio.get("sample_rate"),

@@ -12,9 +12,10 @@ from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
 from wrice.dataset import (file_segments, ingest_corpus, load_audio, read_features_csv,
-                           scale_rows)
+                           scale_rows, write_features_csv)
+from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
-from wrice.features import extract_features
+from wrice.features import FeatureConfig, extract_features
 from wrice.mlp import forward, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
@@ -154,6 +155,32 @@ class TestWorkflow:
         assert code == 0
         assert model.exists()
 
+    def test_train_bundles_the_feature_settings_of_the_csv(self, workspace, tmp_path):
+        stft_cfg, feat_cfg = StftConfig(frame_len=1024, hop=256), FeatureConfig(n_mels=40)
+        data = ingest_corpus(workspace / "corpus", stft_cfg, feat_cfg, sample_rate=11025,
+                             segment_seconds=1.5, workers=1)
+        feats, model = tmp_path / "mel40.csv", tmp_path / "mel40.wrice"
+        write_features_csv(data, feats, metadata={
+            "sr": 11025, "frame": 1024, "hop": 256, "segment_seconds": 1.5,
+            "n_mfcc": feat_cfg.n_mfcc, "n_mels": feat_cfg.n_mels})
+        assert run(["train", "--features", str(feats), "--out", str(model),
+                    "--epochs", "2", "--arch", "compact3"]) == 0
+        back = load_model(model)
+        assert back.feature_config == feat_cfg
+        assert back.feature_config.n_mels == 40
+        assert back.stft_config == stft_cfg
+
+    def test_train_rejects_a_meta_n_mfcc_that_disagrees_with_the_header(
+            self, workspace, tmp_path, capsys):
+        text = (workspace / "feats.csv").read_text()
+        assert " n_mfcc=20 " in text.splitlines()[0]
+        feats = tmp_path / "feats.csv"
+        feats.write_text(text.replace(" n_mfcc=20 ", " n_mfcc=13 ", 1))
+        assert run(["train", "--features", str(feats), "--out", str(tmp_path / "m.wrice"),
+                    "--epochs", "1", "--arch", "compact3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_mfcc=13" in err and str(feats) in err
+
     def test_augment_corpus(self, workspace, tmp_path, capsys):
         out = tmp_path / "noisy"
         code = run(["augment", "--in", str(workspace / "corpus"), "--out", str(out),
@@ -240,6 +267,7 @@ class TestExitCodes:
         pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
         pytest.param(lambda h: h.pop("layer_dims"), id="no-layer-dims"),
         pytest.param(lambda h: h["tensors"][0].pop("shape"), id="no-shape"),
+        pytest.param(lambda h: h["tensors"][0]["shape"].reverse(), id="shape-not-layer-dims"),
         pytest.param(lambda h: h["stft"].update(bogus=1), id="bad-stft-kwargs"),
         pytest.param(lambda h: h["features"].update(bogus=1), id="bad-features-kwargs"),
         pytest.param(lambda h: h.update(hidden_activation="tanh"), id="tanh-activation"),

@@ -164,6 +164,25 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaMismatchError):
             read_features_csv(path)
 
+    def test_meta_n_mfcc_sets_the_width(self, tmp_path):
+        ds = make_dataset({"a": 2, "b": 2}, d=19)
+        path = tmp_path / "feats.csv"
+        write_features_csv(ds, path, metadata={"n_mfcc": 13})
+        np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
+
+    @pytest.mark.parametrize("n_mfcc,match", [
+        ("21", "header does not match the 27-column feature schema of n_mfcc=21"),
+        ("19", "header does not match the 25-column feature schema of n_mfcc=19"),
+        ("0", "n_mfcc=0 is not a positive integer"),
+        ("-20", "n_mfcc=-20 is not a positive integer"),
+        ("twenty", "n_mfcc=twenty is not a positive integer"),
+    ], ids=["more-mfccs", "fewer-mfccs", "zero", "negative", "not-a-number"])
+    def test_meta_n_mfcc_disagreeing_with_the_header_rejected(self, tmp_path, n_mfcc, match):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, metadata={"n_mfcc": n_mfcc})
+        with pytest.raises(SchemaMismatchError, match=match):
+            read_features_csv(path)
+
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\n1,2\n")

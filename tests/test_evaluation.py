@@ -20,7 +20,7 @@ def passthrough_model(n_classes=4):
     eye = np.zeros((n_classes, n_classes))
     np.fill_diagonal(eye, 10.0)
     return MlpModel(layer_dims=[n_classes, n_classes],
-                    weights=[eye], biases=[np.zeros(n_classes)],
+                    params=np.concatenate([eye.ravel(), np.zeros(n_classes)]),
                     scaler=Scaler(mean=np.zeros(n_classes), std=np.ones(n_classes)),
                     label_map=[f"c{i}" for i in range(n_classes)])
 

@@ -56,6 +56,34 @@ class TestInit:
             init_model([26, 0, 4], seed=0)
 
 
+class TestFlatLayout:
+    def test_views_share_memory_with_params(self):
+        model = init_model([3, 5, 2], seed=0)
+        assert model.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+        for view in model.weights + model.biases + model.parameters():
+            assert np.shares_memory(view, model.params)
+        model.weights[1][1, 4] = 7.0  # w1 follows w0 (5 x 3) and b0 (5)
+        assert model.params[15 + 5 + 1 * 5 + 4] == 7.0
+        model.biases[0][2] = -3.0
+        assert model.params[15 + 2] == -3.0
+        model.parameters()[3][:] = 9.0
+        np.testing.assert_array_equal(model.params[-2:], 9.0)
+
+    def test_copy_shares_no_memory(self):
+        model = init_model([3, 5, 2], seed=0)
+        twin = model.copy()
+        assert not np.shares_memory(twin.params, model.params)
+        np.testing.assert_array_equal(twin.params, model.params)
+        twin.weights[0][...] = 0.0
+        assert np.abs(model.weights[0]).max() > 0.0
+
+    @pytest.mark.parametrize("params", [np.zeros(20), np.zeros(22), np.zeros((21, 1))],
+                             ids=["short", "long", "not-flat"])
+    def test_params_length_must_match_the_dims(self, params):
+        with pytest.raises(ValueError, match=r"params shape .*; layer_dims \[3, 4, 1\] need 21$"):
+            MlpModel(layer_dims=[3, 4, 1], params=params)
+
+
 class TestForward:
     def test_probabilities_sum_to_one(self):
         model = init_model([6, 16, 4], seed=2)
@@ -73,9 +101,8 @@ class TestForward:
 
     def test_relu_blocks_negative_preactivation(self):
         # one hidden unit wired straight through: y-logit = relu(x)
-        model = MlpModel(layer_dims=[1, 1, 2],
-                         weights=[np.array([[1.0]]), np.array([[1.0], [0.0]])],
-                         biases=[np.zeros(1), np.zeros(2)])
+        # w0 = [[1]], b0 = [0], w1 = [[1], [0]], b1 = [0, 0]
+        model = MlpModel(layer_dims=[1, 1, 2], params=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
         negative = forward(model, np.array([-3.0]))
         np.testing.assert_allclose(negative, [0.5, 0.5], atol=1e-12)
         positive = forward(model, np.array([3.0]))
@@ -406,6 +433,7 @@ class TestPersistence:
         raw = path.read_bytes()
         head, _, body = raw.partition(b"\n")
         assert body == b"".join(p.astype("<f8").tobytes() for p in model.parameters())
+        assert body == model.params.astype("<f8").tobytes()
         n_params = sum(p.size for p in model.parameters())
         assert len(raw) == len(head) + 1 + 8 * n_params
         assert [t["shape"] for t in json.loads(head)["tensors"]] == \
@@ -452,7 +480,7 @@ class TestPersistence:
             load_model(path)
         del header["schema_version"]  # absent means the current version
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        assert load_model(path).schema_version == SCHEMA_VERSION
+        np.testing.assert_array_equal(load_model(path).params, model.params)
 
     def test_truncated_file(self, tmp_path):
         model = self.make_model()
