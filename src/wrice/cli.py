@@ -34,13 +34,17 @@ def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
                         help="hop between frames in samples (default %(default)s)")
 
 
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=None,
+                        help="parallel worker processes (default: CPU count)")
+
+
 def _add_extract_flags(parser: argparse.ArgumentParser) -> None:
     _add_stft_flags(parser)
     parser.add_argument("--segment-seconds", type=float,
                         default=ds_mod.DEFAULT_SEGMENT_SECONDS,
                         help="analysis segment length (default %(default)s)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel extraction processes (default: CPU count)")
+    _add_workers_flag(parser)
 
 
 def _stft_config(args) -> StftConfig:
@@ -69,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default=None,
                    help="per-category file counts, comma-separated in sorted "
                         "category order (default 52,61,51,64)")
+    _add_workers_flag(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="extract feature rows from a corpus into CSV")
@@ -99,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_path", default=None,
                    help="also write a machine-readable report here")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel extraction processes (default: CPU count)")
+    _add_workers_flag(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict", help="classify one WAV file")
@@ -135,7 +139,8 @@ def _cmd_synth(args) -> int:
                              f"for {synth.CATEGORIES}")
         counts = dict(zip(synth.CATEGORIES, values))
     manifest = synth.synth_corpus(args.out, counts=counts, sample_rate=args.sr,
-                                  seed=args.seed, duration_s=args.duration)
+                                  seed=args.seed, workers=args.workers,
+                                  duration_s=args.duration)
     print(f"wrote {len(manifest)} files under {args.out}")
     return 0
 

@@ -269,13 +269,16 @@ def scale_rows(scaler: Scaler, features: np.ndarray) -> np.ndarray:
 def write_features_csv(ds: LabeledDataset, path, metadata: dict | None = None) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
-    A leading `#` line records the label map, schema version, and any
-    extraction settings passed in `metadata`.
+    A leading `#` line records the label map, schema version, any extraction
+    settings passed in `metadata`, and `n_mfcc` (taken from the width when
+    `metadata` names none), so `read_features_csv` reads any width back.
     """
-    names = feature_names(ds.features.shape[1] - N_BASE_FEATURES)
+    n_mfcc = ds.features.shape[1] - N_BASE_FEATURES
+    names = feature_names(n_mfcc)
     meta = {"schema_version": SCHEMA_VERSION,
             "label_map": "|".join(ds.label_map)}
     meta.update(metadata or {})
+    meta.setdefault("n_mfcc", n_mfcc)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         writer = csv.writer(fh)

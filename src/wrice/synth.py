@@ -95,15 +95,20 @@ def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.n
     return lfilter([alpha], [1.0, alpha - 1.0], x)
 
 
+def _check_cutoff(spec: ConditionSpec, sample_rate: int) -> None:
+    if not 0 < spec.cutoff_hz < sample_rate / 2:
+        raise ValueError(
+            f"noise cutoff {spec.cutoff_hz} Hz outside (0, {sample_rate / 2}) Hz")
+
+
 def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     """One synthetic recording; deterministic per seed.
 
     All shaping parameters are jittered uniformly within +/-jitter_pct so
     samples of one condition form a cloud rather than a point.
     """
+    _check_cutoff(spec, sample_rate)
     cutoff = spec.cutoff_hz
-    if not 0 < cutoff < sample_rate / 2:
-        raise ValueError(f"noise cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
     rng = np.random.default_rng(seed)
     n = int(round(spec.duration_s * sample_rate))
 
@@ -118,45 +123,72 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     rotation_hz = jittered(spec.speed_rpm / 60.0)
     depth = jittered(_MOD_DEPTH)
 
-    shaped = _one_pole_lowpass(rng.standard_normal(n), cutoff, sample_rate)
-    shaped /= np.sqrt(np.mean(shaped**2))
+    samples = _one_pole_lowpass(rng.standard_normal(n), cutoff, sample_rate)
+    samples /= np.sqrt(np.mean(samples**2))
     t = np.arange(n) / sample_rate
-    modulation = 1.0 + depth * np.sin(2.0 * np.pi * rotation_hz * t + rng.uniform(0, 2 * np.pi))
-    samples = level * shaped * modulation
+    # One scratch array holds the modulation, then each harmonic in turn, so
+    # a pool worker's peak memory stays a few sample-length arrays.
+    wave = np.multiply(t, 2.0 * np.pi * rotation_hz)
+    wave += rng.uniform(0, 2 * np.pi)
+    np.sin(wave, out=wave)
+    wave *= depth
+    wave += 1.0
+    samples *= level
+    samples *= wave
     for harmonic in range(1, _N_HARMONICS + 1):
         amp = jittered(level * _HARMONIC_LEVEL / harmonic)
         phase = rng.uniform(0, 2 * np.pi)
-        samples += amp * np.sin(2.0 * np.pi * harmonic * rotation_hz * t + phase)
+        np.multiply(t, 2.0 * np.pi * harmonic * rotation_hz, out=wave)
+        wave += phase
+        np.sin(wave, out=wave)
+        wave *= amp
+        samples += wave
     return AudioBuffer(samples, sample_rate)
 
 
+def _synth_file(job) -> None:
+    """One corpus file: synthesise it from its own seed and write it as 16-bit PCM."""
+    path, spec, sample_rate, seed_key = job
+    buf = synth_sample(spec, sample_rate, np.random.SeedSequence(seed_key))
+    write_wav(path, buf, bits_per_sample=16)
+
+
 def synth_corpus(root, counts: dict[str, int] | None = None,
-                 sample_rate: int = 22050, seed: int = 0,
-                 **spec_overrides) -> list[tuple[str, str]]:
+                 sample_rate: int = 22050, seed: int = 0, *,
+                 workers: int | None = None, **spec_overrides) -> list[tuple[str, str]]:
     """Write a labeled corpus of 16-bit WAVs under `root/<category>/`.
 
     Default per-category counts are 52/61/51/64. Every file gets its own seed
     derived from (seed, category index, file index), so the corpus is
-    reproducible while samples stay independent. Returns the (path, category)
+    reproducible while samples stay independent, and its bytes do not depend
+    on `workers` (parallel processes, default: CPU count). The counts, each
+    category's ConditionSpec and its cutoff against the Nyquist rate are
+    checked before anything is written. Returns the (path, category)
     manifest, which is also written to `root/manifest.csv`.
     """
+    # imported here because dataset imports add_noise from this module
+    from . import dataset
+
     counts = DEFAULT_COUNTS if counts is None else counts
-    manifest: list[tuple[str, str]] = []
     root = Path(root)
+    planned = []
     for cat_idx, category in enumerate(sorted(counts)):
         if counts[category] < 0:
             raise ValueError(f"negative count for category {category!r}")
-        if counts[category] == 0:
-            continue
-        spec = spec_for_category(category, **spec_overrides)
+        if counts[category] > 0:
+            spec = spec_for_category(category, **spec_overrides)
+            _check_cutoff(spec, sample_rate)
+            planned.append((cat_idx, category, spec))
+    jobs = []
+    manifest: list[tuple[str, str]] = []
+    for cat_idx, category, spec in planned:
         cat_dir = root / category
         cat_dir.mkdir(parents=True, exist_ok=True)
         for file_idx in range(counts[category]):
-            file_seed = np.random.SeedSequence([seed, cat_idx, file_idx])
-            buf = synth_sample(spec, sample_rate, file_seed)
             path = cat_dir / f"{category}_{file_idx:03d}.wav"
-            write_wav(path, buf, bits_per_sample=16)
+            jobs.append((path, spec, sample_rate, (seed, cat_idx, file_idx)))
             manifest.append((str(path), category))
+    dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()
     if manifest:
         with open(root / "manifest.csv", "w", newline="") as fh:

@@ -262,6 +262,17 @@ class TestExitCodes:
         assert err.startswith("error:") and str(wav) in err and "NaN or Inf" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_synth_worker_error_is_domain_error(self, tmp_path, capsys):
+        # a directory where a WAV should go: the pool worker's write fails
+        blocked = tmp_path / "corpus" / "wet_40" / "wet_40_000.wav"
+        blocked.mkdir(parents=True)
+        assert run(["synth", "--out", str(tmp_path / "corpus"), "--duration", "0.2",
+                    "--counts", "1,1,1,1", "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocked) in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     # header damage that the parser sees is named before the checksum is compared
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),

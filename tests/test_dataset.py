@@ -158,16 +158,26 @@ class TestCsvRoundTrip:
         assert header[2] == "zcr_mean" and header[-1] == "mfcc_mean_20"
 
     def test_wrong_column_count_rejected(self, tmp_path):
-        ds = make_dataset({"a": 3, "b": 3}, d=25)
         path = tmp_path / "short.csv"
-        write_features_csv(ds, path)
-        with pytest.raises(SchemaMismatchError):
+        write_features_csv(make_dataset({"a": 3, "b": 3}), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rpartition(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaMismatchError, match="line 3: row with 27 columns"):
             read_features_csv(path)
 
     def test_meta_n_mfcc_sets_the_width(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2}, d=19)
         path = tmp_path / "feats.csv"
         write_features_csv(ds, path, metadata={"n_mfcc": 13})
+        np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
+
+    @pytest.mark.parametrize("d", [19, 25, 26])
+    def test_any_width_round_trips_without_metadata(self, tmp_path, d):
+        ds = make_dataset({"a": 2, "b": 2}, d=d)
+        path = tmp_path / "feats.csv"
+        write_features_csv(ds, path)
+        assert read_features_meta(path)["n_mfcc"] == str(d - 6)
         np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
 
     @pytest.mark.parametrize("n_mfcc,match", [

@@ -1,5 +1,7 @@
 """Synthetic corpus generator and additive-noise augmentation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,35 @@ class TestSynthSample:
 
 
 class TestSynthCorpus:
+    def test_worker_count_does_not_change_the_corpus(self, tmp_path):
+        counts = {"dry_40": 2, "dry_60": 1, "wet_40": 0, "wet_60": 2}
+        roots = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        manifests = [synth_corpus(root, counts=counts, sample_rate=TINY_SR, seed=4,
+                                  workers=workers, duration_s=0.3)
+                     for root, workers in zip(roots, (1, 2))]
+        wavs = [sorted(p.relative_to(root) for p in root.rglob("*.wav")) for root in roots]
+        assert wavs[0] == wavs[1] and len(wavs[0]) == 5
+        for wav in wavs[0]:
+            assert (roots[0] / wav).read_bytes() == (roots[1] / wav).read_bytes()
+        relative = [[(Path(path).relative_to(root), cat) for path, cat in manifest]
+                    for root, manifest in zip(roots, manifests)]
+        assert relative[0] == relative[1]
+        texts = [(root / "manifest.csv").read_text().replace(str(root), "<root>")
+                 for root in roots]
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("counts,sample_rate,match", [
+        ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR,
+         "negative count for category 'wet_40'"),
+        ({c: 1 for c in CATEGORIES}, 4000, r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
+    ], ids=["negative-count", "dry-cutoff-above-nyquist"])
+    def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, match):
+        root = tmp_path / "corpus"
+        with pytest.raises(ValueError, match=match):
+            synth_corpus(root, counts=counts, sample_rate=sample_rate, seed=0,
+                         duration_s=0.3, workers=2)
+        assert not root.exists()
+
     def test_zero_counts_create_nothing(self, tmp_path):
         root = tmp_path / "corpus"
         manifest = synth_corpus(root, counts={c: 0 for c in CATEGORIES},
