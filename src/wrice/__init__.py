@@ -2,9 +2,9 @@
 
 from .audio_io import (AudioBuffer, WavInfo, read_wav, resample_linear, segment,
                        to_mono, write_wav)
-from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, LabeledDataset,
-                      Scaler, encode_labels, fit_scaler, ingest_corpus,
-                      read_features_csv, scale_rows, stratified_split,
+from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, Extraction,
+                      LabeledDataset, Scaler, encode_labels, fit_scaler, ingest_corpus,
+                      read_extraction, read_features_csv, scale_rows, stratified_split,
                       write_features_csv)
 from .dsp import Spectrogram, StftConfig, fft, frame_signal, hann_window, rfft, stft
 from .errors import (ClassTooSmallError, CorruptModelError, DuplicateLabelError,
@@ -17,8 +17,8 @@ from .features import (FeatureConfig, FeatureVector, chroma_mean, extract_featur
                        spectral_bandwidth_mean, spectral_centroid_mean,
                        spectral_rolloff_mean, zcr_mean)
 from .mlp import (AdamState, MlpModel, TrainConfig, TrainHistory, adam_step, backward,
-                  forward, init_model, load_model, loss_sparse_ce, predict, save_model,
-                  softmax, train)
+                  forward, init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
+                  save_model, softmax, train)
 from .synth import ConditionSpec, add_noise, spec_for_category, synth_corpus, synth_sample
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +21,17 @@ from . import evaluation, mlp, synth
 from .audio_io import read_wav, to_mono, write_wav
 from .dsp import StftConfig, stft
 from .errors import WriceError
-from .features import FeatureConfig
 
 _LOG_FLOOR_DB = -80.0  # PGM dynamic range floor below the spectrogram peak
+_DEFAULTS = ds_mod.Extraction()
 
 
 def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sr", type=int, default=ds_mod.DEFAULT_SAMPLE_RATE,
+    parser.add_argument("--sr", type=int, default=_DEFAULTS.sample_rate,
                         help="analysis sample rate in Hz (default %(default)s)")
-    parser.add_argument("--frame", type=int, default=2048,
+    parser.add_argument("--frame", type=int, default=_DEFAULTS.stft.frame_len,
                         help="frame length in samples, power of two (default %(default)s)")
-    parser.add_argument("--hop", type=int, default=512,
+    parser.add_argument("--hop", type=int, default=_DEFAULTS.stft.hop,
                         help="hop between frames in samples (default %(default)s)")
 
 
@@ -41,21 +42,13 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_extract_flags(parser: argparse.ArgumentParser) -> None:
     _add_stft_flags(parser)
-    parser.add_argument("--segment-seconds", type=float,
-                        default=ds_mod.DEFAULT_SEGMENT_SECONDS,
+    parser.add_argument("--segment-seconds", type=float, default=_DEFAULTS.segment_seconds,
                         help="analysis segment length (default %(default)s)")
     _add_workers_flag(parser)
 
 
-def _stft_config(args) -> StftConfig:
-    return StftConfig(frame_len=args.frame, hop=args.hop)
-
-
-def _extraction_meta(sr: int, stft_cfg: StftConfig, feat_cfg: FeatureConfig,
-                     segment_seconds: float) -> dict:
-    return {"sr": sr, "frame": stft_cfg.frame_len, "hop": stft_cfg.hop,
-            "window": stft_cfg.window, "segment_seconds": segment_seconds,
-            "n_mfcc": feat_cfg.n_mfcc, "n_mels": feat_cfg.n_mels}
+def _extraction(args) -> ds_mod.Extraction:
+    return ds_mod.Extraction(args.sr, args.segment_seconds, StftConfig(args.frame, args.hop))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,50 +139,28 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    stft_cfg = _stft_config(args)
-    feat_cfg = FeatureConfig()
-    ds = ds_mod.ingest_corpus(args.in_path, stft_cfg, feat_cfg,
-                              sample_rate=args.sr,
-                              segment_seconds=args.segment_seconds,
-                              workers=args.workers)
-    meta = _extraction_meta(args.sr, stft_cfg, feat_cfg, args.segment_seconds)
-    ds_mod.write_features_csv(ds, args.out, metadata=meta)
+    ex = _extraction(args)
+    ds = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
+    ds_mod.write_features_csv(ds, args.out, ex)
     print(f"wrote {ds.n} rows x {ds.features.shape[1]} features to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    stft_cfg = _stft_config(args)
-    feat_cfg = FeatureConfig()
-    sr = args.sr
-    segment_seconds = args.segment_seconds
+    ex = _extraction(args)
     if args.features:
         data = ds_mod.read_features_csv(args.features)
-        meta = ds_mod.read_features_meta(args.features)
-        feat_cfg = FeatureConfig(n_mfcc=int(meta.get("n_mfcc", feat_cfg.n_mfcc)),
-                                 n_mels=int(meta.get("n_mels", feat_cfg.n_mels)))
-        sr = int(meta.get("sr", sr))
-        segment_seconds = float(meta.get("segment_seconds", segment_seconds))
-        if "frame" in meta and "hop" in meta:
-            stft_cfg = StftConfig(frame_len=int(meta["frame"]), hop=int(meta["hop"]),
-                                  window=meta.get("window", "hann"))
+        ex = ds_mod.read_extraction(args.features, ex)
     else:
-        data = ds_mod.ingest_corpus(args.in_path, stft_cfg, feat_cfg,
-                                    sample_rate=sr, segment_seconds=segment_seconds,
-                                    workers=args.workers)
+        data = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
 
     train_set, test_set = ds_mod.stratified_split(data, args.test_fraction, args.seed)
     scaler = ds_mod.fit_scaler(train_set)
-    scaled_train = ds_mod.LabeledDataset(
-        features=ds_mod.scale_rows(scaler, train_set.features),
-        labels=train_set.labels, label_map=train_set.label_map,
-        source_paths=train_set.source_paths)
+    scaled_train = replace(train_set, features=ds_mod.scale_rows(scaler, train_set.features))
 
     dims = mlp.layer_dims_for(args.arch, data.features.shape[1], len(data.label_map))
     model = mlp.init_model(dims, seed=args.seed, scaler=scaler,
-                           label_map=list(data.label_map), stft_config=stft_cfg,
-                           feature_config=feat_cfg, sample_rate=sr,
-                           segment_seconds=segment_seconds)
+                           label_map=list(data.label_map), extraction=ex)
     cfg = mlp.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                           learning_rate=args.lr, seed=args.seed)
     model, history = mlp.train(model, scaled_train, cfg)
@@ -213,7 +184,7 @@ def _cmd_eval(args) -> int:
         print(evaluation.format_report(report))
     if args.json_path:
         configs = {"model": str(args.model), "corpus": str(args.in_path),
-                   "sample_rate": model.sample_rate, "layer_dims": model.layer_dims}
+                   "sample_rate": model.extraction.sample_rate, "layer_dims": model.layer_dims}
         doc = evaluation.report_document(clean, noisy, seed=args.seed, configs=configs)
         evaluation.write_report(doc, args.json_path)
         print(f"wrote report to {args.json_path}")
@@ -222,13 +193,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
-    if model.stft_config is None or model.feature_config is None or model.sample_rate is None:
+    if model.extraction is None:
         raise ValueError(f"{args.model}: model has no bundled extraction settings")
     # the per-file job of extract and eval, so the file is segmented like training
-    [[rows]] = ds_mod._map_file_rows(
-        [args.wav], [None], None, model.sample_rate,
-        model.segment_seconds or ds_mod.DEFAULT_SEGMENT_SECONDS,
-        model.stft_config, model.feature_config, workers=1)
+    [[rows]] = ds_mod._map_file_rows([args.wav], [None], None, model.extraction, workers=1)
     label, probs = mlp.predict(model, np.vstack(rows))
     print(label)
     for name, p in zip(model.label_map, probs):
@@ -271,7 +239,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
-    spec = stft(ds_mod.load_audio(args.in_path, args.sr), _stft_config(args))
+    spec = stft(ds_mod.load_audio(args.in_path, args.sr), StftConfig(args.frame, args.hop))
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
             f"window={spec.config.window} source={args.in_path}")
     if fmt == "csv":

@@ -13,7 +13,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,29 @@ DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_SEGMENT_SECONDS = 30.0
 
 STD_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class Extraction:
+    """The analysis rate, segment length, STFT and feature settings that turn
+    audio into feature rows; a model scores audio only through its own."""
+
+    sample_rate: int = DEFAULT_SAMPLE_RATE
+    segment_seconds: float = DEFAULT_SEGMENT_SECONDS
+    stft: StftConfig = StftConfig()
+    features: FeatureConfig = FeatureConfig()
+
+    def __post_init__(self):
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.segment_seconds < math.inf:
+            raise ValueError(f"segment_seconds must be positive, got {self.segment_seconds}")
+
+    def meta(self) -> dict:
+        """The feature CSV's `#` meta keys of these settings, in file order."""
+        return {"sr": self.sample_rate, "frame": self.stft.frame_len, "hop": self.stft.hop,
+                "window": self.stft.window, "segment_seconds": self.segment_seconds,
+                "n_mfcc": self.features.n_mfcc, "n_mels": self.features.n_mels}
 
 
 @dataclass
@@ -151,15 +174,15 @@ def _file_rows(job) -> list[list[np.ndarray]]:
     realization for (seed, scale index, file index), so rows do not depend
     on processing order or worker count.
     """
-    path, file_idx, scales, seed, sample_rate, segment_seconds, stft_cfg, feat_cfg = job
+    path, file_idx, scales, seed, ex = job
     try:
-        clean = load_audio(path, sample_rate)
+        clean = load_audio(path, ex.sample_rate)
         per_scale = []
         for scale_idx, scale in enumerate(scales):
             buf = clean if scale is None else add_noise(
                 clean, scale, np.random.SeedSequence([seed, scale_idx, file_idx]))
-            per_scale.append([extract_features(piece, stft_cfg, feat_cfg).values
-                              for piece in file_segments(buf, segment_seconds)])
+            per_scale.append([extract_features(piece, ex.stft, ex.features).values
+                              for piece in file_segments(buf, ex.segment_seconds)])
         return per_scale
     except (WriceError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
@@ -179,19 +202,14 @@ def map_per_file(fn, jobs, workers: int | None):
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
 
-def _map_file_rows(paths, scales, seed, sample_rate: int, segment_seconds: float,
-                   stft_cfg: StftConfig, feat_cfg: FeatureConfig,
+def _map_file_rows(paths, scales, seed, ex: Extraction,
                    workers: int | None) -> list[list[list[np.ndarray]]]:
     """`_file_rows` of each file in path order (the order fixes each file's noise)."""
-    jobs = [(str(path), file_idx, scales, seed, sample_rate, segment_seconds,
-             stft_cfg, feat_cfg) for file_idx, path in enumerate(paths)]
+    jobs = [(str(path), file_idx, scales, seed, ex) for file_idx, path in enumerate(paths)]
     return map_per_file(_file_rows, jobs, workers)
 
 
-def ingest_corpus(root, stft_cfg: StftConfig | None = None,
-                  feat_cfg: FeatureConfig | None = None, *,
-                  sample_rate: int = DEFAULT_SAMPLE_RATE,
-                  segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
+def ingest_corpus(root, ex: Extraction = Extraction(), *,
                   workers: int | None = None) -> LabeledDataset:
     """Extract one feature row per analysis segment of every corpus WAV.
 
@@ -200,13 +218,10 @@ def ingest_corpus(root, stft_cfg: StftConfig | None = None,
     row. Files are processed in parallel (one per worker); the dataset is
     assembled in path order regardless of worker count.
     """
-    stft_cfg = stft_cfg or StftConfig()
-    feat_cfg = feat_cfg or FeatureConfig()
     label_map, pairs = corpus_files(root)
     ids = {name: i for i, name in enumerate(label_map)}
 
-    per_file = _map_file_rows([path for path, _ in pairs], [None], None, sample_rate,
-                              segment_seconds, stft_cfg, feat_cfg, workers)
+    per_file = _map_file_rows([path for path, _ in pairs], [None], None, ex, workers)
 
     rows: list[np.ndarray] = []
     labels: list[int] = []
@@ -266,18 +281,24 @@ def scale_rows(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     return (features - scaler.mean) / scaler.std
 
 
-def write_features_csv(ds: LabeledDataset, path, metadata: dict | None = None) -> None:
+def write_features_csv(ds: LabeledDataset, path, ex: Extraction | None = None) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
-    A leading `#` line records the label map, schema version, any extraction
-    settings passed in `metadata`, and `n_mfcc` (taken from the width when
-    `metadata` names none), so `read_features_csv` reads any width back.
+    A leading `#` line records the label map, schema version, `ex.meta()`
+    and `n_mfcc` (from the width when `ex` is None), so `read_features_csv`
+    reads any width back. Raises ValueError if `ex.features` differs from
+    the default in a field that the meta does not record.
     """
     n_mfcc = ds.features.shape[1] - N_BASE_FEATURES
     names = feature_names(n_mfcc)
     meta = {"schema_version": SCHEMA_VERSION,
             "label_map": "|".join(ds.label_map)}
-    meta.update(metadata or {})
+    if ex is not None:
+        if replace(ex.features, n_mfcc=FeatureConfig.n_mfcc,
+                   n_mels=FeatureConfig.n_mels) != FeatureConfig():
+            raise ValueError(f"{path}: the meta records no FeatureConfig field but "
+                             f"n_mfcc and n_mels, so it cannot record {ex.features}")
+        meta.update(ex.meta())
     meta.setdefault("n_mfcc", n_mfcc)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
@@ -313,9 +334,26 @@ def _read_meta(fh) -> tuple[dict[str, str], str, int]:
     return meta, line, number
 
 
-def read_features_meta(path) -> dict[str, str]:
-    """Key=value tokens from the leading comment line of a feature CSV."""
-    return _read_meta(_feature_csv_text(path))[0]
+def read_extraction(path, default: Extraction) -> Extraction:
+    """The extraction that a feature CSV's `#` meta records; each key the
+    meta does not name keeps its value in `default`. A value that does not
+    parse or is out of range is a SchemaMismatchError naming the path."""
+    meta = _read_meta(_feature_csv_text(path))[0]
+    values = default.meta()
+    parsers = {"sr": int, "frame": int, "hop": int, "window": str,
+               "segment_seconds": float, "n_mfcc": int, "n_mels": int}
+    for key, parse in parsers.items():
+        try:
+            values[key] = parse(meta[key]) if key in meta else values[key]
+        except ValueError as exc:
+            raise SchemaMismatchError(f"{path}: meta {key}={meta[key]}: {exc}") from None
+    try:
+        return Extraction(values["sr"], values["segment_seconds"],
+                          StftConfig(values["frame"], values["hop"], values["window"]),
+                          replace(default.features, n_mfcc=values["n_mfcc"],
+                                  n_mels=values["n_mels"]))
+    except ValueError as exc:
+        raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc
 
 
 def read_features_csv(path) -> LabeledDataset:

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (DEFAULT_SEGMENT_SECONDS, LabeledDataset, _map_file_rows,
-                      corpus_files, scale_rows)
+from .dataset import LabeledDataset, _map_file_rows, corpus_files, scale_rows
 from .errors import SchemaMismatchError
 from .mlp import MlpModel, forward
 
@@ -91,13 +90,11 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     scales = list(scales)
     if not scales:
         raise ValueError("no noise scales given")
-    if model.stft_config is None or model.feature_config is None or model.sample_rate is None:
+    if model.extraction is None:
         raise ValueError("model has no bundled extraction settings")
     label_map, pairs = corpus_files(root)
     model_ids = dict(zip(label_map, _label_ids(model, label_map)))
-    per_file = _map_file_rows([path for path, _ in pairs], scales, seed, model.sample_rate,
-                              model.segment_seconds or DEFAULT_SEGMENT_SECONDS,
-                              model.stft_config, model.feature_config, workers)
+    per_file = _map_file_rows([p for p, _ in pairs], scales, seed, model.extraction, workers)
 
     true_ids = np.array([model_ids[category]
                          for (_, category), file_rows in zip(pairs, per_file)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset, Scaler, scale_rows
+from .dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from .dsp import StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
@@ -113,10 +113,7 @@ class MlpModel:
     params: np.ndarray
     scaler: Scaler | None = None
     label_map: list[str] | None = None
-    stft_config: StftConfig | None = None
-    feature_config: FeatureConfig | None = None
-    sample_rate: int | None = None
-    segment_seconds: float | None = None
+    extraction: Extraction | None = None
     weights: list[np.ndarray] = field(init=False, repr=False)  # per layer, (out, in)
     biases: list[np.ndarray] = field(init=False, repr=False)   # per layer, (out,)
 
@@ -340,6 +337,7 @@ def _header(model: MlpModel) -> dict:
     covers, re-derived from the parsed model when a file is loaded."""
     tensors = [{"name": f"{'wb'[i % 2]}{i // 2}", "shape": list(shape)}
                for i, shape in enumerate(_tensor_shapes(model.layer_dims))]
+    ex = model.extraction
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -347,10 +345,10 @@ def _header(model: MlpModel) -> dict:
         "label_map": model.label_map,
         "scaler": None if model.scaler is None else
                   {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-        "stft": None if model.stft_config is None else asdict(model.stft_config),
-        "features": None if model.feature_config is None else asdict(model.feature_config),
-        "audio": {"sample_rate": model.sample_rate,
-                  "segment_seconds": model.segment_seconds},
+        "stft": None if ex is None else asdict(ex.stft),
+        "features": None if ex is None else asdict(ex.features),
+        "audio": {"sample_rate": None if ex is None else ex.sample_rate,
+                  "segment_seconds": None if ex is None else ex.segment_seconds},
         "schema_version": SCHEMA_VERSION,
         "tensors": tensors,
     }
@@ -434,15 +432,13 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
     if header.get("scaler"):
         scaler = Scaler(mean=np.array(header["scaler"]["mean"]),
                         std=np.array(header["scaler"]["std"]))
-    stft_cfg = None
-    if header.get("stft"):
-        stft_cfg = StftConfig(**header["stft"])
-    feat_cfg = None
-    if header.get("features"):
-        feat_cfg = FeatureConfig(**header["features"])
-    audio = header.get("audio") or {}
+    stft, features, audio = header["stft"], header["features"], header["audio"]
+    bundle = [stft, features, audio["sample_rate"], audio["segment_seconds"]]
+    if None in bundle and bundle != [None] * 4:
+        raise ValueError(f"partial extraction settings {bundle}")
+    extraction = None if stft is None else Extraction(
+        audio["sample_rate"], audio["segment_seconds"], StftConfig(**stft),
+        FeatureConfig(**features))
     return MlpModel(layer_dims=dims, params=params,
                     scaler=scaler, label_map=header.get("label_map"),
-                    stft_config=stft_cfg, feature_config=feat_cfg,
-                    sample_rate=audio.get("sample_rate"),
-                    segment_seconds=audio.get("segment_seconds"))
+                    extraction=extraction)

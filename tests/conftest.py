@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wrice.audio_io import AudioBuffer
+from wrice.dataset import Extraction
 from wrice.dsp import Spectrogram, StftConfig
 
 
@@ -108,6 +109,7 @@ def spectrogram_from(magnitudes, sample_rate: int = 22050,
 TINY_SR = 11025
 TINY_SECONDS = 1.5
 TINY_STFT = StftConfig(frame_len=1024, hop=256)
+TINY_EX = Extraction(TINY_SR, TINY_SECONDS, TINY_STFT)
 
 
 @pytest.fixture(scope="session")
@@ -123,10 +125,8 @@ def tiny_corpus(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_corpus):
     from wrice.dataset import ingest_corpus
-    from wrice.features import FeatureConfig
 
-    return ingest_corpus(tiny_corpus, TINY_STFT, FeatureConfig(),
-                         sample_rate=TINY_SR, segment_seconds=TINY_SECONDS)
+    return ingest_corpus(tiny_corpus, TINY_EX)
 
 
 @pytest.fixture(scope="session")

@@ -58,12 +58,11 @@ def full_run(tmp_path_factory) -> FullRun:
     """Default corpus at reference scale: 228 files, 30 s each, 22050 Hz,
     four dense layers, 60 epochs / batch 32 / lr 0.01, noise 0.5/0.05/0.005."""
     root = tmp_path_factory.mktemp("acceptance") / "corpus"
-    stft_cfg = StftConfig()
-    feat_cfg = FeatureConfig()
+    ex = ds_mod.Extraction()
     started = time.perf_counter()
 
     synth.synth_corpus(root, seed=SEED)
-    data = ds_mod.ingest_corpus(root, stft_cfg, feat_cfg)
+    data = ds_mod.ingest_corpus(root, ex)
     train_set, test_set = ds_mod.stratified_split(data, 0.2, seed=SEED)
     scaler = ds_mod.fit_scaler(train_set)
     scaled_train = ds_mod.LabeledDataset(
@@ -71,9 +70,7 @@ def full_run(tmp_path_factory) -> FullRun:
         labels=train_set.labels, label_map=train_set.label_map,
         source_paths=train_set.source_paths)
     model = mlp.init_model(mlp.layer_dims_for("paper4", 26, 4), seed=SEED,
-                           scaler=scaler, label_map=data.label_map,
-                           stft_config=stft_cfg, feature_config=feat_cfg,
-                           sample_rate=22050, segment_seconds=30.0)
+                           scaler=scaler, label_map=data.label_map, extraction=ex)
     model, history = mlp.train(model, scaled_train, mlp.TrainConfig(seed=SEED))
     clean = evaluation.evaluate(model, test_set)
     noisy = evaluation.noise_validation(model, root, [0.5, 0.05, 0.005], seed=SEED)

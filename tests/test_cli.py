@@ -11,12 +11,12 @@ from conftest import wav_bytes
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
-from wrice.dataset import (file_segments, ingest_corpus, load_audio, read_features_csv,
-                           scale_rows, write_features_csv)
+from wrice.dataset import (Extraction, Scaler, file_segments, ingest_corpus, load_audio,
+                           read_features_csv, scale_rows, write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
 from wrice.features import FeatureConfig, extract_features
-from wrice.mlp import forward, load_model
+from wrice.mlp import forward, init_model, load_model, save_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
          "--segment-seconds", "1.5"]
@@ -89,9 +89,7 @@ class TestWorkflow:
 
         doc = json.loads(report.read_text())
         model = load_model(model_path)
-        data = ingest_corpus(corpus, model.stft_config, model.feature_config,
-                             sample_rate=model.sample_rate,
-                             segment_seconds=model.segment_seconds, workers=1)
+        data = ingest_corpus(corpus, model.extraction, workers=1)
         assert doc["clean"] == evaluate(model, data).to_dict()
         noisy = noise_validation(model, corpus, [0.5, 0.005], seed=4, workers=1)
         assert doc["noise"] == [r.to_dict() for r in noisy]
@@ -129,10 +127,10 @@ class TestWorkflow:
         lines = capsys.readouterr().out.strip().splitlines()
 
         model = load_model(model_path)
-        rows = np.vstack([extract_features(piece, model.stft_config,
-                                           model.feature_config).values
-                          for piece in file_segments(load_audio(wav, model.sample_rate),
-                                                     model.segment_seconds)])
+        ex = model.extraction
+        rows = np.vstack([extract_features(piece, ex.stft, ex.features).values
+                          for piece in file_segments(load_audio(wav, ex.sample_rate),
+                                                     ex.segment_seconds)])
         assert rows.shape[0] == 2
         per_segment = forward(model, scale_rows(model.scaler, rows))
         mean = per_segment.mean(axis=0)
@@ -156,19 +154,57 @@ class TestWorkflow:
         assert model.exists()
 
     def test_train_bundles_the_feature_settings_of_the_csv(self, workspace, tmp_path):
-        stft_cfg, feat_cfg = StftConfig(frame_len=1024, hop=256), FeatureConfig(n_mels=40)
-        data = ingest_corpus(workspace / "corpus", stft_cfg, feat_cfg, sample_rate=11025,
-                             segment_seconds=1.5, workers=1)
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
+                        FeatureConfig(n_mels=40))
+        data = ingest_corpus(workspace / "corpus", ex, workers=1)
         feats, model = tmp_path / "mel40.csv", tmp_path / "mel40.wrice"
-        write_features_csv(data, feats, metadata={
-            "sr": 11025, "frame": 1024, "hop": 256, "segment_seconds": 1.5,
-            "n_mfcc": feat_cfg.n_mfcc, "n_mels": feat_cfg.n_mels})
+        write_features_csv(data, feats, ex)
         assert run(["train", "--features", str(feats), "--out", str(model),
                     "--epochs", "2", "--arch", "compact3"]) == 0
         back = load_model(model)
-        assert back.feature_config == feat_cfg
-        assert back.feature_config.n_mels == 40
-        assert back.stft_config == stft_cfg
+        assert back.extraction == ex
+        assert back.extraction.features.n_mels == 40
+
+    def test_train_from_csv_and_from_corpus_write_the_same_model(self, workspace, tmp_path):
+        args = ["--epochs", "20", "--batch", "8", "--seed", "7", "--arch", "compact3"]
+        direct = tmp_path / "direct.wrice"
+        assert run(["train", "--in", str(workspace / "corpus"), "--out", str(direct),
+                    *args, *SMALL]) == 0
+        assert direct.read_bytes() == (workspace / "model.wrice").read_bytes()
+
+    def test_meta_key_missing_from_the_csv_falls_back_alone(self, workspace, tmp_path):
+        text = (workspace / "feats.csv").read_text()
+        assert " frame=1024 hop=256 " in text.splitlines()[0]
+        feats, model = tmp_path / "feats.csv", tmp_path / "m.wrice"
+        feats.write_text(text.replace(" frame=1024 hop=256 ", " hop=512 ", 1))
+        assert run(["train", "--features", str(feats), "--out", str(model),
+                    "--epochs", "1", "--arch", "compact3", "--frame", "1024",
+                    "--hop", "256"]) == 0
+        assert load_model(model).extraction == Extraction(
+            11025, 1.5, StftConfig(frame_len=1024, hop=512))
+
+    @pytest.mark.parametrize("key,bad", [("sr", "abc"), ("n_mels", "x"),
+                                         ("segment_seconds", "0")])
+    def test_train_rejects_a_bad_meta_value(self, workspace, tmp_path, capsys, key, bad):
+        text = (workspace / "feats.csv").read_text()
+        good = next(t for t in text.splitlines()[0].split() if t.startswith(f"{key}="))
+        feats, model = tmp_path / "feats.csv", tmp_path / "m.wrice"
+        feats.write_text(text.replace(f" {good}", f" {key}={bad}", 1))
+        assert run(["train", "--features", str(feats), "--out", str(model),
+                    "--epochs", "1", "--arch", "compact3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and str(feats) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not model.exists()
+
+    def test_predict_needs_bundled_extraction_settings(self, workspace, tmp_path, capsys):
+        bare = tmp_path / "bare.wrice"
+        save_model(init_model([26, 4], scaler=Scaler(mean=np.zeros(26), std=np.ones(26)),
+                              label_map=["dry_40", "dry_60", "wet_40", "wet_60"]), bare)
+        wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
+        assert run(["predict", "--model", str(bare), str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no bundled extraction settings" in err
 
     def test_train_rejects_a_meta_n_mfcc_that_disagrees_with_the_header(
             self, workspace, tmp_path, capsys):

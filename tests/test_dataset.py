@@ -1,15 +1,18 @@
 """Corpus ingestion, splitting, scaling, and CSV persistence."""
 
 import os
+import pickle
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import TINY_SECONDS, TINY_SR, TINY_STFT, noise_buffer
+from conftest import TINY_EX, TINY_SR, noise_buffer
 from wrice.audio_io import AudioBuffer, write_wav
-from wrice.dataset import (LabeledDataset, Scaler, encode_labels,
-                           fit_scaler, ingest_corpus, map_per_file, read_features_csv,
-                           read_features_meta, scale_rows, stratified_split,
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, encode_labels,
+                           fit_scaler, ingest_corpus, map_per_file, read_extraction,
+                           read_features_csv, scale_rows, stratified_split,
                            write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
                           EmptyCorpusError, NonFiniteError, SchemaMismatchError)
@@ -138,13 +141,13 @@ class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path):
         ds = make_dataset({"a": 5, "b": 4}, seed=11)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, metadata={"sr": 22050})
+        write_features_csv(ds, path, Extraction())
         back = read_features_csv(path)
         assert back.label_map == ds.label_map
         assert back.source_paths == ds.source_paths
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
-        assert read_features_meta(path)["sr"] == "22050"
+        assert read_extraction(path, Extraction(sample_rate=8000)) == Extraction()
 
     def test_header_row(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2})
@@ -169,7 +172,7 @@ class TestCsvRoundTrip:
     def test_meta_n_mfcc_sets_the_width(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2}, d=19)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, metadata={"n_mfcc": 13})
+        write_features_csv(ds, path, Extraction(features=FeatureConfig(n_mfcc=13)))
         np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
 
     @pytest.mark.parametrize("d", [19, 25, 26])
@@ -177,7 +180,7 @@ class TestCsvRoundTrip:
         ds = make_dataset({"a": 2, "b": 2}, d=d)
         path = tmp_path / "feats.csv"
         write_features_csv(ds, path)
-        assert read_features_meta(path)["n_mfcc"] == str(d - 6)
+        assert read_extraction(path, Extraction()).features.n_mfcc == d - 6
         np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
 
     @pytest.mark.parametrize("n_mfcc,match", [
@@ -189,7 +192,8 @@ class TestCsvRoundTrip:
     ], ids=["more-mfccs", "fewer-mfccs", "zero", "negative", "not-a-number"])
     def test_meta_n_mfcc_disagreeing_with_the_header_rejected(self, tmp_path, n_mfcc, match):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, metadata={"n_mfcc": n_mfcc})
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        path.write_text(path.read_text().replace(" n_mfcc=20 ", f" n_mfcc={n_mfcc} ", 1))
         with pytest.raises(SchemaMismatchError, match=match):
             read_features_csv(path)
 
@@ -242,6 +246,73 @@ class TestCsvRoundTrip:
         assert str(path) in str(info.value)
 
 
+class TestExtraction:
+    def test_defaults(self):
+        assert Extraction() == Extraction(22050, 30.0, StftConfig(), FeatureConfig())
+
+    def test_meta_keys_in_file_order(self):
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
+                        FeatureConfig(n_mfcc=13, n_mels=40))
+        assert list(ex.meta().items()) == [
+            ("sr", 11025), ("frame", 1024), ("hop", 256), ("window", "hann"),
+            ("segment_seconds", 1.5), ("n_mfcc", 13), ("n_mels", 40)]
+
+    def test_picklable(self):
+        assert pickle.loads(pickle.dumps(TINY_EX)) == TINY_EX
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_rate": 0}, {"sample_rate": -22050},
+        {"segment_seconds": 0.0}, {"segment_seconds": -1.5},
+        {"segment_seconds": float("nan")}, {"segment_seconds": float("inf")},
+    ], ids=["rate-zero", "rate-negative", "segment-zero", "segment-negative",
+            "segment-nan", "segment-inf"])
+    def test_non_positive_rate_or_segment_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            Extraction(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rolloff_pct", 0.9), ("bandwidth_order", 3), ("fmin", 20.0), ("fmax", 8000.0),
+        ("log_floor", 1e-8),
+    ])
+    def test_csv_refuses_settings_its_meta_cannot_record(self, tmp_path, field, value):
+        ex = Extraction(features=replace(FeatureConfig(), **{field: value}))
+        path = tmp_path / "feats.csv"
+        with pytest.raises(ValueError, match=f"{field}={value!r}"):
+            write_features_csv(make_dataset({"a": 2, "b": 2}), path, ex)
+        assert not path.exists()
+
+    def test_read_back_from_the_csv(self, tmp_path):
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256, window="rectangular"),
+                        FeatureConfig(n_mfcc=13, n_mels=40))
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}, d=19), path, ex)
+        assert read_extraction(path, Extraction()) == ex
+
+    def test_each_missing_key_falls_back_on_its_own(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        text = path.read_text().replace(" n_mfcc=20", " hop=512 n_mfcc=20", 1)
+        path.write_text(text)
+        default = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256))
+        assert read_extraction(path, default) == replace(
+            default, stft=StftConfig(frame_len=1024, hop=512))
+
+    @pytest.mark.parametrize("token,match", [
+        ("sr=abc", "meta sr=abc: invalid literal"),
+        ("n_mels=x", "meta n_mels=x: invalid literal"),
+        ("segment_seconds=0", "meta out of range: segment_seconds must be positive"),
+        ("hop=0", r"meta out of range: hop must be in \(0, frame_len\]"),
+    ], ids=["sr-not-a-number", "n-mels-not-a-number", "segment-zero", "hop-zero"])
+    def test_bad_meta_value_names_the_csv(self, tmp_path, token, match):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        key = token.partition("=")[0]
+        path.write_text(re.sub(rf" {key}=\S+", f" {token}", path.read_text(), count=1))
+        with pytest.raises(SchemaMismatchError, match=match) as info:
+            read_extraction(path, Extraction())
+        assert str(path) in str(info.value)
+
+
 class TestIngest:
     def test_tiny_corpus_row_per_file(self, tiny_corpus, tiny_dataset):
         assert tiny_dataset.n == 16
@@ -250,9 +321,7 @@ class TestIngest:
         assert all(p.endswith(".wav") for p in tiny_dataset.source_paths)
 
     def test_worker_count_does_not_change_the_dataset(self, tiny_corpus):
-        serial, pooled = (ingest_corpus(tiny_corpus, TINY_STFT, FeatureConfig(),
-                                        sample_rate=TINY_SR, segment_seconds=TINY_SECONDS,
-                                        workers=workers)
+        serial, pooled = (ingest_corpus(tiny_corpus, TINY_EX, workers=workers)
                           for workers in (1, 2))
         assert np.array_equal(serial.features, pooled.features)
         assert np.array_equal(serial.labels, pooled.labels)
@@ -270,8 +339,7 @@ class TestIngest:
             (root / cat).mkdir(parents=True)
             write_wav(root / cat / "long.wav",
                       AudioBuffer(rng.uniform(-0.5, 0.5, TINY_SR * 3), TINY_SR))
-        ds = ingest_corpus(root, TINY_STFT, FeatureConfig(),
-                           sample_rate=TINY_SR, segment_seconds=1.0)
+        ds = ingest_corpus(root, replace(TINY_EX, segment_seconds=1.0))
         assert ds.n == 6
         assert ds.source_paths[0] == ds.source_paths[1] == ds.source_paths[2]
 
@@ -282,8 +350,7 @@ class TestIngest:
             (root / cat).mkdir(parents=True)
             write_wav(root / cat / "short.wav",
                       AudioBuffer(rng.uniform(-0.5, 0.5, TINY_SR // 2), TINY_SR))
-        ds = ingest_corpus(root, TINY_STFT, FeatureConfig(),
-                           sample_rate=TINY_SR, segment_seconds=30.0)
+        ds = ingest_corpus(root, replace(TINY_EX, segment_seconds=30.0))
         assert ds.n == 2
 
     def test_empty_category_named_in_error(self, tmp_path):
@@ -292,7 +359,7 @@ class TestIngest:
         write_wav(root / "full" / "a.wav", AudioBuffer(np.zeros(TINY_SR), TINY_SR))
         (root / "hollow").mkdir()
         with pytest.raises(EmptyCorpusError, match="hollow"):
-            ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR)
+            ingest_corpus(root, TINY_EX)
 
     def test_no_categories(self, tmp_path):
         root = tmp_path / "corpus"
@@ -308,8 +375,7 @@ class TestIngest:
                       AudioBuffer(np.zeros(TINY_SR), TINY_SR))
         (root / "one" / "notes.txt").write_text("not audio")
         with caplog.at_level("WARNING"):
-            ds = ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR,
-                               segment_seconds=TINY_SECONDS)
+            ds = ingest_corpus(root, TINY_EX)
         assert ds.n == 2
         assert any("notes.txt" in r.message for r in caplog.records)
 
@@ -320,7 +386,7 @@ class TestIngest:
             write_wav(root / cat / "a.wav", AudioBuffer(np.zeros(TINY_SR), TINY_SR))
         (root / "one" / "broken.wav").write_bytes(b"RIFX garbage")
         with pytest.raises(Exception, match="broken.wav"):
-            ingest_corpus(root, TINY_STFT, sample_rate=TINY_SR)
+            ingest_corpus(root, TINY_EX)
 
 
 _THREAD_MODEL_CONFIGS = [

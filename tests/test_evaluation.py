@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import TINY_SECONDS, TINY_SR, TINY_STFT
+from conftest import TINY_EX
 from wrice import evaluation
-from wrice.dataset import LabeledDataset, Scaler, fit_scaler, scale_rows, stratified_split
-from wrice.dsp import StftConfig
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, fit_scaler, scale_rows,
+                           stratified_split)
 from wrice.errors import SchemaMismatchError
 from wrice.evaluation import (EvalReport, evaluate, format_report, noise_validation,
                               report_document)
-from wrice.features import FeatureConfig
 from wrice.mlp import MlpModel, TrainConfig, init_model, layer_dims_for, train
 from wrice.synth import CATEGORIES
 
@@ -97,9 +96,7 @@ def trained_tiny(tiny_corpus, tiny_dataset):
                             labels=train_set.labels, label_map=train_set.label_map,
                             source_paths=train_set.source_paths)
     model = init_model([26, 32, 32, 4], seed=0, scaler=scaler,
-                       label_map=tiny_dataset.label_map, stft_config=TINY_STFT,
-                       feature_config=FeatureConfig(), sample_rate=TINY_SR,
-                       segment_seconds=TINY_SECONDS)
+                       label_map=tiny_dataset.label_map, extraction=TINY_EX)
     model, _ = train(model, scaled, TrainConfig(epochs=25, batch_size=8, seed=0))
     return model, test_set
 
@@ -140,6 +137,10 @@ class TestNoiseValidation:
         with pytest.raises(ValueError):
             noise_validation(model, tiny_corpus, [], seed=0)
 
+    def test_model_without_extraction_settings(self, tiny_corpus):
+        with pytest.raises(ValueError, match="no bundled extraction settings"):
+            noise_validation(passthrough_model(), tiny_corpus, [0.05], seed=0)
+
     def test_default_scales(self):
         from wrice.evaluation import DEFAULT_NOISE_SCALES
 
@@ -155,9 +156,7 @@ class TestNoiseValidation:
                                                               monkeypatch):
         model = init_model(layer_dims_for("compact3", 26, 4), seed=0,
                            scaler=Scaler(mean=np.zeros(26), std=np.ones(26)),
-                           label_map=list(CATEGORIES), stft_config=StftConfig(),
-                           feature_config=FeatureConfig(), sample_rate=22050,
-                           segment_seconds=30.0)
+                           label_map=list(CATEGORIES), extraction=Extraction())
         classified = []
 
         def recording_scale_rows(scaler, features):

@@ -1,15 +1,18 @@
 """Network forward/backward math, Adam, training loop, persistence."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import finite_difference_grads
-from wrice.dataset import LabeledDataset, Scaler
+from wrice.dataset import Extraction, LabeledDataset, Scaler
+from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
-from wrice.features import SCHEMA_VERSION, FeatureVector
+from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 from wrice.mlp import (MODEL_VERSION, AdamState, MlpModel, TrainConfig, adam_step,
                        backward, forward, init_model, layer_dims_for, load_model,
                        loss_sparse_ce, predict, save_model, softmax, train)
@@ -359,15 +362,10 @@ class TestPredict:
 
 class TestPersistence:
     def make_model(self):
-        from wrice.dsp import StftConfig
-        from wrice.features import FeatureConfig
-
         return init_model([4, 8, 8, 3], seed=6,
                           scaler=Scaler(mean=np.arange(4.0), std=np.ones(4) + 0.5),
                           label_map=["p", "q", "r"],
-                          stft_config=StftConfig(frame_len=1024, hop=256),
-                          feature_config=FeatureConfig(),
-                          sample_rate=22050, segment_seconds=30.0)
+                          extraction=Extraction(stft=StftConfig(frame_len=1024, hop=256)))
 
     def test_round_trip_bitwise(self, tmp_path):
         model = self.make_model()
@@ -378,13 +376,51 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.scaler.mean, model.scaler.mean)
         assert back.label_map == model.label_map
-        assert back.stft_config == model.stft_config
-        assert back.feature_config == model.feature_config
-        assert back.sample_rate == 22050
+        assert back.extraction == model.extraction
+        assert back.extraction.stft == StftConfig(frame_len=1024, hop=256)
+        assert back.extraction.sample_rate == 22050
 
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 4))
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
+
+    @pytest.mark.parametrize("extraction", [
+        None,
+        Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128, window="rectangular"),
+                   FeatureConfig(n_mfcc=13, n_mels=40, rolloff_pct=0.9, fmax=4000.0)),
+    ], ids=["none", "non-default"])
+    def test_round_trip_keeps_the_extraction(self, tmp_path, extraction):
+        model = replace(self.make_model(), extraction=extraction)
+        path = tmp_path / "model.wrice"
+        save_model(model, path)
+        assert load_model(path).extraction == extraction
+
+    def test_file_of_the_previous_release_loads_unchanged(self, tmp_path):
+        # written by the code that kept four loose extraction fields on MlpModel
+        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
+        model = load_model(fixture)
+        assert model.extraction == Extraction(
+            11025, 1.5, StftConfig(frame_len=1024, hop=256), FeatureConfig(n_mels=40))
+        assert model.label_map == ["p", "q", "r"]
+        np.testing.assert_array_equal(model.params, init_model([4, 5, 3], seed=1).params)
+        save_model(model, tmp_path / "again.wrice")
+        assert (tmp_path / "again.wrice").read_bytes() == fixture.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(features=None), id="features-null"),
+        pytest.param(lambda h: h.update(stft=None), id="stft-null"),
+        pytest.param(lambda h: h["audio"].update(segment_seconds=None), id="segment-null"),
+        pytest.param(lambda h: h["audio"].update(sample_rate=None), id="rate-null"),
+    ])
+    def test_partial_extraction_settings_are_corrupt(self, tmp_path, edit):
+        path = tmp_path / "model.wrice"
+        save_model(self.make_model(), path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(CorruptModelError, match="partial extraction settings"):
+            load_model(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_not_saved(self, tmp_path, bad):
