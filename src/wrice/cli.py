@@ -40,17 +40,6 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
                         help="parallel worker processes (default: CPU count)")
 
 
-def _add_extract_flags(parser: argparse.ArgumentParser) -> None:
-    _add_stft_flags(parser)
-    parser.add_argument("--segment-seconds", type=float, default=_DEFAULTS.segment_seconds,
-                        help="analysis segment length (default %(default)s)")
-    _add_workers_flag(parser)
-
-
-def _extraction(args) -> ds_mod.Extraction:
-    return ds_mod.Extraction(args.sr, args.segment_seconds, StftConfig(args.frame, args.hop))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrice",
@@ -72,13 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract feature rows from a corpus into CSV")
     p.add_argument("--in", dest="in_path", required=True, help="corpus root directory")
     p.add_argument("--out", required=True, help="output feature CSV")
-    _add_extract_flags(p)
+    _add_stft_flags(p)
+    p.add_argument("--segment-seconds", type=float, default=_DEFAULTS.segment_seconds,
+                   help="analysis segment length (default %(default)s)")
+    _add_workers_flag(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train the classifier and save a model file")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--features", help="feature CSV from `extract`")
-    source.add_argument("--in", dest="in_path", help="corpus root (extracts on the fly)")
+    p.add_argument("--features", required=True,
+                   help="feature CSV from `extract`; its `#` meta sets the model's extraction")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch", type=int, default=32)
@@ -86,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--arch", choices=sorted(mlp.ARCHITECTURES), default="paper4")
-    _add_extract_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a corpus, optionally under noise")
@@ -139,7 +129,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    ex = _extraction(args)
+    ex = ds_mod.Extraction(args.sr, args.segment_seconds, StftConfig(args.frame, args.hop))
     ds = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
     ds_mod.write_features_csv(ds, args.out, ex)
     print(f"wrote {ds.n} rows x {ds.features.shape[1]} features to {args.out}")
@@ -147,12 +137,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ex = _extraction(args)
-    if args.features:
-        data = ds_mod.read_features_csv(args.features)
-        ex = ds_mod.read_extraction(args.features, ex)
-    else:
-        data = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
+    data = ds_mod.read_features_csv(args.features)
+    ex = ds_mod.read_extraction(args.features)
 
     train_set, test_set = ds_mod.stratified_split(data, args.test_fraction, args.seed)
     scaler = ds_mod.fit_scaler(train_set)

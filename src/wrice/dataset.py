@@ -286,14 +286,18 @@ def write_features_csv(ds: LabeledDataset, path, ex: Extraction | None = None) -
 
     A leading `#` line records the label map, schema version, `ex.meta()`
     and `n_mfcc` (from the width when `ex` is None), so `read_features_csv`
-    reads any width back. Raises ValueError if `ex.features` differs from
-    the default in a field that the meta does not record.
+    reads any width back. Raises ValueError, and writes nothing, if the
+    width is not `ex.features.n_features` or `ex.features` differs from the
+    default in a field that the meta does not record.
     """
     n_mfcc = ds.features.shape[1] - N_BASE_FEATURES
     names = feature_names(n_mfcc)
     meta = {"schema_version": SCHEMA_VERSION,
             "label_map": "|".join(ds.label_map)}
     if ex is not None:
+        if ds.features.shape[1] != ex.features.n_features:
+            raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
+                             f"{ex.features.n_mfcc} makes {ex.features.n_features}")
         if replace(ex.features, n_mfcc=FeatureConfig.n_mfcc,
                    n_mels=FeatureConfig.n_mels) != FeatureConfig():
             raise ValueError(f"{path}: the meta records no FeatureConfig field but "
@@ -334,12 +338,12 @@ def _read_meta(fh) -> tuple[dict[str, str], str, int]:
     return meta, line, number
 
 
-def read_extraction(path, default: Extraction) -> Extraction:
+def read_extraction(path) -> Extraction:
     """The extraction that a feature CSV's `#` meta records; each key the
-    meta does not name keeps its value in `default`. A value that does not
-    parse or is out of range is a SchemaMismatchError naming the path."""
+    meta does not name keeps its value in `Extraction()`. A value that does
+    not parse or is out of range is a SchemaMismatchError naming the path."""
     meta = _read_meta(_feature_csv_text(path))[0]
-    values = default.meta()
+    values = Extraction().meta()
     parsers = {"sr": int, "frame": int, "hop": int, "window": str,
                "segment_seconds": float, "n_mfcc": int, "n_mels": int}
     for key, parse in parsers.items():
@@ -350,8 +354,7 @@ def read_extraction(path, default: Extraction) -> Extraction:
     try:
         return Extraction(values["sr"], values["segment_seconds"],
                           StftConfig(values["frame"], values["hop"], values["window"]),
-                          replace(default.features, n_mfcc=values["n_mfcc"],
-                                  n_mels=values["n_mels"]))
+                          FeatureConfig(n_mfcc=values["n_mfcc"], n_mels=values["n_mels"]))
     except ValueError as exc:
         raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc
 

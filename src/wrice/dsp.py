@@ -1,11 +1,11 @@
 """Framing, windowing, and short-time Fourier analysis.
 
 `spectrum_blocks` windows frames and takes `numpy.fft.rfft` magnitudes one
-block of frames at a time (frame lengths must be powers of two); `stft`
-stacks its blocks. The module also keeps its own iterative radix-2 FFT,
-vectorized over a batch of frames, as the checked reference the tests compare
-against: `fft`, and `rfft`, which packs real frames into a half-length complex
-FFT to halve the work without changing the result.
+block of frames at a time (`StftConfig` admits power-of-two frame lengths
+only); `stft` stacks its blocks. The module also keeps its own iterative
+radix-2 FFT, vectorized over a batch of frames, as the checked reference the
+tests compare against: `fft`, and `rfft`, which packs real frames into a
+half-length complex FFT to halve the work without changing the result.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.frame_len < 2:
-            raise ValueError(f"frame_len must be >= 2, got {self.frame_len}")
+        if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
+            raise ValueError(f"frame_len must be a power of two >= 2, got {self.frame_len}")
         if not 0 < self.hop <= self.frame_len:
             raise ValueError(f"hop must be in (0, frame_len], got {self.hop}")
         if self.window not in WINDOW_KINDS:
@@ -152,10 +152,8 @@ BLOCK_FRAMES = 64
 def spectrum_blocks(samples, cfg: StftConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (raw frames, magnitudes of their windowed one-sided FFT) for
     consecutive blocks of up to BLOCK_FRAMES frames. Raises ValueError if the
-    signal is shorter than one frame or frame_len is not a power of two."""
+    signal is shorter than one frame."""
     n = cfg.frame_len
-    if n & (n - 1):
-        raise ValueError(f"frame_len must be a power of two, got {n}")
     if len(samples) < n:
         raise ValueError(f"buffer too short for one frame ({len(samples)} < {n})")
     frames = frame_signal(samples, cfg)

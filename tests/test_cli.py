@@ -146,13 +146,6 @@ class TestWorkflow:
             np.testing.assert_allclose([float(p.split("=")[1]) for p in probs.split()[1:]],
                                        per_segment[i], atol=1e-6)
 
-    def test_train_from_corpus_directly(self, workspace, tmp_path):
-        model = tmp_path / "direct.wrice"
-        code = run(["train", "--in", str(workspace / "corpus"), "--out", str(model),
-                    "--epochs", "2", "--batch", "8", "--seed", "1", *SMALL])
-        assert code == 0
-        assert model.exists()
-
     def test_train_bundles_the_feature_settings_of_the_csv(self, workspace, tmp_path):
         ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
                         FeatureConfig(n_mels=40))
@@ -165,26 +158,27 @@ class TestWorkflow:
         assert back.extraction == ex
         assert back.extraction.features.n_mels == 40
 
-    def test_train_from_csv_and_from_corpus_write_the_same_model(self, workspace, tmp_path):
-        args = ["--epochs", "20", "--batch", "8", "--seed", "7", "--arch", "compact3"]
-        direct = tmp_path / "direct.wrice"
-        assert run(["train", "--in", str(workspace / "corpus"), "--out", str(direct),
-                    *args, *SMALL]) == 0
-        assert direct.read_bytes() == (workspace / "model.wrice").read_bytes()
-
     def test_meta_key_missing_from_the_csv_falls_back_alone(self, workspace, tmp_path):
         text = (workspace / "feats.csv").read_text()
         assert " frame=1024 hop=256 " in text.splitlines()[0]
         feats, model = tmp_path / "feats.csv", tmp_path / "m.wrice"
-        feats.write_text(text.replace(" frame=1024 hop=256 ", " hop=512 ", 1))
+        feats.write_text(text.replace(" frame=1024 hop=256 ", " hop=128 ", 1))
         assert run(["train", "--features", str(feats), "--out", str(model),
-                    "--epochs", "1", "--arch", "compact3", "--frame", "1024",
-                    "--hop", "256"]) == 0
+                    "--epochs", "1", "--arch", "compact3"]) == 0
         assert load_model(model).extraction == Extraction(
-            11025, 1.5, StftConfig(frame_len=1024, hop=512))
+            11025, 1.5, StftConfig(frame_len=2048, hop=128))
+
+    @pytest.mark.parametrize("flag", [["--in", "corpus"], ["--sr", "8000"], ["--workers", "3"]],
+                             ids=["in", "sr", "workers"])
+    def test_train_refuses_extraction_flags(self, workspace, tmp_path, capsys, flag):
+        model = tmp_path / "m.wrice"
+        assert run(["train", "--features", str(workspace / "feats.csv"), "--out", str(model),
+                    "--epochs", "1", "--arch", "compact3", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("key,bad", [("sr", "abc"), ("n_mels", "x"),
-                                         ("segment_seconds", "0")])
+                                         ("segment_seconds", "0"), ("frame", "1000")])
     def test_train_rejects_a_bad_meta_value(self, workspace, tmp_path, capsys, key, bad):
         text = (workspace / "feats.csv").read_text()
         good = next(t for t in text.splitlines()[0].split() if t.startswith(f"{key}="))
@@ -280,6 +274,14 @@ class TestExitCodes:
         assert run(["predict", "--model", str(tmp_path / "no.wrice"),
                     str(tmp_path / "no.wav")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_extract_refuses_a_non_power_of_two_frame_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["extract", "--in", str(tmp_path), "--out", str(out),
+                    "--frame", "1000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: frame_len must be a power of two >= 2, got 1000\n"
+        assert not out.exists()
 
     def test_bad_corpus_is_domain_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

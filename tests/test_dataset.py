@@ -147,7 +147,7 @@ class TestCsvRoundTrip:
         assert back.source_paths == ds.source_paths
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
-        assert read_extraction(path, Extraction(sample_rate=8000)) == Extraction()
+        assert read_extraction(path) == Extraction()
 
     def test_header_row(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2})
@@ -180,7 +180,7 @@ class TestCsvRoundTrip:
         ds = make_dataset({"a": 2, "b": 2}, d=d)
         path = tmp_path / "feats.csv"
         write_features_csv(ds, path)
-        assert read_extraction(path, Extraction()).features.n_mfcc == d - 6
+        assert read_extraction(path).features.n_mfcc == d - 6
         np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
 
     @pytest.mark.parametrize("n_mfcc,match", [
@@ -281,35 +281,42 @@ class TestExtraction:
             write_features_csv(make_dataset({"a": 2, "b": 2}), path, ex)
         assert not path.exists()
 
+    def test_csv_refuses_a_width_that_its_n_mfcc_does_not_make(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        with pytest.raises(ValueError, match="26 feature columns, but n_mfcc=13 makes 19"):
+            write_features_csv(make_dataset({"a": 2, "b": 2}), path,
+                               Extraction(features=FeatureConfig(n_mfcc=13)))
+        assert not path.exists()
+
     def test_read_back_from_the_csv(self, tmp_path):
         ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256, window="rectangular"),
                         FeatureConfig(n_mfcc=13, n_mels=40))
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}, d=19), path, ex)
-        assert read_extraction(path, Extraction()) == ex
+        assert read_extraction(path) == ex
 
     def test_each_missing_key_falls_back_on_its_own(self, tmp_path):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path)
-        text = path.read_text().replace(" n_mfcc=20", " hop=512 n_mfcc=20", 1)
+        text = path.read_text().replace(" n_mfcc=20", " hop=256 n_mfcc=20", 1)
         path.write_text(text)
-        default = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256))
-        assert read_extraction(path, default) == replace(
-            default, stft=StftConfig(frame_len=1024, hop=512))
+        assert read_extraction(path) == replace(Extraction(), stft=StftConfig(hop=256))
 
     @pytest.mark.parametrize("token,match", [
         ("sr=abc", "meta sr=abc: invalid literal"),
         ("n_mels=x", "meta n_mels=x: invalid literal"),
         ("segment_seconds=0", "meta out of range: segment_seconds must be positive"),
         ("hop=0", r"meta out of range: hop must be in \(0, frame_len\]"),
-    ], ids=["sr-not-a-number", "n-mels-not-a-number", "segment-zero", "hop-zero"])
+        ("frame=1000", "meta out of range: frame_len must be a power of two >= 2, got 1000"),
+    ], ids=["sr-not-a-number", "n-mels-not-a-number", "segment-zero", "hop-zero",
+            "frame-not-a-power-of-two"])
     def test_bad_meta_value_names_the_csv(self, tmp_path, token, match):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         key = token.partition("=")[0]
         path.write_text(re.sub(rf" {key}=\S+", f" {token}", path.read_text(), count=1))
         with pytest.raises(SchemaMismatchError, match=match) as info:
-            read_extraction(path, Extraction())
+            read_extraction(path)
         assert str(path) in str(info.value)
 
 

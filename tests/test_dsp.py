@@ -28,9 +28,9 @@ class TestHann:
 
 class TestFrameSignal:
     def test_two_offsets(self):
-        cfg = StftConfig(frame_len=3, hop=2)
-        frames = frame_signal(np.arange(5.0), cfg)
-        np.testing.assert_array_equal(frames, [[0, 1, 2], [2, 3, 4]])
+        cfg = StftConfig(frame_len=4, hop=2)
+        frames = frame_signal(np.arange(6.0), cfg)
+        np.testing.assert_array_equal(frames, [[0, 1, 2, 3], [2, 3, 4, 5]])
 
     def test_short_signal_gives_no_frames(self):
         cfg = StftConfig(frame_len=2048, hop=512)
@@ -147,6 +147,11 @@ class TestStftConfig:
             StftConfig(frame_len=256, hop=0)
         with pytest.raises(ValueError):
             StftConfig(frame_len=256, hop=257)
+
+    @pytest.mark.parametrize("frame_len", [0, 1, 3, 1000])
+    def test_rejects_a_frame_that_is_not_a_power_of_two(self, frame_len):
+        with pytest.raises(ValueError, match=f"power of two >= 2, got {frame_len}"):
+            StftConfig(frame_len=frame_len, hop=1)
 
     def test_rejects_unknown_window(self):
         with pytest.raises(ValueError):
