@@ -13,7 +13,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ from .audio_io import read_wav, resample_linear, segment, to_mono
 from .dsp import StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
-from .features import (N_BASE_FEATURES, SCHEMA_VERSION, FeatureConfig,
-                       extract_features, feature_names)
+from .features import SCHEMA_VERSION, FeatureConfig, extract_features, feature_names
 from .synth import add_noise
 
 logger = logging.getLogger(__name__)
@@ -281,33 +280,23 @@ def scale_rows(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     return (features - scaler.mean) / scaler.std
 
 
-def write_features_csv(ds: LabeledDataset, path, ex: Extraction | None = None) -> None:
+def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
-    A leading `#` line records the label map, schema version, `ex.meta()`
-    and `n_mfcc` (from the width when `ex` is None), so `read_features_csv`
-    reads any width back. Raises ValueError, and writes nothing, if the
-    width is not `ex.features.n_features` or `ex.features` differs from the
-    default in a field that the meta does not record.
+    A leading `#` line records the schema version, the label map and
+    `ex.meta()`, so `read_features_csv` reads the rows back and
+    `read_extraction` the settings that made them. Raises ValueError, and
+    writes nothing, if the width is not `ex.features.n_features`.
     """
-    n_mfcc = ds.features.shape[1] - N_BASE_FEATURES
-    names = feature_names(n_mfcc)
-    meta = {"schema_version": SCHEMA_VERSION,
-            "label_map": "|".join(ds.label_map)}
-    if ex is not None:
-        if ds.features.shape[1] != ex.features.n_features:
-            raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
-                             f"{ex.features.n_mfcc} makes {ex.features.n_features}")
-        if replace(ex.features, n_mfcc=FeatureConfig.n_mfcc,
-                   n_mels=FeatureConfig.n_mels) != FeatureConfig():
-            raise ValueError(f"{path}: the meta records no FeatureConfig field but "
-                             f"n_mfcc and n_mels, so it cannot record {ex.features}")
-        meta.update(ex.meta())
-    meta.setdefault("n_mfcc", n_mfcc)
+    if ds.features.shape[1] != ex.features.n_features:
+        raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
+                         f"{ex.features.n_mfcc} makes {ex.features.n_features}")
+    meta = {"schema_version": SCHEMA_VERSION, "label_map": "|".join(ds.label_map),
+            **ex.meta()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["path", "label", *names])
+        writer.writerow(["path", "label", *feature_names(ex.features.n_mfcc)])
         for i in range(ds.n):
             writer.writerow([ds.source_paths[i], ds.label_map[ds.labels[i]],
                              *(format(v, ".17g") for v in ds.features[i])])
@@ -338,11 +327,8 @@ def _read_meta(fh) -> tuple[dict[str, str], str, int]:
     return meta, line, number
 
 
-def read_extraction(path) -> Extraction:
-    """The extraction that a feature CSV's `#` meta records; each key the
-    meta does not name keeps its value in `Extraction()`. A value that does
-    not parse or is out of range is a SchemaMismatchError naming the path."""
-    meta = _read_meta(_feature_csv_text(path))[0]
+def _meta_extraction(meta: dict[str, str], path) -> Extraction:
+    """`read_extraction` of the `#` meta tokens already read from `path`."""
     values = Extraction().meta()
     parsers = {"sr": int, "frame": int, "hop": int, "window": str,
                "segment_seconds": float, "n_mfcc": int, "n_mels": int}
@@ -359,14 +345,21 @@ def read_extraction(path) -> Extraction:
         raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc
 
 
+def read_extraction(path) -> Extraction:
+    """The extraction that a feature CSV's `#` meta records; each key the
+    meta does not name keeps its value in `Extraction()`. A value that does
+    not parse or is out of range is a SchemaMismatchError naming the path."""
+    return _meta_extraction(_read_meta(_feature_csv_text(path))[0], path)
+
+
 def read_features_csv(path) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
     The expected columns are the schema's base features plus as many MFCCs
     as the `#` meta's `n_mfcc` names (20 when it names none). Raises
     SchemaMismatchError if the header does not match them exactly, if the
-    meta names another schema version or an `n_mfcc` that is not a positive
-    integer, or if a line is not UTF-8 or holds a row of the wrong width or
+    meta names another schema version or a setting that `read_extraction`
+    refuses, or if a line is not UTF-8 or holds a row of the wrong width or
     a value that is not a number (the message names the path and the line),
     and NonFiniteError if a feature value is NaN or infinite.
     """
@@ -376,10 +369,8 @@ def read_features_csv(path) -> LabeledDataset:
     if version != str(SCHEMA_VERSION):
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    n_mfcc = meta.get("n_mfcc", str(FeatureConfig.n_mfcc))
-    if not n_mfcc.isdecimal() or int(n_mfcc) < 1:
-        raise SchemaMismatchError(f"{path}: meta n_mfcc={n_mfcc} is not a positive integer")
-    expected_header = ["path", "label", *feature_names(int(n_mfcc))]
+    n_mfcc = _meta_extraction(meta, path).features.n_mfcc
+    expected_header = ["path", "label", *feature_names(n_mfcc)]
     header = next(csv.reader([first]), None)
     if header != expected_header:
         raise SchemaMismatchError(

@@ -12,6 +12,11 @@ function is their mean over a whole `Spectrogram`.
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
 
+The family settings are librosa's and fixed, since no feature CSV records
+them: `ROLLOFF_PCT` (85% roll-off), `BANDWIDTH_ORDER` (second-order
+bandwidth), `MEL_FMIN` (mel bands from 0 Hz to Nyquist) and `LOG_FLOOR`
+(the mel-energy floor before the MFCC log).
+
 Extraction calls no BLAS routine: the transform is pocketfft, the mel and
 chroma projections are scipy sparse products, and the dense products are
 `np.einsum`, whose default `optimize=False` never dispatches to BLAS. So a
@@ -36,6 +41,11 @@ _BASE_NAMES = ("zcr_mean", "centroid_mean", "bandwidth_mean",
 
 N_BASE_FEATURES = len(_BASE_NAMES)
 
+ROLLOFF_PCT = 0.85
+BANDWIDTH_ORDER = 2
+MEL_FMIN = 0.0
+LOG_FLOOR = 1e-10
+
 
 def feature_names(n_mfcc: int = 20) -> list[str]:
     """Column names of the fixed feature schema, in vector order."""
@@ -44,25 +54,14 @@ def feature_names(n_mfcc: int = 20) -> list[str]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
+    """The MFCC settings that a feature CSV and a model file record."""
+
     n_mfcc: int = 20
     n_mels: int = 128
-    rolloff_pct: float = 0.85
-    bandwidth_order: int = 2
-    fmin: float = 0.0
-    fmax: float | None = None  # None -> sample_rate / 2
-    log_floor: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.rolloff_pct <= 1:
-            raise ValueError(f"rolloff_pct must be in (0, 1], got {self.rolloff_pct}")
         if self.n_mfcc < 1 or self.n_mfcc > self.n_mels:
             raise ValueError(f"need 1 <= n_mfcc <= n_mels, got {self.n_mfcc}/{self.n_mels}")
-        if self.bandwidth_order < 1:
-            raise ValueError(f"bandwidth_order must be >= 1, got {self.bandwidth_order}")
-        if self.fmax is not None and self.fmin >= self.fmax:
-            raise ValueError(f"fmin must be below fmax, got {self.fmin} >= {self.fmax}")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
     @property
     def n_features(self) -> int:
@@ -108,21 +107,21 @@ def _centroids(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
 
 
-def _bandwidths(mags, freqs, centroids, p: int) -> np.ndarray:
+def _bandwidths(mags, freqs, centroids) -> np.ndarray:
     totals = mags.sum(axis=1)
     # built in place: no temporaries of the block's size beyond `deviations`
     deviations = np.subtract(freqs[None, :], centroids[:, None])
     np.abs(deviations, out=deviations)
-    deviations **= p
+    deviations **= BANDWIDTH_ORDER
     moments = np.einsum("fb,fb->f", mags, deviations)
     normed = np.divide(moments, totals, out=np.zeros_like(moments), where=totals > 0)
-    return normed ** (1.0 / p)
+    return normed ** (1.0 / BANDWIDTH_ORDER)
 
 
-def _rolloffs(power: np.ndarray, freqs: np.ndarray, pct: float) -> np.ndarray:
+def _rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(power, axis=1)
     totals = cumulative[:, -1]
-    first = np.argmax(cumulative >= pct * totals[:, None], axis=1)
+    first = np.argmax(cumulative >= ROLLOFF_PCT * totals[:, None], axis=1)
     return np.where(totals > 0, freqs[first], 0.0)
 
 
@@ -152,19 +151,17 @@ def spectral_centroid_mean(spec: Spectrogram) -> float:
     return float(_frame_mean(_centroids(spec.magnitudes, spec.bin_freqs)))
 
 
-def spectral_bandwidth_mean(spec: Spectrogram, p: int = 2) -> float:
-    """Mean p-th order magnitude-weighted spread about the per-frame centroid."""
-    if p < 1:
-        raise ValueError(f"bandwidth order must be >= 1, got {p}")
+def spectral_bandwidth_mean(spec: Spectrogram) -> float:
+    """Mean `BANDWIDTH_ORDER`-th order magnitude-weighted spread about the
+    per-frame centroid."""
     centroids = _centroids(spec.magnitudes, spec.bin_freqs)
-    return float(_frame_mean(_bandwidths(spec.magnitudes, spec.bin_freqs, centroids, p)))
+    return float(_frame_mean(_bandwidths(spec.magnitudes, spec.bin_freqs, centroids)))
 
 
-def spectral_rolloff_mean(spec: Spectrogram, pct: float = 0.85) -> float:
-    """Mean frequency below which `pct` of the spectral energy lies per frame."""
-    if not 0 < pct <= 1:
-        raise ValueError(f"rolloff fraction must be in (0, 1], got {pct}")
-    return float(_frame_mean(_rolloffs(np.square(spec.magnitudes), spec.bin_freqs, pct)))
+def spectral_rolloff_mean(spec: Spectrogram) -> float:
+    """Mean frequency below which `ROLLOFF_PCT` of the spectral energy lies
+    per frame."""
+    return float(_frame_mean(_rolloffs(np.square(spec.magnitudes), spec.bin_freqs)))
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:
@@ -179,15 +176,13 @@ def mel_to_hz(mel) -> np.ndarray:
 def mel_filterbank(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filters with unit peak, evaluated on FFT bins.
 
-    Centers are equally spaced on the mel scale between fmin and fmax and
-    snapped to the bin grid; filter i rises from the previous center to its
-    own and falls to the next. Returns an (n_mels, frame_len/2 + 1) matrix.
+    Centers are equally spaced on the mel scale between `MEL_FMIN` and the
+    Nyquist frequency and snapped to the bin grid; filter i rises from the
+    previous center to its own and falls to the next. Returns an
+    (n_mels, frame_len/2 + 1) matrix.
     """
-    fmax = sample_rate / 2 if cfg.fmax is None else cfg.fmax
-    if not 0 <= cfg.fmin < fmax <= sample_rate / 2:
-        raise ValueError(f"need 0 <= fmin < fmax <= sr/2, got {cfg.fmin}..{fmax} at {sample_rate} Hz")
     n_bins = frame_len // 2 + 1
-    mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2)
+    mels = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(sample_rate / 2), cfg.n_mels + 2)
     centers = np.floor((frame_len + 1) * mel_to_hz(mels) / sample_rate).astype(int)
     centers = np.minimum(centers, n_bins - 1)
     bank = np.zeros((cfg.n_mels, n_bins), dtype=np.float64)
@@ -214,9 +209,10 @@ def dct_ortho_matrix(size: int) -> np.ndarray:
 
 
 def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    """Log (with floor) then orthonormal DCT-II; keeps the first n_mfcc coefficients."""
+    """Log (floored at `LOG_FLOOR`) then orthonormal DCT-II; keeps the first
+    n_mfcc coefficients."""
     energies = np.atleast_2d(np.asarray(energies, dtype=np.float64))
-    logs = np.log(np.maximum(energies, cfg.log_floor))
+    logs = np.log(np.maximum(energies, LOG_FLOOR))
     dct = dct_ortho_matrix(energies.shape[1])
     return np.einsum("fm,km->fk", logs, dct[: cfg.n_mfcc])
 
@@ -269,8 +265,7 @@ def extract_features(buf, stft_cfg: StftConfig | None = None,
         centroids = _centroids(mags, freqs)
         sums += np.column_stack([
             _zcr(frames), centroids,
-            _bandwidths(mags, freqs, centroids, feat_cfg.bandwidth_order),
-            _rolloffs(power, freqs, feat_cfg.rolloff_pct), _rms(frames),
+            _bandwidths(mags, freqs, centroids), _rolloffs(power, freqs), _rms(frames),
             _chromas(power, chroma), _mfccs(power, bank, feat_cfg),
         ]).sum(axis=0)
         n_frames += frames.shape[0]

@@ -20,7 +20,8 @@ from .dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from .dsp import StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
-from .features import SCHEMA_VERSION, FeatureConfig, FeatureVector
+from .features import (BANDWIDTH_ORDER, LOG_FLOOR, MEL_FMIN, ROLLOFF_PCT, SCHEMA_VERSION,
+                       FeatureConfig, FeatureVector)
 
 MODEL_FORMAT = "wrice-model"
 MODEL_VERSION = 2
@@ -33,6 +34,10 @@ ARCHITECTURES = {
 }
 
 _CE_CLAMP = 1e-12
+
+# the fixed settings of `features` that a header's `features` section holds
+_FIXED_FEATURES = {"rolloff_pct": ROLLOFF_PCT, "bandwidth_order": BANDWIDTH_ORDER,
+                   "fmin": MEL_FMIN, "fmax": None, "log_floor": LOG_FLOOR}  # None: Nyquist
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,7 @@ def _header(model: MlpModel) -> dict:
         "scaler": None if model.scaler is None else
                   {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
         "stft": None if ex is None else asdict(ex.stft),
-        "features": None if ex is None else asdict(ex.features),
+        "features": None if ex is None else {**asdict(ex.features), **_FIXED_FEATURES},
         "audio": {"sample_rate": None if ex is None else ex.sample_rate,
                   "segment_seconds": None if ex is None else ex.segment_seconds},
         "schema_version": SCHEMA_VERSION,
@@ -412,6 +417,9 @@ def load_model(path) -> MlpModel:
     unknown = sorted(set(header) - set(expected) - {"checksum"})
     if unknown:
         raise CorruptModelError(f"{path}: malformed model file (unknown fields {unknown})")
+    if header["features"] != expected["features"]:
+        raise CorruptModelError(f"{path}: malformed model file (features section "
+                                f"{header['features']}, not {expected['features']})")
     if _checksum(expected, body) != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
     return model
@@ -438,7 +446,7 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
         raise ValueError(f"partial extraction settings {bundle}")
     extraction = None if stft is None else Extraction(
         audio["sample_rate"], audio["segment_seconds"], StftConfig(**stft),
-        FeatureConfig(**features))
+        FeatureConfig(features["n_mfcc"], features["n_mels"]))
     return MlpModel(layer_dims=dims, params=params,
                     scaler=scaler, label_map=header.get("label_map"),
                     extraction=extraction)

@@ -85,9 +85,10 @@ def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
         raise ValueError(f"noise scale must be >= 0, got {scale}")
     if scale == 0:
         return buf
-    rng = np.random.default_rng(seed)
-    return AudioBuffer(buf.samples + scale * rng.standard_normal(len(buf)),
-                       buf.sample_rate)
+    noisy = np.random.default_rng(seed).standard_normal(len(buf))
+    noisy *= scale
+    noisy += buf.samples
+    return AudioBuffer(noisy, buf.sample_rate)
 
 
 def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:

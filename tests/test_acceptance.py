@@ -122,8 +122,8 @@ def test_feature_closed_form_suite():
         single[123] = 2.0
         spec = spectrogram_from(single, sr)
         assert spectral_centroid_mean(spec) == spec.bin_freqs[123]
-        assert spectral_bandwidth_mean(spec, 2) == 0.0
-        assert spectral_rolloff_mean(spec, 0.85) == spec.bin_freqs[123]
+        assert spectral_bandwidth_mean(spec) == 0.0
+        assert spectral_rolloff_mean(spec) == spec.bin_freqs[123]
 
         base_buf = noise_buffer(0.4, sr, seed=SEED)
         scaled_buf = AudioBuffer(base_buf.samples * 2.0, sr)
@@ -265,7 +265,7 @@ def test_persistence_round_trips(full_run, tmp_path):
     with criterion("Persistence: feature CSV and model file round-trip to "
                    "bit-identical values and predictions"):
         csv_path = tmp_path / "features.csv"
-        ds_mod.write_features_csv(full_run.data, csv_path)
+        ds_mod.write_features_csv(full_run.data, csv_path, full_run.model.extraction)
         back = ds_mod.read_features_csv(csv_path)
         np.testing.assert_array_equal(back.features, full_run.data.features)
         np.testing.assert_array_equal(back.labels, full_run.data.labels)

@@ -16,7 +16,7 @@ from wrice.dataset import (Extraction, Scaler, file_segments, ingest_corpus, loa
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
 from wrice.features import FeatureConfig, extract_features
-from wrice.mlp import forward, init_model, load_model, save_model
+from wrice.mlp import _checksum, forward, init_model, load_model, save_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
          "--segment-seconds", "1.5"]
@@ -311,21 +311,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    # header damage that the parser sees is named before the checksum is compared
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda h: h.pop("tensors"), id="no-tensors"),
-        pytest.param(lambda h: h.pop("layer_dims"), id="no-layer-dims"),
-        pytest.param(lambda h: h["tensors"][0].pop("shape"), id="no-shape"),
-        pytest.param(lambda h: h["tensors"][0]["shape"].reverse(), id="shape-not-layer-dims"),
-        pytest.param(lambda h: h["stft"].update(bogus=1), id="bad-stft-kwargs"),
-        pytest.param(lambda h: h["features"].update(bogus=1), id="bad-features-kwargs"),
-        pytest.param(lambda h: h.update(hidden_activation="tanh"), id="tanh-activation"),
+    # header damage that the parser sees is named before the checksum is
+    # compared; a `rehash` edit also gets a checksum that matches it
+    @pytest.mark.parametrize("edit,rehash", [
+        pytest.param(lambda h: h.pop("tensors"), False, id="no-tensors"),
+        pytest.param(lambda h: h.pop("layer_dims"), False, id="no-layer-dims"),
+        pytest.param(lambda h: h["tensors"][0].pop("shape"), False, id="no-shape"),
+        pytest.param(lambda h: h["tensors"][0]["shape"].reverse(), False,
+                     id="shape-not-layer-dims"),
+        pytest.param(lambda h: h["stft"].update(bogus=1), False, id="bad-stft-kwargs"),
+        pytest.param(lambda h: h["features"].update(bogus=1), False,
+                     id="bad-features-kwargs"),
+        pytest.param(lambda h: h.update(hidden_activation="tanh"), False,
+                     id="tanh-activation"),
+        # the fixed extraction settings are not the model's to choose
+        pytest.param(lambda h: h["features"].update(rolloff_pct=0.9), True,
+                     id="rolloff-pct-0.9"),
     ])
     def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
-                                                    edit):
+                                                    edit, rehash):
         head, _, body = (workspace / "model.wrice").read_bytes().partition(b"\n")
         header = json.loads(head)
         edit(header)
+        if rehash:
+            del header["checksum"]
+            header["checksum"] = _checksum(header, body)
         model = tmp_path / "broken.wrice"
         model.write_bytes(json.dumps(header).encode() + b"\n" + body)
         wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))

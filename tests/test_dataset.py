@@ -152,7 +152,7 @@ class TestCsvRoundTrip:
     def test_header_row(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2})
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path)
+        write_features_csv(ds, path, Extraction())
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         header = lines[1].split(",")
@@ -162,7 +162,7 @@ class TestCsvRoundTrip:
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
-        write_features_csv(make_dataset({"a": 3, "b": 3}), path)
+        write_features_csv(make_dataset({"a": 3, "b": 3}), path, Extraction())
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rpartition(",")[0]
         path.write_text("\n".join(lines) + "\n")
@@ -179,23 +179,24 @@ class TestCsvRoundTrip:
     def test_any_width_round_trips_without_metadata(self, tmp_path, d):
         ds = make_dataset({"a": 2, "b": 2}, d=d)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path)
+        write_features_csv(ds, path, Extraction(features=FeatureConfig(n_mfcc=d - 6)))
         assert read_extraction(path).features.n_mfcc == d - 6
         np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
 
     @pytest.mark.parametrize("n_mfcc,match", [
         ("21", "header does not match the 27-column feature schema of n_mfcc=21"),
         ("19", "header does not match the 25-column feature schema of n_mfcc=19"),
-        ("0", "n_mfcc=0 is not a positive integer"),
-        ("-20", "n_mfcc=-20 is not a positive integer"),
-        ("twenty", "n_mfcc=twenty is not a positive integer"),
+        ("0", r"meta out of range: need 1 <= n_mfcc <= n_mels, got 0/128"),
+        ("-20", r"meta out of range: need 1 <= n_mfcc <= n_mels, got -20/128"),
+        ("twenty", "meta n_mfcc=twenty: invalid literal"),
     ], ids=["more-mfccs", "fewer-mfccs", "zero", "negative", "not-a-number"])
     def test_meta_n_mfcc_disagreeing_with_the_header_rejected(self, tmp_path, n_mfcc, match):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         path.write_text(path.read_text().replace(" n_mfcc=20 ", f" n_mfcc={n_mfcc} ", 1))
-        with pytest.raises(SchemaMismatchError, match=match):
+        with pytest.raises(SchemaMismatchError, match=match) as info:
             read_features_csv(path)
+        assert str(path) in str(info.value)
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -205,7 +206,7 @@ class TestCsvRoundTrip:
 
     def test_other_schema_version_rejected(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         text = path.read_text()
         path.write_text(text.replace(f"schema_version={SCHEMA_VERSION}",
                                      f"schema_version={SCHEMA_VERSION + 1}", 1))
@@ -219,7 +220,7 @@ class TestCsvRoundTrip:
     ])
     def test_bad_cell_names_path_and_line(self, tmp_path, bad, match):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         lines = path.read_bytes().split(b"\n")
         cells = lines[3].split(b",")
         cells[4] = bad
@@ -238,7 +239,7 @@ class TestCsvRoundTrip:
             LabeledDataset(features=features, labels=ds.labels, label_map=ds.label_map,
                            source_paths=ds.source_paths)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path)
+        write_features_csv(ds, path, Extraction())
         path.write_text(path.read_text().replace(format(ds.features[1, 3], ".17g"),
                                                  str(bad), 1))
         with pytest.raises(NonFiniteError, match="NaN or Inf") as info:
@@ -270,22 +271,28 @@ class TestExtraction:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Extraction(**kwargs)
 
+    # the settings that the meta does not record are constants of `features`,
+    # so no extraction can carry another value of them into a CSV
     @pytest.mark.parametrize("field,value", [
         ("rolloff_pct", 0.9), ("bandwidth_order", 3), ("fmin", 20.0), ("fmax", 8000.0),
         ("log_floor", 1e-8),
     ])
     def test_csv_refuses_settings_its_meta_cannot_record(self, tmp_path, field, value):
-        ex = Extraction(features=replace(FeatureConfig(), **{field: value}))
+        with pytest.raises(TypeError, match=field):
+            FeatureConfig(**{field: value})
         path = tmp_path / "feats.csv"
-        with pytest.raises(ValueError, match=f"{field}={value!r}"):
-            write_features_csv(make_dataset({"a": 2, "b": 2}), path, ex)
-        assert not path.exists()
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        assert f" {field}=" not in path.read_text().partition("\n")[0]
 
     def test_csv_refuses_a_width_that_its_n_mfcc_does_not_make(self, tmp_path):
         path = tmp_path / "feats.csv"
         with pytest.raises(ValueError, match="26 feature columns, but n_mfcc=13 makes 19"):
             write_features_csv(make_dataset({"a": 2, "b": 2}), path,
                                Extraction(features=FeatureConfig(n_mfcc=13)))
+        assert not path.exists()
+        # a 6-column dataset once wrote a meta `n_mfcc=0` that its reader refused
+        with pytest.raises(ValueError, match=": 6 feature columns, but n_mfcc=20 makes 26"):
+            write_features_csv(make_dataset({"a": 2, "b": 2}, d=6), path, Extraction())
         assert not path.exists()
 
     def test_read_back_from_the_csv(self, tmp_path):
@@ -297,7 +304,7 @@ class TestExtraction:
 
     def test_each_missing_key_falls_back_on_its_own(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         text = path.read_text().replace(" n_mfcc=20", " hop=256 n_mfcc=20", 1)
         path.write_text(text)
         assert read_extraction(path) == replace(Extraction(), stft=StftConfig(hop=256))

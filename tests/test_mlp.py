@@ -387,7 +387,7 @@ class TestPersistence:
     @pytest.mark.parametrize("extraction", [
         None,
         Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128, window="rectangular"),
-                   FeatureConfig(n_mfcc=13, n_mels=40, rolloff_pct=0.9, fmax=4000.0)),
+                   FeatureConfig(n_mfcc=13, n_mels=40)),
     ], ids=["none", "non-default"])
     def test_round_trip_keeps_the_extraction(self, tmp_path, extraction):
         model = replace(self.make_model(), extraction=extraction)

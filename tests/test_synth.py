@@ -43,6 +43,16 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(AudioBuffer(np.zeros(8), 8000), -0.1, seed=0)
 
+    def test_equals_samples_plus_scaled_normal_draws(self):
+        # the noisy buffer is built in place from the draws; IEEE addition and
+        # multiplication commute, so it equals the plain expression bit for bit
+        samples = np.random.default_rng(5).uniform(-1, 1, 4096)
+        seed = np.random.SeedSequence([5, 1, 2])
+        want = samples + 0.05 * np.random.default_rng(seed).standard_normal(samples.size)
+        got = add_noise(AudioBuffer(samples, 8000), 0.05, seed).samples
+        assert np.array_equal(got, want)
+        assert np.array_equal(samples, np.random.default_rng(5).uniform(-1, 1, 4096))
+
 
 class TestConditionSpec:
     def test_category_parsing(self):
