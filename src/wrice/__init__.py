@@ -6,16 +6,15 @@ from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, Extraction,
                       LabeledDataset, Scaler, encode_labels, fit_scaler, ingest_corpus,
                       read_extraction, read_features_csv, scale_rows, stratified_split,
                       write_features_csv)
-from .dsp import Spectrogram, StftConfig, fft, frame_signal, hann_window, rfft, stft
+from .dsp import StftConfig, frame_signal, hann_window, spectrum_blocks
 from .errors import (ClassTooSmallError, CorruptModelError, DuplicateLabelError,
                      EmptyCorpusError, MalformedWavError, NonFiniteError,
                      SchemaMismatchError, UnsupportedEncodingError,
                      VersionMismatchError, WriceError)
 from .evaluation import EvalReport, evaluate, noise_validation
-from .features import (FeatureConfig, FeatureVector, chroma_mean, extract_features,
-                       feature_names, mel_filterbank, mfcc_means, rms_mean,
-                       spectral_bandwidth_mean, spectral_centroid_mean,
-                       spectral_rolloff_mean, zcr_mean)
+from .features import (FeatureConfig, FeatureVector, bandwidths, centroids, chromas,
+                       extract_features, feature_names, mel_filterbank, mfccs, rms,
+                       rolloffs, zcr)
 from .mlp import (AdamState, MlpModel, TrainConfig, TrainHistory, adam_step, backward,
                   forward, init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
                   save_model, softmax, train)

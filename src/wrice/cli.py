@@ -19,7 +19,7 @@ import numpy as np
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
 from .audio_io import read_wav, to_mono, write_wav
-from .dsp import StftConfig, stft
+from .dsp import WINDOW, StftConfig, spectrum_blocks
 from .errors import WriceError
 
 _LOG_FLOOR_DB = -80.0  # PGM dynamic range floor below the spectrogram peak
@@ -225,19 +225,23 @@ def _cmd_augment(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
-    spec = stft(ds_mod.load_audio(args.in_path, args.sr), StftConfig(args.frame, args.hop))
+    buf = ds_mod.load_audio(args.in_path, args.sr)
+    cfg = StftConfig(args.frame, args.hop)
+    magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
-            f"window={spec.config.window} source={args.in_path}")
+            f"window={WINDOW} source={args.in_path}")
     if fmt == "csv":
+        bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (buf.sample_rate / cfg.frame_len)
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# wrice-spectrogram {meta}\n")
             writer = csv.writer(fh)
-            writer.writerow([format(f, ".17g") for f in spec.bin_freqs])
-            for row in spec.magnitudes:
+            writer.writerow([format(f, ".17g") for f in bin_freqs])
+            for row in magnitudes:
                 writer.writerow([format(v, ".17g") for v in row])
     else:
-        _write_pgm(spec.magnitudes, args.out, meta)
-    print(f"wrote {spec.n_frames}x{spec.n_bins} spectrogram to {args.out}")
+        _write_pgm(magnitudes, args.out, meta)
+    n_frames, n_bins = magnitudes.shape
+    print(f"wrote {n_frames}x{n_bins} spectrogram to {args.out}")
     return 0
 
 

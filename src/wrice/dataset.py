@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import read_wav, resample_linear, segment, to_mono
-from .dsp import StftConfig
+from .dsp import WINDOW, StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
 from .features import SCHEMA_VERSION, FeatureConfig, extract_features, feature_names
@@ -52,7 +52,7 @@ class Extraction:
     def meta(self) -> dict:
         """The feature CSV's `#` meta keys of these settings, in file order."""
         return {"sr": self.sample_rate, "frame": self.stft.frame_len, "hop": self.stft.hop,
-                "window": self.stft.window, "segment_seconds": self.segment_seconds,
+                "window": WINDOW, "segment_seconds": self.segment_seconds,
                 "n_mfcc": self.features.n_mfcc, "n_mels": self.features.n_mels}
 
 
@@ -286,11 +286,16 @@ def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
     A leading `#` line records the schema version, the label map and
     `ex.meta()`, so `read_features_csv` reads the rows back and
     `read_extraction` the settings that made them. Raises ValueError, and
-    writes nothing, if the width is not `ex.features.n_features`.
+    writes nothing, if the width is not `ex.features.n_features` or a label
+    holds whitespace or `|`, which the meta line cannot carry.
     """
     if ds.features.shape[1] != ex.features.n_features:
         raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
                          f"{ex.features.n_mfcc} makes {ex.features.n_features}")
+    for label in ds.label_map:
+        if "|" in label or any(ch.isspace() for ch in label):
+            raise ValueError(f"{path}: label {label!r} holds whitespace or '|', "
+                             "which the feature CSV's meta line cannot carry")
     meta = {"schema_version": SCHEMA_VERSION, "label_map": "|".join(ds.label_map),
             **ex.meta()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -337,9 +342,12 @@ def _meta_extraction(meta: dict[str, str], path) -> Extraction:
             values[key] = parse(meta[key]) if key in meta else values[key]
         except ValueError as exc:
             raise SchemaMismatchError(f"{path}: meta {key}={meta[key]}: {exc}") from None
+    if values["window"] != WINDOW:
+        raise SchemaMismatchError(f"{path}: meta window={values['window']}: "
+                                  f"the only window is {WINDOW}")
     try:
         return Extraction(values["sr"], values["segment_seconds"],
-                          StftConfig(values["frame"], values["hop"], values["window"]),
+                          StftConfig(values["frame"], values["hop"]),
                           FeatureConfig(n_mfcc=values["n_mfcc"], n_mels=values["n_mels"]))
     except ValueError as exc:
         raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc

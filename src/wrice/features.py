@@ -2,12 +2,12 @@
 
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
 spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
-shared frame grid. Each family has one per-frame function: ZCR and RMS read
-raw frames, centroid and bandwidth one-sided magnitudes, roll-off, chroma
-and MFCC the power (squared magnitudes, with sparse mel and chroma
-projections). `extract_features` sums them over the blocks of
-`dsp.spectrum_blocks`, so no full spectrogram is held; each public family
-function is their mean over a whole `Spectrogram`.
+shared frame grid. Each family is one public per-frame function, which
+returns one value (MFCC: one row) per frame: `zcr` and `rms` read raw
+frames, `centroids` and `bandwidths` one-sided magnitudes, `rolloffs`,
+`chromas` and `mfccs` the power (squared magnitudes, with sparse mel and
+chroma projections). `extract_features` sums them over the blocks of
+`dsp.spectrum_blocks`, so no full spectrogram is held.
 
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_array
 
-from .dsp import Spectrogram, StftConfig, spectrum_blocks
+from .dsp import StftConfig, spectrum_blocks
 
 SCHEMA_VERSION = 1
 
@@ -86,28 +86,28 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-def _frame_mean(values: np.ndarray):
-    if values.shape[0] == 0:
-        raise ValueError("no frames to aggregate")
-    return values.mean(axis=0)
-
-
-def _zcr(frames: np.ndarray) -> np.ndarray:
+def zcr(frames: np.ndarray) -> np.ndarray:
+    """Zero-crossing rate of each raw frame; zero counts as non-negative."""
     nonneg = frames >= 0
     return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / frames.shape[1]
 
 
-def _rms(frames: np.ndarray) -> np.ndarray:
+def rms(frames: np.ndarray) -> np.ndarray:
+    """Root-mean-square amplitude of each raw (unwindowed) frame."""
     return np.sqrt(np.einsum("ij,ij->i", frames, frames) / frames.shape[1])
 
 
-def _centroids(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def centroids(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Magnitude-weighted mean frequency (Hz) of each row of `mags`, whose
+    columns sit at `freqs`; a silent row gives 0."""
     totals = mags.sum(axis=1)
     raw = np.einsum("fb,b->f", mags, freqs)
     return np.divide(raw, totals, out=np.zeros_like(raw), where=totals > 0)
 
 
-def _bandwidths(mags, freqs, centroids) -> np.ndarray:
+def bandwidths(mags, freqs, centroids) -> np.ndarray:
+    """`BANDWIDTH_ORDER`-th order magnitude-weighted spread of each row about
+    its centroid; a silent row gives 0."""
     totals = mags.sum(axis=1)
     # built in place: no temporaries of the block's size beyond `deviations`
     deviations = np.subtract(freqs[None, :], centroids[:, None])
@@ -118,50 +118,28 @@ def _bandwidths(mags, freqs, centroids) -> np.ndarray:
     return normed ** (1.0 / BANDWIDTH_ORDER)
 
 
-def _rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Lowest frequency at or below which `ROLLOFF_PCT` of each row's energy
+    lies; a silent row gives 0."""
     cumulative = np.cumsum(power, axis=1)
     totals = cumulative[:, -1]
     first = np.argmax(cumulative >= ROLLOFF_PCT * totals[:, None], axis=1)
     return np.where(totals > 0, freqs[first], 0.0)
 
 
-def _chromas(power: np.ndarray, projector: csr_array) -> np.ndarray:
+def chromas(power: np.ndarray, projector: csr_array) -> np.ndarray:
+    """Mean of each row's 12-bin pitch-class energy profile, normalized by
+    its peak; `projector` maps the bins onto the 12 classes."""
     profile = (projector @ power.T).T
     peaks = profile.max(axis=1, keepdims=True)
     normalized = np.divide(profile, peaks, out=np.zeros_like(profile), where=peaks > 0)
     return normalized.mean(axis=1)
 
 
-def _mfccs(power: np.ndarray, bank: csr_array, cfg: FeatureConfig) -> np.ndarray:
+def mfccs(power: np.ndarray, bank: csr_array, cfg: FeatureConfig) -> np.ndarray:
+    """The first n_mfcc cepstral coefficients of each row, after the mel
+    filter `bank`."""
     return mfccs_from_mel_energies((bank @ power.T).T, cfg)
-
-
-def zcr_mean(frames: np.ndarray) -> float:
-    """Mean per-frame zero-crossing rate; zero counts as non-negative."""
-    return float(_frame_mean(_zcr(np.atleast_2d(np.asarray(frames, dtype=np.float64)))))
-
-
-def rms_mean(frames: np.ndarray) -> float:
-    """Mean per-frame root-mean-square amplitude, on raw (unwindowed) frames."""
-    return float(_frame_mean(_rms(np.atleast_2d(np.asarray(frames, dtype=np.float64)))))
-
-
-def spectral_centroid_mean(spec: Spectrogram) -> float:
-    """Mean magnitude-weighted mean frequency (Hz); silent frames contribute 0."""
-    return float(_frame_mean(_centroids(spec.magnitudes, spec.bin_freqs)))
-
-
-def spectral_bandwidth_mean(spec: Spectrogram) -> float:
-    """Mean `BANDWIDTH_ORDER`-th order magnitude-weighted spread about the
-    per-frame centroid."""
-    centroids = _centroids(spec.magnitudes, spec.bin_freqs)
-    return float(_frame_mean(_bandwidths(spec.magnitudes, spec.bin_freqs, centroids)))
-
-
-def spectral_rolloff_mean(spec: Spectrogram) -> float:
-    """Mean frequency below which `ROLLOFF_PCT` of the spectral energy lies
-    per frame."""
-    return float(_frame_mean(_rolloffs(np.square(spec.magnitudes), spec.bin_freqs)))
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:
@@ -224,12 +202,6 @@ def _mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_
     return bank
 
 
-def mfcc_means(spec: Spectrogram, cfg: FeatureConfig) -> np.ndarray:
-    """Per-coefficient mean of the first n_mfcc cepstral coefficients."""
-    bank = _mel_projector(cfg, spec.config.frame_len, spec.sample_rate)
-    return _frame_mean(_mfccs(np.square(spec.magnitudes), bank, cfg))
-
-
 @lru_cache(maxsize=8)
 def _chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
     """(12, n_bins) 0/1 map of FFT bins onto pitch classes; DC maps to none."""
@@ -240,12 +212,6 @@ def _chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
                           shape=(12, frame_len // 2 + 1))
     projector.data.setflags(write=False)
     return projector
-
-
-def chroma_mean(spec: Spectrogram) -> float:
-    """Mean of the per-frame max-normalized 12-bin pitch-class energy profile."""
-    projector = _chroma_projector(spec.config.frame_len, spec.sample_rate)
-    return float(_frame_mean(_chromas(np.square(spec.magnitudes), projector)))
 
 
 def extract_features(buf, stft_cfg: StftConfig | None = None,
@@ -262,11 +228,11 @@ def extract_features(buf, stft_cfg: StftConfig | None = None,
     n_frames = 0
     for frames, mags in spectrum_blocks(buf.samples, stft_cfg):
         power = np.square(mags)
-        centroids = _centroids(mags, freqs)
+        centers = centroids(mags, freqs)
         sums += np.column_stack([
-            _zcr(frames), centroids,
-            _bandwidths(mags, freqs, centroids), _rolloffs(power, freqs), _rms(frames),
-            _chromas(power, chroma), _mfccs(power, bank, feat_cfg),
+            zcr(frames), centers,
+            bandwidths(mags, freqs, centers), rolloffs(power, freqs), rms(frames),
+            chromas(power, chroma), mfccs(power, bank, feat_cfg),
         ]).sum(axis=0)
         n_frames += frames.shape[0]
     return FeatureVector(values=sums / n_frames)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Extraction, LabeledDataset, Scaler, scale_rows
-from .dsp import StftConfig
+from .dsp import WINDOW, StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
 from .features import (BANDWIDTH_ORDER, LOG_FLOOR, MEL_FMIN, ROLLOFF_PCT, SCHEMA_VERSION,
@@ -35,7 +35,8 @@ ARCHITECTURES = {
 
 _CE_CLAMP = 1e-12
 
-# the fixed settings of `features` that a header's `features` section holds
+# the fixed settings that a header's `stft` and `features` sections hold
+_FIXED_STFT = {"window": WINDOW}
 _FIXED_FEATURES = {"rolloff_pct": ROLLOFF_PCT, "bandwidth_order": BANDWIDTH_ORDER,
                    "fmin": MEL_FMIN, "fmax": None, "log_floor": LOG_FLOOR}  # None: Nyquist
 
@@ -350,7 +351,7 @@ def _header(model: MlpModel) -> dict:
         "label_map": model.label_map,
         "scaler": None if model.scaler is None else
                   {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-        "stft": None if ex is None else asdict(ex.stft),
+        "stft": None if ex is None else {**asdict(ex.stft), **_FIXED_STFT},
         "features": None if ex is None else {**asdict(ex.features), **_FIXED_FEATURES},
         "audio": {"sample_rate": None if ex is None else ex.sample_rate,
                   "segment_seconds": None if ex is None else ex.segment_seconds},
@@ -417,9 +418,10 @@ def load_model(path) -> MlpModel:
     unknown = sorted(set(header) - set(expected) - {"checksum"})
     if unknown:
         raise CorruptModelError(f"{path}: malformed model file (unknown fields {unknown})")
-    if header["features"] != expected["features"]:
-        raise CorruptModelError(f"{path}: malformed model file (features section "
-                                f"{header['features']}, not {expected['features']})")
+    for section in ("stft", "features"):
+        if header[section] != expected[section]:
+            raise CorruptModelError(f"{path}: malformed model file ({section} section "
+                                    f"{header[section]}, not {expected[section]})")
     if _checksum(expected, body) != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
     return model
@@ -445,7 +447,8 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
     if None in bundle and bundle != [None] * 4:
         raise ValueError(f"partial extraction settings {bundle}")
     extraction = None if stft is None else Extraction(
-        audio["sample_rate"], audio["segment_seconds"], StftConfig(**stft),
+        audio["sample_rate"], audio["segment_seconds"],
+        StftConfig(stft["frame_len"], stft["hop"]),
         FeatureConfig(features["n_mfcc"], features["n_mels"]))
     return MlpModel(layer_dims=dims, params=params,
                     scaler=scaler, label_map=header.get("label_map"),

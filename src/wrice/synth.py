@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer, write_wav
 
@@ -92,6 +91,10 @@ def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
 
 
 def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
+    # imported here, not at module level: only synth needs scipy.signal, and
+    # importing it is most of the start-up time of every other verb
+    from scipy.signal import lfilter
+
     alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz / sample_rate)
     return lfilter([alpha], [1.0, alpha - 1.0], x)
 
@@ -189,6 +192,10 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             path = cat_dir / f"{category}_{file_idx:03d}.wav"
             jobs.append((path, spec, sample_rate, (seed, cat_idx, file_idx)))
             manifest.append((str(path), category))
+    # imported once before the pool forks, so the workers inherit it rather
+    # than each importing it again
+    import scipy.signal  # noqa: F401
+
     dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()
     if manifest:

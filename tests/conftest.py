@@ -1,11 +1,16 @@
 """Shared oracles and fixtures.
 
-The DFT oracle is a deliberate O(n^2) matrix product, independent of the
-radix-2 transform it checks. Spectrogram construction helpers let feature
-tests pin degenerate spectra directly instead of going through the STFT.
+Two transform oracles that share no code with `numpy.fft`, which the package
+uses: `naive_dft`, a deliberate O(n^2) matrix product, and an iterative
+radix-2 FFT (`fft`, and `rfft`, which packs real frames into a half-length
+complex FFT), checked against it. `family_means` applies the package's
+per-frame family functions to whole frame and magnitude arrays, so feature
+tests can pin degenerate spectra directly and compare `extract_features`,
+which reduces block by block, against one pass over everything.
 """
 
 import struct
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,9 @@ import pytest
 
 from wrice.audio_io import AudioBuffer
 from wrice.dataset import Extraction
-from wrice.dsp import Spectrogram, StftConfig
+from wrice.dsp import StftConfig, spectrum_blocks
+from wrice.features import (FeatureConfig, _chroma_projector, _mel_projector, bandwidths,
+                            centroids, chromas, mfccs, rms, rolloffs, zcr)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -23,6 +30,73 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     k = np.arange(n)
     basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return x @ basis.T
+
+
+@lru_cache(maxsize=32)
+def _bit_reverse_indices(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for _ in range(n.bit_length() - 1):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    rev.setflags(write=False)
+    return rev
+
+
+@lru_cache(maxsize=32)
+def _twiddles(half: int) -> np.ndarray:
+    twiddles = np.exp(-1j * np.pi * np.arange(half) / half)
+    twiddles.setflags(write=False)
+    return twiddles
+
+
+def fft(x: np.ndarray) -> np.ndarray:
+    """Radix-2 decimation-in-time FFT along the last axis.
+
+    Accepts real or complex input of power-of-two length; batches over any
+    leading axes.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"FFT length must be a power of two, got {n}")
+    cur = np.ascontiguousarray(x[..., _bit_reverse_indices(n)], dtype=np.complex128)
+    if n == 1:
+        return cur
+    nxt = np.empty_like(cur)
+    half = 1
+    while half < n:
+        grouped = cur.reshape(cur.shape[:-1] + (n // (2 * half), 2, half))
+        merged = nxt.reshape(cur.shape[:-1] + (n // (2 * half), 2 * half))
+        odd = grouped[..., 1, :] * _twiddles(half)
+        np.add(grouped[..., 0, :], odd, out=merged[..., :half])
+        np.subtract(grouped[..., 0, :], odd, out=merged[..., half:])
+        cur, nxt = nxt, cur
+        half *= 2
+    return cur.reshape(x.shape)
+
+
+def rfft(x: np.ndarray) -> np.ndarray:
+    """One-sided spectrum of real input: bins 0..n/2 of the length-n FFT.
+
+    Packs even/odd samples into a half-length complex FFT and untangles the
+    result; identical (to rounding) to fft(x)[..., :n//2 + 1].
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"FFT length must be a power of two >= 2, got {n}")
+    m = n // 2
+    z = x[..., 0::2] + 1j * x[..., 1::2]
+    zf = fft(z)
+    k = np.arange(m + 1)
+    zk = zf[..., k % m]
+    zmk = np.conj(zf[..., (m - k) % m])
+    even_part = 0.5 * (zk + zmk)
+    odd_part = -0.5j * (zk - zmk)
+    return even_part + np.exp(-2j * np.pi * k / n) * odd_part
+
+
 
 
 def finite_difference_grads(model, x, y, h=1e-5):
@@ -92,16 +166,31 @@ def noise_buffer(seconds: float = 1.0, sample_rate: int = 22050,
     return AudioBuffer(amplitude * rng.standard_normal(n), sample_rate)
 
 
-def spectrogram_from(magnitudes, sample_rate: int = 22050,
-                     frame_len: int = 2048) -> Spectrogram:
-    """Wrap a handcrafted magnitude matrix in a Spectrogram with the usual axes."""
-    magnitudes = np.atleast_2d(np.asarray(magnitudes, dtype=np.float64))
-    n_bins = magnitudes.shape[1]
-    assert n_bins == frame_len // 2 + 1, "magnitude width must be frame_len/2 + 1"
-    cfg = StftConfig(frame_len=frame_len, hop=frame_len // 4)
-    bin_freqs = np.arange(n_bins) * (sample_rate / frame_len)
-    return Spectrogram(magnitudes=magnitudes, bin_freqs=bin_freqs,
-                       config=cfg, sample_rate=sample_rate)
+def bin_freqs(frame_len: int = 2048, sample_rate: int = 22050) -> np.ndarray:
+    """Centre frequencies (Hz) of the one-sided FFT bins of a frame."""
+    return np.arange(frame_len // 2 + 1) * (sample_rate / frame_len)
+
+
+def magnitudes(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
+    """Every frame's Hann-windowed magnitudes: the blocks of `spectrum_blocks`, stacked."""
+    return np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+
+
+def family_means(frames, mags, sample_rate: int = 22050,
+                 feat_cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The feature vector in schema order: each per-frame family function
+    applied once to all of `frames` (raw) and `mags` (their magnitudes),
+    then averaged over the frames."""
+    frame_len = 2 * (mags.shape[1] - 1)
+    freqs = bin_freqs(frame_len, sample_rate)
+    power = np.square(mags)
+    centers = centroids(mags, freqs)
+    return np.concatenate([
+        [zcr(frames).mean(), centers.mean(), bandwidths(mags, freqs, centers).mean(),
+         rolloffs(power, freqs).mean(), rms(frames).mean(),
+         chromas(power, _chroma_projector(frame_len, sample_rate)).mean()],
+        mfccs(power, _mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
+    ])
 
 
 # Small corpus settings shared by dataset/eval/cli tests: cheap but large

@@ -14,17 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grads, naive_dft, sine_buffer
+from conftest import bin_freqs, finite_difference_grads, magnitudes, naive_dft, sine_buffer
 from wrice import dataset as ds_mod
 from wrice import evaluation, mlp, synth
 from wrice.audio_io import AudioBuffer
 from wrice.cli import run
-from wrice.dsp import StftConfig, fft, frame_signal, stft
-from wrice.features import (FeatureConfig, dct_ortho_matrix, extract_features,
-                            feature_names, mfcc_means, mfccs_from_mel_energies,
-                            rms_mean, spectral_bandwidth_mean,
-                            spectral_centroid_mean, spectral_rolloff_mean,
-                            zcr_mean)
+from wrice.dsp import StftConfig, frame_signal, hann_window
+from wrice.features import (FeatureConfig, bandwidths, centroids, dct_ortho_matrix,
+                            extract_features, feature_names, mel_filterbank, mfccs,
+                            mfccs_from_mel_energies, rolloffs)
 
 SEED = 42
 
@@ -82,15 +80,19 @@ def full_run(tmp_path_factory) -> FullRun:
 
 
 def test_dsp_oracle_equivalence():
-    with criterion("DSP oracle equivalence: FFT vs naive DFT, 1e-9 relative, "
-                   "100 frames of 256..4096, < 30 s"):
+    with criterion("DSP oracle equivalence: spectrum_blocks magnitudes vs |naive DFT| "
+                   "of the Hann-windowed frames, 1e-9 relative, 100 frames of 256..4096, "
+                   "< 30 s"):
         rng = np.random.default_rng(SEED)
         started = time.perf_counter()
         checked = 0
         for size in (256, 512, 1024, 2048, 4096):
-            frames = rng.standard_normal((20, size))
-            reference = naive_dft(frames)
-            got = fft(frames)
+            cfg = StftConfig(frame_len=size, hop=size)
+            buf = AudioBuffer(rng.standard_normal(20 * size), 22050)
+            windowed = frame_signal(buf.samples, cfg) * hann_window(size)
+            reference = np.abs(naive_dft(windowed))[:, : size // 2 + 1]
+            got = magnitudes(buf, cfg)
+            assert got.shape == reference.shape
             for ref_row, got_row in zip(reference, got):
                 rel = np.abs(got_row - ref_row).max() / np.abs(ref_row).max()
                 assert rel <= 1e-9, f"size {size}: relative error {rel:.2e}"
@@ -103,33 +105,33 @@ def test_dsp_oracle_equivalence():
 def test_feature_closed_form_suite():
     with criterion("Feature closed forms: sine targets, degenerate spectra, "
                    "scale invariance, < 10 s"):
-        from conftest import noise_buffer, spectrogram_from
+        from conftest import noise_buffer
 
         started = time.perf_counter()
         sr = 22050
         cfg = StftConfig()
+        names = feature_names()
 
         for freq in (250, 1000, 4000):
-            buf = sine_buffer(freq, sr, seconds=0.5)
-            spec = stft(buf, cfg)
-            frames = frame_signal(buf.samples, cfg)
-            assert abs(spectral_centroid_mean(spec) - freq) / freq < 0.02
-            assert abs(zcr_mean(frames) - 2 * freq / sr) / (2 * freq / sr) < 0.05
+            got = dict(zip(names, extract_features(sine_buffer(freq, sr, seconds=0.5),
+                                                   cfg, FeatureConfig()).values))
+            assert abs(got["centroid_mean"] - freq) / freq < 0.02
+            assert abs(got["zcr_mean"] - 2 * freq / sr) / (2 * freq / sr) < 0.05
             expected_rms = 1 / np.sqrt(2)
-            assert abs(rms_mean(frames) - expected_rms) / expected_rms < 0.01
+            assert abs(got["rms_mean"] - expected_rms) / expected_rms < 0.01
 
-        single = np.zeros(1025)
-        single[123] = 2.0
-        spec = spectrogram_from(single, sr)
-        assert spectral_centroid_mean(spec) == spec.bin_freqs[123]
-        assert spectral_bandwidth_mean(spec) == 0.0
-        assert spectral_rolloff_mean(spec) == spec.bin_freqs[123]
+        single = np.zeros((1, 1025))
+        single[0, 123] = 2.0
+        freqs = bin_freqs(cfg.frame_len, sr)
+        center = centroids(single, freqs)
+        assert center[0] == freqs[123]
+        assert bandwidths(single, freqs, center)[0] == 0.0
+        assert rolloffs(np.square(single), freqs)[0] == freqs[123]
 
         base_buf = noise_buffer(0.4, sr, seed=SEED)
         scaled_buf = AudioBuffer(base_buf.samples * 2.0, sr)
         base = extract_features(base_buf, cfg, FeatureConfig()).values
         scaled = extract_features(scaled_buf, cfg, FeatureConfig()).values
-        names = feature_names()
         for name in ("zcr_mean", "centroid_mean", "bandwidth_mean",
                      "rolloff_mean", "chroma_mean"):
             i = names.index(name)
@@ -158,8 +160,9 @@ def test_mfcc_dct_correctness():
         constant = mfccs_from_mel_energies(np.ones((5, 128)), FeatureConfig())
         assert np.abs(constant).max() <= 1e-12
 
-        spec = stft(noise_buffer(0.3, 22050, seed=SEED), StftConfig())
-        assert mfcc_means(spec, FeatureConfig()).shape == (20,)
+        power = np.square(magnitudes(noise_buffer(0.3, 22050, seed=SEED), StftConfig()))
+        coeffs = mfccs(power, mel_filterbank(FeatureConfig(), 2048, 22050), FeatureConfig())
+        assert coeffs.shape == (power.shape[0], 20)
 
         elapsed = time.perf_counter() - started
         assert elapsed < 5, f"took {elapsed:.1f}s"

@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: workflow, exit codes, artifact determinism."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import wav_bytes
+import wrice
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
@@ -227,6 +232,17 @@ class TestWorkflow:
         assert out.exists()
 
 
+def test_importing_the_cli_does_not_load_scipy_signal():
+    # only synth filters with scipy.signal, and importing it is most of the
+    # start-up of every verb, so a fresh interpreter must not pay for it
+    src = str(Path(wrice.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, wrice.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 class TestSpectrogramDump:
     def test_csv_output(self, workspace, tmp_path):
         wav = next((workspace / "corpus" / "dry_60").glob("*.wav"))
@@ -289,6 +305,17 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_extract_refuses_a_category_its_csv_cannot_name(self, tmp_path, capsys):
+        wav = tmp_path / "corpus" / "dry 40" / "dry_40_000.wav"
+        wav.parent.mkdir(parents=True)
+        write_wav(wav, AudioBuffer(np.zeros(2048), 22050))
+        out = tmp_path / "x.csv"
+        assert run(["extract", "--in", str(tmp_path / "corpus"), "--out", str(out),
+                    "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label 'dry 40'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", [["spectrogram"], ["augment", "--scale", "0.1"]],
                              ids=["spectrogram", "augment"])
     def test_non_finite_wav_sample_names_the_file(self, tmp_path, capsys, verb):
@@ -327,6 +354,8 @@ class TestExitCodes:
         # the fixed extraction settings are not the model's to choose
         pytest.param(lambda h: h["features"].update(rolloff_pct=0.9), True,
                      id="rolloff-pct-0.9"),
+        pytest.param(lambda h: h["stft"].update(window="rectangular"), True,
+                     id="rectangular-window"),
     ])
     def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
                                                     edit, rehash):

@@ -296,7 +296,7 @@ class TestExtraction:
         assert not path.exists()
 
     def test_read_back_from_the_csv(self, tmp_path):
-        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256, window="rectangular"),
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
                         FeatureConfig(n_mfcc=13, n_mels=40))
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}, d=19), path, ex)
@@ -315,16 +315,26 @@ class TestExtraction:
         ("segment_seconds=0", "meta out of range: segment_seconds must be positive"),
         ("hop=0", r"meta out of range: hop must be in \(0, frame_len\]"),
         ("frame=1000", "meta out of range: frame_len must be a power of two >= 2, got 1000"),
+        ("window=rectangular", "meta window=rectangular: the only window is hann"),
     ], ids=["sr-not-a-number", "n-mels-not-a-number", "segment-zero", "hop-zero",
-            "frame-not-a-power-of-two"])
+            "frame-not-a-power-of-two", "window-not-hann"])
     def test_bad_meta_value_names_the_csv(self, tmp_path, token, match):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         key = token.partition("=")[0]
         path.write_text(re.sub(rf" {key}=\S+", f" {token}", path.read_text(), count=1))
-        with pytest.raises(SchemaMismatchError, match=match) as info:
-            read_extraction(path)
-        assert str(path) in str(info.value)
+        for read in (read_extraction, read_features_csv):
+            with pytest.raises(SchemaMismatchError, match=match) as info:
+                read(path)
+            assert str(path) in str(info.value)
+
+    # the label map is one `|`-joined token of a whitespace-split meta line
+    @pytest.mark.parametrize("label", ["dry 40", "dry\t40", "dry|40"])
+    def test_csv_refuses_a_label_its_meta_cannot_carry(self, tmp_path, label):
+        path = tmp_path / "feats.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_features_csv(make_dataset({"a": 2, label: 2}), path, Extraction())
+        assert not path.exists()
 
 
 class TestIngest:

@@ -386,7 +386,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("extraction", [
         None,
-        Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128, window="rectangular"),
+        Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128),
                    FeatureConfig(n_mfcc=13, n_mels=40)),
     ], ids=["none", "non-default"])
     def test_round_trip_keeps_the_extraction(self, tmp_path, extraction):
