@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +129,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     ex = ds_mod.Extraction(args.sr, args.segment_seconds, StftConfig(args.frame, args.hop))
+    ds_mod.check_csv_labels(ds_mod.corpus_labels(args.in_path), args.out)
     ds = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
     ds_mod.write_features_csv(ds, args.out, ex)
     print(f"wrote {ds.n} rows x {ds.features.shape[1]} features to {args.out}")
@@ -141,15 +141,12 @@ def _cmd_train(args) -> int:
     ex = ds_mod.read_extraction(args.features)
 
     train_set, test_set = ds_mod.stratified_split(data, args.test_fraction, args.seed)
-    scaler = ds_mod.fit_scaler(train_set)
-    scaled_train = replace(train_set, features=ds_mod.scale_rows(scaler, train_set.features))
-
     dims = mlp.layer_dims_for(args.arch, data.features.shape[1], len(data.label_map))
-    model = mlp.init_model(dims, seed=args.seed, scaler=scaler,
+    model = mlp.init_model(dims, seed=args.seed, scaler=ds_mod.fit_scaler(train_set),
                            label_map=list(data.label_map), extraction=ex)
     cfg = mlp.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                           learning_rate=args.lr, seed=args.seed)
-    model, history = mlp.train(model, scaled_train, cfg)
+    model, history = mlp.train(model, train_set, cfg)
     if history.loss:
         print(f"trained {args.epochs} epochs: loss {history.loss[-1]:.4f} "
               f"accuracy {history.accuracy[-1]:.4f} ({train_set.n} rows)")
@@ -179,8 +176,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
-    if model.extraction is None:
-        raise ValueError(f"{args.model}: model has no bundled extraction settings")
     # the per-file job of extract and eval, so the file is segmented like training
     [[rows]] = ds_mod._map_file_rows([args.wav], [None], None, model.extraction, workers=1)
     label, probs = mlp.predict(model, np.vstack(rows))

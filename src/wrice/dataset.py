@@ -125,6 +125,17 @@ def encode_labels(names) -> list[str]:
     return sorted(names)
 
 
+def corpus_labels(root) -> list[str]:
+    """The label map of a corpus: its category subdirectories, encoded."""
+    root = Path(root)
+    if not root.is_dir():
+        raise EmptyCorpusError(f"{root}: not a directory")
+    categories = sorted(p.name for p in root.iterdir() if p.is_dir())
+    if not categories:
+        raise EmptyCorpusError(f"{root}: no category subdirectories")
+    return encode_labels(categories)
+
+
 def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     """Walk `root/<category>/*.wav`; returns (label_map, sorted (path, category) pairs).
 
@@ -132,12 +143,7 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     error so silently empty classes cannot slip through.
     """
     root = Path(root)
-    if not root.is_dir():
-        raise EmptyCorpusError(f"{root}: not a directory")
-    categories = sorted(p.name for p in root.iterdir() if p.is_dir())
-    if not categories:
-        raise EmptyCorpusError(f"{root}: no category subdirectories")
-    label_map = encode_labels(categories)
+    label_map = corpus_labels(root)
     pairs: list[tuple[Path, str]] = []
     for category in label_map:
         wavs = sorted(p for p in (root / category).iterdir()
@@ -280,6 +286,14 @@ def scale_rows(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     return (features - scaler.mean) / scaler.std
 
 
+def check_csv_labels(label_map, path) -> None:
+    """ValueError unless the meta line of the feature CSV `path` can carry every label."""
+    for label in label_map:
+        if "|" in label or any(ch.isspace() for ch in label):
+            raise ValueError(f"{path}: label {label!r} holds whitespace or '|', "
+                             "which the feature CSV's meta line cannot carry")
+
+
 def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
@@ -292,10 +306,7 @@ def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
     if ds.features.shape[1] != ex.features.n_features:
         raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
                          f"{ex.features.n_mfcc} makes {ex.features.n_features}")
-    for label in ds.label_map:
-        if "|" in label or any(ch.isspace() for ch in label):
-            raise ValueError(f"{path}: label {label!r} holds whitespace or '|', "
-                             "which the feature CSV's meta line cannot carry")
+    check_csv_labels(ds.label_map, path)
     meta = {"schema_version": SCHEMA_VERSION, "label_map": "|".join(ds.label_map),
             **ex.meta()}
     with open(path, "w", newline="", encoding="utf-8") as fh:

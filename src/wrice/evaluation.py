@@ -55,8 +55,6 @@ def _report(true_labels: np.ndarray, predicted: np.ndarray, label_map,
 
 def _label_ids(model: MlpModel, label_map) -> np.ndarray:
     """Model label id of each category; every category must be a model label."""
-    if model.scaler is None or model.label_map is None:
-        raise ValueError("model has no bundled scaler/label map")
     unknown = sorted(set(label_map) - set(model.label_map))
     if unknown:
         raise SchemaMismatchError(
@@ -90,8 +88,6 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     scales = list(scales)
     if not scales:
         raise ValueError("no noise scales given")
-    if model.extraction is None:
-        raise ValueError("model has no bundled extraction settings")
     label_map, pairs = corpus_files(root)
     model_ids = dict(zip(label_map, _label_ids(model, label_map)))
     per_file = _map_file_rows([p for p, _ in pairs], scales, seed, model.extraction, workers)

@@ -1,9 +1,10 @@
 """From-scratch multilayer perceptron for adhesion-condition classification.
 
 Dense ReLU hidden layers, softmax output, sparse categorical cross-entropy,
-Adam updates. A model bundles the feature scaler, label map, and extraction
-settings so a saved file is sufficient for end-to-end inference. Everything
-is float64 and deterministic for a fixed seed.
+Adam updates. Every model carries its feature scaler, label map and
+extraction settings, so `train`, `predict` and evaluation all scale raw rows
+with its own scaler and a saved file suffices for end-to-end inference.
+Everything is float64 and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -62,22 +63,19 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators, one per parameter
-    array (`train` passes the one flat `MlpModel.params`), and two flat
-    scratch buffers as large as the largest array, so a step allocates no
-    temporaries."""
+    """Bias-corrected first/second moment accumulators of one flat parameter
+    array (`train` passes `MlpModel.params`), and two scratch buffers of its
+    shape, so a step allocates no temporaries."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        size = max((p.size for p in params), default=0)
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   scratch=(np.empty(size), np.empty(size)))
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=(np.empty_like(params), np.empty_like(params)))
 
 
 @dataclass
@@ -112,14 +110,15 @@ class MlpModel:
     `params` holds every parameter in one 1-D float64 array, in the model
     file's body order (w0, b0, w1, b1, ...). `weights`, `biases` and
     `parameters()` are views into it, so a write through them changes
-    `params`, and rebinding `params` would leave them stale.
+    `params`, and rebinding `params` would leave them stale. The scaler is
+    as wide as the input layer; the label map names each output.
     """
 
     layer_dims: list[int]
     params: np.ndarray
-    scaler: Scaler | None = None
-    label_map: list[str] | None = None
-    extraction: Extraction | None = None
+    scaler: Scaler
+    label_map: list[str]
+    extraction: Extraction
     weights: list[np.ndarray] = field(init=False, repr=False)  # per layer, (out, in)
     biases: list[np.ndarray] = field(init=False, repr=False)   # per layer, (out,)
 
@@ -131,6 +130,9 @@ class MlpModel:
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if not np.isfinite(self.params).all():
             raise ValueError("params holds non-finite values")
+        if self.scaler.mean.shape != (dims[0],) or len(self.label_map) != dims[-1]:
+            raise ValueError(f"layer_dims {dims} need a {dims[0]}-wide scaler and {dims[-1]} "
+                             f"labels, got {self.scaler.mean.size} and {len(self.label_map)}")
         tensors = _views(self.params, dims)
         self.weights, self.biases = tensors[0::2], tensors[1::2]
 
@@ -156,11 +158,12 @@ def layer_dims_for(arch: str, n_inputs: int, n_outputs: int) -> list[int]:
     return [n_inputs, *ARCHITECTURES[arch], n_outputs]
 
 
-def init_model(layer_dims, seed: int = 0, **bundle) -> MlpModel:
+def init_model(layer_dims, seed: int = 0, *, scaler: Scaler, label_map: list[str],
+               extraction: Extraction) -> MlpModel:
     """Glorot-uniform weights, zero biases; deterministic per seed."""
     dims = [int(d) for d in layer_dims]
     size = sum(math.prod(shape) for shape in _tensor_shapes(dims))
-    model = MlpModel(layer_dims=dims, params=np.zeros(size), **bundle)
+    model = MlpModel(dims, np.zeros(size), scaler, label_map, extraction)
     rng = np.random.default_rng(seed)
     for w in model.weights:
         fan_out, fan_in = w.shape
@@ -243,63 +246,56 @@ def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np
     return grads[0::2], grads[1::2]
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, cfg: TrainConfig) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, in place on `params`.
+def adam_step(params: np.ndarray, grad: np.ndarray,
+              state: AdamState, cfg: TrainConfig) -> tuple[np.ndarray, AdamState]:
+    """One Adam update, in place on the flat `params`.
 
     Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
     p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t. Every
     intermediate goes through the state's scratch buffers.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter/gradient/state tensor counts differ")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+    if not params.shape == grad.shape == state.m.shape:
+        raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
     state.t += 1
     correction1 = 1.0 - cfg.beta1**state.t
     correction2 = 1.0 - cfg.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch)
-        m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=a)
-        m += a
-        v *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=a)
-        a *= g
-        v += a
-        np.divide(m, correction1, out=a)
-        a *= cfg.learning_rate
-        np.divide(v, correction2, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.epsilon
-        a /= b
-        p -= a
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=a)
+    m += a
+    v *= cfg.beta2
+    np.multiply(grad, 1.0 - cfg.beta2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, correction1, out=a)
+    a *= cfg.learning_rate
+    np.divide(v, correction2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.epsilon
+    a /= b
+    params -= a
     return params, state
 
 
 def train(model: MlpModel, train_set: LabeledDataset,
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainHistory]:
-    """Mini-batch training on an already-scaled dataset.
+    """Mini-batch training on raw feature rows, scaled once by `model.scaler`.
 
-    Shuffles per epoch with a generator seeded from cfg.seed; the final
-    partial batch is trained on. The input model is not modified. History
-    holds the per-epoch mean training loss and accuracy. Raises
-    NonFiniteError if a batch loss becomes NaN or infinite (a learning rate
-    too large for the data can diverge).
+    Rows scaled beforehand would be scaled twice. Shuffles per epoch with a
+    generator seeded from cfg.seed; the final partial batch is trained on.
+    The input model is not modified. History holds the per-epoch mean
+    training loss and accuracy. Raises NonFiniteError if a batch loss
+    becomes NaN or infinite (a learning rate too large for the data can
+    diverge).
     """
     if train_set.n == 0:
         raise ValueError("training set is empty")
-    if train_set.features.shape[1] != model.n_inputs:
-        raise SchemaMismatchError(
-            f"feature width {train_set.features.shape[1]} does not match "
-            f"model input {model.n_inputs}")
     trained = model.copy()
+    x_all = scale_rows(trained.scaler, train_set.features)
     grad = np.empty_like(trained.params)
     grads = _views(grad, trained.layer_dims)
-    state = AdamState.for_params([trained.params])
+    state = AdamState.for_params(trained.params)
     rng = np.random.default_rng(cfg.seed)
-    x_all = train_set.features
     y_all = train_set.labels
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
@@ -318,7 +314,7 @@ def train(model: MlpModel, train_set: LabeledDataset,
             total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
             _gradients_from_cache(trained, activations, probs, yb, grads)
-            adam_step([trained.params], [grad], state, cfg)
+            adam_step(trained.params, grad, state, cfg)
         history.loss.append(total_loss / train_set.n)
         history.accuracy.append(total_correct / train_set.n)
     return trained, history
@@ -331,8 +327,6 @@ def predict(model: MlpModel, fv: FeatureVector | np.ndarray) -> tuple[str, np.nd
     segment rows, classified by the mean of the per-segment probabilities.
     Returns (label name, class probabilities); ties break to the lowest id.
     """
-    if model.scaler is None or model.label_map is None:
-        raise ValueError("model has no bundled scaler/label map; train before predicting")
     values = fv.values if isinstance(fv, FeatureVector) else fv
     probs = forward(model, scale_rows(model.scaler, np.atleast_2d(values))).mean(axis=0)
     return model.label_map[int(np.argmax(probs))], probs
@@ -349,12 +343,10 @@ def _header(model: MlpModel) -> dict:
         "version": MODEL_VERSION,
         "layer_dims": model.layer_dims,
         "label_map": model.label_map,
-        "scaler": None if model.scaler is None else
-                  {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-        "stft": None if ex is None else {**asdict(ex.stft), **_FIXED_STFT},
-        "features": None if ex is None else {**asdict(ex.features), **_FIXED_FEATURES},
-        "audio": {"sample_rate": None if ex is None else ex.sample_rate,
-                  "segment_seconds": None if ex is None else ex.segment_seconds},
+        "scaler": {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
+        "stft": {**asdict(ex.stft), **_FIXED_STFT},
+        "features": {**asdict(ex.features), **_FIXED_FEATURES},
+        "audio": {"sample_rate": ex.sample_rate, "segment_seconds": ex.segment_seconds},
         "schema_version": SCHEMA_VERSION,
         "tensors": tensors,
     }
@@ -437,19 +429,10 @@ def _model_from(header: dict, body: bytes, path) -> MlpModel:
         raise CorruptModelError(f"{path}: body has {len(body)} bytes, its tensors need {size}")
     # frombuffer on bytes is read-only; astype copies into an owning, writable array
     params = np.frombuffer(body, "<f8").astype(np.float64)
-
-    scaler = None
-    if header.get("scaler"):
-        scaler = Scaler(mean=np.array(header["scaler"]["mean"]),
-                        std=np.array(header["scaler"]["std"]))
-    stft, features, audio = header["stft"], header["features"], header["audio"]
-    bundle = [stft, features, audio["sample_rate"], audio["segment_seconds"]]
-    if None in bundle and bundle != [None] * 4:
-        raise ValueError(f"partial extraction settings {bundle}")
-    extraction = None if stft is None else Extraction(
-        audio["sample_rate"], audio["segment_seconds"],
-        StftConfig(stft["frame_len"], stft["hop"]),
-        FeatureConfig(features["n_mfcc"], features["n_mels"]))
-    return MlpModel(layer_dims=dims, params=params,
-                    scaler=scaler, label_map=header.get("label_map"),
-                    extraction=extraction)
+    # a null section is a TypeError here, so the file is named malformed
+    scaler, stft, features, audio = (header[k] for k in ("scaler", "stft", "features", "audio"))
+    extraction = Extraction(audio["sample_rate"], audio["segment_seconds"],
+                            StftConfig(stft["frame_len"], stft["hop"]),
+                            FeatureConfig(features["n_mfcc"], features["n_mels"]))
+    return MlpModel(dims, params, Scaler(np.array(scaler["mean"]), np.array(scaler["std"])),
+                    header["label_map"], extraction)

@@ -9,6 +9,7 @@ tests can pin degenerate spectra directly and compare `extract_features`,
 which reduces block by block, against one pass over everything.
 """
 
+import json
 import struct
 from functools import lru_cache
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from wrice.audio_io import AudioBuffer
-from wrice.dataset import Extraction
+from wrice.dataset import Extraction, Scaler
 from wrice.dsp import StftConfig, spectrum_blocks
 from wrice.features import (FeatureConfig, _chroma_projector, _mel_projector, bandwidths,
                             centroids, chromas, mfccs, rms, rolloffs, zcr)
@@ -119,6 +120,31 @@ def finite_difference_grads(model, x, y, h=1e-5):
     return grads_w, grads_b
 
 
+def identity_bundle(layer_dims) -> dict:
+    """The scaler, label map and extraction that every `MlpModel` carries:
+    an identity scaler (mean 0, std 1, so a scaled row equals the raw one
+    exactly), labels c0, c1, ... and the default extraction."""
+    return {"scaler": Scaler(mean=np.zeros(layer_dims[0]), std=np.ones(layer_dims[0])),
+            "label_map": [f"c{i}" for i in range(layer_dims[-1])],
+            "extraction": Extraction()}
+
+
+def edit_model_header(source, target, edit, rehash=False):
+    """Copy the model file `source` to `target` with `edit` applied to its
+    parsed header; with `rehash`, the checksum is recomputed to match, so
+    only the loader's own checks can refuse the edit."""
+    from wrice.mlp import _checksum
+
+    head, _, body = Path(source).read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    if rehash:
+        del header["checksum"]
+        header["checksum"] = _checksum(header, body)
+    Path(target).write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return target
+
+
 def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
     """A random (model, inputs, labels) triple safe for finite differencing.
 
@@ -130,7 +156,7 @@ def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
     from wrice.mlp import _forward_cached, init_model
 
     rng = np.random.default_rng(seed)
-    model = init_model(layer_dims, seed=seed)
+    model = init_model(layer_dims, seed=seed, **identity_bundle(layer_dims))
     for b in model.biases:
         b[:] = rng.normal(scale=0.1, size=b.shape)
     for _ in range(100):

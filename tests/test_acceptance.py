@@ -63,13 +63,9 @@ def full_run(tmp_path_factory) -> FullRun:
     data = ds_mod.ingest_corpus(root, ex)
     train_set, test_set = ds_mod.stratified_split(data, 0.2, seed=SEED)
     scaler = ds_mod.fit_scaler(train_set)
-    scaled_train = ds_mod.LabeledDataset(
-        features=ds_mod.scale_rows(scaler, train_set.features),
-        labels=train_set.labels, label_map=train_set.label_map,
-        source_paths=train_set.source_paths)
     model = mlp.init_model(mlp.layer_dims_for("paper4", 26, 4), seed=SEED,
                            scaler=scaler, label_map=data.label_map, extraction=ex)
-    model, history = mlp.train(model, scaled_train, mlp.TrainConfig(seed=SEED))
+    model, history = mlp.train(model, train_set, mlp.TrainConfig(seed=SEED))
     clean = evaluation.evaluate(model, test_set)
     noisy = evaluation.noise_validation(model, root, [0.5, 0.05, 0.005], seed=SEED)
 

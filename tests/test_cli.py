@@ -11,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import wav_bytes
+from conftest import edit_model_header, wav_bytes
 import wrice
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.cli import run
-from wrice.dataset import (Extraction, Scaler, file_segments, ingest_corpus, load_audio,
+from wrice.dataset import (Extraction, file_segments, ingest_corpus, load_audio,
                            read_features_csv, scale_rows, write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
 from wrice.features import FeatureConfig, extract_features
-from wrice.mlp import _checksum, forward, init_model, load_model, save_model
+from wrice.mlp import forward, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
          "--segment-seconds", "1.5"]
@@ -197,13 +197,27 @@ class TestWorkflow:
         assert not model.exists()
 
     def test_predict_needs_bundled_extraction_settings(self, workspace, tmp_path, capsys):
-        bare = tmp_path / "bare.wrice"
-        save_model(init_model([26, 4], scaler=Scaler(mean=np.zeros(26), std=np.ones(26)),
-                              label_map=["dry_40", "dry_60", "wet_40", "wet_60"]), bare)
+        bare = edit_model_header(
+            workspace / "model.wrice", tmp_path / "bare.wrice", rehash=True,
+            edit=lambda h: h.update(stft=None, features=None,
+                                    audio={"sample_rate": None, "segment_seconds": None}))
         wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
         assert run(["predict", "--model", str(bare), str(wav)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "no bundled extraction settings" in err
+        assert err.startswith("error:") and "malformed model file" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_predict_refuses_a_label_map_shorter_than_the_outputs(self, workspace, tmp_path,
+                                                                  capsys):
+        short = edit_model_header(workspace / "model.wrice", tmp_path / "short.wrice",
+                                  lambda h: h.update(label_map=h["label_map"][:1]),
+                                  rehash=True)
+        wav = next((workspace / "corpus" / "wet_60").glob("*.wav"))
+        assert run(["predict", "--model", str(short), str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed model file" in err
+        assert "need a 26-wide scaler and 4 labels, got 26 and 1" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_train_rejects_a_meta_n_mfcc_that_disagrees_with_the_header(
             self, workspace, tmp_path, capsys):
@@ -305,15 +319,19 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_extract_refuses_a_category_its_csv_cannot_name(self, tmp_path, capsys):
+    def test_extract_refuses_a_category_its_csv_cannot_name(self, tmp_path, capsys,
+                                                            monkeypatch):
         wav = tmp_path / "corpus" / "dry 40" / "dry_40_000.wav"
         wav.parent.mkdir(parents=True)
         write_wav(wav, AudioBuffer(np.zeros(2048), 22050))
+        decoded = []
+        monkeypatch.setattr(dataset, "read_wav", lambda path: decoded.append(path))
         out = tmp_path / "x.csv"
         assert run(["extract", "--in", str(tmp_path / "corpus"), "--out", str(out),
                     "--workers", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "label 'dry 40'" in err
+        assert decoded == []  # refused before any file is decoded
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", [["spectrogram"], ["augment", "--scale", "0.1"]],
@@ -359,14 +377,8 @@ class TestExitCodes:
     ])
     def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
                                                     edit, rehash):
-        head, _, body = (workspace / "model.wrice").read_bytes().partition(b"\n")
-        header = json.loads(head)
-        edit(header)
-        if rehash:
-            del header["checksum"]
-            header["checksum"] = _checksum(header, body)
-        model = tmp_path / "broken.wrice"
-        model.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        model = edit_model_header(workspace / "model.wrice", tmp_path / "broken.wrice",
+                                  edit, rehash)
         wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
         assert run(["predict", "--model", str(model), str(wav)]) == 1
         err = capsys.readouterr().err
@@ -375,11 +387,11 @@ class TestExitCodes:
 
 
     def test_edited_model_header_is_domain_error(self, workspace, tmp_path, capsys):
-        head, _, body = (workspace / "model.wrice").read_bytes().partition(b"\n")
-        header = json.loads(head)
-        header["scaler"]["mean"][0] += 1.0
-        model = tmp_path / "edited.wrice"
-        model.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        def nudge_scaler(header):
+            header["scaler"]["mean"][0] += 1.0
+
+        model = edit_model_header(workspace / "model.wrice", tmp_path / "edited.wrice",
+                                  nudge_scaler)
         wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
         assert run(["predict", "--model", str(model), str(wav)]) == 1
         err = capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import TINY_EX
+from conftest import TINY_EX, identity_bundle
 from wrice import evaluation
 from wrice.dataset import (Extraction, LabeledDataset, Scaler, fit_scaler, scale_rows,
                            stratified_split)
@@ -20,8 +20,7 @@ def passthrough_model(n_classes=4):
     np.fill_diagonal(eye, 10.0)
     return MlpModel(layer_dims=[n_classes, n_classes],
                     params=np.concatenate([eye.ravel(), np.zeros(n_classes)]),
-                    scaler=Scaler(mean=np.zeros(n_classes), std=np.ones(n_classes)),
-                    label_map=[f"c{i}" for i in range(n_classes)])
+                    **identity_bundle([n_classes, n_classes]))
 
 
 def one_hot_rows(label_ids, n_classes=4):
@@ -91,13 +90,9 @@ class TestEvaluate:
 @pytest.fixture(scope="module")
 def trained_tiny(tiny_corpus, tiny_dataset):
     train_set, test_set = stratified_split(tiny_dataset, 0.25, seed=0)
-    scaler = fit_scaler(train_set)
-    scaled = LabeledDataset(features=scale_rows(scaler, train_set.features),
-                            labels=train_set.labels, label_map=train_set.label_map,
-                            source_paths=train_set.source_paths)
-    model = init_model([26, 32, 32, 4], seed=0, scaler=scaler,
+    model = init_model([26, 32, 32, 4], seed=0, scaler=fit_scaler(train_set),
                        label_map=tiny_dataset.label_map, extraction=TINY_EX)
-    model, _ = train(model, scaled, TrainConfig(epochs=25, batch_size=8, seed=0))
+    model, _ = train(model, train_set, TrainConfig(epochs=25, batch_size=8, seed=0))
     return model, test_set
 
 
@@ -136,10 +131,6 @@ class TestNoiseValidation:
         model, _ = trained_tiny
         with pytest.raises(ValueError):
             noise_validation(model, tiny_corpus, [], seed=0)
-
-    def test_model_without_extraction_settings(self, tiny_corpus):
-        with pytest.raises(ValueError, match="no bundled extraction settings"):
-            noise_validation(passthrough_model(), tiny_corpus, [0.05], seed=0)
 
     def test_default_scales(self):
         from wrice.evaluation import DEFAULT_NOISE_SCALES

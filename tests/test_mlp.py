@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grads
-from wrice.dataset import Extraction, LabeledDataset, Scaler
+from conftest import edit_model_header, finite_difference_grads, identity_bundle
+from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
@@ -16,6 +16,12 @@ from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
 from wrice.mlp import (MODEL_VERSION, AdamState, MlpModel, TrainConfig, adam_step,
                        backward, forward, init_model, layer_dims_for, load_model,
                        loss_sparse_ce, predict, save_model, softmax, train)
+
+
+def bundled(layer_dims, seed=0):
+    """`init_model` with an identity scaler: the rows it trains on and
+    predicts are exactly the raw ones."""
+    return init_model(layer_dims, seed=seed, **identity_bundle(layer_dims))
 
 
 def blob_dataset(n_per_class=20, seed=0):
@@ -34,12 +40,12 @@ class TestInit:
         dims = layer_dims_for("paper4", 26, 4)
         assert dims == [26, 512, 512, 512, 4]
         assert layer_dims_for("compact3", 26, 4) == [26, 512, 512, 4]
-        model = init_model(dims, seed=0)
+        model = bundled(dims, seed=0)
         assert [w.shape for w in model.weights] == [(512, 26), (512, 512),
                                                     (512, 512), (4, 512)]
 
     def test_glorot_bounds(self):
-        model = init_model([26, 512, 4], seed=1)
+        model = bundled([26, 512, 4], seed=1)
         for w, fan_in, fan_out in zip(model.weights, [26, 512], [512, 4]):
             limit = np.sqrt(6 / (fan_in + fan_out))
             assert np.abs(w).max() <= limit
@@ -47,21 +53,21 @@ class TestInit:
             np.testing.assert_array_equal(b, 0.0)
 
     def test_seed_determinism(self):
-        a = init_model([5, 8, 3], seed=7)
-        b = init_model([5, 8, 3], seed=7)
+        a = bundled([5, 8, 3], seed=7)
+        b = bundled([5, 8, 3], seed=7)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
-            init_model([26], seed=0)
+            bundled([26], seed=0)
         with pytest.raises(ValueError):
-            init_model([26, 0, 4], seed=0)
+            bundled([26, 0, 4], seed=0)
 
 
 class TestFlatLayout:
     def test_views_share_memory_with_params(self):
-        model = init_model([3, 5, 2], seed=0)
+        model = bundled([3, 5, 2], seed=0)
         assert model.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
         for view in model.weights + model.biases + model.parameters():
             assert np.shares_memory(view, model.params)
@@ -73,7 +79,7 @@ class TestFlatLayout:
         np.testing.assert_array_equal(model.params[-2:], 9.0)
 
     def test_copy_shares_no_memory(self):
-        model = init_model([3, 5, 2], seed=0)
+        model = bundled([3, 5, 2], seed=0)
         twin = model.copy()
         assert not np.shares_memory(twin.params, model.params)
         np.testing.assert_array_equal(twin.params, model.params)
@@ -84,19 +90,19 @@ class TestFlatLayout:
                              ids=["short", "long", "not-flat"])
     def test_params_length_must_match_the_dims(self, params):
         with pytest.raises(ValueError, match=r"params shape .*; layer_dims \[3, 4, 1\] need 21$"):
-            MlpModel(layer_dims=[3, 4, 1], params=params)
+            MlpModel(layer_dims=[3, 4, 1], params=params, **identity_bundle([3, 4, 1]))
 
 
 class TestForward:
     def test_probabilities_sum_to_one(self):
-        model = init_model([6, 16, 4], seed=2)
+        model = bundled([6, 16, 4], seed=2)
         rng = np.random.default_rng(0)
         probs = forward(model, rng.normal(size=(10, 6)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert ((probs >= 0) & (probs <= 1)).all()
 
     def test_zero_parameters_give_uniform(self):
-        model = init_model([6, 8, 4], seed=0)
+        model = bundled([6, 8, 4], seed=0)
         for w in model.weights:
             w[:] = 0.0
         probs = forward(model, np.ones(6))
@@ -105,14 +111,15 @@ class TestForward:
     def test_relu_blocks_negative_preactivation(self):
         # one hidden unit wired straight through: y-logit = relu(x)
         # w0 = [[1]], b0 = [0], w1 = [[1], [0]], b1 = [0, 0]
-        model = MlpModel(layer_dims=[1, 1, 2], params=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]))
+        model = MlpModel(layer_dims=[1, 1, 2], params=np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+                         **identity_bundle([1, 1, 2]))
         negative = forward(model, np.array([-3.0]))
         np.testing.assert_allclose(negative, [0.5, 0.5], atol=1e-12)
         positive = forward(model, np.array([3.0]))
         assert positive[0] > 0.9
 
     def test_dim_mismatch(self):
-        model = init_model([6, 8, 4], seed=0)
+        model = bundled([6, 8, 4], seed=0)
         with pytest.raises(ValueError):
             forward(model, np.zeros(5))
 
@@ -155,7 +162,7 @@ class TestLoss:
 
 class TestBackward:
     def test_output_gradient_is_probs_minus_onehot(self):
-        model = init_model([3, 2], seed=3)
+        model = bundled([3, 2], seed=3)
         x = np.array([0.5, -1.0, 2.0])
         probs = forward(model, x)
         grad_w, grad_b = backward(model, x, [1])
@@ -176,7 +183,7 @@ class TestBackward:
                 assert (np.abs(got - ref) / scale).max() < 1e-4
 
     def test_duplicating_batch_leaves_gradients_unchanged(self):
-        model = init_model([4, 6, 3], seed=5)
+        model = bundled([4, 6, 3], seed=5)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
         y = np.array([0, 2, 1])
@@ -186,69 +193,63 @@ class TestBackward:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_batch(self):
-        model = init_model([4, 3], seed=0)
+        model = bundled([4, 3], seed=0)
         with pytest.raises(ValueError):
             backward(model, np.empty((0, 4)), np.empty(0, dtype=int))
 
 
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
-        params = [np.array([1.0, -2.0, 3.0])]
-        grads = [np.array([0.5, -0.25, 4.0])]
+        params = np.array([1.0, -2.0, 3.0])
         state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.01)
-        adam_step(params, grads, state, cfg)
+        adam_step(params, np.array([0.5, -0.25, 4.0]), state, cfg)
         # bias-corrected m/sqrt(v) is sign(g) on the first step
-        np.testing.assert_allclose(params[0], [1.0 - 0.01, -2.0 + 0.01, 3.0 - 0.01],
-                                   atol=1e-6)
+        np.testing.assert_allclose(params, [1.0 - 0.01, -2.0 + 0.01, 3.0 - 0.01], atol=1e-6)
         assert state.t == 1
 
     def test_zero_gradient_keeps_parameters(self):
-        params = [np.array([1.0, 2.0])]
+        params = np.array([1.0, 2.0])
         state = AdamState.for_params(params)
-        adam_step(params, [np.zeros(2)], state, TrainConfig())
-        np.testing.assert_array_equal(params[0], [1.0, 2.0])
+        adam_step(params, np.zeros(2), state, TrainConfig())
+        np.testing.assert_array_equal(params, [1.0, 2.0])
 
     def test_identical_trajectories(self):
         def run():
-            params = [np.array([0.3, -0.7])]
+            params = np.array([0.3, -0.7])
             state = AdamState.for_params(params)
             cfg = TrainConfig(learning_rate=0.05)
             for step in range(20):
-                g = [np.array([np.sin(step + 1.0), np.cos(step + 1.0)])]
-                adam_step(params, g, state, cfg)
-            return params[0]
+                adam_step(params, np.array([np.sin(step + 1.0), np.cos(step + 1.0)]),
+                          state, cfg)
+            return params
 
         np.testing.assert_array_equal(run(), run())
 
     def test_matches_the_textbook_update(self):
         rng = np.random.default_rng(3)
-        shapes = [(4, 3), (4,), (2, 4), (2,)]
-        params = [rng.normal(size=s) for s in shapes]
-        ref_p = [p.copy() for p in params]
-        ref_m = [np.zeros(s) for s in shapes]
-        ref_v = [np.zeros(s) for s in shapes]
+        params = rng.normal(size=30)  # the length of a [3, 4, 2] model's params
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(30), np.zeros(30)
         state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.05)
         b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
         for t in range(1, 7):
-            grads = [rng.normal(size=s) for s in shapes]
-            adam_step(params, grads, state, cfg)
-            for i, g in enumerate(grads):
-                ref_m[i] = b1 * ref_m[i] + (1 - b1) * g
-                ref_v[i] = b2 * ref_v[i] + (1 - b2) * g * g
-                m_hat = ref_m[i] / (1 - b1**t)
-                v_hat = ref_v[i] / (1 - b2**t)
-                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            g = rng.normal(size=30)
+            adam_step(params, g, state, cfg)
+            ref_m = b1 * ref_m + (1 - b1) * g
+            ref_v = b2 * ref_v + (1 - b2) * g * g
+            m_hat = ref_m / (1 - b1**t)
+            v_hat = ref_v / (1 - b2**t)
+            ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + eps)
         # the same per-element operations in the same order: bit-equal
-        for got, want in zip(params + state.m + state.v, ref_p + ref_m + ref_v):
+        for got, want in zip([params, state.m, state.v], [ref_p, ref_m, ref_v]):
             np.testing.assert_array_equal(got, want)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = AdamState.for_params(params)
-        with pytest.raises(ValueError):
-            adam_step(params, [np.zeros(4)], state, TrainConfig())
+        with pytest.raises(ValueError, match="differ"):
+            adam_step(params, np.zeros(4), state, TrainConfig())
 
 
 class TestTrain:
@@ -261,7 +262,7 @@ class TestTrain:
 
     def test_zero_epochs_returns_identical_model(self):
         ds = blob_dataset()
-        model = init_model([2, 8, 2], seed=1)
+        model = bundled([2, 8, 2], seed=1)
         trained, history = train(model, ds, TrainConfig(epochs=0, seed=1))
         assert history.loss == [] and history.accuracy == []
         for a, b in zip(model.parameters(), trained.parameters()):
@@ -269,7 +270,7 @@ class TestTrain:
 
     def test_input_model_not_mutated(self):
         ds = blob_dataset()
-        model = init_model([2, 8, 2], seed=1)
+        model = bundled([2, 8, 2], seed=1)
         before = [p.copy() for p in model.parameters()]
         train(model, ds, TrainConfig(epochs=3, batch_size=8, seed=1))
         for a, b in zip(before, model.parameters()):
@@ -280,7 +281,7 @@ class TestTrain:
         left = ds.features[ds.labels == 0][:, 0]
         right = ds.features[ds.labels == 1][:, 0]
         assert left.max() < right.min()  # the realized draw is linearly separable
-        model = init_model([2, 16, 2], seed=0)
+        model = bundled([2, 16, 2], seed=0)
         trained, history = train(model, ds, TrainConfig(epochs=60, batch_size=8,
                                                         learning_rate=0.01, seed=0))
         assert history.loss[-1] < 0.01
@@ -290,31 +291,38 @@ class TestTrain:
     def test_history_reproducible(self):
         ds = blob_dataset(seed=3)
         cfg = TrainConfig(epochs=5, batch_size=8, seed=9)
-        _, h1 = train(init_model([2, 8, 2], seed=4), ds, cfg)
-        _, h2 = train(init_model([2, 8, 2], seed=4), ds, cfg)
+        _, h1 = train(bundled([2, 8, 2], seed=4), ds, cfg)
+        _, h2 = train(bundled([2, 8, 2], seed=4), ds, cfg)
         assert h1.loss == h2.loss
         assert h1.accuracy == h2.accuracy
+
+    def test_raw_rows_are_scaled_by_the_model_scaler(self):
+        ds = blob_dataset()
+        scaler = Scaler(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.5]))
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=2)
+        model = init_model([2, 8, 2], seed=4, scaler=scaler, label_map=["left", "right"],
+                           extraction=Extraction())
+        trained, _ = train(model, ds, cfg)
+        # the same rows scaled beforehand, trained through an identity scaler
+        scaled = replace(ds, features=scale_rows(scaler, ds.features))
+        reference, _ = train(bundled([2, 8, 2], seed=4), scaled, cfg)
+        np.testing.assert_array_equal(trained.params, reference.params)
 
     def test_empty_training_set(self):
         ds = blob_dataset().subset([])
         with pytest.raises(ValueError):
-            train(init_model([2, 8, 2], seed=0), ds, TrainConfig(epochs=1))
+            train(bundled([2, 8, 2], seed=0), ds, TrainConfig(epochs=1))
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_diverging_loss_raises(self):
         with pytest.raises(NonFiniteError, match="training loss became nan"):
-            train(init_model([2, 8, 2], seed=0), blob_dataset(),
+            train(bundled([2, 8, 2], seed=0), blob_dataset(),
                   TrainConfig(epochs=5, batch_size=8, learning_rate=1e300, seed=0))
 
 
 class TestPredict:
-    def make_bundled(self, seed=0):
-        return init_model([3, 8, 4], seed=seed,
-                          scaler=Scaler(mean=np.zeros(3), std=np.ones(3)),
-                          label_map=["a", "b", "c", "d"])
-
     def test_label_matches_argmax(self):
-        model = self.make_bundled()
+        model = bundled([3, 8, 4])
         rng = np.random.default_rng(1)
         for _ in range(10):
             fv = FeatureVector(values=rng.normal(size=3))
@@ -322,25 +330,25 @@ class TestPredict:
             assert label == model.label_map[int(np.argmax(probs))]
 
     def test_zero_weights_tie_break_to_first_label(self):
-        model = self.make_bundled()
+        model = bundled([3, 8, 4])
         for w in model.weights:
             w[:] = 0.0
         label, probs = predict(model, FeatureVector(values=np.ones(3)))
-        assert label == "a"
+        assert label == "c0"
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_scaling_applied_internally(self):
         model = init_model([2, 6, 3], seed=3,
                            scaler=Scaler(mean=np.array([10.0, -5.0]),
                                          std=np.array([2.0, 4.0])),
-                           label_map=["x", "y", "z"])
+                           label_map=["x", "y", "z"], extraction=Extraction())
         raw = np.array([12.0, -1.0])
         _, probs = predict(model, FeatureVector(values=raw))
         np.testing.assert_allclose(probs, forward(model, np.array([1.0, 1.0])),
                                    atol=1e-15)
 
     def test_segment_matrix_averages_segment_probabilities(self):
-        model = self.make_bundled(seed=2)
+        model = bundled([3, 8, 4], seed=2)
         rows = np.random.default_rng(4).normal(scale=3.0, size=(3, 3))
         label, probs = predict(model, rows)
         per_segment = forward(model, rows)  # identity scaler
@@ -349,13 +357,8 @@ class TestPredict:
         _, single = predict(model, FeatureVector(values=rows[0]))
         np.testing.assert_array_equal(predict(model, rows[:1])[1], single)
 
-    def test_unbundled_model_rejected(self):
-        model = init_model([2, 4, 2], seed=0)
-        with pytest.raises(ValueError):
-            predict(model, FeatureVector(values=np.zeros(2)))
-
     def test_width_mismatch(self):
-        model = self.make_bundled()
+        model = bundled([3, 8, 4])
         with pytest.raises(SchemaMismatchError):
             predict(model, FeatureVector(values=np.zeros(5)))
 
@@ -385,10 +388,9 @@ class TestPersistence:
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
 
     @pytest.mark.parametrize("extraction", [
-        None,
         Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128),
                    FeatureConfig(n_mfcc=13, n_mels=40)),
-    ], ids=["none", "non-default"])
+    ], ids=["non-default"])
     def test_round_trip_keeps_the_extraction(self, tmp_path, extraction):
         model = replace(self.make_model(), extraction=extraction)
         path = tmp_path / "model.wrice"
@@ -402,7 +404,7 @@ class TestPersistence:
         assert model.extraction == Extraction(
             11025, 1.5, StftConfig(frame_len=1024, hop=256), FeatureConfig(n_mels=40))
         assert model.label_map == ["p", "q", "r"]
-        np.testing.assert_array_equal(model.params, init_model([4, 5, 3], seed=1).params)
+        np.testing.assert_array_equal(model.params, bundled([4, 5, 3], seed=1).params)
         save_model(model, tmp_path / "again.wrice")
         assert (tmp_path / "again.wrice").read_bytes() == fixture.read_bytes()
 
@@ -413,14 +415,37 @@ class TestPersistence:
         pytest.param(lambda h: h["audio"].update(sample_rate=None), id="rate-null"),
     ])
     def test_partial_extraction_settings_are_corrupt(self, tmp_path, edit):
-        path = tmp_path / "model.wrice"
-        save_model(self.make_model(), path)
-        head, _, body = path.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        edit(header)
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(CorruptModelError, match="partial extraction settings"):
-            load_model(path)
+        save_model(self.make_model(), tmp_path / "model.wrice")
+        with pytest.raises(CorruptModelError, match="malformed model file"):
+            load_model(edit_model_header(tmp_path / "model.wrice", tmp_path / "edited.wrice",
+                                         edit))
+
+    # every model carries all of its bundle; no section may be null
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(scaler=None), id="scaler-null"),
+        pytest.param(lambda h: h.update(label_map=None), id="label-map-null"),
+        pytest.param(lambda h: h.update(stft=None, features=None,
+                                        audio={"sample_rate": None, "segment_seconds": None}),
+                     id="extraction-null"),
+    ])
+    def test_null_bundle_section_is_corrupt(self, tmp_path, edit):
+        save_model(self.make_model(), tmp_path / "model.wrice")
+        with pytest.raises(CorruptModelError, match="malformed model file"):
+            load_model(edit_model_header(tmp_path / "model.wrice", tmp_path / "edited.wrice",
+                                         edit))
+
+    # the checksum is recomputed, so only the width check can refuse them
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(label_map=h["label_map"][:1]), id="one-label"),
+        pytest.param(lambda h: h.update(scaler={"mean": [0.0, 1.0, 2.0, 3.0, 4.0],
+                                                "std": [1.5] * 5}), id="5-wide-scaler"),
+    ])
+    def test_bundle_narrower_or_wider_than_the_layers_is_corrupt(self, tmp_path, edit):
+        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
+        edited = edit_model_header(fixture, tmp_path / "edited.wrice", edit, rehash=True)
+        with pytest.raises(CorruptModelError,
+                           match=r"malformed model file .*layer_dims \[4, 5, 3\] need"):
+            load_model(edited)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_not_saved(self, tmp_path, bad):
@@ -494,15 +519,10 @@ class TestPersistence:
         pytest.param(lambda h: h["audio"].update(sample_rate=44100), id="sample-rate"),
     ])
     def test_checksum_covers_the_header(self, tmp_path, edit):
-        model = self.make_model()
-        path = tmp_path / "model.wrice"
-        save_model(model, path)
-        head, _, body = path.read_bytes().partition(b"\n")
-        header = json.loads(head)
-        edit(header)
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        save_model(self.make_model(), tmp_path / "model.wrice")
         with pytest.raises(CorruptModelError, match="checksum mismatch"):
-            load_model(path)
+            load_model(edit_model_header(tmp_path / "model.wrice", tmp_path / "edited.wrice",
+                                         edit))
 
     def test_other_schema_version_rejected(self, tmp_path):
         model = self.make_model()
