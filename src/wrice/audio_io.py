@@ -69,6 +69,7 @@ def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
         OSError: the file cannot be read.
     """
     data = Path(path).read_bytes()
+    view = memoryview(data)  # chunk bodies are slices of it, not copies
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
@@ -78,7 +79,7 @@ def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedWavError(f"{path}: chunk {chunk_id!r} truncated")
         if chunk_id == b"fmt ":
@@ -101,11 +102,13 @@ def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
     samples = samples[: frame_count * channels].reshape(frame_count, channels)
     info = WavInfo(channels=channels, bits_per_sample=bits,
                    sample_rate=sample_rate, frame_count=frame_count)
-    buffers = [AudioBuffer(samples[:, c].copy(), sample_rate) for c in range(channels)]
+    # a mono file's (n, 1) column is contiguous already, so it is not copied
+    buffers = [AudioBuffer(np.ascontiguousarray(samples[:, c]), sample_rate)
+               for c in range(channels)]
     return info, buffers
 
 
-def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
+def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
         raise MalformedWavError(f"{path}: fmt chunk too short")
     format_tag, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
@@ -117,7 +120,9 @@ def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
     return format_tag, channels, sample_rate, bits
 
 
-def _decode_samples(payload: bytes, format_tag: int, bits: int, path) -> np.ndarray:
+def _decode_samples(payload: memoryview, format_tag: int, bits: int,
+                    path) -> np.ndarray:
+    """The payload's samples as one new float64 array, scaled in place."""
     if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedEncodingError(f"{path}: {bits}-bit float WAV not supported")
@@ -133,12 +138,15 @@ def _decode_samples(payload: bytes, format_tag: int, bits: int, path) -> np.ndar
         raw = raw[: (len(raw) // 3) * 3].reshape(-1, 3).astype(np.int32)
         vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
         vals = (vals ^ 0x800000) - 0x800000  # sign-extend
-        return vals.astype(np.float64) / float(2**23)
+        out = vals.astype(np.float64)
+        out /= float(2**23)
+        return out
     if bits not in _PCM_DTYPES:
         raise UnsupportedEncodingError(f"{path}: {bits}-bit PCM not supported")
     n = len(payload) // (bits // 8)
-    vals = np.frombuffer(payload, dtype=_PCM_DTYPES[bits], count=n)
-    return vals.astype(np.float64) / float(2 ** (bits - 1))
+    out = np.frombuffer(payload, dtype=_PCM_DTYPES[bits], count=n).astype(np.float64)
+    out /= float(2 ** (bits - 1))
+    return out
 
 
 def write_wav(path, channels: AudioBuffer | Sequence[AudioBuffer],

@@ -3,8 +3,9 @@
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
 spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
 shared frame grid. Each family is one public per-frame function, which
-returns one value (MFCC: one row) per frame: `zcr` and `rms` read raw
-frames, `centroids` and `bandwidths` one-sided magnitudes, `rolloffs`,
+returns one value (MFCC: one row) per frame: `zcr` reads the whole
+signal (one pass, not one per overlapping frame), `rms` raw frames,
+`centroids` and `bandwidths` one-sided magnitudes, `rolloffs`,
 `chromas` and `mfccs` the power (squared magnitudes, with sparse mel and
 chroma projections). `extract_features` sums them over the blocks of
 `dsp.spectrum_blocks`, so no full spectrogram is held.
@@ -86,10 +87,26 @@ class FeatureVector:
         return self.values.shape[0]
 
 
-def zcr(frames: np.ndarray) -> np.ndarray:
-    """Zero-crossing rate of each raw frame; zero counts as non-negative."""
-    nonneg = frames >= 0
-    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / frames.shape[1]
+def zcr(samples: np.ndarray, stft_cfg: StftConfig) -> np.ndarray:
+    """Zero-crossing rate of each frame of `frame_signal(samples, stft_cfg)`:
+    the sign changes between adjacent samples of the frame over its length,
+    zero counting as non-negative. A signal shorter than one frame gives
+    none.
+
+    The changes are found once over the whole signal, as the sorted
+    indices i of the samples whose sign differs from sample i + 1's. A
+    frame of n samples from sample s holds the changes with s <= i < s + n - 1,
+    so two binary searches count them. The counts are integers, so the
+    rates equal those of counting each frame on its own, bit for bit."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n, hop = stft_cfg.frame_len, stft_cfg.hop
+    if len(samples) < n:
+        return np.empty(0)
+    starts = np.arange((len(samples) - n) // hop + 1) * hop
+    nonneg = samples[: starts[-1] + n] >= 0  # the samples the frames cover
+    changes = np.flatnonzero(nonneg[1:] != nonneg[:-1])
+    counts = np.searchsorted(changes, starts + n - 1) - np.searchsorted(changes, starts)
+    return counts / n
 
 
 def rms(frames: np.ndarray) -> np.ndarray:
@@ -109,10 +126,10 @@ def bandwidths(mags, freqs, centroids) -> np.ndarray:
     """`BANDWIDTH_ORDER`-th order magnitude-weighted spread of each row about
     its centroid; a silent row gives 0."""
     totals = mags.sum(axis=1)
-    # built in place: no temporaries of the block's size beyond `deviations`
+    # built in place: no temporaries of the block's size beyond `deviations`;
+    # squaring stands for |d| ** BANDWIDTH_ORDER, exactly, because the order is 2
     deviations = np.subtract(freqs[None, :], centroids[:, None])
-    np.abs(deviations, out=deviations)
-    deviations **= BANDWIDTH_ORDER
+    np.square(deviations, out=deviations)
     moments = np.einsum("fb,fb->f", mags, deviations)
     normed = np.divide(moments, totals, out=np.zeros_like(moments), where=totals > 0)
     return normed ** (1.0 / BANDWIDTH_ORDER)
@@ -196,15 +213,18 @@ def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndar
 
 
 @lru_cache(maxsize=8)
-def _mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_array:
+def mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_array:
+    """`mel_filterbank` as a read-only sparse matrix (cached), the `bank`
+    that `mfccs` takes."""
     bank = csr_array(mel_filterbank(cfg, frame_len, sample_rate))
     bank.data.setflags(write=False)
     return bank
 
 
 @lru_cache(maxsize=8)
-def _chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
-    """(12, n_bins) 0/1 map of FFT bins onto pitch classes; DC maps to none."""
+def chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
+    """(12, n_bins) read-only 0/1 map of FFT bins onto pitch classes (cached),
+    the `projector` that `chromas` takes; DC maps to none."""
     positive = np.arange(1, frame_len // 2 + 1)
     freqs = positive * (sample_rate / frame_len)
     classes = np.round(12.0 * np.log2(freqs / 440.0)).astype(int) % 12  # 0 is A4 = 440 Hz
@@ -218,19 +238,22 @@ def extract_features(buf, stft_cfg: StftConfig | None = None,
                      feat_cfg: FeatureConfig | None = None) -> FeatureVector:
     """Compute all feature families on one shared frame grid, one block of
     frames at a time: a block is squared once and each family's per-frame
-    values go into running sums. Raises ValueError as `spectrum_blocks` does."""
+    values go into running sums (the zero-crossing rates are taken in one
+    pass over the signal first, then summed block by block). Raises
+    ValueError as `spectrum_blocks` does."""
     stft_cfg = stft_cfg or StftConfig()
     feat_cfg = feat_cfg or FeatureConfig()
     freqs = np.arange(stft_cfg.frame_len // 2 + 1) * (buf.sample_rate / stft_cfg.frame_len)
-    bank = _mel_projector(feat_cfg, stft_cfg.frame_len, buf.sample_rate)
-    chroma = _chroma_projector(stft_cfg.frame_len, buf.sample_rate)
+    bank = mel_projector(feat_cfg, stft_cfg.frame_len, buf.sample_rate)
+    chroma = chroma_projector(stft_cfg.frame_len, buf.sample_rate)
     sums = np.zeros(feat_cfg.n_features)
     n_frames = 0
+    rates = zcr(buf.samples, stft_cfg)
     for frames, mags in spectrum_blocks(buf.samples, stft_cfg):
         power = np.square(mags)
         centers = centroids(mags, freqs)
         sums += np.column_stack([
-            zcr(frames), centers,
+            rates[n_frames : n_frames + frames.shape[0]], centers,
             bandwidths(mags, freqs, centers), rolloffs(power, freqs), rms(frames),
             chromas(power, chroma), mfccs(power, bank, feat_cfg),
         ]).sum(axis=0)

@@ -111,7 +111,8 @@ class MlpModel:
     file's body order (w0, b0, w1, b1, ...). `weights`, `biases` and
     `parameters()` are views into it, so a write through them changes
     `params`, and rebinding `params` would leave them stale. The scaler is
-    as wide as the input layer; the label map names each output.
+    as wide as the input layer; the label map is a list of distinct names,
+    one per output.
     """
 
     layer_dims: list[int]
@@ -133,6 +134,10 @@ class MlpModel:
         if self.scaler.mean.shape != (dims[0],) or len(self.label_map) != dims[-1]:
             raise ValueError(f"layer_dims {dims} need a {dims[0]}-wide scaler and {dims[-1]} "
                              f"labels, got {self.scaler.mean.size} and {len(self.label_map)}")
+        if (not isinstance(self.label_map, list)
+                or not all(isinstance(name, str) for name in self.label_map)
+                or len(set(self.label_map)) != len(self.label_map)):
+            raise ValueError(f"label map must be a list of distinct names, got {self.label_map!r}")
         tensors = _views(self.params, dims)
         self.weights, self.biases = tensors[0::2], tensors[1::2]
 

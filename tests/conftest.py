@@ -3,8 +3,10 @@
 Two transform oracles that share no code with `numpy.fft`, which the package
 uses: `naive_dft`, a deliberate O(n^2) matrix product, and an iterative
 radix-2 FFT (`fft`, and `rfft`, which packs real frames into a half-length
-complex FFT), checked against it. `family_means` applies the package's
-per-frame family functions to whole frame and magnitude arrays, so feature
+complex FFT), checked against it. `frame_zcr` counts sign changes frame by
+frame, independently of `features.zcr`'s one pass over the signal.
+`family_means` applies the package's per-frame family functions (and
+`frame_zcr`) to whole frame and magnitude arrays, so feature
 tests can pin degenerate spectra directly and compare `extract_features`,
 which reduces block by block, against one pass over everything.
 """
@@ -20,8 +22,8 @@ import pytest
 from wrice.audio_io import AudioBuffer
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import StftConfig, spectrum_blocks
-from wrice.features import (FeatureConfig, _chroma_projector, _mel_projector, bandwidths,
-                            centroids, chromas, mfccs, rms, rolloffs, zcr)
+from wrice.features import (FeatureConfig, bandwidths, centroids, chroma_projector, chromas,
+                            mel_projector, mfccs, rms, rolloffs)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -202,20 +204,28 @@ def magnitudes(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
     return np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
 
 
+def frame_zcr(frames: np.ndarray) -> np.ndarray:
+    """Zero-crossing rate of each row of a frame matrix, counted row by row
+    (zero counts as non-negative): the oracle for `features.zcr`, which
+    counts each sign change of the signal once."""
+    nonneg = frames >= 0
+    return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / frames.shape[1]
+
+
 def family_means(frames, mags, sample_rate: int = 22050,
                  feat_cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """The feature vector in schema order: each per-frame family function
-    applied once to all of `frames` (raw) and `mags` (their magnitudes),
-    then averaged over the frames."""
+    (for ZCR, the `frame_zcr` oracle) applied once to all of `frames` (raw)
+    and `mags` (their magnitudes), then averaged over the frames."""
     frame_len = 2 * (mags.shape[1] - 1)
     freqs = bin_freqs(frame_len, sample_rate)
     power = np.square(mags)
     centers = centroids(mags, freqs)
     return np.concatenate([
-        [zcr(frames).mean(), centers.mean(), bandwidths(mags, freqs, centers).mean(),
+        [frame_zcr(frames).mean(), centers.mean(), bandwidths(mags, freqs, centers).mean(),
          rolloffs(power, freqs).mean(), rms(frames).mean(),
-         chromas(power, _chroma_projector(frame_len, sample_rate)).mean()],
-        mfccs(power, _mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
+         chromas(power, chroma_projector(frame_len, sample_rate)).mean()],
+        mfccs(power, mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
     ])
 
 

@@ -1,6 +1,7 @@
 """WAV decode/encode, mixdown, resampling, segmentation."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,45 @@ class TestReadWav:
         assert info.channels == 2 and len(bufs) == 2
         np.testing.assert_array_equal(bufs[0].samples, [0.5, 0.25])
         np.testing.assert_array_equal(bufs[1].samples, [-0.5, -0.25])
+
+    def test_stereo_channels_are_separate_contiguous_arrays(self, tmp_path):
+        payload = struct.pack("<6h", 16384, -16384, 8192, -8192, 4096, -4096)
+        _, bufs = read_wav(write_blob(tmp_path, wav_bytes(payload, channels=2)))
+        assert all(buf.samples.flags.c_contiguous for buf in bufs)
+        bufs[0].samples[:] = 1.0
+        np.testing.assert_array_equal(bufs[1].samples, [-0.5, -0.25, -0.125])
+
+    @pytest.mark.parametrize("fmt,bits", [("<i2", 16), ("<i4", 24), ("<i4", 32), ("<f4", 32)])
+    def test_decodes_to_the_scaled_values_bit_for_bit(self, tmp_path, fmt, bits):
+        rng = np.random.default_rng(bits)
+        if fmt == "<f4":
+            vals = rng.uniform(-1, 1, size=999).astype(fmt)
+            want, blob = vals.astype(np.float64), wav_bytes(vals.tobytes(), format_tag=3, bits=32)
+        else:
+            vals = rng.integers(-2 ** (bits - 1), 2 ** (bits - 1), size=999).astype(fmt)
+            raw = vals.tobytes()
+            if bits == 24:  # the low three bytes of each little-endian int32
+                raw = np.frombuffer(raw, np.uint8).reshape(-1, 4)[:, :3].tobytes()
+            want, blob = vals.astype(np.float64) / 2 ** (bits - 1), wav_bytes(raw, bits=bits)
+        _, bufs = read_wav(write_blob(tmp_path, blob))
+        np.testing.assert_array_equal(bufs[0].samples, want)
+
+    def test_peak_memory_of_a_thirty_second_mono_file(self, tmp_path):
+        n = 30 * 22050
+        path = tmp_path / "long.wav"
+        write_wav(path, AudioBuffer(0.5 * np.sin(0.01 * np.arange(n)), 22050))
+        read_wav(path)
+        tracemalloc.start()
+        try:
+            read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes, one float64 array and slack (the finiteness check's
+        # n bools); the payload is never copied and the mono channel never
+        # copied out of the decoded array
+        bound = path.stat().st_size + 8 * n + 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -7,13 +7,13 @@ import pytest
 
 import scipy.fft
 
-from conftest import (bin_freqs, family_means, magnitudes, naive_dft, noise_buffer, rfft,
-                      sine_buffer)
+from conftest import (bin_freqs, family_means, frame_zcr, magnitudes, naive_dft, noise_buffer,
+                      rfft, sine_buffer)
 from wrice.audio_io import AudioBuffer
 from wrice.dsp import BLOCK_FRAMES, StftConfig, frame_signal, hann_window
-from wrice.features import (FeatureConfig, FeatureVector, _chroma_projector, bandwidths,
-                            centroids, chromas, dct_ortho_matrix, extract_features,
-                            feature_names, hz_to_mel, mel_filterbank, mfccs,
+from wrice.features import (BANDWIDTH_ORDER, FeatureConfig, FeatureVector, bandwidths,
+                            centroids, chroma_projector, chromas, dct_ortho_matrix,
+                            extract_features, feature_names, hz_to_mel, mel_filterbank, mfccs,
                             mfccs_from_mel_energies, rms, rolloffs, zcr)
 from wrice.synth import spec_for_category, synth_sample
 
@@ -36,17 +36,20 @@ def one_bin(index: int, value: float = 1.0) -> np.ndarray:
 
 class TestZcr:
     def test_constant_signal_never_crosses(self):
-        np.testing.assert_array_equal(zcr(np.ones((3, 64))), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(zcr(np.ones(3 * 64), StftConfig(64, 64)), [0.0, 0.0, 0.0])
 
     def test_alternating_signal(self):
         n = 64
         frame = np.tile([1.0, -1.0], n // 2)
-        assert zcr(frame[None, :]) == pytest.approx([(n - 1) / n])
+        assert zcr(frame, StftConfig(n, n)) == pytest.approx([(n - 1) / n])
 
     def test_zero_counts_as_nonnegative(self):
         # 0 -> -1 flips, -1 -> 0 flips, 0 -> 1 does not
-        frame = np.array([[0.0, -1.0, 0.0, 1.0]])
-        assert zcr(frame) == pytest.approx([2 / 4])
+        frame = np.array([0.0, -1.0, 0.0, 1.0])
+        assert zcr(frame, StftConfig(4, 4)) == pytest.approx([2 / 4])
+
+    def test_takes_any_sequence_of_samples(self):
+        np.testing.assert_array_equal(zcr([0, -1, 0, 1], StftConfig(4, 4)), [2 / 4])
 
     def test_sine_rate_approximates_2f_over_sr(self):
         freq = 500
@@ -60,7 +63,34 @@ class TestZcr:
 
     def test_no_frames(self):
         # one value per frame, so none for no frames
-        assert zcr(np.empty((0, 16))).shape == (0,)
+        assert zcr(np.zeros(15), StftConfig(16, 4)).shape == (0,)
+
+    @pytest.fixture(scope="class")
+    def with_zeros(self):
+        """2 s of rolling noise with exact zeros: a silent stretch, lone zero
+        samples, and from sample 20000 a stretch quantised coarsely enough
+        to hold runs of zeros between sign changes."""
+        samples = synth_sample(spec_for_category("wet_40"), SR, 21).samples[: 2 * SR].copy()
+        samples[3000:7000] = 0.0
+        samples[9000::997] = 0.0
+        samples[20000:30000] = np.round(4 * samples[20000:30000]) / 4
+        return samples
+
+    @pytest.mark.parametrize("frame_len,hop", [(2048, 512), (1024, 256), (2048, 500),
+                                               (256, 256), (512, 3)])
+    def test_one_pass_equals_counting_each_frame(self, with_zeros, frame_len, hop):
+        cfg = StftConfig(frame_len, hop)
+        # the whole signal, then one frame (exactly, and with hop - 1 samples
+        # left over) and too few samples for a frame, cut across the
+        # quantised stretch's start
+        cuts = [(with_zeros, None), (with_zeros[19900 : 19900 + frame_len], 1),
+                (with_zeros[19900 : 19899 + frame_len + hop], 1),
+                (with_zeros[19900 : 19899 + frame_len], 0)]
+        for samples, n_frames in cuts:
+            want = frame_zcr(frame_signal(samples, cfg))
+            got = zcr(samples, cfg)
+            assert np.array_equal(got, want), (len(samples), got, want)
+            assert n_frames is None or got.shape == (n_frames,)
 
 
 class TestRms:
@@ -123,6 +153,11 @@ class TestBandwidth:
             centroid = np.sum(mags * FREQS) / total
             per_frame.append(np.sqrt(np.sum(mags * (FREQS - centroid) ** 2) / total))
         assert got == pytest.approx(np.mean(per_frame), rel=1e-9)
+
+    def test_order_is_the_square_it_computes(self):
+        # `bandwidths` squares the deviations and model headers record
+        # `BANDWIDTH_ORDER`: the two must not drift apart
+        assert BANDWIDTH_ORDER == 2
 
 
 class TestRolloff:
@@ -197,7 +232,7 @@ def class_profile(mags: np.ndarray) -> np.ndarray:
 
 class TestChroma:
     def test_silence_is_zero(self):
-        projector = _chroma_projector(CFG.frame_len, SR)
+        projector = chroma_projector(CFG.frame_len, SR)
         np.testing.assert_array_equal(chromas(np.zeros((2, FREQS.size)), projector), [0, 0])
 
     def test_octaves_share_a_pitch_class(self):

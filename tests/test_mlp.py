@@ -52,6 +52,11 @@ class TestInit:
         for b in model.biases:
             np.testing.assert_array_equal(b, 0.0)
 
+    def test_duplicate_labels_refused(self):
+        bundle = identity_bundle([3, 4, 2])
+        with pytest.raises(ValueError, match="distinct"):
+            init_model([3, 4, 2], seed=0, **{**bundle, "label_map": ["c0", "c0"]})
+
     def test_seed_determinism(self):
         a = bundled([5, 8, 3], seed=7)
         b = bundled([5, 8, 3], seed=7)
@@ -445,6 +450,17 @@ class TestPersistence:
         edited = edit_model_header(fixture, tmp_path / "edited.wrice", edit, rehash=True)
         with pytest.raises(CorruptModelError,
                            match=r"malformed model file .*layer_dims \[4, 5, 3\] need"):
+            load_model(edited)
+
+    # the right length, so only the entry check can refuse them
+    @pytest.mark.parametrize("label_map", [["p", "p", "r"], "pqr", [1, 2, 3]],
+                             ids=["duplicate", "string", "numbers"])
+    def test_label_map_of_other_than_distinct_names_is_corrupt(self, tmp_path, label_map):
+        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
+        edited = edit_model_header(fixture, tmp_path / "edited.wrice",
+                                   lambda h: h.update(label_map=label_map), rehash=True)
+        with pytest.raises(CorruptModelError,
+                           match=r"malformed model file .*list of distinct names"):
             load_model(edited)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
