@@ -1,8 +1,9 @@
-"""WAV decoding/encoding, mono mixdown, resampling, and fixed-length segmentation.
+"""WAV decoding to mono, mono WAV encoding, resampling, and fixed-length segmentation.
 
-Handles little-endian RIFF/WAVE with uncompressed PCM (16/24/32-bit integer)
-or 32-bit IEEE-float data. Everything downstream works on mono float buffers
-in nominal [-1, 1] range.
+Decodes little-endian RIFF/WAVE with uncompressed PCM (16/24/32-bit integer)
+or 32-bit IEEE-float data, any channel count, mixed to mono on decode by the
+sample-wise mean of the channels. Encodes one mono buffer as integer PCM.
+Everything downstream works on mono float buffers in nominal [-1, 1] range.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -49,18 +49,12 @@ class AudioBuffer:
         return len(self) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class WavInfo:
-    channels: int
-    bits_per_sample: int
-    sample_rate: int
-    frame_count: int
-
-
-def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
-    """Decode a WAV file into one float buffer per channel.
+def read_wav(path) -> AudioBuffer:
+    """Decode a WAV file into the mono buffer that is analysed.
 
     Integer PCM is scaled by 1 / 2^(bits-1); 32-bit float data is taken as-is.
+    A file of more than one channel is mixed down to the sample-wise mean of
+    its channels.
 
     Raises:
         MalformedWavError: bad magic bytes or chunk structure.
@@ -100,12 +94,9 @@ def read_wav(path) -> tuple[WavInfo, list[AudioBuffer]]:
     samples = _decode_samples(payload, format_tag, bits, path)
     frame_count = len(samples) // channels
     samples = samples[: frame_count * channels].reshape(frame_count, channels)
-    info = WavInfo(channels=channels, bits_per_sample=bits,
-                   sample_rate=sample_rate, frame_count=frame_count)
-    # a mono file's (n, 1) column is contiguous already, so it is not copied
-    buffers = [AudioBuffer(np.ascontiguousarray(samples[:, c]), sample_rate)
-               for c in range(channels)]
-    return info, buffers
+    # a mono file's (n, 1) column is a contiguous view, so it is not copied
+    mono = samples[:, 0] if channels == 1 else samples.mean(axis=1)
+    return AudioBuffer(mono, sample_rate)
 
 
 def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
@@ -134,47 +125,33 @@ def _decode_samples(payload: memoryview, format_tag: int, bits: int,
     if format_tag != _WAVE_FORMAT_PCM:
         raise UnsupportedEncodingError(f"{path}: compressed WAV (format tag 0x{format_tag:04x})")
     if bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        raw = raw[: (len(raw) // 3) * 3].reshape(-1, 3).astype(np.int32)
-        vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        vals = (vals ^ 0x800000) - 0x800000  # sign-extend
-        out = vals.astype(np.float64)
-        out /= float(2**23)
-        return out
-    if bits not in _PCM_DTYPES:
+        # each sample's three bytes go to the high bytes of an int32, and an
+        # arithmetic shift brings them down with the sign extended
+        n = len(payload) // 3
+        padded = np.zeros((n, 4), dtype=np.uint8)
+        padded[:, 1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n).reshape(n, 3)
+        ints = padded.view("<i4").reshape(n)
+        ints >>= 8
+    elif bits in _PCM_DTYPES:
+        n = len(payload) // (bits // 8)
+        ints = np.frombuffer(payload, dtype=_PCM_DTYPES[bits], count=n)
+    else:
         raise UnsupportedEncodingError(f"{path}: {bits}-bit PCM not supported")
-    n = len(payload) // (bits // 8)
-    out = np.frombuffer(payload, dtype=_PCM_DTYPES[bits], count=n).astype(np.float64)
+    out = ints.astype(np.float64)
     out /= float(2 ** (bits - 1))
     return out
 
 
-def write_wav(path, channels: AudioBuffer | Sequence[AudioBuffer],
-              bits_per_sample: int = 16) -> None:
-    """Encode float buffers as little-endian integer PCM.
+def write_wav(path, buf: AudioBuffer, bits_per_sample: int = 16) -> None:
+    """Encode a mono buffer as little-endian integer PCM.
 
     Values outside [-1, 1] are clipped to the integer range. Decoded integer
     PCM re-encoded at the same bit depth round-trips exactly.
     """
-    if isinstance(channels, AudioBuffer):
-        channels = [channels]
-    if not channels:
-        raise ValueError("no channels to write")
     if bits_per_sample not in (16, 24, 32):
         raise ValueError(f"unsupported PCM bit depth {bits_per_sample}")
-    rate = channels[0].sample_rate
-    length = len(channels[0])
-    for ch in channels[1:]:
-        if ch.sample_rate != rate:
-            raise ValueError("channel sample rates differ")
-        if len(ch) != length:
-            raise ValueError("channel lengths differ")
-
     scale = 2 ** (bits_per_sample - 1)
-    interleaved = np.empty((length, len(channels)), dtype=np.float64)
-    for c, ch in enumerate(channels):
-        interleaved[:, c] = ch.samples
-    ints = np.clip(np.rint(interleaved * scale), -scale, scale - 1).astype(np.int32)
+    ints = np.clip(np.rint(buf.samples * scale), -scale, scale - 1).astype(np.int32)
 
     if bits_per_sample == 24:
         frames = ints.astype("<i4").tobytes()
@@ -184,32 +161,15 @@ def write_wav(path, channels: AudioBuffer | Sequence[AudioBuffer],
     else:
         frames = ints.astype("<i4").tobytes()
 
-    block_align = len(channels) * bits_per_sample // 8
-    fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, len(channels), rate,
-                      rate * block_align, block_align, bits_per_sample)
+    block_align = bits_per_sample // 8
+    fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, buf.sample_rate,
+                      buf.sample_rate * block_align, block_align, bits_per_sample)
     body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(frames)) + frames)
     if len(frames) & 1:
         body += b"\x00"
     blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     Path(path).write_bytes(blob)
-
-
-def to_mono(channels: Sequence[AudioBuffer]) -> AudioBuffer:
-    """Sample-wise arithmetic mean across channels."""
-    if not channels:
-        raise ValueError("to_mono needs at least one channel")
-    rate = channels[0].sample_rate
-    length = len(channels[0])
-    for ch in channels[1:]:
-        if len(ch) != length:
-            raise ValueError(f"channel length mismatch: {length} vs {len(ch)}")
-        if ch.sample_rate != rate:
-            raise ValueError("channel sample rates differ")
-    if len(channels) == 1:
-        return channels[0]
-    mixed = np.mean([ch.samples for ch in channels], axis=0)
-    return AudioBuffer(mixed, rate)
 
 
 def resample_linear(buf: AudioBuffer, target_rate: int) -> AudioBuffer:

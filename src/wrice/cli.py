@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import read_wav, to_mono, write_wav
+from .audio_io import read_wav, write_wav
 from .dsp import WINDOW, StftConfig, spectrum_blocks
 from .errors import WriceError
 
@@ -197,8 +197,7 @@ def _cmd_augment(args) -> int:
         _, pairs = ds_mod.corpus_files(src)
         rows = []
         for file_idx, (path, category) in enumerate(pairs):
-            _, channels = read_wav(path)
-            noisy = synth.add_noise(to_mono(channels), args.scale,
+            noisy = synth.add_noise(read_wav(path), args.scale,
                                     np.random.SeedSequence([args.seed, 0, file_idx]))
             target = out / category / path.name
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -211,8 +210,7 @@ def _cmd_augment(args) -> int:
             writer.writerows(rows)
         print(f"wrote {len(rows)} noisy files under {out}")
     else:
-        _, channels = read_wav(src)
-        noisy = synth.add_noise(to_mono(channels), args.scale, args.seed)
+        noisy = synth.add_noise(read_wav(src), args.scale, args.seed)
         write_wav(out, noisy)
         print(f"wrote {out}")
     return 0

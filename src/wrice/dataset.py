@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, resample_linear, segment, to_mono
+from .audio_io import read_wav, resample_linear, segment
 from .dsp import WINDOW, StftConfig
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
@@ -158,9 +158,8 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
 
 
 def load_audio(path, sample_rate: int = DEFAULT_SAMPLE_RATE):
-    """Read a WAV, mix to mono, and resample to the analysis rate."""
-    _, channels = read_wav(path)
-    return resample_linear(to_mono(channels), sample_rate)
+    """Read a WAV as mono and resample it to the analysis rate."""
+    return resample_linear(read_wav(path), sample_rate)
 
 
 def file_segments(buf, segment_seconds: float):

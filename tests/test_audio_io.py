@@ -1,4 +1,4 @@
-"""WAV decode/encode, mixdown, resampling, segmentation."""
+"""WAV decode (with mixdown to mono), encode, resampling, segmentation."""
 
 import struct
 import tracemalloc
@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import wav_bytes
-from wrice.audio_io import (AudioBuffer, read_wav, resample_linear, segment,
-                            to_mono, write_wav)
+from wrice.audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
 from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
+
+
+def _pcm_bytes(vals: np.ndarray, bits: int) -> bytes:
+    """Little-endian PCM bytes of integer samples (int16, or int32 for 24 and 32 bits)."""
+    raw = vals.tobytes()
+    if bits == 24:  # the low three bytes of each little-endian int32
+        raw = np.frombuffer(raw, np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return raw
 
 
 def write_blob(tmp_path, blob: bytes):
@@ -21,17 +28,17 @@ def write_blob(tmp_path, blob: bytes):
 class TestReadWav:
     def test_16bit_pcm_scaling(self, tmp_path):
         payload = struct.pack("<3h", 0, 16384, -16384)
-        info, bufs = read_wav(write_blob(tmp_path, wav_bytes(payload)))
-        assert info.bits_per_sample == 16
-        assert info.frame_count == 3
-        np.testing.assert_array_equal(bufs[0].samples, [0.0, 0.5, -0.5])
+        buf = read_wav(write_blob(tmp_path, wav_bytes(payload)))
+        assert buf.sample_rate == 44100
+        assert len(buf) == 3
+        np.testing.assert_array_equal(buf.samples, [0.0, 0.5, -0.5])
 
     def test_sample_rate_from_fmt_chunk(self, tmp_path):
         payload = struct.pack("<2h", 0, 0)
         blob = wav_bytes(payload, sample_rate=192000)
-        info, bufs = read_wav(write_blob(tmp_path, blob))
-        assert info.sample_rate == 192000
-        assert bufs[0].sample_rate == 192000
+        buf = read_wav(write_blob(tmp_path, blob))
+        assert buf.sample_rate == 192000
+        assert len(buf) == 2
 
     def test_bad_magic_rejected(self, tmp_path):
         blob = b"RIFX" + wav_bytes(struct.pack("<2h", 0, 0))[4:]
@@ -61,8 +68,8 @@ class TestReadWav:
     def test_float32_payload(self, tmp_path):
         payload = struct.pack("<3f", 0.25, -0.75, 1.0)
         blob = wav_bytes(payload, format_tag=3, bits=32)
-        _, bufs = read_wav(write_blob(tmp_path, blob))
-        np.testing.assert_allclose(bufs[0].samples, [0.25, -0.75, 1.0])
+        buf = read_wav(write_blob(tmp_path, blob))
+        np.testing.assert_allclose(buf.samples, [0.25, -0.75, 1.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_float32_names_the_file(self, tmp_path, bad):
@@ -75,23 +82,59 @@ class TestReadWav:
         # +2^22 then -2^22 as little-endian 3-byte two's complement
         payload = b"\x00\x00\x40" + b"\x00\x00\xc0"
         blob = wav_bytes(payload, bits=24)
-        _, bufs = read_wav(write_blob(tmp_path, blob))
-        np.testing.assert_array_equal(bufs[0].samples, [0.5, -0.5])
+        buf = read_wav(write_blob(tmp_path, blob))
+        np.testing.assert_array_equal(buf.samples, [0.5, -0.5])
+
+    def test_mono_file_is_a_view_of_the_decoded_array(self, tmp_path):
+        payload = struct.pack("<3h", 0, 16384, -16384)
+        buf = read_wav(write_blob(tmp_path, wav_bytes(payload)))
+        assert buf.samples.base is not None and buf.samples.flags.c_contiguous
+
+    def test_stereo_mean(self, tmp_path):
+        # frames (1 - 2^-15, 0) and (0.5, 0.5)
+        payload = struct.pack("<4h", 32767, 0, 16384, 16384)
+        buf = read_wav(write_blob(tmp_path, wav_bytes(payload, channels=2, sample_rate=8000)))
+        assert buf.sample_rate == 8000 and len(buf) == 2
+        np.testing.assert_array_equal(buf.samples, [32767 / 2**16, 0.5])
 
     def test_stereo_deinterleave(self, tmp_path):
-        payload = struct.pack("<4h", 16384, -16384, 8192, -8192)
-        blob = wav_bytes(payload, channels=2)
-        info, bufs = read_wav(write_blob(tmp_path, blob))
-        assert info.channels == 2 and len(bufs) == 2
-        np.testing.assert_array_equal(bufs[0].samples, [0.5, 0.25])
-        np.testing.assert_array_equal(bufs[1].samples, [-0.5, -0.25])
+        # left (0.5, 0.25), right (-0.25, 0.5): each frame's own pair is averaged
+        payload = struct.pack("<4h", 16384, -8192, 8192, 16384)
+        buf = read_wav(write_blob(tmp_path, wav_bytes(payload, channels=2)))
+        np.testing.assert_array_equal(buf.samples, [0.125, 0.375])
 
-    def test_stereo_channels_are_separate_contiguous_arrays(self, tmp_path):
-        payload = struct.pack("<6h", 16384, -16384, 8192, -8192, 4096, -4096)
-        _, bufs = read_wav(write_blob(tmp_path, wav_bytes(payload, channels=2)))
-        assert all(buf.samples.flags.c_contiguous for buf in bufs)
-        bufs[0].samples[:] = 1.0
-        np.testing.assert_array_equal(bufs[1].samples, [-0.5, -0.25, -0.125])
+    def test_a_partial_trailing_frame_is_dropped(self, tmp_path):
+        payload = struct.pack("<5h", 16384, -16384, 8192, 8192, 4096)
+        buf = read_wav(write_blob(tmp_path, wav_bytes(payload, channels=2)))
+        np.testing.assert_array_equal(buf.samples, [0.0, 0.25])
+
+    @pytest.mark.parametrize("channels", [2, 3])
+    @pytest.mark.parametrize("fmt,bits", [("<i2", 16), ("<i4", 24), ("<f4", 32)])
+    def test_mixdown_is_the_sequential_mean_bit_for_bit(self, tmp_path, channels, fmt, bits):
+        rng = np.random.default_rng(10 * channels + bits)
+        if fmt == "<f4":
+            vals = rng.uniform(-1, 1, size=(257, channels)).astype(fmt)
+            cols, blob = vals.astype(np.float64), wav_bytes(vals.tobytes(), format_tag=3,
+                                                            channels=channels, bits=32)
+        else:
+            vals = rng.integers(-2 ** (bits - 1), 2 ** (bits - 1),
+                                size=(257, channels)).astype(fmt)
+            cols = vals.astype(np.float64) / 2 ** (bits - 1)
+            blob = wav_bytes(_pcm_bytes(vals, bits), channels=channels, bits=bits)
+        want = cols[:, 0].copy()
+        for c in range(1, channels):
+            want += cols[:, c]
+        want /= channels
+        buf = read_wav(write_blob(tmp_path, blob))
+        assert buf.samples.flags.c_contiguous
+        np.testing.assert_array_equal(buf.samples, want)
+
+    def test_mixdown_never_exceeds_the_channel_peak(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vals = rng.uniform(-1, 1, size=(64, 3)).astype("<f4")
+        blob = wav_bytes(vals.tobytes(), format_tag=3, channels=3, bits=32)
+        buf = read_wav(write_blob(tmp_path, blob))
+        assert np.abs(buf.samples).max() <= np.abs(vals).max()
 
     @pytest.mark.parametrize("fmt,bits", [("<i2", 16), ("<i4", 24), ("<i4", 32), ("<f4", 32)])
     def test_decodes_to_the_scaled_values_bit_for_bit(self, tmp_path, fmt, bits):
@@ -101,17 +144,16 @@ class TestReadWav:
             want, blob = vals.astype(np.float64), wav_bytes(vals.tobytes(), format_tag=3, bits=32)
         else:
             vals = rng.integers(-2 ** (bits - 1), 2 ** (bits - 1), size=999).astype(fmt)
-            raw = vals.tobytes()
-            if bits == 24:  # the low three bytes of each little-endian int32
-                raw = np.frombuffer(raw, np.uint8).reshape(-1, 4)[:, :3].tobytes()
-            want, blob = vals.astype(np.float64) / 2 ** (bits - 1), wav_bytes(raw, bits=bits)
-        _, bufs = read_wav(write_blob(tmp_path, blob))
-        np.testing.assert_array_equal(bufs[0].samples, want)
+            want = vals.astype(np.float64) / 2 ** (bits - 1)
+            blob = wav_bytes(_pcm_bytes(vals, bits), bits=bits)
+        buf = read_wav(write_blob(tmp_path, blob))
+        np.testing.assert_array_equal(buf.samples, want)
 
-    def test_peak_memory_of_a_thirty_second_mono_file(self, tmp_path):
+    @pytest.mark.parametrize("bits", [16, 24, 32])
+    def test_peak_memory_of_a_thirty_second_mono_file(self, tmp_path, bits):
         n = 30 * 22050
         path = tmp_path / "long.wav"
-        write_wav(path, AudioBuffer(0.5 * np.sin(0.01 * np.arange(n)), 22050))
+        write_wav(path, AudioBuffer(0.5 * np.sin(0.01 * np.arange(n)), 22050), bits)
         read_wav(path)
         tracemalloc.start()
         try:
@@ -119,10 +161,11 @@ class TestReadWav:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the file's bytes, one float64 array and slack (the finiteness check's
-        # n bools); the payload is never copied and the mono channel never
-        # copied out of the decoded array
-        bound = path.stat().st_size + 8 * n + 2**20
+        # the file's bytes, one float64 array (and at 24 bits the samples
+        # padded to 4 bytes each) and slack (the finiteness check's n bools);
+        # the payload is never copied and the mono channel never copied out
+        # of the decoded array
+        bound = path.stat().st_size + (12 if bits == 24 else 8) * n + 2**20
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -138,39 +181,15 @@ def test_integer_pcm_roundtrip_exact(tmp_path, bits):
     buf = AudioBuffer(ints / scale, 48000)
     path = tmp_path / f"rt{bits}.wav"
     write_wav(path, buf, bits_per_sample=bits)
-    info, bufs = read_wav(path)
-    assert info.bits_per_sample == bits
-    np.testing.assert_array_equal(bufs[0].samples, buf.samples)
+    decoded = read_wav(path)
+    assert decoded.sample_rate == 48000
+    assert path.stat().st_size == 44 + bits // 8 * 300
+    np.testing.assert_array_equal(decoded.samples, buf.samples)
 
     # and a second encode produces identical bytes
     path2 = tmp_path / f"rt{bits}_again.wav"
-    write_wav(path2, bufs[0], bits_per_sample=bits)
+    write_wav(path2, decoded, bits_per_sample=bits)
     assert path.read_bytes() == path2.read_bytes()
-
-
-class TestToMono:
-    def test_stereo_mean(self):
-        left = AudioBuffer([1.0, 0.5], 8000)
-        right = AudioBuffer([0.0, 0.5], 8000)
-        np.testing.assert_array_equal(to_mono([left, right]).samples, [0.5, 0.5])
-
-    def test_single_channel_identity(self):
-        buf = AudioBuffer([0.1, -0.2, 0.3], 8000)
-        assert to_mono([buf]) is buf
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            to_mono([AudioBuffer(np.zeros(10), 8000), AudioBuffer(np.zeros(9), 8000)])
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            to_mono([])
-
-    def test_never_exceeds_max_input(self):
-        rng = np.random.default_rng(3)
-        chans = [AudioBuffer(rng.uniform(-1, 1, 64), 8000) for _ in range(3)]
-        peak_in = max(np.abs(c.samples).max() for c in chans)
-        assert np.abs(to_mono(chans).samples).max() <= peak_in
 
 
 class TestResample:

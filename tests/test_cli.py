@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestWorkflow:
                                                           capsys):
         parts = [next((workspace / "corpus" / c).glob("*.wav")) for c in ("dry_40", "wet_60")]
         wav = tmp_path / "long.wav"  # two 1.5 s analysis segments
-        write_wav(wav, AudioBuffer(np.concatenate([read_wav(p)[1][0].samples for p in parts]),
+        write_wav(wav, AudioBuffer(np.concatenate([read_wav(p).samples for p in parts]),
                                    11025))
         model_path = workspace / "model.wrice"
         assert run(["predict", "--model", str(model_path), str(wav)]) == 0
@@ -244,6 +245,39 @@ class TestWorkflow:
         assert run(["augment", "--in", str(wav), "--out", str(out),
                     "--scale", "0.01", "--seed", "2"]) == 0
         assert out.exists()
+
+    def test_stereo_input_gives_the_outputs_of_its_mono_mean(self, workspace, tmp_path):
+        # channels k + d and k - d average to the 16-bit mono samples k
+        # exactly, so `augment` and `spectrogram` must write the same bytes
+        # for the stereo file as for the mono one, read from the same path
+        src = next((workspace / "corpus" / "wet_40").glob("*.wav"))
+        with wave.open(str(src), "rb") as fh:
+            rate = fh.getframerate()
+            k = np.frombuffer(fh.readframes(fh.getnframes()), "<i2").astype(np.int32)
+        headroom = np.maximum(32767 - np.abs(k), 0)  # 0 where k = -32768
+        d = np.minimum(np.random.default_rng(5).integers(0, 4096, k.size), headroom)
+        stereo = np.stack([k + d, k - d], axis=1).astype("<i2")
+        assert not np.array_equal(stereo[:, 0], stereo[:, 1])
+        wav = tmp_path / "in.wav"
+        outputs = []
+        for write in (lambda: shutil.copy(src, wav), lambda: _write_stereo16(wav, stereo, rate)):
+            write()
+            aug, spec = tmp_path / "aug.wav", tmp_path / "spec.csv"
+            assert run(["augment", "--in", str(wav), "--out", str(aug),
+                        "--scale", "0.05", "--seed", "2"]) == 0
+            assert run(["spectrogram", "--in", str(wav), "--out", str(spec), "--format", "csv",
+                        "--sr", "11025", "--frame", "1024", "--hop", "256"]) == 0
+            outputs.append((aug.read_bytes(), spec.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+def _write_stereo16(path, frames, rate):
+    """A two-channel 16-bit WAV from an (n, 2) int16 array, by the standard library."""
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(2)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(frames.tobytes())
 
 
 def test_importing_the_cli_does_not_load_scipy_signal():

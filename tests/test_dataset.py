@@ -3,6 +3,7 @@
 import os
 import pickle
 import re
+import wave
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,32 @@ class TestIngest:
         serial, pooled = (ingest_corpus(realistic_corpus, workers=workers)
                           for workers in (1, 2))
         assert np.array_equal(serial.features, pooled.features)
+
+    def test_a_stereo_24bit_copy_gives_the_same_rows(self, tiny_corpus, tiny_dataset,
+                                                     tmp_path):
+        # both channels of each frame are the 16-bit source sample times 256:
+        # (a + a) / 2 = a and v * 256 / 2^23 = v / 2^15 exactly, so the mixdown
+        # is the source's mono buffer bit for bit. The copy is written with the
+        # standard library, not with wrice's own writer
+        copy = tmp_path / "stereo24"
+        for src in sorted(tiny_corpus.rglob("*.wav")):
+            with wave.open(str(src), "rb") as fh:
+                assert (fh.getnchannels(), fh.getsampwidth()) == (1, 2)
+                rate = fh.getframerate()
+                vals = np.frombuffer(fh.readframes(fh.getnframes()), "<i2")
+            ints = np.repeat(vals.astype("<i4") * 256, 2)
+            frames = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+            target = copy / src.relative_to(tiny_corpus)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with wave.open(str(target), "wb") as fh:
+                fh.setnchannels(2)
+                fh.setsampwidth(3)
+                fh.setframerate(rate)
+                fh.writeframes(frames)
+        stereo = ingest_corpus(copy, TINY_EX)
+        assert stereo.n == tiny_dataset.n
+        assert np.array_equal(stereo.features, tiny_dataset.features)
+        assert np.array_equal(stereo.labels, tiny_dataset.labels)
 
     def test_long_file_contributes_row_per_segment(self, tmp_path):
         root = tmp_path / "corpus"
