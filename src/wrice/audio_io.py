@@ -151,15 +151,16 @@ def write_wav(path, buf: AudioBuffer, bits_per_sample: int = 16) -> None:
     if bits_per_sample not in (16, 24, 32):
         raise ValueError(f"unsupported PCM bit depth {bits_per_sample}")
     scale = 2 ** (bits_per_sample - 1)
-    ints = np.clip(np.rint(buf.samples * scale), -scale, scale - 1).astype(np.int32)
-
+    # rounded and clipped in place, so the only full-length temporaries are
+    # this float64 array and its one integer cast
+    ints = np.multiply(buf.samples, scale)
+    np.rint(ints, out=ints)
+    np.clip(ints, -scale, scale - 1, out=ints)
+    ints = ints.astype("<i2" if bits_per_sample == 16 else "<i4")
     if bits_per_sample == 24:
-        frames = ints.astype("<i4").tobytes()
-        frames = np.frombuffer(frames, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    elif bits_per_sample == 16:
-        frames = ints.astype("<i2").tobytes()
+        frames = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     else:
-        frames = ints.astype("<i4").tobytes()
+        frames = ints.tobytes()
 
     block_align = bits_per_sample // 8
     fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, buf.sample_rate,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import read_wav, write_wav
+from .audio_io import read_wav, resample_linear, write_wav
 from .dsp import WINDOW, StftConfig, spectrum_blocks
 from .errors import WriceError
 
@@ -177,8 +177,8 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     model = mlp.load_model(args.model)
     # the per-file job of extract and eval, so the file is segmented like training
-    [[rows]] = ds_mod._map_file_rows([args.wav], [None], None, model.extraction, workers=1)
-    label, probs = mlp.predict(model, np.vstack(rows))
+    [rows] = ds_mod.file_rows(args.wav, model.extraction)
+    label, probs = mlp.predict(model, rows)
     print(label)
     for name, p in zip(model.label_map, probs):
         print(f"  {name}: {p:.6f}")
@@ -218,7 +218,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
-    buf = ds_mod.load_audio(args.in_path, args.sr)
+    buf = resample_linear(read_wav(args.in_path), args.sr)
     cfg = StftConfig(args.frame, args.hop)
     magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "

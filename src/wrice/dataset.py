@@ -157,39 +157,34 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     return label_map, pairs
 
 
-def load_audio(path, sample_rate: int = DEFAULT_SAMPLE_RATE):
-    """Read a WAV as mono and resample it to the analysis rate."""
-    return resample_linear(read_wav(path), sample_rate)
+def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
+              file_idx: int = 0) -> list[np.ndarray]:
+    """One file decoded once: for each entry of `scales`, the
+    (n_segments, n_features) raw feature matrix of its analysis segments.
 
-
-def file_segments(buf, segment_seconds: float):
-    """Analysis segments of a buffer; a too-short file is one whole-file segment."""
-    return segment(buf, segment_seconds) or [buf]
-
-
-def default_workers() -> int:
-    return max(os.cpu_count() or 1, 1)
-
-
-def _file_rows(job) -> list[list[np.ndarray]]:
-    """One file decoded once: its segment feature rows for each entry of `scales`.
-
-    A `None` scale is the clean buffer; a float scale adds the file's noise
-    realization for (seed, scale index, file index), so rows do not depend
-    on processing order or worker count.
+    Segments are `ex.segment_seconds` long (trailing partial dropped); a file
+    shorter than one segment is one whole-file segment. A `None` scale is the
+    clean audio; a float scale adds the noise realization seeded by
+    `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
+    its index, never on processing order or worker count. Errors name the path.
     """
-    path, file_idx, scales, seed, ex = job
     try:
-        clean = load_audio(path, ex.sample_rate)
+        clean = resample_linear(read_wav(path), ex.sample_rate)
         per_scale = []
         for scale_idx, scale in enumerate(scales):
             buf = clean if scale is None else add_noise(
                 clean, scale, np.random.SeedSequence([seed, scale_idx, file_idx]))
-            per_scale.append([extract_features(piece, ex.stft, ex.features).values
-                              for piece in file_segments(buf, ex.segment_seconds)])
+            pieces = segment(buf, ex.segment_seconds) or [buf]
+            per_scale.append(np.array([extract_features(p, ex.stft, ex.features).values
+                                       for p in pieces]))
         return per_scale
     except (WriceError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _file_rows_job(job) -> list[np.ndarray]:
+    """`file_rows` of a (path, ex, scales, seed, file_idx) job tuple, for the pool."""
+    return file_rows(*job)
 
 
 def map_per_file(fn, jobs, workers: int | None):
@@ -199,18 +194,29 @@ def map_per_file(fn, jobs, workers: int | None):
     worker count.
     """
     jobs = list(jobs)
-    workers = default_workers() if workers is None else max(workers, 1)
+    workers = max((os.cpu_count() or 1) if workers is None else workers, 1)
     if workers == 1 or len(jobs) < 2:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs, chunksize=max(len(jobs) // (workers * 8), 1)))
 
 
-def _map_file_rows(paths, scales, seed, ex: Extraction,
-                   workers: int | None) -> list[list[list[np.ndarray]]]:
-    """`_file_rows` of each file in path order (the order fixes each file's noise)."""
-    jobs = [(str(path), file_idx, scales, seed, ex) for file_idx, path in enumerate(paths)]
-    return map_per_file(_file_rows, jobs, workers)
+def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
+                workers: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """`file_rows` of every path, stacked in path order: one raw feature
+    matrix per entry of `scales`, and the index in `paths` of each row's file.
+
+    File i's noise is seeded by `SeedSequence([seed, scale index, i])`, and
+    files run on `workers` processes (default: CPU count) but are stacked in
+    path order, so the matrices are identical for any worker count.
+    """
+    scales = tuple(scales)
+    jobs = [(path, ex, scales, seed, file_idx) for file_idx, path in enumerate(paths)]
+    if not scales or not jobs:
+        raise ValueError(f"need a scale and a path, got {len(scales)} and {len(jobs)}")
+    per_file = map_per_file(_file_rows_job, jobs, workers)
+    owner = np.repeat(np.arange(len(per_file)), [len(rows[0]) for rows in per_file])
+    return [np.vstack([rows[i] for rows in per_file]) for i in range(len(scales))], owner
 
 
 def ingest_corpus(root, ex: Extraction = Extraction(), *,
@@ -223,21 +229,10 @@ def ingest_corpus(root, ex: Extraction = Extraction(), *,
     assembled in path order regardless of worker count.
     """
     label_map, pairs = corpus_files(root)
-    ids = {name: i for i, name in enumerate(label_map)}
-
-    per_file = _map_file_rows([path for path, _ in pairs], [None], None, ex, workers)
-
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    paths: list[str] = []
-    for (path, category), (vectors,) in zip(pairs, per_file):
-        for values in vectors:
-            rows.append(values)
-            labels.append(ids[category])
-            paths.append(str(path))
-
-    return LabeledDataset(features=np.vstack(rows), labels=np.array(labels),
-                          label_map=label_map, source_paths=paths)
+    file_labels = np.array([label_map.index(category) for _, category in pairs])
+    [rows], owner = corpus_rows([path for path, _ in pairs], ex, workers=workers)
+    return LabeledDataset(features=rows, labels=file_labels[owner], label_map=label_map,
+                          source_paths=[str(pairs[i][0]) for i in owner])
 
 
 def stratified_split(ds: LabeledDataset, test_fraction: float,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledDataset, _map_file_rows, corpus_files, scale_rows
+from .dataset import LabeledDataset, corpus_files, corpus_rows, scale_rows
 from .errors import SchemaMismatchError
 from .mlp import MlpModel, forward
 
@@ -83,23 +84,21 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     scale, derived from (seed, scale index, file index in path order), so
     results do not depend on processing order or worker count. A `None`
     scale scores the clean corpus (its report has no noise scale and no
-    seed). The model's bundled scaler is reused without refitting.
+    seed). A scale that is negative or not finite is refused before any
+    file is decoded. The model's bundled scaler is reused without refitting.
     """
     scales = list(scales)
     if not scales:
         raise ValueError("no noise scales given")
-    label_map, pairs = corpus_files(root)
-    model_ids = dict(zip(label_map, _label_ids(model, label_map)))
-    per_file = _map_file_rows([p for p, _ in pairs], scales, seed, model.extraction, workers)
-
-    true_ids = np.array([model_ids[category]
-                         for (_, category), file_rows in zip(pairs, per_file)
-                         for _ in file_rows[0]], dtype=np.intp)
-    reports = []
-    for scale_idx, scale in enumerate(scales):
-        rows = np.vstack([row for file_rows in per_file for row in file_rows[scale_idx]])
-        reports.append(_score(model, rows, true_ids, scale, None if scale is None else seed))
-    return reports
+    for scale in scales:
+        if scale is not None and not 0 <= scale < math.inf:
+            raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
+    _, pairs = corpus_files(root)
+    file_ids = _label_ids(model, [category for _, category in pairs])
+    per_scale, owner = corpus_rows([path for path, _ in pairs], model.extraction, scales,
+                                   seed, workers)
+    return [_score(model, rows, file_ids[owner], scale, None if scale is None else seed)
+            for scale, rows in zip(scales, per_scale)]
 
 
 def report_document(clean: EvalReport | None, noisy: list[EvalReport],

@@ -12,6 +12,7 @@ acoustic model of the contact patch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,8 +81,8 @@ def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
     `seed` may be an int or a numpy SeedSequence; the same seed reproduces the
     same realization.
     """
-    if scale < 0:
-        raise ValueError(f"noise scale must be >= 0, got {scale}")
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
     if scale == 0:
         return buf
     noisy = np.random.default_rng(seed).standard_normal(len(buf))

@@ -192,6 +192,31 @@ def test_integer_pcm_roundtrip_exact(tmp_path, bits):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("bits", [16, 24, 32])
+def test_out_of_range_samples_clip_to_the_integer_range(tmp_path, bits):
+    scale = 2 ** (bits - 1)
+    path = tmp_path / f"clip{bits}.wav"
+    write_wav(path, AudioBuffer([-3.0, -1.0, 1.0, 3.0, -0.5 / scale, 1.5 / scale], 8000), bits)
+    want = np.array([-scale, -scale, scale - 1, scale - 1, 0, 2]) / scale
+    np.testing.assert_array_equal(read_wav(path).samples, want)
+
+
+def test_peak_memory_of_a_thirty_second_16bit_write(tmp_path):
+    n = 30 * 22050
+    buf = AudioBuffer(0.5 * np.sin(0.01 * np.arange(n)), 22050)
+    write_wav(tmp_path / "warm.wav", buf)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "long.wav", buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 scratch array beside its 16-bit cast, and slack; the frame
+    # bytes and the file's blob come after the scratch array is freed
+    bound = 10 * n + 2**20
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
 class TestResample:
     def test_equal_rates_identity(self):
         buf = AudioBuffer([0.0, 0.25, 0.5], 8000)

@@ -15,10 +15,10 @@ import pytest
 from conftest import edit_model_header, wav_bytes
 import wrice
 from wrice import dataset
-from wrice.audio_io import AudioBuffer, read_wav, write_wav
+from wrice.audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
 from wrice.cli import run
-from wrice.dataset import (Extraction, file_segments, ingest_corpus, load_audio,
-                           read_features_csv, scale_rows, write_features_csv)
+from wrice.dataset import (Extraction, ingest_corpus, read_features_csv, scale_rows,
+                           write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
 from wrice.features import FeatureConfig, extract_features
@@ -111,6 +111,18 @@ class TestWorkflow:
         assert "/12)" in out.splitlines()[0]
         assert "wet_60" in out  # the confusion matrix keeps the model's four labels
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_eval_refuses_a_bad_noise_scale_before_decoding(self, workspace, capsys,
+                                                            monkeypatch, scale):
+        decoded = []
+        monkeypatch.setattr(dataset, "read_wav", decoded.append)
+        assert run(["eval", "--model", str(workspace / "model.wrice"),
+                    "--in", str(workspace / "corpus"), "--noise", scale,
+                    "--workers", "1"]) == 1
+        [err] = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("error: noise scale") and ".wav" not in err
+        assert decoded == []
+
     def test_eval_unknown_category_is_domain_error(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "extra"
         shutil.copytree(workspace / "corpus", corpus)
@@ -135,8 +147,8 @@ class TestWorkflow:
         model = load_model(model_path)
         ex = model.extraction
         rows = np.vstack([extract_features(piece, ex.stft, ex.features).values
-                          for piece in file_segments(load_audio(wav, ex.sample_rate),
-                                                     ex.segment_seconds)])
+                          for piece in segment(resample_linear(read_wav(wav), ex.sample_rate),
+                                               ex.segment_seconds)])
         assert rows.shape[0] == 2
         per_segment = forward(model, scale_rows(model.scaler, rows))
         mean = per_segment.mean(axis=0)

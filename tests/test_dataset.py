@@ -11,10 +11,10 @@ import pytest
 
 from conftest import TINY_EX, TINY_SR, noise_buffer
 from wrice.audio_io import AudioBuffer, write_wav
-from wrice.dataset import (Extraction, LabeledDataset, Scaler, encode_labels,
-                           fit_scaler, ingest_corpus, map_per_file, read_extraction,
-                           read_features_csv, scale_rows, stratified_split,
-                           write_features_csv)
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_rows, encode_labels,
+                           file_rows, fit_scaler, ingest_corpus, map_per_file,
+                           read_extraction, read_features_csv, scale_rows,
+                           stratified_split, write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
                           EmptyCorpusError, NonFiniteError, SchemaMismatchError)
 from wrice.dsp import StftConfig
@@ -438,6 +438,62 @@ class TestIngest:
         (root / "one" / "broken.wav").write_bytes(b"RIFX garbage")
         with pytest.raises(Exception, match="broken.wav"):
             ingest_corpus(root, TINY_EX)
+
+
+@pytest.fixture(scope="module")
+def two_and_one(tmp_path_factory):
+    """A corpus of a 3.2 s file (two 1.5 s segments) and a 1 s file (one
+    whole-file row), in path order."""
+    root = tmp_path_factory.mktemp("rows") / "corpus"
+    rng = np.random.default_rng(8)
+    paths = []
+    for cat, seconds in (("one", 3.2), ("two", 1.0)):
+        (root / cat).mkdir(parents=True)
+        paths.append(root / cat / f"{cat}.wav")
+        write_wav(paths[-1], AudioBuffer(rng.uniform(-0.5, 0.5, int(TINY_SR * seconds)),
+                                         TINY_SR))
+    return root, paths
+
+
+class TestFileRows:
+    def test_rows_are_the_ingested_rows_of_the_file(self, two_and_one):
+        root, paths = two_and_one
+        ds = ingest_corpus(root, TINY_EX, workers=1)
+        for path, n_rows in zip(paths, (2, 1)):
+            [rows] = file_rows(path, TINY_EX)
+            assert rows.shape == (n_rows, TINY_EX.features.n_features)
+            mine = [p == str(path) for p in ds.source_paths]
+            assert np.array_equal(rows, ds.features[mine])
+
+    def test_corpus_rows_owner_is_the_path_index_of_each_row(self, two_and_one):
+        _, paths = two_and_one
+        [rows], owner = corpus_rows(paths, TINY_EX, workers=1)
+        assert owner.tolist() == [0, 0, 1]
+        assert rows.shape == (3, TINY_EX.features.n_features)
+
+    @pytest.mark.parametrize("scales,n_paths", [((), 2), ((None,), 0)])
+    def test_corpus_rows_needs_a_scale_and_a_path(self, two_and_one, scales, n_paths):
+        _, paths = two_and_one
+        with pytest.raises(ValueError, match="need a scale and a path"):
+            corpus_rows(paths[:n_paths], TINY_EX, scales, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_file_of_each_scale_is_its_file_rows(self, two_and_one, workers):
+        _, paths = two_and_one
+        scales = (None, 0.5, 0.05)
+        per_scale, owner = corpus_rows(paths, TINY_EX, scales, seed=9, workers=workers)
+        assert len(per_scale) == len(scales)
+        for i, path in enumerate(paths):
+            want = file_rows(path, TINY_EX, scales, seed=9, file_idx=i)
+            for got, rows in zip(per_scale, want):
+                assert np.array_equal(got[owner == i], rows)
+        assert not np.array_equal(per_scale[0], per_scale[1])
+
+    def test_noise_is_seeded_by_the_file_index(self, two_and_one):
+        _, paths = two_and_one
+        first, other = (file_rows(paths[0], TINY_EX, (0.5,), seed=9, file_idx=i)[0]
+                        for i in (0, 1))
+        assert not np.array_equal(first, other)
 
 
 _THREAD_MODEL_CONFIGS = [

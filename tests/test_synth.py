@@ -51,6 +51,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(AudioBuffer(np.zeros(8), 8000), -0.1, seed=0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(AudioBuffer(np.zeros(8), 8000), scale, seed=0)
+
     def test_equals_samples_plus_scaled_normal_draws(self):
         # the noisy buffer is built in place from the draws; IEEE addition and
         # multiplication commute, so it equals the plain expression bit for bit
