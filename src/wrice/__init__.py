@@ -2,7 +2,7 @@
 
 from .audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
 from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, Extraction,
-                      LabeledDataset, Scaler, corpus_rows, encode_labels, file_rows,
+                      LabeledDataset, Scaler, corpus_rows, file_rows,
                       fit_scaler, ingest_corpus, read_extraction, read_features_csv,
                       scale_rows, stratified_split, write_features_csv)
 from .dsp import StftConfig, frame_signal, hann_window, spectrum_blocks

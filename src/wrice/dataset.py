@@ -115,25 +115,16 @@ class Scaler:
             raise ValueError(f"scaler std below floor {STD_FLOOR}")
 
 
-def encode_labels(names) -> list[str]:
-    """Lexicographically sorted category names; a name's index is its id."""
-    names = list(names)
-    if not names:
-        raise ValueError("no category names to encode")
-    if len(set(names)) != len(names):
-        raise DuplicateLabelError(f"duplicate category names in {sorted(names)}")
-    return sorted(names)
-
-
 def corpus_labels(root) -> list[str]:
-    """The label map of a corpus: its category subdirectories, encoded."""
+    """The label map of a corpus: its category subdirectory names, sorted, so
+    a name's index is its id."""
     root = Path(root)
     if not root.is_dir():
         raise EmptyCorpusError(f"{root}: not a directory")
     categories = sorted(p.name for p in root.iterdir() if p.is_dir())
     if not categories:
         raise EmptyCorpusError(f"{root}: no category subdirectories")
-    return encode_labels(categories)
+    return categories
 
 
 def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
@@ -166,10 +157,12 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     shorter than one segment is one whole-file segment. A `None` scale is the
     clean audio; a float scale adds the noise realization seeded by
     `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
-    its index, never on processing order or worker count. Errors name the path.
+    its index, never on processing order or worker count. Errors name the
+    path once.
     """
+    buf = read_wav(path)  # its errors name the path already
     try:
-        clean = resample_linear(read_wav(path), ex.sample_rate)
+        clean = resample_linear(buf, ex.sample_rate)
         per_scale = []
         for scale_idx, scale in enumerate(scales):
             buf = clean if scale is None else add_noise(
@@ -288,23 +281,27 @@ def check_csv_labels(label_map, path) -> None:
                              "which the feature CSV's meta line cannot carry")
 
 
+def _meta_line(label_map, ex: Extraction) -> str:
+    """A feature CSV's first line: its schema version, label map and `ex.meta()`."""
+    meta = {"schema_version": SCHEMA_VERSION, "label_map": "|".join(label_map), **ex.meta()}
+    return "# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+
+
 def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
-    A leading `#` line records the schema version, the label map and
-    `ex.meta()`, so `read_features_csv` reads the rows back and
-    `read_extraction` the settings that made them. Raises ValueError, and
-    writes nothing, if the width is not `ex.features.n_features` or a label
-    holds whitespace or `|`, which the meta line cannot carry.
+    The first line is `_meta_line`, so `read_features_csv` reads the rows
+    back and `read_extraction` the settings that made them. Raises
+    ValueError, and writes nothing, if the width is not
+    `ex.features.n_features` or a label holds whitespace or `|`, which the
+    meta line cannot carry.
     """
     if ds.features.shape[1] != ex.features.n_features:
         raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
                          f"{ex.features.n_mfcc} makes {ex.features.n_features}")
     check_csv_labels(ds.label_map, path)
-    meta = {"schema_version": SCHEMA_VERSION, "label_map": "|".join(ds.label_map),
-            **ex.meta()}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(_meta_line(ds.label_map, ex))
         writer = csv.writer(fh)
         writer.writerow(["path", "label", *feature_names(ex.features.n_mfcc)])
         for i in range(ds.n):
@@ -323,97 +320,94 @@ def _feature_csv_text(path) -> io.StringIO:
         raise SchemaMismatchError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_meta(fh) -> tuple[dict[str, str], str, int]:
-    """Key=value tokens of the leading `#` lines, then the first other line
-    and its line number."""
-    meta: dict[str, str] = {}
-    line, number = fh.readline(), 1
-    while line.startswith("#"):
-        for token in line[1:].split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                meta[key] = value
-        line, number = fh.readline(), number + 1
-    return meta, line, number
-
-
-def _meta_extraction(meta: dict[str, str], path) -> Extraction:
-    """`read_extraction` of the `#` meta tokens already read from `path`."""
-    values = Extraction().meta()
-    parsers = {"sr": int, "frame": int, "hop": int, "window": str,
-               "segment_seconds": float, "n_mfcc": int, "n_mels": int}
+def _read_meta(fh, path) -> tuple[list[str], Extraction]:
+    """The label map and extraction of a feature CSV's first line, read from
+    `fh`. The line must be exactly the `_meta_line` of what it parses to, so
+    a key that is missing, added, repeated, reordered or spelt otherwise is a
+    SchemaMismatchError naming the path."""
+    line = fh.readline()
+    prefix = "# wrice-features "
+    if not line.startswith(prefix):
+        raise SchemaMismatchError(f"{path}: line 1 is not a `{prefix.strip()}` meta line")
+    tokens = dict(token.partition("=")[::2] for token in line[len(prefix):].split())
+    parsers = {"schema_version": int, "label_map": str, "sr": int, "frame": int, "hop": int,
+               "window": str, "segment_seconds": float, "n_mfcc": int, "n_mels": int}
+    values = {}
     for key, parse in parsers.items():
+        if key not in tokens:
+            raise SchemaMismatchError(f"{path}: meta line has no {key}=")
         try:
-            values[key] = parse(meta[key]) if key in meta else values[key]
+            values[key] = parse(tokens[key])
         except ValueError as exc:
-            raise SchemaMismatchError(f"{path}: meta {key}={meta[key]}: {exc}") from None
+            raise SchemaMismatchError(f"{path}: meta {key}={tokens[key]}: {exc}") from None
+    if values["schema_version"] != SCHEMA_VERSION:
+        raise SchemaMismatchError(f"{path}: feature schema version "
+                                  f"{values['schema_version']}, expected {SCHEMA_VERSION}")
     if values["window"] != WINDOW:
         raise SchemaMismatchError(f"{path}: meta window={values['window']}: "
                                   f"the only window is {WINDOW}")
     try:
-        return Extraction(values["sr"], values["segment_seconds"],
-                          StftConfig(values["frame"], values["hop"]),
-                          FeatureConfig(n_mfcc=values["n_mfcc"], n_mels=values["n_mels"]))
+        ex = Extraction(values["sr"], values["segment_seconds"],
+                        StftConfig(values["frame"], values["hop"]),
+                        FeatureConfig(n_mfcc=values["n_mfcc"], n_mels=values["n_mels"]))
     except ValueError as exc:
         raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc
+    label_map = values["label_map"].split("|")
+    written = _meta_line(label_map, ex)
+    if line != written:
+        raise SchemaMismatchError(f"{path}: line 1 is not the meta line that wrice writes "
+                                  f"for its values: {written.strip()}")
+    return label_map, ex
 
 
 def read_extraction(path) -> Extraction:
-    """The extraction that a feature CSV's `#` meta records; each key the
-    meta does not name keeps its value in `Extraction()`. A value that does
-    not parse or is out of range is a SchemaMismatchError naming the path."""
-    return _meta_extraction(_read_meta(_feature_csv_text(path))[0], path)
+    """The extraction that a feature CSV's meta line records. A meta line
+    that is not the one `write_features_csv` writes, or a value that does
+    not parse or is out of range, is a SchemaMismatchError naming the path."""
+    return _read_meta(_feature_csv_text(path), path)[1]
 
 
 def read_features_csv(path) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
-    The expected columns are the schema's base features plus as many MFCCs
-    as the `#` meta's `n_mfcc` names (20 when it names none). Raises
-    SchemaMismatchError if the header does not match them exactly, if the
-    meta names another schema version or a setting that `read_extraction`
-    refuses, or if a line is not UTF-8 or holds a row of the wrong width or
-    a value that is not a number (the message names the path and the line),
-    and NonFiniteError if a feature value is NaN or infinite.
+    Line 1 is the meta line, checked as by `read_extraction`; line 2 is the
+    header, whose columns are the schema's base features plus the meta's
+    `n_mfcc` MFCCs. Raises SchemaMismatchError if the meta line or header
+    is not the one wrice writes, or if a line is not UTF-8 or CSV or holds
+    a row of the wrong width, a value that is not a number or a label that
+    the label map lacks (the message names the path and the line), and
+    NonFiniteError if a feature value is NaN or infinite.
     """
     fh = _feature_csv_text(path)
-    meta, first, header_line = _read_meta(fh)
-    version = meta.get("schema_version", str(SCHEMA_VERSION))
-    if version != str(SCHEMA_VERSION):
-        raise SchemaMismatchError(
-            f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    n_mfcc = _meta_extraction(meta, path).features.n_mfcc
-    expected_header = ["path", "label", *feature_names(n_mfcc)]
-    header = next(csv.reader([first]), None)
-    if header != expected_header:
-        raise SchemaMismatchError(
-            f"{path}: header does not match the {len(expected_header) - 2}-column "
-            f"feature schema of n_mfcc={n_mfcc}")
-    paths, names, rows = [], [], []
+    label_map, ex = _read_meta(fh, path)
+    expected_header = ["path", "label", *feature_names(ex.features.n_mfcc)]
+    ids = {name: i for i, name in enumerate(label_map)}
+    paths, labels, rows = [], [], []
     reader = csv.reader(fh)
-    for row in reader:
-        line = header_line + reader.line_num
-        if len(row) != len(expected_header):
-            raise SchemaMismatchError(f"{path}: line {line}: row with {len(row)} columns")
-        try:
-            rows.append([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise SchemaMismatchError(f"{path}: line {line}: {exc}") from exc
-        paths.append(row[0])
-        names.append(row[1])
+    try:
+        if next(reader, None) != expected_header:
+            raise SchemaMismatchError(
+                f"{path}: line 2: header does not match the {len(expected_header) - 2}-column "
+                f"feature schema of n_mfcc={ex.features.n_mfcc}")
+        for row in reader:
+            line = 1 + reader.line_num
+            if len(row) != len(expected_header):
+                raise SchemaMismatchError(f"{path}: line {line}: row with {len(row)} columns")
+            if row[1] not in ids:
+                raise SchemaMismatchError(f"{path}: line {line}: label {row[1]!r} "
+                                          "not in label map")
+            try:
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise SchemaMismatchError(f"{path}: line {line}: {exc}") from exc
+            paths.append(row[0])
+            labels.append(ids[row[1]])
+    except csv.Error as exc:
+        raise SchemaMismatchError(f"{path}: line {1 + reader.line_num}: {exc}") from exc
     if not rows:
         raise SchemaMismatchError(f"{path}: no feature rows")
-    if "label_map" in meta:
-        label_map = meta["label_map"].split("|")
-    else:
-        label_map = encode_labels(set(names))
-    ids = {name: i for i, name in enumerate(label_map)}
     try:
-        labels = np.array([ids[name] for name in names])
-    except KeyError as exc:
-        raise SchemaMismatchError(f"{path}: label {exc} not in label map") from exc
-    try:
-        return LabeledDataset(features=np.array(rows), labels=labels, label_map=label_map,
-                              source_paths=paths)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"{path}: {exc}") from exc
+        return LabeledDataset(features=np.array(rows), labels=np.array(labels),
+                              label_map=label_map, source_paths=paths)
+    except WriceError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

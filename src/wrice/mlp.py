@@ -390,7 +390,7 @@ def load_model(path) -> MlpModel:
         raise CorruptModelError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:newline].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModelError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
         raise CorruptModelError(f"{path}: not a {MODEL_FORMAT} file")
@@ -398,27 +398,27 @@ def load_model(path) -> MlpModel:
         raise VersionMismatchError(
             f"{path}: model version {header.get('version')!r}, expected {MODEL_VERSION}; "
             "re-run `wrice train` to write a current model file")
-    version = header.get("schema_version", SCHEMA_VERSION)
+    version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
     body = raw[newline + 1 :]
     # a missing key or a bad value is damage, not a caller error; parsing
-    # comes first so such damage is named, and the checksum then catches any
-    # edited value that still parses
+    # comes first so such damage is named, the header must then be the one
+    # `save_model` writes for the parsed model, and the checksum last catches
+    # any edited value that still parses
     try:
         model = _model_from(header, body, path)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorruptModelError(
             f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
     expected = _header(model)
-    unknown = sorted(set(header) - set(expected) - {"checksum"})
-    if unknown:
-        raise CorruptModelError(f"{path}: malformed model file (unknown fields {unknown})")
-    for section in ("stft", "features"):
-        if header[section] != expected[section]:
-            raise CorruptModelError(f"{path}: malformed model file ({section} section "
-                                    f"{header[section]}, not {expected[section]})")
+    absent = object()
+    differ = sorted(k for k in (header.keys() | expected.keys()) - {"checksum"}
+                    if header.get(k, absent) != expected.get(k, absent))
+    if differ:
+        raise CorruptModelError(f"{path}: malformed model file (fields {differ} are not "
+                                "what wrice writes for this model)")
     if _checksum(expected, body) != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
     return model

@@ -21,7 +21,7 @@ from wrice.dataset import (Extraction, ingest_corpus, read_features_csv, scale_r
                            write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
-from wrice.features import FeatureConfig, extract_features
+from wrice.features import SCHEMA_VERSION, FeatureConfig, extract_features
 from wrice.mlp import forward, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
@@ -176,15 +176,43 @@ class TestWorkflow:
         assert back.extraction == ex
         assert back.extraction.features.n_mels == 40
 
-    def test_meta_key_missing_from_the_csv_falls_back_alone(self, workspace, tmp_path):
+    # a model bundles the extraction that its CSV's meta line records, so a
+    # meta line that is not the one `extract` writes trains no model
+    @pytest.mark.parametrize("old,new", [
+        (" frame=1024 ", " "), (" hop=256 ", " hop=256 extra=1 "),
+        (" frame=1024 hop=256 ", " hop=256 frame=1024 "),
+        (" label_map=dry_40|dry_60|wet_40|wet_60 ", " "),
+        (f"schema_version={SCHEMA_VERSION} ", ""),
+        ("\n", "\n# wrice-features\n"),
+    ], ids=["no-frame", "extra-key", "reordered-keys", "no-label-map", "no-schema-version",
+            "second-meta-line"])
+    def test_train_refuses_a_meta_line_other_than_extracts(
+            self, workspace, tmp_path, capsys, old, new):
         text = (workspace / "feats.csv").read_text()
-        assert " frame=1024 hop=256 " in text.splitlines()[0]
+        assert old in text.splitlines(keepends=True)[0]
         feats, model = tmp_path / "feats.csv", tmp_path / "m.wrice"
-        feats.write_text(text.replace(" frame=1024 hop=256 ", " hop=128 ", 1))
+        feats.write_text(text.replace(old, new, 1))
         assert run(["train", "--features", str(feats), "--out", str(model),
-                    "--epochs", "1", "--arch", "compact3"]) == 0
-        assert load_model(model).extraction == Extraction(
-            11025, 1.5, StftConfig(frame_len=2048, hop=128))
+                    "--epochs", "1", "--arch", "compact3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(feats) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not model.exists()
+
+    def test_train_refuses_an_unclosed_quote(self, workspace, tmp_path, capsys):
+        # a quote that opens a field and swallows more than csv's 128 KiB limit
+        meta, header, *rows = (workspace / "feats.csv").read_text().splitlines()
+        rows = rows * 30
+        rows[0] = '"' + rows[0]
+        feats, model = tmp_path / "feats.csv", tmp_path / "m.wrice"
+        feats.write_text("\n".join([meta, header, *rows]) + "\n")
+        assert feats.stat().st_size > 131072
+        assert run(["train", "--features", str(feats), "--out", str(model),
+                    "--epochs", "1", "--arch", "compact3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {feats}: line ") and "field larger than" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not model.exists()
 
     @pytest.mark.parametrize("flag", [["--in", "corpus"], ["--sr", "8000"], ["--workers", "3"]],
                              ids=["in", "sr", "workers"])
@@ -420,6 +448,9 @@ class TestExitCodes:
                      id="rolloff-pct-0.9"),
         pytest.param(lambda h: h["stft"].update(window="rectangular"), True,
                      id="rectangular-window"),
+        # JSON reads 1e400 as an infinite float, which int() cannot convert
+        pytest.param(lambda h: h["layer_dims"].__setitem__(0, 1e400), False,
+                     id="layer-dims-overflow"),
     ])
     def test_malformed_model_header_is_domain_error(self, workspace, tmp_path, capsys,
                                                     edit, rehash):
@@ -431,6 +462,20 @@ class TestExitCodes:
         assert err.startswith("error:") and "malformed model file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["predict", "extract", "eval"])
+    def test_a_bad_wav_is_named_once(self, workspace, tmp_path, capsys, verb):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        bad = corpus / "dry_40" / "bad.wav"
+        bad.write_bytes(b"not a wav file")
+        model = str(workspace / "model.wrice")
+        argv = {"predict": ["predict", "--model", model, str(bad)],
+                "extract": ["extract", "--in", str(corpus), "--out", str(tmp_path / "x.csv"),
+                            "--workers", "1"],
+                "eval": ["eval", "--model", model, "--in", str(corpus), "--workers", "1"]}
+        assert run(argv[verb]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not a RIFF/WAVE file\n"
 
     def test_edited_model_header_is_domain_error(self, workspace, tmp_path, capsys):
         def nudge_scaler(header):

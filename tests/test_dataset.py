@@ -11,7 +11,7 @@ import pytest
 
 from conftest import TINY_EX, TINY_SR, noise_buffer
 from wrice.audio_io import AudioBuffer, write_wav
-from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_rows, encode_labels,
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_labels, corpus_rows,
                            file_rows, fit_scaler, ingest_corpus, map_per_file,
                            read_extraction, read_features_csv, scale_rows,
                            stratified_split, write_features_csv)
@@ -34,22 +34,18 @@ def make_dataset(counts, d=26, seed=0):
                           label_map=names, source_paths=paths)
 
 
-class TestEncodeLabels:
-    def test_sorted_ids(self):
-        out = encode_labels({"wet_60", "dry_40", "wet_40", "dry_60"})
+class TestCorpusLabels:
+    def test_sorted_ids(self, tmp_path):
+        for name in ("wet_60", "dry_40", "wet_40", "dry_60"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "notes.txt").write_text("a file is not a category")
+        out = corpus_labels(tmp_path)
         assert out == ["dry_40", "dry_60", "wet_40", "wet_60"]
         assert out.index("dry_40") == 0 and out.index("wet_60") == 3
 
-    def test_single(self):
-        assert encode_labels(["only"]) == ["only"]
-
-    def test_duplicate(self):
-        with pytest.raises(DuplicateLabelError):
-            encode_labels(["a", "a"])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            encode_labels([])
+    def test_empty(self, tmp_path):
+        with pytest.raises(EmptyCorpusError, match="no category subdirectories"):
+            corpus_labels(tmp_path)
 
 
 class TestStratifiedSplit:
@@ -199,6 +195,21 @@ class TestCsvRoundTrip:
             read_features_csv(path)
         assert str(path) in str(info.value)
 
+    def test_row_label_missing_from_the_label_map_names_path_and_line(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        path.write_text(path.read_text().replace("\nb/b_000.wav,b,", "\nb/b_000.wav,c,", 1))
+        with pytest.raises(SchemaMismatchError, match="line 5: label 'c' not in label map"):
+            read_features_csv(path)
+
+    def test_duplicate_label_map_names_the_csv(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        path.write_text(path.read_text().replace(" label_map=a|b ", " label_map=a|b|a ", 1))
+        with pytest.raises(DuplicateLabelError, match="duplicate category names") as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
+
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\n1,2\n")
@@ -303,12 +314,44 @@ class TestExtraction:
         write_features_csv(make_dataset({"a": 2, "b": 2}, d=19), path, ex)
         assert read_extraction(path) == ex
 
-    def test_each_missing_key_falls_back_on_its_own(self, tmp_path):
+    # each edit leaves every value that the meta line records parseable and
+    # in range, so only the comparison with the line wrice writes refuses it
+    @pytest.mark.parametrize("edit,match", [
+        *[pytest.param(lambda line, key=key: re.sub(rf" {key}=\S+", "", line),
+                       f"meta line has no {key}=", id=f"no-{key}")
+          for key in ("schema_version", "label_map", "sr", "frame", "hop", "window",
+                      "segment_seconds", "n_mfcc", "n_mels")],
+        pytest.param(lambda line: line.replace(" n_mfcc=", " extra=1 n_mfcc=", 1),
+                     "not the meta line that wrice writes", id="extra-key"),
+        pytest.param(lambda line: line.replace(" hop=512", " hop=512 hop=512", 1),
+                     "not the meta line that wrice writes", id="repeated-key"),
+        pytest.param(lambda line: line.replace(" frame=2048 hop=512", " hop=512 frame=2048", 1),
+                     "not the meta line that wrice writes", id="reordered-keys"),
+        pytest.param(lambda line: line.replace(" frame=2048", " frame=02048", 1),
+                     "not the meta line that wrice writes", id="leading-zero"),
+        pytest.param(lambda line: line.replace("# wrice-features", "#wrice-features", 1),
+                     "line 1 is not a `# wrice-features` meta line", id="no-prefix"),
+    ])
+    def test_meta_line_other_than_wrices_is_refused(self, tmp_path, edit, match):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
-        text = path.read_text().replace(" n_mfcc=20", " hop=256 n_mfcc=20", 1)
-        path.write_text(text)
-        assert read_extraction(path) == replace(Extraction(), stft=StftConfig(hop=256))
+        meta, _, rest = path.read_text().partition("\n")
+        edited = edit(meta)
+        assert edited != meta
+        path.write_text(edited + "\n" + rest)
+        for read in (read_extraction, read_features_csv):
+            with pytest.raises(SchemaMismatchError, match=match) as info:
+                read(path)
+            assert str(path) in str(info.value)
+
+    def test_a_second_meta_line_is_refused(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        meta, _, rest = path.read_text().partition("\n")
+        path.write_text(f"{meta}\n{meta}\n{rest}")
+        with pytest.raises(SchemaMismatchError, match="line 2: header does not match") as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("token,match", [
         ("sr=abc", "meta sr=abc: invalid literal"),

@@ -548,11 +548,14 @@ class TestPersistence:
         header = json.loads(head)
         header["schema_version"] = SCHEMA_VERSION + 1
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(SchemaMismatchError, match="schema version"):
+        with pytest.raises(SchemaMismatchError, match="schema version") as info:
             load_model(path)
-        del header["schema_version"]  # absent means the current version
+        assert str(path) in str(info.value)
+        del header["schema_version"]  # a header must name its schema version
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        np.testing.assert_array_equal(load_model(path).params, model.params)
+        with pytest.raises(SchemaMismatchError, match="schema version None") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
 
     def test_truncated_file(self, tmp_path):
         model = self.make_model()
@@ -561,6 +564,13 @@ class TestPersistence:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    def test_deeply_nested_header_is_unreadable(self, tmp_path):
+        # deeper than the JSON decoder recurses
+        path = tmp_path / "nested.wrice"
+        path.write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(CorruptModelError, match="unreadable header"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
