@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ _SPEED_CUTOFF_EXP = 0.25
 _MOD_DEPTH = 0.3
 _N_HARMONICS = 5
 _HARMONIC_LEVEL = 0.15
+
+_LOWPASS_BLOCK = 128
 
 DEFAULT_COUNTS = {"dry_40": 52, "dry_60": 61, "wet_40": 51, "wet_60": 64}
 CATEGORIES = tuple(sorted(DEFAULT_COUNTS))
@@ -92,12 +95,32 @@ def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
 
 
 def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
-    # imported here, not at module level: only synth needs scipy.signal, and
-    # importing it is most of the start-up time of every other verb
-    from scipy.signal import lfilter
+    """y[n] = alpha * x[n] + r * y[n-1] from y[-1] = 0, where r = 1 - alpha.
 
-    alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz / sample_rate)
-    return lfilter([alpha], [1.0, alpha - 1.0], x)
+    Runs in blocks of _LOWPASS_BLOCK samples. Within a block the zero-state
+    response at offset k is r^k * cumsum(alpha * x * r^-k), and its last value
+    feeds a scalar carry from block to block, e_b = end_b + r^_LOWPASS_BLOCK *
+    e_(b-1); the output at offset k of block b adds r^(k+1) * e_(b-1).
+    r^-(_LOWPASS_BLOCK - 1) stays finite for cutoffs up to 0.49 * sample_rate,
+    where synth_sample caps them. Elementwise ops and cumsum only: no BLAS
+    call, so the output cannot depend on BLAS threads.
+    """
+    alpha = float(1.0 - np.exp(-2.0 * np.pi * cutoff_hz / sample_rate))
+    r = 1.0 - alpha
+    powers = r ** np.arange(_LOWPASS_BLOCK)
+    n_blocks = -(-len(x) // _LOWPASS_BLOCK)
+    y = np.zeros(n_blocks * _LOWPASS_BLOCK)
+    y[:len(x)] = x
+    blocks = y.reshape(n_blocks, _LOWPASS_BLOCK)
+    blocks *= alpha / powers
+    np.cumsum(blocks, axis=1, out=blocks)
+    r_block = r ** _LOWPASS_BLOCK
+    ends = (blocks[:, -1] * powers[-1]).tolist()
+    carries = accumulate(ends[:-1], lambda e, end: end + r_block * e, initial=0.0)
+    # r^k * (cumsum + r * e_(b-1)) is the zero-state response plus r^(k+1) * e_(b-1)
+    blocks += np.multiply(list(carries), r)[:, None]
+    blocks *= powers
+    return y[:len(x)]
 
 
 def _check_cutoff(spec: ConditionSpec, sample_rate: int) -> None:
@@ -193,10 +216,6 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             path = cat_dir / f"{category}_{file_idx:03d}.wav"
             jobs.append((path, spec, sample_rate, (seed, cat_idx, file_idx)))
             manifest.append((str(path), category))
-    # imported once before the pool forks, so the workers inherit it rather
-    # than each importing it again
-    import scipy.signal  # noqa: F401
-
     dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()
     if manifest:

@@ -321,8 +321,8 @@ def _write_stereo16(path, frames, rate):
 
 
 def test_importing_the_cli_does_not_load_scipy_signal():
-    # only synth filters with scipy.signal, and importing it is most of the
-    # start-up of every verb, so a fresh interpreter must not pay for it
+    # no verb needs scipy.signal, and importing it would be most of the
+    # start-up time and memory of every verb
     src = str(Path(wrice.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, wrice.cli; print('scipy.signal' in sys.modules)"

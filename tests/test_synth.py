@@ -1,16 +1,22 @@
 """Synthetic corpus generator and additive-noise augmentation."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import wrice
 from conftest import TINY_SR, bin_freqs, magnitudes
-from wrice.audio_io import AudioBuffer
+from wrice import synth
+from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
 from wrice.features import centroids, rms
-from wrice.synth import (CATEGORIES, ConditionSpec, add_noise, spec_for_category,
-                         synth_corpus, synth_sample)
+from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, add_noise,
+                         spec_for_category, synth_corpus, synth_sample)
 
 CFG = StftConfig(frame_len=1024, hop=256)
 
@@ -65,6 +71,36 @@ class TestAddNoise:
         got = add_noise(AudioBuffer(samples, 8000), 0.05, seed).samples
         assert np.array_equal(got, want)
         assert np.array_equal(samples, np.random.default_rng(5).uniform(-1, 1, 4096))
+
+
+def lfilter_lowpass(x, cutoff_hz, sample_rate):
+    """The one-pole low-pass by `scipy.signal.lfilter`: the oracle for the
+    block recurrence."""
+    alpha = 1.0 - np.exp(-2.0 * np.pi * cutoff_hz / sample_rate)
+    return lfilter([alpha], [1.0, alpha - 1.0], x)
+
+
+class TestOnePoleLowpass:
+    # 1080 Hz is the lowest class cutoff (wet_40, -10% jitter); synth_sample
+    # caps cutoffs at 0.49 * sr, where r^-127 is largest; 5 Hz keeps r near 1
+    @pytest.mark.parametrize("cutoff", [1080.0, 4000.0, 0.49 * 22050, 5.0])
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 30 * 22050])
+    def test_matches_lfilter(self, cutoff, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        want = lfilter_lowpass(x, cutoff, 22050)
+        got = _one_pole_lowpass(x, cutoff, 22050)
+        assert got.shape == want.shape
+        if n:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_wav_bytes_match_the_oracle(self, tmp_path, monkeypatch, category, seed):
+        spec = spec_for_category(category)
+        write_wav(tmp_path / "block.wav", synth_sample(spec, 22050, seed))
+        monkeypatch.setattr(synth, "_one_pole_lowpass", lfilter_lowpass)
+        write_wav(tmp_path / "oracle.wav", synth_sample(spec, 22050, seed))
+        assert (tmp_path / "block.wav").read_bytes() == (tmp_path / "oracle.wav").read_bytes()
 
 
 class TestConditionSpec:
@@ -186,3 +222,18 @@ class TestSynthCorpus:
                      sample_rate=TINY_SR, seed=3, duration_s=0.3)
         files = sorted((root / "dry_40").glob("*.wav"))
         assert files[0].read_bytes() != files[1].read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_corpus_does_not_load_scipy_signal(tmp_path, workers):
+    # one worker filters in this process; two fork workers from it
+    src = str(Path(wrice.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from wrice.synth import synth_corpus; "
+            "synth_corpus(sys.argv[1], counts={'dry_40': 2, 'wet_60': 1}, "
+            f"sample_rate={TINY_SR}, seed=1, duration_s=0.3, workers={workers}); "
+            "print('scipy.signal' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "corpus")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+    assert len(list((tmp_path / "corpus").rglob("*.wav"))) == 3
