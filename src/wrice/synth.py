@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -37,6 +37,7 @@ _N_HARMONICS = 5
 _HARMONIC_LEVEL = 0.15
 
 _LOWPASS_BLOCK = 128
+_SINE_BLOCK = 4096
 
 DEFAULT_COUNTS = {"dry_40": 52, "dry_60": 61, "wet_40": 51, "wet_60": 64}
 CATEGORIES = tuple(sorted(DEFAULT_COUNTS))
@@ -56,8 +57,8 @@ class ConditionSpec:
             raise ValueError(f"friction must be one of {FRICTIONS}, got {self.friction!r}")
         if self.speed_rpm <= 0:
             raise ValueError(f"speed_rpm must be positive, got {self.speed_rpm}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if self.base_level <= 0:
             raise ValueError(f"base_level must be positive, got {self.base_level}")
         if not 0 <= self.jitter_pct < 0.5:
@@ -73,9 +74,10 @@ def spec_for_category(category: str, **overrides) -> ConditionSpec:
     """Build the ConditionSpec for a `<friction>_<rpm>` category name."""
     friction, _, rpm = category.partition("_")
     try:
-        return ConditionSpec(friction=friction, speed_rpm=float(rpm), **overrides)
+        spec = ConditionSpec(friction=friction, speed_rpm=float(rpm))
     except ValueError as exc:
         raise ValueError(f"bad category name {category!r}: {exc}") from exc
+    return replace(spec, **overrides)
 
 
 def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
@@ -123,10 +125,38 @@ def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.n
     return y[:len(x)]
 
 
-def _check_cutoff(spec: ConditionSpec, sample_rate: int) -> None:
+def _sinusoid(step: float, phase: float, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] = sin(step * i + phase), one _SINE_BLOCK samples at a time.
+
+    The block starting at sample s is sin(a + step * k) = sin(a) * cos(step * k)
+    + cos(a) * sin(step * k) with a = step * s + phase, so one block of offset
+    cosines and sines serves every block, and sin/cos run n / _SINE_BLOCK +
+    2 * _SINE_BLOCK times instead of n. Elementwise ufuncs only: no BLAS call.
+    """
+    offsets = np.arange(min(len(out), _SINE_BLOCK)) * step
+    cos_b = np.cos(offsets)
+    sin_b = np.sin(offsets, out=offsets)
+    scratch = np.empty_like(cos_b)
+    for start in range(0, len(out), _SINE_BLOCK):
+        a = start * step + phase
+        blk = out[start:start + _SINE_BLOCK]
+        m = len(blk)
+        np.multiply(cos_b[:m], math.sin(a), out=blk)
+        np.multiply(sin_b[:m], math.cos(a), out=scratch[:m])
+        blk += scratch[:m]
+    return out
+
+
+def _n_samples(spec: ConditionSpec, sample_rate: int) -> int:
+    """Check the spec against the sample rate; return the recording's length."""
     if not 0 < spec.cutoff_hz < sample_rate / 2:
         raise ValueError(
             f"noise cutoff {spec.cutoff_hz} Hz outside (0, {sample_rate / 2}) Hz")
+    # round(x) >= 1 exactly when x > 0.5
+    if not 0.5 < spec.duration_s * sample_rate < math.inf:
+        raise ValueError(f"duration {spec.duration_s} s at {sample_rate} Hz does not "
+                         "round to a positive, finite number of samples")
+    return round(spec.duration_s * sample_rate)
 
 
 def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
@@ -135,10 +165,9 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     All shaping parameters are jittered uniformly within +/-jitter_pct so
     samples of one condition form a cloud rather than a point.
     """
-    _check_cutoff(spec, sample_rate)
+    n = _n_samples(spec, sample_rate)
     cutoff = spec.cutoff_hz
     rng = np.random.default_rng(seed)
-    n = int(round(spec.duration_s * sample_rate))
 
     def jittered(value: float) -> float:
         return value * rng.uniform(1.0 - spec.jitter_pct, 1.0 + spec.jitter_pct)
@@ -153,12 +182,10 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
 
     samples = _one_pole_lowpass(rng.standard_normal(n), cutoff, sample_rate)
     samples /= np.sqrt(np.mean(samples**2))
-    t = np.arange(n) / sample_rate
     # One scratch array holds the modulation, then each harmonic in turn, so
-    # a pool worker's peak memory stays a few sample-length arrays.
-    wave = np.multiply(t, 2.0 * np.pi * rotation_hz)
-    wave += rng.uniform(0, 2 * np.pi)
-    np.sin(wave, out=wave)
+    # a pool worker's peak memory stays two sample-length arrays.
+    wave = _sinusoid(2.0 * np.pi * rotation_hz / sample_rate, rng.uniform(0, 2 * np.pi),
+                     np.empty(n))
     wave *= depth
     wave += 1.0
     samples *= level
@@ -166,9 +193,7 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     for harmonic in range(1, _N_HARMONICS + 1):
         amp = jittered(level * _HARMONIC_LEVEL / harmonic)
         phase = rng.uniform(0, 2 * np.pi)
-        np.multiply(t, 2.0 * np.pi * harmonic * rotation_hz, out=wave)
-        wave += phase
-        np.sin(wave, out=wave)
+        _sinusoid(2.0 * np.pi * harmonic * rotation_hz / sample_rate, phase, wave)
         wave *= amp
         samples += wave
     return AudioBuffer(samples, sample_rate)
@@ -190,9 +215,10 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     derived from (seed, category index, file index), so the corpus is
     reproducible while samples stay independent, and its bytes do not depend
     on `workers` (parallel processes, default: CPU count). The counts, each
-    category's ConditionSpec and its cutoff against the Nyquist rate are
-    checked before anything is written. Returns the (path, category)
-    manifest, which is also written to `root/manifest.csv`.
+    category's ConditionSpec, its cutoff against the Nyquist rate and its
+    length (at least one sample) are checked before anything is written.
+    Returns the (path, category) manifest, which is also written to
+    `root/manifest.csv`.
     """
     # imported here because dataset imports add_noise from this module
     from . import dataset
@@ -205,7 +231,7 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             raise ValueError(f"negative count for category {category!r}")
         if counts[category] > 0:
             spec = spec_for_category(category, **spec_overrides)
-            _check_cutoff(spec, sample_rate)
+            _n_samples(spec, sample_rate)
             planned.append((cat_idx, category, spec))
     jobs = []
     manifest: list[tuple[str, str]] = []

@@ -430,6 +430,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    # durations that give no audio: each is refused before the category
+    # directories are made, with no traceback and no numpy warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("duration,match", [
+        ("inf", "duration_s must be positive and finite, got inf"),
+        ("nan", "duration_s must be positive and finite, got nan"),
+        ("0.00001", "duration 1e-05 s at 22050 Hz does not round to a positive"),
+        ("1e305", "duration 1e+305 s at 22050 Hz does not round to a positive"),
+    ], ids=["inf", "nan", "under-one-sample", "overflowing-length"])
+    def test_synth_duration_without_audio_writes_nothing(self, tmp_path, capsys,
+                                                         duration, match):
+        root = tmp_path / "corpus"
+        assert run(["synth", "--out", str(root), "--duration", duration,
+                    "--counts", "1,1,1,1", "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {match}")
+        assert len(err.strip().splitlines()) == 1
+        assert not root.exists()
+
     # header damage that the parser sees is named before the checksum is
     # compared; a `rehash` edit also gets a checksum that matches it
     @pytest.mark.parametrize("edit,rehash", [

@@ -1,8 +1,10 @@
 """Synthetic corpus generator and additive-noise augmentation."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ from wrice import synth
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
 from wrice.features import centroids, rms
-from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, add_noise,
-                         spec_for_category, synth_corpus, synth_sample)
+from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, _sinusoid,
+                         add_noise, spec_for_category, synth_corpus, synth_sample)
 
 CFG = StftConfig(frame_len=1024, hop=256)
 
@@ -80,6 +82,22 @@ def lfilter_lowpass(x, cutoff_hz, sample_rate):
     return lfilter([alpha], [1.0, alpha - 1.0], x)
 
 
+def sin_oracle(step, phase, out):
+    """Every angle of the sinusoid through one full-length `np.sin`: the
+    oracle for the block kernel."""
+    return np.sin(np.arange(out.size) * step + phase, out=out)
+
+
+def assert_wav_bytes_match(tmp_path, monkeypatch, category, seed, kernel, oracle):
+    """The 16-bit WAV of one 30 s recording is byte-identical with the synth
+    kernel named `kernel` and with `oracle` patched in for it."""
+    spec = spec_for_category(category)
+    write_wav(tmp_path / "block.wav", synth_sample(spec, 22050, seed))
+    monkeypatch.setattr(synth, kernel, oracle)
+    write_wav(tmp_path / "oracle.wav", synth_sample(spec, 22050, seed))
+    assert (tmp_path / "block.wav").read_bytes() == (tmp_path / "oracle.wav").read_bytes()
+
+
 class TestOnePoleLowpass:
     # 1080 Hz is the lowest class cutoff (wet_40, -10% jitter); synth_sample
     # caps cutoffs at 0.49 * sr, where r^-127 is largest; 5 Hz keeps r near 1
@@ -96,11 +114,31 @@ class TestOnePoleLowpass:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("category", CATEGORIES)
     def test_wav_bytes_match_the_oracle(self, tmp_path, monkeypatch, category, seed):
-        spec = spec_for_category(category)
-        write_wav(tmp_path / "block.wav", synth_sample(spec, 22050, seed))
-        monkeypatch.setattr(synth, "_one_pole_lowpass", lfilter_lowpass)
-        write_wav(tmp_path / "oracle.wav", synth_sample(spec, 22050, seed))
-        assert (tmp_path / "block.wav").read_bytes() == (tmp_path / "oracle.wav").read_bytes()
+        assert_wav_bytes_match(tmp_path, monkeypatch, category, seed,
+                               "_one_pole_lowpass", lfilter_lowpass)
+
+
+class TestSinusoid:
+    # harmonics 1 and 5 of a 1.1 Hz rotation (the fastest wheel, 60 rpm, at
+    # +10% jitter); n on both sides of one 4096-sample block, and 30 s
+    @pytest.mark.parametrize("harmonic", [1, 5])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, pytest.param(None, id="30s")])
+    @pytest.mark.parametrize("sample_rate", [8000, 22050, 48000])
+    def test_matches_np_sin(self, sample_rate, n, harmonic):
+        n = 30 * sample_rate if n is None else n
+        omega = 2.0 * np.pi * harmonic * 1.1
+        phase = 5.0
+        want = np.sin(np.arange(n) / sample_rate * omega + phase)
+        got = _sinusoid(omega / sample_rate, phase, np.full(n, np.nan))
+        assert got.shape == want.shape
+        if n:
+            largest_angle = (n - 1) / sample_rate * omega + phase
+            assert np.max(np.abs(got - want)) <= 1e-15 * (1 + largest_angle)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("category", CATEGORIES)
+    def test_wav_bytes_match_the_oracle(self, tmp_path, monkeypatch, category, seed):
+        assert_wav_bytes_match(tmp_path, monkeypatch, category, seed, "_sinusoid", sin_oracle)
 
 
 class TestConditionSpec:
@@ -119,6 +157,12 @@ class TestConditionSpec:
             ConditionSpec(friction="dry", speed_rpm=40, duration_s=0)
         with pytest.raises(ValueError):
             ConditionSpec(friction="dry", speed_rpm=40, jitter_pct=0.5)
+        for duration in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ConditionSpec(friction="dry", speed_rpm=40, duration_s=duration)
+        # a bad override is not reported as a bad category name
+        with pytest.raises(ValueError, match="^duration_s must be positive and finite"):
+            spec_for_category("dry_40", duration_s=math.inf)
 
     def test_cutoff_must_fit_below_nyquist(self):
         spec = ConditionSpec(friction="dry", speed_rpm=40, duration_s=0.5)
@@ -132,6 +176,20 @@ class TestSynthSample:
         buf = synth_sample(spec, 22050, seed=0)
         assert len(buf) == 661500
         assert buf.sample_rate == 22050
+
+    def test_peak_memory_of_a_thirty_second_file(self):
+        spec = spec_for_category("dry_60")
+        synth_sample(spec, 22050, seed=0)
+        tracemalloc.start()
+        try:
+            synth_sample(spec, 22050, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the recording and one scratch array for the low-pass, the RMS and
+        # the sinusoids; the sinusoid blocks are 4 x 32 KiB
+        bound = 2 * 8 * 30 * 22050 + 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_deterministic(self):
         spec = spec_for_category("dry_60", duration_s=0.5)
