@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus root directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sr", type=int, default=ds_mod.DEFAULT_SAMPLE_RATE)
-    p.add_argument("--duration", type=float, default=30.0,
+    p.add_argument("--duration", type=float, default=synth.DEFAULT_DURATION_S,
                    help="seconds per file (default %(default)s)")
     p.add_argument("--counts", default=None,
                    help="per-category file counts, comma-separated in sorted "

@@ -101,16 +101,16 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
             for scale, rows in zip(scales, per_scale)]
 
 
-def report_document(clean: EvalReport | None, noisy: list[EvalReport],
-                    seed: int | None = None, configs: dict | None = None) -> dict:
+def report_document(clean: EvalReport, noisy: list[EvalReport], seed: int,
+                    configs: dict) -> dict:
     """Machine-readable evaluation document combining clean and noisy runs."""
     return {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "seed": seed,
-        "clean": None if clean is None else clean.to_dict(),
+        "clean": clean.to_dict(),
         "noise": [r.to_dict() for r in noisy],
-        "configs": configs or {},
+        "configs": configs,
     }
 
 

@@ -36,6 +36,11 @@ ARCHITECTURES = {
 
 _CE_CLAMP = 1e-12
 
+# Adam's published defaults (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 # the fixed settings that a header's `stft` and `features` sections hold
 _FIXED_STFT = {"window": WINDOW}
 _FIXED_FEATURES = {"rolloff_pct": ROLLOFF_PCT, "bandwidth_order": BANDWIDTH_ORDER,
@@ -47,9 +52,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +59,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
 
 
 @dataclass
@@ -144,10 +147,6 @@ class MlpModel:
     @property
     def n_inputs(self) -> int:
         return self.layer_dims[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layer_dims[-1]
 
     def parameters(self) -> list[np.ndarray]:
         """Views of `params`, tensor by tensor, in its order."""
@@ -252,34 +251,34 @@ def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray,
-              state: AdamState, cfg: TrainConfig) -> tuple[np.ndarray, AdamState]:
-    """One Adam update, in place on the flat `params`.
+              state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update, in place on the flat `params` and on `state`.
 
     Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
-    p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t. Every
-    intermediate goes through the state's scratch buffers.
+    p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t, b1, b2 and
+    eps the ADAM_* constants and lr the config's. Every intermediate goes
+    through the state's scratch buffers.
     """
     if not params.shape == grad.shape == state.m.shape:
         raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
     state.t += 1
-    correction1 = 1.0 - cfg.beta1**state.t
-    correction2 = 1.0 - cfg.beta2**state.t
+    correction1 = 1.0 - ADAM_BETA1**state.t
+    correction2 = 1.0 - ADAM_BETA2**state.t
     m, v, (a, b) = state.m, state.v, state.scratch
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=a)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
     m += a
-    v *= cfg.beta2
-    np.multiply(grad, 1.0 - cfg.beta2, out=a)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
     a *= grad
     v += a
     np.divide(m, correction1, out=a)
     a *= cfg.learning_rate
     np.divide(v, correction2, out=b)
     np.sqrt(b, out=b)
-    b += cfg.epsilon
+    b += ADAM_EPSILON
     a /= b
     params -= a
-    return params, state
 
 
 def train(model: MlpModel, train_set: LabeledDataset,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -32,6 +32,8 @@ _REFERENCE_RPM = 40.0
 _SPEED_LEVEL_EXP = 0.75
 _SPEED_CUTOFF_EXP = 0.25
 
+_BASE_LEVEL = 0.3
+_JITTER_PCT = 0.1
 _MOD_DEPTH = 0.3
 _N_HARMONICS = 5
 _HARMONIC_LEVEL = 0.15
@@ -39,6 +41,7 @@ _HARMONIC_LEVEL = 0.15
 _LOWPASS_BLOCK = 128
 _SINE_BLOCK = 4096
 
+DEFAULT_DURATION_S = 30.0
 DEFAULT_COUNTS = {"dry_40": 52, "dry_60": 61, "wet_40": 51, "wet_60": 64}
 CATEGORIES = tuple(sorted(DEFAULT_COUNTS))
 
@@ -47,37 +50,30 @@ CATEGORIES = tuple(sorted(DEFAULT_COUNTS))
 class ConditionSpec:
     friction: str                       # "dry" | "wet"
     speed_rpm: float                    # nominally 40 or 60
-    duration_s: float = 30.0
-    base_level: float = 0.3
-    noise_cutoff_hz: float | None = None  # None -> friction default
-    jitter_pct: float = 0.1
+    duration_s: float = DEFAULT_DURATION_S
 
     def __post_init__(self):
         if self.friction not in FRICTIONS:
             raise ValueError(f"friction must be one of {FRICTIONS}, got {self.friction!r}")
-        if self.speed_rpm <= 0:
-            raise ValueError(f"speed_rpm must be positive, got {self.speed_rpm}")
+        if not 0 < self.speed_rpm < math.inf:
+            raise ValueError(f"speed_rpm must be positive and finite, got {self.speed_rpm}")
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
-        if self.base_level <= 0:
-            raise ValueError(f"base_level must be positive, got {self.base_level}")
-        if not 0 <= self.jitter_pct < 0.5:
-            raise ValueError(f"jitter_pct must be in [0, 0.5), got {self.jitter_pct}")
 
     @property
     def cutoff_hz(self) -> float:
-        return DEFAULT_CUTOFF_HZ[self.friction] if self.noise_cutoff_hz is None \
-            else self.noise_cutoff_hz
+        return DEFAULT_CUTOFF_HZ[self.friction]
 
 
-def spec_for_category(category: str, **overrides) -> ConditionSpec:
+def spec_for_category(category: str, duration_s: float = DEFAULT_DURATION_S) -> ConditionSpec:
     """Build the ConditionSpec for a `<friction>_<rpm>` category name."""
     friction, _, rpm = category.partition("_")
     try:
         spec = ConditionSpec(friction=friction, speed_rpm=float(rpm))
     except ValueError as exc:
         raise ValueError(f"bad category name {category!r}: {exc}") from exc
-    return replace(spec, **overrides)
+    # the duration is checked outside the `try`, so it is not named a bad category
+    return ConditionSpec(spec.friction, spec.speed_rpm, duration_s)
 
 
 def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
@@ -162,18 +158,18 @@ def _n_samples(spec: ConditionSpec, sample_rate: int) -> int:
 def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     """One synthetic recording; deterministic per seed.
 
-    All shaping parameters are jittered uniformly within +/-jitter_pct so
-    samples of one condition form a cloud rather than a point.
+    All shaping parameters are jittered uniformly within +/-_JITTER_PCT
+    (10%) so samples of one condition form a cloud rather than a point.
     """
     n = _n_samples(spec, sample_rate)
     cutoff = spec.cutoff_hz
     rng = np.random.default_rng(seed)
 
     def jittered(value: float) -> float:
-        return value * rng.uniform(1.0 - spec.jitter_pct, 1.0 + spec.jitter_pct)
+        return value * rng.uniform(1.0 - _JITTER_PCT, 1.0 + _JITTER_PCT)
 
     speed_ratio = spec.speed_rpm / _REFERENCE_RPM
-    level = jittered(spec.base_level
+    level = jittered(_BASE_LEVEL
                      * (DRY_LEVEL_BOOST if spec.friction == "dry" else 1.0)
                      * speed_ratio**_SPEED_LEVEL_EXP)
     cutoff = min(jittered(cutoff * speed_ratio**_SPEED_CUTOFF_EXP), 0.49 * sample_rate)
@@ -208,17 +204,18 @@ def _synth_file(job) -> None:
 
 def synth_corpus(root, counts: dict[str, int] | None = None,
                  sample_rate: int = 22050, seed: int = 0, *,
-                 workers: int | None = None, **spec_overrides) -> list[tuple[str, str]]:
+                 workers: int | None = None,
+                 duration_s: float = DEFAULT_DURATION_S) -> list[tuple[str, str]]:
     """Write a labeled corpus of 16-bit WAVs under `root/<category>/`.
 
-    Default per-category counts are 52/61/51/64. Every file gets its own seed
-    derived from (seed, category index, file index), so the corpus is
-    reproducible while samples stay independent, and its bytes do not depend
-    on `workers` (parallel processes, default: CPU count). The counts, each
-    category's ConditionSpec, its cutoff against the Nyquist rate and its
-    length (at least one sample) are checked before anything is written.
-    Returns the (path, category) manifest, which is also written to
-    `root/manifest.csv`.
+    Default per-category counts are 52/61/51/64, each file `duration_s`
+    seconds long. Every file gets its own seed derived from (seed, category
+    index, file index), so the corpus is reproducible while samples stay
+    independent, and its bytes do not depend on `workers` (parallel
+    processes, default: CPU count). The counts, each category's
+    ConditionSpec, its cutoff against the Nyquist rate and its length (at
+    least one sample) are checked before anything is written. Returns the
+    (path, category) manifest, which is also written to `root/manifest.csv`.
     """
     # imported here because dataset imports add_noise from this module
     from . import dataset
@@ -230,7 +227,7 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
         if counts[category] < 0:
             raise ValueError(f"negative count for category {category!r}")
         if counts[category] > 0:
-            spec = spec_for_category(category, **spec_overrides)
+            spec = spec_for_category(category, duration_s)
             _n_samples(spec, sample_rate)
             planned.append((cat_idx, category, spec))
     jobs = []

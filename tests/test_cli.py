@@ -536,6 +536,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not model.exists()
 
+    # refused before the first epoch, with no numpy warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_domain_error(self, workspace, tmp_path, capsys, lr):
+        model = tmp_path / "model.wrice"
+        assert run(["train", "--features", str(workspace / "feats.csv"), "--out", str(model),
+                    "--epochs", "5", "--seed", "3", "--arch", "compact3", "--lr", lr]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: learning_rate must be positive and finite, got {lr}\n"
+        assert not model.exists()
+
 
 class TestDeterminism:
     def test_identical_command_lines_identical_artifacts(self, tmp_path):

@@ -13,9 +13,10 @@ from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
 from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
-from wrice.mlp import (MODEL_VERSION, AdamState, MlpModel, TrainConfig, adam_step,
-                       backward, forward, init_model, layer_dims_for, load_model,
-                       loss_sparse_ce, predict, save_model, softmax, train)
+from wrice.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION, AdamState,
+                       MlpModel, TrainConfig, adam_step, backward, forward, init_model,
+                       layer_dims_for, load_model, loss_sparse_ce, predict, save_model,
+                       softmax, train)
 
 
 def bundled(layer_dims, seed=0):
@@ -237,7 +238,7 @@ class TestAdam:
         ref_p, ref_m, ref_v = params.copy(), np.zeros(30), np.zeros(30)
         state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.05)
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
         for t in range(1, 7):
             g = rng.normal(size=30)
             adam_step(params, g, state, cfg)
@@ -263,7 +264,7 @@ class TestTrain:
         assert cfg.epochs == 60
         assert cfg.batch_size == 32
         assert cfg.learning_rate == 0.01
-        assert (cfg.beta1, cfg.beta2, cfg.epsilon) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
     def test_zero_epochs_returns_identical_model(self):
         ds = blob_dataset()

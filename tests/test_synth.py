@@ -155,8 +155,6 @@ class TestConditionSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ConditionSpec(friction="dry", speed_rpm=40, duration_s=0)
-        with pytest.raises(ValueError):
-            ConditionSpec(friction="dry", speed_rpm=40, jitter_pct=0.5)
         for duration in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 ConditionSpec(friction="dry", speed_rpm=40, duration_s=duration)
@@ -238,7 +236,12 @@ class TestSynthCorpus:
         ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR,
          "negative count for category 'wet_40'"),
         ({c: 1 for c in CATEGORIES}, 4000, r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
-    ], ids=["negative-count", "dry-cutoff-above-nyquist"])
+        ({"dry_nan": 1}, TINY_SR,
+         "^bad category name 'dry_nan': speed_rpm must be positive and finite, got nan$"),
+        ({"dry_inf": 1}, TINY_SR,
+         "^bad category name 'dry_inf': speed_rpm must be positive and finite, got inf$"),
+    ], ids=["negative-count", "dry-cutoff-above-nyquist", "nan-speed", "inf-speed"])
+    @pytest.mark.filterwarnings("error")
     def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, match):
         root = tmp_path / "corpus"
         with pytest.raises(ValueError, match=match):
