@@ -158,7 +158,8 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     clean audio; a float scale adds the noise realization seeded by
     `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
     its index, never on processing order or worker count. Errors name the
-    path once.
+    path once. At most one noisy buffer is alive beside the clean one: each
+    scale's buffer is dropped before the next one is drawn.
     """
     buf = read_wav(path)  # its errors name the path already
     try:
@@ -170,6 +171,7 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
             pieces = segment(buf, ex.segment_seconds) or [buf]
             per_scale.append(np.array([extract_features(p, ex.stft, ex.features).values
                                        for p in pieces]))
+            del buf, pieces
         return per_scale
     except (WriceError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc

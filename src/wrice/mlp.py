@@ -41,6 +41,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# elements per Adam block: the step's scratch stays this long, whatever the
+# model's size
+_ADAM_BLOCK = 32768
+
 # the fixed settings that a header's `stft` and `features` sections hold
 _FIXED_STFT = {"window": WINDOW}
 _FIXED_FEATURES = {"rolloff_pct": ROLLOFF_PCT, "bandwidth_order": BANDWIDTH_ORDER,
@@ -67,8 +71,8 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Bias-corrected first/second moment accumulators of one flat parameter
-    array (`train` passes `MlpModel.params`), and two scratch buffers of its
-    shape, so a step allocates no temporaries."""
+    array (`train` passes `MlpModel.params`), and two scratch buffers of at
+    most `_ADAM_BLOCK` elements, so a step allocates no temporaries."""
 
     m: np.ndarray
     v: np.ndarray
@@ -77,8 +81,9 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
+        block = min(params.size, _ADAM_BLOCK)
         return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   scratch=(np.empty_like(params), np.empty_like(params)))
+                   scratch=(np.empty(block), np.empty(block)))
 
 
 @dataclass
@@ -256,29 +261,35 @@ def adam_step(params: np.ndarray, grad: np.ndarray,
 
     Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
     p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t, b1, b2 and
-    eps the ADAM_* constants and lr the config's. Every intermediate goes
-    through the state's scratch buffers.
+    eps the ADAM_* constants and lr the config's. It runs over consecutive
+    blocks of `_ADAM_BLOCK` elements, every intermediate in the state's
+    block-long scratch buffers; each element sees the same operations as in
+    one pass over the whole array, so the result is bit-identical to it.
     """
-    if not params.shape == grad.shape == state.m.shape:
-        raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
+    if not params.shape == grad.shape == state.m.shape == (params.size,):
+        raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} "
+                         "differ or are not flat")
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
-    m, v, (a, b) = state.m, state.v, state.scratch
-    m *= ADAM_BETA1
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
-    m += a
-    v *= ADAM_BETA2
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
-    a *= grad
-    v += a
-    np.divide(m, correction1, out=a)
-    a *= cfg.learning_rate
-    np.divide(v, correction2, out=b)
-    np.sqrt(b, out=b)
-    b += ADAM_EPSILON
-    a /= b
-    params -= a
+    for start in range(0, params.size, _ADAM_BLOCK):
+        end = start + _ADAM_BLOCK
+        p, g, m, v = params[start:end], grad[start:end], state.m[start:end], state.v[start:end]
+        a, b = (buf[:p.size] for buf in state.scratch)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, correction1, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPSILON
+        a /= b
+        p -= a
 
 
 def train(model: MlpModel, train_set: LabeledDataset,
@@ -356,23 +367,29 @@ def _header(model: MlpModel) -> dict:
     }
 
 
-def _checksum(header: dict, body: bytes) -> str:
-    """sha256 over the canonical JSON of the header, a newline, and the body."""
+def _checksum(header: dict, body) -> str:
+    """sha256 over the canonical JSON of the header, a newline, and the body
+    (any bytes-like object, hashed in place)."""
     canonical = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return "sha256:" + hashlib.sha256(canonical + b"\n" + body).hexdigest()
+    digest = hashlib.sha256(canonical + b"\n")
+    digest.update(body)
+    return "sha256:" + digest.hexdigest()
 
 
 def save_model(model: MlpModel, path) -> None:
     """Write the versioned model file: a JSON header line, then `params` as
     raw little-endian float64. The header's checksum covers the header and
-    the body. Raises NonFiniteError, and writes nothing, if a parameter is
+    the body. The body is hashed and written from a view of `params`, never
+    copied. Raises NonFiniteError, and writes nothing, if a parameter is
     NaN or infinite."""
     if not np.isfinite(model.params).all():
         raise NonFiniteError(f"{path}: model has non-finite parameters; not saved")
-    body = model.params.astype("<f8", copy=False).tobytes()
+    body = memoryview(model.params.astype("<f8", copy=False)).cast("B")
     header = _header(model)
     header["checksum"] = _checksum(header, body)
-    Path(path).write_bytes((json.dumps(header) + "\n").encode() + body)
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode())
+        fh.write(body)
 
 
 def load_model(path) -> MlpModel:
@@ -401,7 +418,7 @@ def load_model(path) -> MlpModel:
     if version != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    body = raw[newline + 1 :]
+    body = memoryview(raw)[newline + 1 :]  # a view: hashed and parsed without a copy
     # a missing key or a bad value is damage, not a caller error; parsing
     # comes first so such damage is named, the header must then be the one
     # `save_model` writes for the parsed model, and the checksum last catches
@@ -423,7 +440,7 @@ def load_model(path) -> MlpModel:
     return model
 
 
-def _model_from(header: dict, body: bytes, path) -> MlpModel:
+def _model_from(header: dict, body: memoryview, path) -> MlpModel:
     dims = [int(d) for d in header["layer_dims"]]
     shapes = _tensor_shapes(dims)
     if [tuple(entry["shape"]) for entry in header["tensors"]] != shapes:

@@ -9,6 +9,8 @@ frame, independently of `features.zcr`'s one pass over the signal.
 `frame_zcr`) to whole frame and magnitude arrays, so feature
 tests can pin degenerate spectra directly and compare `extract_features`,
 which reduces block by block, against one pass over everything.
+`full_array_adam_step` is the Adam update in one pass over the whole
+parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
 """
 
 import json
@@ -100,6 +102,34 @@ def rfft(x: np.ndarray) -> np.ndarray:
     return even_part + np.exp(-2j * np.pi * k / n) * odd_part
 
 
+
+
+def full_array_adam_step(params, grad, state, cfg) -> None:
+    """`mlp.adam_step` in one pass over the whole array: the same per-element
+    operations in the same order, through two parameter-length temporaries
+    in place of the state's block-long scratch."""
+    from wrice.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+
+    if not params.shape == grad.shape == state.m.shape:
+        raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
+    state.t += 1
+    correction1 = 1.0 - ADAM_BETA1**state.t
+    correction2 = 1.0 - ADAM_BETA2**state.t
+    m, v, a, b = state.m, state.v, np.empty_like(params), np.empty_like(params)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, correction1, out=a)
+    a *= cfg.learning_rate
+    np.divide(v, correction2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPSILON
+    a /= b
+    params -= a
 
 
 def finite_difference_grads(model, x, y, h=1e-5):

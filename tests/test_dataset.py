@@ -3,6 +3,7 @@
 import os
 import pickle
 import re
+import tracemalloc
 import wave
 from dataclasses import replace
 
@@ -537,6 +538,23 @@ class TestFileRows:
         first, other = (file_rows(paths[0], TINY_EX, (0.5,), seed=9, file_idx=i)[0]
                         for i in (0, 1))
         assert not np.array_equal(first, other)
+
+    def test_peak_memory_at_four_scales_of_a_thirty_second_file(self, realistic_corpus):
+        path = sorted(realistic_corpus.glob("*/*.wav"))[0]
+        ex = Extraction()
+        scales = (None, 0.5, 0.05, 0.005)
+        file_rows(path, ex, scales)  # caches filled before tracing
+        tracemalloc.start()
+        try:
+            file_rows(path, ex, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the clean buffer and one noisy one, and slack for the decode, one
+        # segment's extraction and the noise's finiteness check; a noisy
+        # buffer kept alive while the next one is drawn would exceed it
+        bound = 2 * 8 * 30 * ex.sample_rate + 4.5 * 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 _THREAD_MODEL_CONFIGS = [

@@ -1,28 +1,56 @@
 """Network forward/backward math, Adam, training loop, persistence."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import edit_model_header, finite_difference_grads, identity_bundle
+from conftest import (edit_model_header, finite_difference_grads, full_array_adam_step,
+                      identity_bundle)
+from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
 from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
-from wrice.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION, AdamState,
-                       MlpModel, TrainConfig, adam_step, backward, forward, init_model,
-                       layer_dims_for, load_model, loss_sparse_ce, predict, save_model,
-                       softmax, train)
+from wrice.mlp import (_ADAM_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION,
+                       AdamState, MlpModel, TrainConfig, adam_step, backward, forward,
+                       init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
+                       save_model, softmax, train)
 
 
 def bundled(layer_dims, seed=0):
     """`init_model` with an identity scaler: the rows it trains on and
     predicts are exactly the raw ones."""
     return init_model(layer_dims, seed=seed, **identity_bundle(layer_dims))
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, of a second call of `fn`; the first
+    fills any cache before tracing."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def paper4_model():
+    """The paper4 topology on 26 features and 4 classes: 541,188 parameters."""
+    return bundled(layer_dims_for("paper4", 26, 4))
+
+
+def random_rows(n, seed=0):
+    """n random 26-wide rows, labelled c0..c3 in turn."""
+    rng = np.random.default_rng(seed)
+    return LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
+                          label_map=[f"c{i}" for i in range(4)],
+                          source_paths=[f"rows/{i}.wav" for i in range(n)])
 
 
 def blob_dataset(n_per_class=20, seed=0):
@@ -251,11 +279,39 @@ class TestAdam:
         for got, want in zip([params, state.m, state.v], [ref_p, ref_m, ref_v]):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("size", [1, _ADAM_BLOCK - 1, _ADAM_BLOCK, _ADAM_BLOCK + 1,
+                                      5 * _ADAM_BLOCK // 2, 541_188])
+    def test_blocks_match_the_full_array_oracle(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.normal(size=size)
+        want_p, want_state = params.copy(), AdamState.for_params(params)
+        state = AdamState.for_params(params)
+        cfg = TrainConfig(learning_rate=0.05)
+        for _ in range(4):
+            g = rng.normal(size=size)
+            adam_step(params, g, state, cfg)
+            full_array_adam_step(want_p, g, want_state, cfg)
+        assert state.t == want_state.t == 4
+        for got, want in [(params, want_p), (state.m, want_state.m), (state.v, want_state.v)]:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [0, 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 541_188])
+    def test_scratch_is_at_most_one_block(self, size):
+        state = AdamState.for_params(np.zeros(size))
+        assert [buf.shape for buf in state.scratch] == [(min(size, _ADAM_BLOCK),)] * 2
+
     def test_shape_mismatch(self):
         params = np.zeros(3)
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="differ"):
             adam_step(params, np.zeros(4), state, TrainConfig())
+
+    def test_params_must_be_flat(self):
+        params = np.zeros((2, 3))
+        state = AdamState(m=np.zeros((2, 3)), v=np.zeros((2, 3)),
+                          scratch=(np.empty(6), np.empty(6)))
+        with pytest.raises(ValueError, match="not flat"):
+            adam_step(params, np.zeros((2, 3)), state, TrainConfig())
 
 
 class TestTrain:
@@ -313,6 +369,26 @@ class TestTrain:
         scaled = replace(ds, features=scale_rows(scaler, ds.features))
         reference, _ = train(bundled([2, 8, 2], seed=4), scaled, cfg)
         np.testing.assert_array_equal(trained.params, reference.params)
+
+    @pytest.mark.parametrize("arch", sorted(mlp.ARCHITECTURES))
+    def test_matches_training_with_the_full_array_oracle(self, arch, monkeypatch):
+        model = bundled(layer_dims_for(arch, 26, 4), seed=2)
+        rows = random_rows(40, seed=2)
+        cfg = TrainConfig(epochs=3, seed=2)
+        trained, _ = train(model, rows, cfg)
+        monkeypatch.setattr(mlp, "adam_step", full_array_adam_step)
+        reference, _ = train(model, rows, cfg)
+        np.testing.assert_array_equal(trained.params, reference.params)
+
+    def test_peak_memory_is_four_parameter_arrays(self):
+        model = paper4_model()
+        rows = random_rows(10)
+        peak = traced_peak(lambda: train(model, rows, TrainConfig(epochs=2)))
+        # the trained copy, the gradient and Adam's two moments, and slack for
+        # the activations, the finiteness check and the block-long scratch;
+        # parameter-length scratch would exceed it
+        bound = 4 * model.params.nbytes + 2 * 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_empty_training_set(self):
         ds = blob_dataset().subset([])
@@ -472,6 +548,23 @@ class TestPersistence:
         with pytest.raises(NonFiniteError):
             save_model(model, path)
         assert not path.exists()
+
+    def test_save_copies_no_body(self, tmp_path):
+        model = paper4_model()
+        peak = traced_peak(lambda: save_model(model, tmp_path / "paper4.wrice"))
+        # the finiteness check's bools and slack
+        bound = model.params.size + 2**19
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+    def test_load_copies_no_body(self, tmp_path):
+        model = paper4_model()
+        path = tmp_path / "paper4.wrice"
+        save_model(model, path)
+        peak = traced_peak(lambda: load_model(path))
+        # the file's bytes, the loaded params, the finiteness check's bools
+        # and slack
+        bound = path.stat().st_size + model.params.nbytes + model.params.size + 2**19
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_save_is_deterministic(self, tmp_path):
         model = self.make_model()
