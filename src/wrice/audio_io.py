@@ -2,12 +2,16 @@
 
 Decodes little-endian RIFF/WAVE with uncompressed PCM (16/24/32-bit integer)
 or 32-bit IEEE-float data, any channel count, mixed to mono on decode by the
-sample-wise mean of the channels. Encodes one mono buffer as integer PCM.
-Everything downstream works on mono float buffers in nominal [-1, 1] range.
+sample-wise mean of the channels. `WavReader` decodes any range of a file's
+frames, and resampled ranges equal to resampling the whole file, so a long
+file can be analysed a block at a time; `read_wav` is that reader over the
+whole file. Encodes one mono buffer as integer PCM. Everything downstream
+works on mono float buffers in nominal [-1, 1] range.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,11 +54,8 @@ class AudioBuffer:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Decode a WAV file into the mono buffer that is analysed.
-
-    Integer PCM is scaled by 1 / 2^(bits-1); 32-bit float data is taken as-is.
-    A file of more than one channel is mixed down to the sample-wise mean of
-    its channels.
+    """Decode a WAV file into the mono buffer that is analysed: a
+    `WavReader` read over all of its frames.
 
     Raises:
         MalformedWavError: bad magic bytes or chunk structure.
@@ -62,44 +63,128 @@ def read_wav(path) -> AudioBuffer:
         NonFiniteError: float samples that are NaN or infinite.
         OSError: the file cannot be read.
     """
-    data = Path(path).read_bytes()
-    view = memoryview(data)  # chunk bodies are slices of it, not copies
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise MalformedWavError(f"{path}: chunk {chunk_id!r} truncated")
-        if chunk_id == b"fmt ":
-            fmt = _parse_fmt(body, path)
-        elif chunk_id == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-
-    if fmt is None or payload is None:
-        raise MalformedWavError(f"{path}: missing fmt or data chunk")
-
-    format_tag, channels, sample_rate, bits = fmt
-    if channels < 1:
-        raise MalformedWavError(f"{path}: channel count {channels}")
-    if sample_rate <= 0:
-        raise MalformedWavError(f"{path}: sample rate {sample_rate}")
-
-    samples = _decode_samples(payload, format_tag, bits, path)
-    frame_count = len(samples) // channels
-    samples = samples[: frame_count * channels].reshape(frame_count, channels)
-    # a mono file's (n, 1) column is a contiguous view, so it is not copied
-    mono = samples[:, 0] if channels == 1 else samples.mean(axis=1)
-    return AudioBuffer(mono, sample_rate)
+    with WavReader(path) as wav:
+        return AudioBuffer(wav.read(0, wav.frames), wav.sample_rate)
 
 
-def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
+# float data is checked for NaN and Inf this many samples at a time
+_SCAN_SAMPLES = 1 << 16
+
+
+class WavReader:
+    """A WAV file open for decoding by frame range.
+
+    Opening parses the header once and checks 32-bit float data for NaN and
+    Inf, a chunk at a time, so every error that decoding the whole file
+    would raise is raised here, naming the path. `read` then returns the
+    mono samples of any range of the file's `frames` frames: integer PCM is
+    scaled by 1 / 2^(bits-1), float data is taken as-is, and a file of more
+    than one channel is mixed down to the sample-wise mean of its channels.
+    A trailing partial frame is not read.
+
+    Raises:
+        MalformedWavError: bad magic bytes or chunk structure.
+        UnsupportedEncodingError: compressed codecs or unhandled sample formats.
+        NonFiniteError: float samples that are NaN or infinite.
+        OSError: the file cannot be read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._open()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _open(self) -> None:
+        path, fh = self.path, self._fh
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
+        fmt = data = None
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+            if pos + 8 + chunk_size > size:
+                raise MalformedWavError(f"{path}: chunk {chunk_id!r} truncated")
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(fh.read(chunk_size), path)
+            elif chunk_id == b"data":
+                data = (pos + 8, chunk_size)
+            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+        if fmt is None or data is None:
+            raise MalformedWavError(f"{path}: missing fmt or data chunk")
+
+        self._format_tag, self.channels, self.sample_rate, self._bits = fmt
+        if self.channels < 1:
+            raise MalformedWavError(f"{path}: channel count {self.channels}")
+        if self.sample_rate <= 0:
+            raise MalformedWavError(f"{path}: sample rate {self.sample_rate}")
+        self._dtype = _sample_dtype(self._format_tag, self._bits, path)
+        self._offset, data_size = data
+        n_samples = data_size // (self._bits // 8)
+        self.frames = n_samples // self.channels
+        if self._format_tag == _WAVE_FORMAT_IEEE_FLOAT:
+            fh.seek(self._offset)
+            for start in range(0, n_samples, _SCAN_SAMPLES):
+                count = min(_SCAN_SAMPLES, n_samples - start)
+                if not np.isfinite(np.frombuffer(fh.read(4 * count), "<f4")).all():
+                    raise NonFiniteError(f"{path}: samples contain NaN or Inf")
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def read(self, start: int, count: int) -> np.ndarray:
+        """The mono samples of frames [start, start + count), as one new
+        float64 array."""
+        if not 0 <= start <= start + count <= self.frames:
+            raise ValueError(f"frames [{start}, {start + count}) outside [0, {self.frames})")
+        width = self._bits // 8
+        self._fh.seek(self._offset + start * self.channels * width)
+        raw = self._fh.read(count * self.channels * width)
+        if len(raw) < count * self.channels * width:
+            raise OSError(f"{self.path}: data chunk shorter than when the file was opened")
+        if self._bits == 24:
+            # each sample's three bytes go to the high bytes of an int32, and an
+            # arithmetic shift brings them down with the sign extended
+            n = len(raw) // 3
+            padded = np.zeros((n, 4), dtype=np.uint8)
+            padded[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(n, 3)
+            values = padded.view("<i4").reshape(n)
+            values >>= 8
+        else:
+            values = np.frombuffer(raw, dtype=self._dtype)
+        if self._format_tag == _WAVE_FORMAT_IEEE_FLOAT:
+            samples = values.astype(np.float64)
+        else:
+            samples = np.divide(values, float(2 ** (self._bits - 1)))
+        # a mono file's (n, 1) column is a contiguous view, so it is not copied
+        samples = samples.reshape(count, self.channels)
+        return samples[:, 0] if self.channels == 1 else samples.mean(axis=1)
+
+    def read_resampled(self, rate: int, start: int, stop: int) -> np.ndarray:
+        """Samples [start, stop) of this file resampled to `rate`, equal to
+        those of `resample_linear` over the whole file; reads only the
+        source frames that they span."""
+        if rate == self.sample_rate:
+            return self.read(start, stop - start)
+        if start == stop:
+            return np.empty(0)
+        positions, lo, hi = _source_span(start, stop, self.frames, self.sample_rate, rate)
+        return np.interp(positions, np.arange(lo, hi), self.read(lo, hi - lo))
+
+
+def _parse_fmt(body, path) -> tuple[int, int, int, int]:
     if len(body) < 16:
         raise MalformedWavError(f"{path}: fmt chunk too short")
     format_tag, channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body, 0)
@@ -111,35 +196,18 @@ def _parse_fmt(body: memoryview, path) -> tuple[int, int, int, int]:
     return format_tag, channels, sample_rate, bits
 
 
-def _decode_samples(payload: memoryview, format_tag: int, bits: int,
-                    path) -> np.ndarray:
-    """The payload's samples as one new float64 array, scaled in place."""
+def _sample_dtype(format_tag: int, bits: int, path) -> str | None:
+    """The numpy dtype of one stored sample (None for 24-bit PCM, which has
+    none), or UnsupportedEncodingError."""
     if format_tag == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise UnsupportedEncodingError(f"{path}: {bits}-bit float WAV not supported")
-        n = len(payload) // 4
-        vals = np.frombuffer(payload, dtype="<f4", count=n)
-        if not np.isfinite(vals).all():
-            raise NonFiniteError(f"{path}: samples contain NaN or Inf")
-        return vals.astype(np.float64)
+        return "<f4"
     if format_tag != _WAVE_FORMAT_PCM:
         raise UnsupportedEncodingError(f"{path}: compressed WAV (format tag 0x{format_tag:04x})")
-    if bits == 24:
-        # each sample's three bytes go to the high bytes of an int32, and an
-        # arithmetic shift brings them down with the sign extended
-        n = len(payload) // 3
-        padded = np.zeros((n, 4), dtype=np.uint8)
-        padded[:, 1:] = np.frombuffer(payload, dtype=np.uint8, count=3 * n).reshape(n, 3)
-        ints = padded.view("<i4").reshape(n)
-        ints >>= 8
-    elif bits in _PCM_DTYPES:
-        n = len(payload) // (bits // 8)
-        ints = np.frombuffer(payload, dtype=_PCM_DTYPES[bits], count=n)
-    else:
+    if bits != 24 and bits not in _PCM_DTYPES:
         raise UnsupportedEncodingError(f"{path}: {bits}-bit PCM not supported")
-    out = ints.astype(np.float64)
-    out /= float(2 ** (bits - 1))
-    return out
+    return _PCM_DTYPES.get(bits)
 
 
 def write_wav(path, buf: AudioBuffer, bits_per_sample: int = 16) -> None:
@@ -183,23 +251,45 @@ def resample_linear(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == buf.sample_rate:
         return buf
-    n = len(buf)
-    out_len = n * int(target_rate) // buf.sample_rate
-    positions = np.arange(out_len) * (buf.sample_rate / target_rate)
-    resampled = np.interp(positions, np.arange(n), buf.samples)
-    return AudioBuffer(resampled, target_rate)
+    out_len = resampled_length(len(buf), buf.sample_rate, target_rate)
+    if out_len == 0:
+        return AudioBuffer(np.empty(0), target_rate)
+    positions, lo, hi = _source_span(0, out_len, len(buf), buf.sample_rate, target_rate)
+    return AudioBuffer(np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi]),
+                       target_rate)
+
+
+def resampled_length(n: int, source_rate: int, target_rate: int) -> int:
+    """The length of n samples at source_rate resampled to target_rate."""
+    return n if target_rate == source_rate else n * int(target_rate) // source_rate
+
+
+def _source_span(start: int, stop: int, n: int, source_rate: int,
+                 target_rate: int) -> tuple[np.ndarray, int, int]:
+    """The instants, in source samples, of output samples [start, stop), and
+    the source range [lo, hi) that interpolating at them reads. Each output
+    sample is interpolated from its two neighbours alone, so interpolating
+    over that range gives the values of interpolating over all n samples,
+    bit for bit."""
+    positions = np.arange(start, stop) * (source_rate / target_rate)
+    return positions, int(positions[0]), min(n, int(positions[-1]) + 2)
 
 
 def segment(buf: AudioBuffer, seconds: float) -> list[AudioBuffer]:
-    """Cut consecutive non-overlapping windows of floor(seconds * rate) samples.
+    """The windows of `segment_bounds` cut from `buf`, as views of it."""
+    return [AudioBuffer(buf.samples[start:stop], buf.sample_rate)
+            for start, stop in segment_bounds(len(buf), seconds, buf.sample_rate)]
+
+
+def segment_bounds(n: int, seconds: float, sample_rate: int) -> list[tuple[int, int]]:
+    """[start, stop) of each consecutive non-overlapping window of
+    floor(seconds * sample_rate) samples of an n-sample signal.
 
     The trailing partial window is dropped so every segment has identical length.
     """
     if seconds <= 0:
         raise ValueError(f"segment duration must be positive, got {seconds}")
-    window = int(seconds * buf.sample_rate)
+    window = int(seconds * sample_rate)
     if window < 1:
         raise ValueError(f"segment duration {seconds}s is shorter than one sample")
-    count = len(buf) // window
-    return [AudioBuffer(buf.samples[i * window : (i + 1) * window], buf.sample_rate)
-            for i in range(count)]
+    return [(i * window, (i + 1) * window) for i in range(n // window)]

@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, resample_linear, segment
-from .dsp import WINDOW, StftConfig
+# `read_wav` stays bound here: perfbench's tracer test reads `dataset.read_wav`
+from .audio_io import WavReader, read_wav, resampled_length, segment_bounds  # noqa: F401
+from .dsp import BLOCK_FRAMES, WINDOW, StftConfig, block_spans
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
-from .features import SCHEMA_VERSION, FeatureConfig, extract_features, feature_names
-from .synth import add_noise
+from .features import (SCHEMA_VERSION, BlockFeatures, FeatureConfig, FeatureVector,
+                       feature_names)
+from .synth import add_noise_into, check_noise_scale
 
 logger = logging.getLogger(__name__)
 
@@ -150,31 +152,69 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
 
 def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
               file_idx: int = 0) -> list[np.ndarray]:
-    """One file decoded once: for each entry of `scales`, the
-    (n_segments, n_features) raw feature matrix of its analysis segments.
+    """One file read once, a block of frames at a time: for each entry of
+    `scales`, the (n_segments, n_features) raw feature matrix of its
+    analysis segments.
 
     Segments are `ex.segment_seconds` long (trailing partial dropped); a file
     shorter than one segment is one whole-file segment. A `None` scale is the
     clean audio; a float scale adds the noise realization seeded by
     `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
     its index, never on processing order or worker count. Errors name the
-    path once. At most one noisy buffer is alive beside the clean one: each
-    scale's buffer is dropped before the next one is drawn.
+    path once.
+
+    The rows are those of `extract_features` on each segment of
+    `synth.add_noise(resample_linear(read_wav(path), ex.sample_rate), ...)`,
+    bit for bit, but the file is read, resampled, noised and analysed one
+    `dsp.block_spans` block at a time. Each scale's noise is drawn in sample
+    order: samples that two blocks share keep their draws, and samples that
+    no frame covers are drawn too. So a call holds one block of samples per
+    scale and the buffers of one `BlockFeatures`, whatever the file's length.
     """
-    buf = read_wav(path)  # its errors name the path already
-    try:
-        clean = resample_linear(buf, ex.sample_rate)
-        per_scale = []
-        for scale_idx, scale in enumerate(scales):
-            buf = clean if scale is None else add_noise(
-                clean, scale, np.random.SeedSequence([seed, scale_idx, file_idx]))
-            pieces = segment(buf, ex.segment_seconds) or [buf]
-            per_scale.append(np.array([extract_features(p, ex.stft, ex.features).values
-                                       for p in pieces]))
-            del buf, pieces
-        return per_scale
-    except (WriceError, ValueError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    with WavReader(path) as wav:  # its errors name the path already
+        try:
+            return _streamed_rows(wav, ex, tuple(scales), seed, file_idx)
+        except (WriceError, ValueError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
+                   file_idx: int) -> list[np.ndarray]:
+    for scale in scales:
+        if scale is not None:
+            check_noise_scale(scale)
+    n = resampled_length(wav.frames, wav.sample_rate, ex.sample_rate)
+    segments = segment_bounds(n, ex.segment_seconds, ex.sample_rate) or [(0, n)]
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, file_idx])) if scale
+            else None for i, scale in enumerate(scales)]  # a 0 scale draws nothing
+    blocks = BlockFeatures(ex.stft, ex.features, ex.sample_rate)
+    longest = (BLOCK_FRAMES - 1) * ex.stft.hop + ex.stft.frame_len
+    clean = np.empty(longest)
+    noisy = {i: np.empty(longest) for i, rng in enumerate(rngs) if rng is not None}
+    rows = np.empty((len(scales), len(segments), ex.features.n_features))
+    for k, (first, last) in enumerate(segments):
+        sums = np.zeros((len(scales), ex.features.n_features))
+        done = held = 0  # samples of the segment read so far, and in the last block
+        for start, stop in block_spans(last - first, ex.stft):
+            keep = done - start  # samples the previous block covers too
+            for signal in (clean, *noisy.values()):
+                signal[:keep] = signal[held - keep : held]
+            fresh = slice(keep, stop - start)
+            clean[fresh] = wav.read_resampled(ex.sample_rate, first + done, first + stop)
+            for i, (scale, rng) in enumerate(zip(scales, rngs)):
+                signal = clean
+                if rng is not None:
+                    signal = noisy[i]
+                    add_noise_into(signal[fresh], clean[fresh], scale, rng)
+                blocks.add(signal[: stop - start], sums[i])
+            done, held = stop, stop - start
+        for rng in rngs:
+            if rng is not None:
+                rng.standard_normal(last - first - done)  # samples after the last frame
+        n_frames = (last - first - ex.stft.frame_len) // ex.stft.hop + 1
+        for i in range(len(scales)):
+            rows[i, k] = FeatureVector(values=sums[i] / n_frames).values
+    return list(rows)
 
 
 def _file_rows_job(job) -> list[np.ndarray]:

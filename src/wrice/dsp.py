@@ -1,9 +1,10 @@
 """Framing, windowing, and short-time Fourier analysis.
 
-`spectrum_blocks` is the one spectrum path: it cuts a signal into frames,
-applies a periodic Hann window (the only window, `WINDOW`) and takes
-`numpy.fft.rfft` magnitudes one block of frames at a time, so no caller
-holds a whole spectrogram unless it stacks the blocks itself. `StftConfig`
+`BlockSpectra` is the one spectrum path: it applies a periodic Hann window
+(the only window, `WINDOW`) to one block of frames and takes `numpy.fft.rfft`
+magnitudes, in buffers reused from block to block. `block_spans` bounds the
+blocks of a signal, and `spectrum_blocks` runs over them, so no caller holds
+a whole spectrogram unless it stacks the blocks itself. `StftConfig`
 admits power-of-two frame lengths only.
 """
 
@@ -54,8 +55,10 @@ def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < cfg.frame_len:
         return np.empty((0, cfg.frame_len), dtype=np.float64)
-    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.frame_len)
-    return frames[:: cfg.hop]
+    n_frames = (len(samples) - cfg.frame_len) // cfg.hop + 1
+    step = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(samples, (n_frames, cfg.frame_len),
+                                           (cfg.hop * step, step), writeable=False)
 
 
 # Frames per transform block: a block's windowed copy and complex spectrum
@@ -63,16 +66,48 @@ def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
 BLOCK_FRAMES = 64
 
 
+def block_spans(n_samples: int, cfg: StftConfig) -> list[tuple[int, int]]:
+    """[start, stop) of the samples that each block of up to BLOCK_FRAMES
+    consecutive frames of an n_samples-long signal covers, in order. Raises
+    ValueError if the signal is shorter than one frame."""
+    n, hop = cfg.frame_len, cfg.hop
+    if n_samples < n:
+        raise ValueError(f"buffer too short for one frame ({n_samples} < {n})")
+    n_frames = (n_samples - n) // hop + 1
+    return [(first * hop, (min(first + BLOCK_FRAMES, n_frames) - 1) * hop + n)
+            for first in range(0, n_frames, BLOCK_FRAMES)]
+
+
+class BlockSpectra:
+    """Hann-windowed one-sided FFT magnitudes of blocks of up to BLOCK_FRAMES
+    frames. The windowed frames, their complex spectrum and the magnitudes
+    are computed in buffers that every block reuses, so a long signal costs
+    no allocation per block."""
+
+    def __init__(self, cfg: StftConfig):
+        bins = cfg.frame_len // 2 + 1
+        self.cfg = cfg
+        self._window = _cached_hann(cfg.frame_len)
+        self._windowed = np.empty((BLOCK_FRAMES, cfg.frame_len))
+        self._spectrum = np.empty((BLOCK_FRAMES, bins), dtype=np.complex128)
+        self._mags = np.empty((BLOCK_FRAMES, bins))
+
+    def __call__(self, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(raw frames, magnitudes) of the frames of `span`, one block's
+        samples as `block_spans` bounds them. The magnitudes are a view of
+        a buffer that the next call overwrites."""
+        frames = frame_signal(span, self.cfg)
+        k = frames.shape[0]
+        windowed = np.multiply(frames, self._window, out=self._windowed[:k])
+        spectrum = np.fft.rfft(windowed, axis=-1, out=self._spectrum[:k])
+        return frames, np.abs(spectrum, out=self._mags[:k])
+
+
 def spectrum_blocks(samples, cfg: StftConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (raw frames, magnitudes of their Hann-windowed one-sided FFT) for
-    consecutive blocks of up to BLOCK_FRAMES frames. Raises ValueError if the
-    signal is shorter than one frame."""
-    n = cfg.frame_len
-    if len(samples) < n:
-        raise ValueError(f"buffer too short for one frame ({len(samples)} < {n})")
-    frames = frame_signal(samples, cfg)
-    window = _cached_hann(n)
-    for i in range(0, frames.shape[0], BLOCK_FRAMES):
-        block = frames[i : i + BLOCK_FRAMES]
-        yield block, np.abs(np.fft.rfft(block * window, axis=-1))
-
+    consecutive blocks of up to BLOCK_FRAMES frames, each block's magnitudes
+    a new array. Raises ValueError if the signal is shorter than one frame."""
+    spectra = BlockSpectra(cfg)
+    for start, stop in block_spans(len(samples), cfg):
+        frames, mags = spectra(samples[start:stop])
+        yield frames, mags.copy()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import numpy as np
 from .dataset import LabeledDataset, corpus_files, corpus_rows, scale_rows
 from .errors import SchemaMismatchError
 from .mlp import MlpModel, forward
+from .synth import check_noise_scale
 
 DEFAULT_NOISE_SCALES = (0.5, 0.05, 0.005)
 
@@ -91,8 +91,8 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     if not scales:
         raise ValueError("no noise scales given")
     for scale in scales:
-        if scale is not None and not 0 <= scale < math.inf:
-            raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
+        if scale is not None:
+            check_noise_scale(scale)
     _, pairs = corpus_files(root)
     file_ids = _label_ids(model, [category for _, category in pairs])
     per_scale, owner = corpus_rows([path for path, _ in pairs], model.extraction, scales,

@@ -3,12 +3,13 @@
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
 spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
 shared frame grid. Each family is one public per-frame function, which
-returns one value (MFCC: one row) per frame: `zcr` reads the whole
-signal (one pass, not one per overlapping frame), `rms` raw frames,
+returns one value (MFCC: one row) per frame: `zcr` reads the signal
+(one pass, not one per overlapping frame), `rms` raw frames,
 `centroids` and `bandwidths` one-sided magnitudes, `rolloffs`,
 `chromas` and `mfccs` the power (squared magnitudes, with sparse mel and
-chroma projections). `extract_features` sums them over the blocks of
-`dsp.spectrum_blocks`, so no full spectrogram is held.
+chroma projections). `BlockFeatures` sums them over one block of frames
+at a time, and `extract_features` over the blocks of a buffer, so no full
+spectrogram is held.
 
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_array
 
-from .dsp import StftConfig, spectrum_blocks
+from .dsp import BLOCK_FRAMES, BlockSpectra, StftConfig, block_spans
 
 SCHEMA_VERSION = 1
 
@@ -102,10 +103,10 @@ def zcr(samples: np.ndarray, stft_cfg: StftConfig) -> np.ndarray:
     n, hop = stft_cfg.frame_len, stft_cfg.hop
     if len(samples) < n:
         return np.empty(0)
-    starts = np.arange((len(samples) - n) // hop + 1) * hop
+    starts = np.arange(0, len(samples) - n + 1, hop)
     nonneg = samples[: starts[-1] + n] >= 0  # the samples the frames cover
-    changes = np.flatnonzero(nonneg[1:] != nonneg[:-1])
-    counts = np.searchsorted(changes, starts + n - 1) - np.searchsorted(changes, starts)
+    changes = (nonneg[1:] != nonneg[:-1]).nonzero()[0]
+    counts = changes.searchsorted(starts + (n - 1)) - changes.searchsorted(starts)
     return counts / n
 
 
@@ -234,28 +235,47 @@ def chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
     return projector
 
 
+class BlockFeatures:
+    """The per-block feature code: the seven families on one block of
+    frames, summed over its frames. The spectrum, its magnitudes and their
+    squares are computed in buffers that every block reuses."""
+
+    def __init__(self, stft_cfg: StftConfig, feat_cfg: FeatureConfig, sample_rate: int):
+        n = stft_cfg.frame_len
+        self.stft_cfg, self.feat_cfg = stft_cfg, feat_cfg
+        self._freqs = np.arange(n // 2 + 1) * (sample_rate / n)
+        self._bank = mel_projector(feat_cfg, n, sample_rate)
+        self._chroma = chroma_projector(n, sample_rate)
+        self._spectra = BlockSpectra(stft_cfg)
+        self._power = np.empty((BLOCK_FRAMES, n // 2 + 1))
+
+    def add(self, span: np.ndarray, sums: np.ndarray) -> int:
+        """Add to `sums` each feature's per-frame values summed over the
+        frames of `span`, one block's samples as `dsp.block_spans` bounds
+        them; returns the number of frames. The block's magnitudes are
+        squared once, and its zero-crossing rates taken in one pass over
+        `span`."""
+        frames, mags = self._spectra(span)
+        power = np.square(mags, out=self._power[: frames.shape[0]])
+        centers = centroids(mags, self._freqs)
+        sums += np.column_stack([
+            zcr(span, self.stft_cfg), centers, bandwidths(mags, self._freqs, centers),
+            rolloffs(power, self._freqs), rms(frames), chromas(power, self._chroma),
+            mfccs(power, self._bank, self.feat_cfg),
+        ]).sum(axis=0)
+        return frames.shape[0]
+
+
 def extract_features(buf, stft_cfg: StftConfig | None = None,
                      feat_cfg: FeatureConfig | None = None) -> FeatureVector:
     """Compute all feature families on one shared frame grid, one block of
-    frames at a time: a block is squared once and each family's per-frame
-    values go into running sums (the zero-crossing rates are taken in one
-    pass over the signal first, then summed block by block). Raises
-    ValueError as `spectrum_blocks` does."""
+    frames at a time: each family's per-frame values go into running sums
+    through `BlockFeatures`, and the vector is their mean over every frame.
+    Raises ValueError if the buffer is shorter than one frame."""
     stft_cfg = stft_cfg or StftConfig()
     feat_cfg = feat_cfg or FeatureConfig()
-    freqs = np.arange(stft_cfg.frame_len // 2 + 1) * (buf.sample_rate / stft_cfg.frame_len)
-    bank = mel_projector(feat_cfg, stft_cfg.frame_len, buf.sample_rate)
-    chroma = chroma_projector(stft_cfg.frame_len, buf.sample_rate)
+    spans = block_spans(len(buf), stft_cfg)
+    blocks = BlockFeatures(stft_cfg, feat_cfg, buf.sample_rate)
     sums = np.zeros(feat_cfg.n_features)
-    n_frames = 0
-    rates = zcr(buf.samples, stft_cfg)
-    for frames, mags in spectrum_blocks(buf.samples, stft_cfg):
-        power = np.square(mags)
-        centers = centroids(mags, freqs)
-        sums += np.column_stack([
-            rates[n_frames : n_frames + frames.shape[0]], centers,
-            bandwidths(mags, freqs, centers), rolloffs(power, freqs), rms(frames),
-            chromas(power, chroma), mfccs(power, bank, feat_cfg),
-        ]).sum(axis=0)
-        n_frames += frames.shape[0]
+    n_frames = sum(blocks.add(buf.samples[start:stop], sums) for start, stop in spans)
     return FeatureVector(values=sums / n_frames)

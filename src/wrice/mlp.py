@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class MlpModel:
             raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
         self.layer_dims = dims
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
-        if not np.isfinite(self.params).all():
+        if not _all_finite(self.params):
             raise ValueError("params holds non-finite values")
         if self.scaler.mean.shape != (dims[0],) or len(self.label_map) != dims[-1]:
             raise ValueError(f"layer_dims {dims} need a {dims[0]}-wide scaler and {dims[-1]} "
@@ -367,6 +367,13 @@ def _header(model: MlpModel) -> dict:
     }
 
 
+def _all_finite(params: np.ndarray) -> bool:
+    """Whether every parameter is finite, checked `_ADAM_BLOCK` elements at
+    a time, so no array of one bool per parameter is built."""
+    return all(np.isfinite(params[start : start + _ADAM_BLOCK]).all()
+               for start in range(0, params.size, _ADAM_BLOCK))
+
+
 def _checksum(header: dict, body) -> str:
     """sha256 over the canonical JSON of the header, a newline, and the body
     (any bytes-like object, hashed in place)."""
@@ -382,9 +389,9 @@ def save_model(model: MlpModel, path) -> None:
     the body. The body is hashed and written from a view of `params`, never
     copied. Raises NonFiniteError, and writes nothing, if a parameter is
     NaN or infinite."""
-    if not np.isfinite(model.params).all():
+    if not _all_finite(model.params):
         raise NonFiniteError(f"{path}: model has non-finite parameters; not saved")
-    body = memoryview(model.params.astype("<f8", copy=False)).cast("B")
+    body = _body(model)
     header = _header(model)
     header["checksum"] = _checksum(header, body)
     with open(path, "wb") as fh:
@@ -395,39 +402,40 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read a model file back; restores parameters bit-exactly.
 
-    Raises VersionMismatchError on a wrong version field (files of an older
-    version must be written again by `wrice train`), SchemaMismatchError on
-    another feature schema, and CorruptModelError on structural damage or
-    checksum failure.
+    The header line is parsed first, then the body is read straight into
+    the one float64 array that becomes `params`, so loading holds one copy
+    of the parameters. Raises VersionMismatchError on a wrong version field
+    (files of an older version must be written again by `wrice train`),
+    SchemaMismatchError on another feature schema, and CorruptModelError on
+    structural damage or checksum failure.
     """
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise CorruptModelError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:newline].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise CorruptModelError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
-        raise CorruptModelError(f"{path}: not a {MODEL_FORMAT} file")
-    if header.get("version") != MODEL_VERSION:
-        raise VersionMismatchError(
-            f"{path}: model version {header.get('version')!r}, expected {MODEL_VERSION}; "
-            "re-run `wrice train` to write a current model file")
-    version = header.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-    body = memoryview(raw)[newline + 1 :]  # a view: hashed and parsed without a copy
-    # a missing key or a bad value is damage, not a caller error; parsing
-    # comes first so such damage is named, the header must then be the one
-    # `save_model` writes for the parsed model, and the checksum last catches
-    # any edited value that still parses
-    try:
-        model = _model_from(header, body, path)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise CorruptModelError(
-            f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CorruptModelError(f"{path}: missing header line")
+        try:
+            header = json.loads(line[:-1].decode())
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise CorruptModelError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise CorruptModelError(f"{path}: not a {MODEL_FORMAT} file")
+        if header.get("version") != MODEL_VERSION:
+            raise VersionMismatchError(
+                f"{path}: model version {header.get('version')!r}, expected {MODEL_VERSION}; "
+                "re-run `wrice train` to write a current model file")
+        version = header.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaMismatchError(
+                f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
+        # a missing key or a bad value is damage, not a caller error; parsing
+        # comes first so such damage is named, the header must then be the
+        # one `save_model` writes for the parsed model, and the checksum last
+        # catches any edited value that still parses
+        try:
+            model = _model_from(header, fh, os.fstat(fh.fileno()).st_size - len(line), path)
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise CorruptModelError(
+                f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
     expected = _header(model)
     absent = object()
     differ = sorted(k for k in (header.keys() | expected.keys()) - {"checksum"}
@@ -435,21 +443,31 @@ def load_model(path) -> MlpModel:
     if differ:
         raise CorruptModelError(f"{path}: malformed model file (fields {differ} are not "
                                 "what wrice writes for this model)")
-    if _checksum(expected, body) != header.get("checksum"):
+    if _checksum(expected, _body(model)) != header.get("checksum"):
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
     return model
 
 
-def _model_from(header: dict, body: memoryview, path) -> MlpModel:
+def _body(model: MlpModel) -> memoryview:
+    """The model file's body: the bytes of `params` as little-endian float64,
+    a view of them, not a copy, on a little-endian machine."""
+    return memoryview(model.params.astype("<f8", copy=False)).cast("B")
+
+
+def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     dims = [int(d) for d in header["layer_dims"]]
     shapes = _tensor_shapes(dims)
     if [tuple(entry["shape"]) for entry in header["tensors"]] != shapes:
         raise ValueError(f"tensor shapes do not match layer_dims {dims}")
     size = 8 * sum(math.prod(shape) for shape in shapes)
-    if len(body) != size:
-        raise CorruptModelError(f"{path}: body has {len(body)} bytes, its tensors need {size}")
-    # frombuffer on bytes is read-only; astype copies into an owning, writable array
-    params = np.frombuffer(body, "<f8").astype(np.float64)
+    if body_size != size:
+        raise CorruptModelError(f"{path}: body has {body_size} bytes, its tensors need {size}")
+    # the body is read into the array that the model then owns, not copied
+    params = np.empty(size // 8, dtype="<f8")
+    got = fh.readinto(memoryview(params).cast("B"))
+    if got != size:
+        raise CorruptModelError(f"{path}: body has {got} bytes, its tensors need {size}")
+    params = params.astype(np.float64, copy=False)
     # a null section is a TypeError here, so the file is named malformed
     scaler, stft, features, audio = (header[k] for k in ("scaler", "stft", "features", "audio"))
     extraction = Extraction(audio["sample_rate"], audio["segment_seconds"],

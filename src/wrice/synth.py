@@ -82,14 +82,27 @@ def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
     `seed` may be an int or a numpy SeedSequence; the same seed reproduces the
     same realization.
     """
-    if not 0 <= scale < math.inf:
-        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
+    check_noise_scale(scale)
     if scale == 0:
         return buf
-    noisy = np.random.default_rng(seed).standard_normal(len(buf))
-    noisy *= scale
-    noisy += buf.samples
+    noisy = np.empty(len(buf))
+    add_noise_into(noisy, buf.samples, scale, np.random.default_rng(seed))
     return AudioBuffer(noisy, buf.sample_rate)
+
+
+def check_noise_scale(scale: float) -> None:
+    """ValueError unless `scale` is a finite noise scale >= 0."""
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
+
+
+def add_noise_into(out: np.ndarray, clean: np.ndarray, scale: float, rng) -> None:
+    """out = clean + scale * the next len(out) standard-normal draws of the
+    generator `rng`. Draws come in sample order, so filling consecutive
+    pieces of a signal draws what one call over all of it would."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += clean
 
 
 def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:

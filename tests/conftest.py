@@ -9,8 +9,10 @@ frame, independently of `features.zcr`'s one pass over the signal.
 `frame_zcr`) to whole frame and magnitude arrays, so feature
 tests can pin degenerate spectra directly and compare `extract_features`,
 which reduces block by block, against one pass over everything.
-`full_array_adam_step` is the Adam update in one pass over the whole
-parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
+`whole_file_rows` is `dataset.file_rows` done on whole buffers, the oracle
+for its block-by-block streaming. `full_array_adam_step` is the Adam update
+in one pass over the whole parameter array, the oracle for
+`mlp.adam_step`, which runs in blocks.
 """
 
 import json
@@ -21,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrice.audio_io import AudioBuffer
+from wrice.audio_io import AudioBuffer, read_wav
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import StftConfig, spectrum_blocks
 from wrice.features import (FeatureConfig, bandwidths, centroids, chroma_projector, chromas,
-                            mel_projector, mfccs, rms, rolloffs)
+                            extract_features, mel_projector, mfccs, rms, rolloffs)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -257,6 +259,32 @@ def family_means(frames, mags, sample_rate: int = 22050,
          chromas(power, chroma_projector(frame_len, sample_rate)).mean()],
         mfccs(power, mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
     ])
+
+
+def whole_file_rows(path, ex: Extraction, scales, seed: int, file_idx: int) -> list:
+    """The oracle for `dataset.file_rows`, which streams a file block by
+    block: the whole file decoded, resampled by `np.interp` at every output
+    instant, noised by one draw of its full length per scale, cut into
+    segments, and each segment extracted whole."""
+    buf = read_wav(path)
+    samples, rate = buf.samples, buf.sample_rate
+    if rate != ex.sample_rate:
+        n_out = len(samples) * ex.sample_rate // rate
+        samples = np.interp(np.arange(n_out) * (rate / ex.sample_rate),
+                            np.arange(len(samples)), samples)
+    window = int(ex.segment_seconds * ex.sample_rate)
+    per_scale = []
+    for scale_idx, scale in enumerate(scales):
+        signal = samples
+        if scale:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, scale_idx, file_idx]))
+            signal = rng.standard_normal(len(samples)) * scale + samples
+        pieces = ([signal[i * window : (i + 1) * window] for i in range(len(signal) // window)]
+                  or [signal])
+        per_scale.append(np.array([
+            extract_features(AudioBuffer(piece, ex.sample_rate), ex.stft, ex.features).values
+            for piece in pieces]))
+    return per_scale
 
 
 # Small corpus settings shared by dataset/eval/cli tests: cheap but large

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import wav_bytes
-from wrice.audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
+from wrice.audio_io import (AudioBuffer, WavReader, read_wav, resample_linear, segment,
+                            write_wav)
 from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
 
 
@@ -279,3 +280,46 @@ class TestAudioBuffer:
 
     def test_duration(self):
         assert AudioBuffer(np.zeros(22050), 22050).duration == 1.0
+
+
+class TestWavReader:
+    """Ranges of a file, read or resampled one at a time, against the whole file."""
+
+    @pytest.fixture(scope="class")
+    def stereo24(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        vals = rng.integers(-2**23, 2**23, size=2 * 7001, dtype=np.int32)
+        path = tmp_path_factory.mktemp("reader") / "stereo24.wav"
+        path.write_bytes(wav_bytes(_pcm_bytes(vals, 24), channels=2, sample_rate=44100,
+                                   bits=24))
+        return path
+
+    def test_ranges_are_slices_of_the_whole_file(self, stereo24):
+        whole = read_wav(stereo24).samples
+        with WavReader(stereo24) as wav:
+            assert (wav.frames, wav.sample_rate, wav.channels) == (7001, 44100, 2)
+            for start, stop in [(0, 1), (0, 7001), (3, 3), (100, 4096), (6990, 7001)]:
+                assert np.array_equal(wav.read(start, stop - start), whole[start:stop])
+
+    @pytest.mark.parametrize("start,count", [(-1, 2), (7000, 2)])
+    def test_a_range_outside_the_file_is_refused(self, stereo24, start, count):
+        with WavReader(stereo24) as wav, pytest.raises(ValueError, match="outside"):
+            wav.read(start, count)
+
+    @pytest.mark.parametrize("rate", [22050, 16000, 48000, 8000])
+    def test_resampled_ranges_join_to_the_whole_file_resampled(self, stereo24, rate):
+        want = resample_linear(read_wav(stereo24), rate).samples
+        cuts = np.unique(np.random.default_rng(rate).integers(1, len(want), 9))
+        bounds = [0, *cuts.tolist(), len(want)]
+        with WavReader(stereo24) as wav:
+            got = np.concatenate([wav.read_resampled(rate, a, b)
+                                  for a, b in zip(bounds, bounds[1:])])
+        assert np.array_equal(got, want)
+
+    def test_opening_checks_every_float_sample(self, tmp_path):
+        # a NaN far past the first chunk that opening scans
+        vals = np.zeros(3 * 2**16, dtype="<f4")
+        vals[-1] = np.nan
+        path = write_blob(tmp_path, wav_bytes(vals.tobytes(), format_tag=3, bits=32))
+        with pytest.raises(NonFiniteError, match="samples contain NaN or Inf"):
+            WavReader(path)

@@ -15,7 +15,7 @@ import pytest
 from conftest import edit_model_header, wav_bytes
 import wrice
 from wrice import dataset
-from wrice.audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
+from wrice.audio_io import AudioBuffer, WavReader, read_wav, resample_linear, segment, write_wav
 from wrice.cli import run
 from wrice.dataset import (Extraction, ingest_corpus, read_features_csv, scale_rows,
                            write_features_csv)
@@ -80,18 +80,29 @@ class TestWorkflow:
         corpus = workspace / "corpus"
         model_path = workspace / "model.wrice"
         report = tmp_path / "report.json"
-        decoded = []
+        opened, ranges = [], {}
 
-        def counting_read_wav(path):
-            decoded.append(str(path))
-            return read_wav(path)
+        class CountingReader(WavReader):
+            def __init__(self, path):
+                opened.append(str(path))
+                super().__init__(path)
 
-        monkeypatch.setattr(dataset, "read_wav", counting_read_wav)
+            def read(self, start, count):
+                ranges.setdefault(str(self.path), []).append((start, start + count))
+                return super().read(start, count)
+
+        monkeypatch.setattr(dataset, "WavReader", CountingReader)
         assert run(["eval", "--model", str(model_path), "--in", str(corpus),
                     "--noise", "0.5,0.005", "--seed", "4", "--json", str(report),
                     "--workers", "1"]) == 0
-        assert sorted(decoded) == sorted(str(p) for p in corpus.rglob("*.wav"))
-        assert len(decoded) == 16
+        assert sorted(opened) == sorted(str(p) for p in corpus.rglob("*.wav"))
+        assert len(opened) == 16
+        # the corpus is at the model's rate, so no frame is read twice: each
+        # file's ranges follow one another, and all three scales share them
+        for path in opened:
+            starts, stops = zip(*ranges[path])
+            assert starts[0] == 0 and list(starts[1:]) == list(stops[:-1])
+            assert stops[-1] <= 1.5 * 11025
 
         doc = json.loads(report.read_text())
         model = load_model(model_path)
@@ -115,7 +126,7 @@ class TestWorkflow:
     def test_eval_refuses_a_bad_noise_scale_before_decoding(self, workspace, capsys,
                                                             monkeypatch, scale):
         decoded = []
-        monkeypatch.setattr(dataset, "read_wav", decoded.append)
+        monkeypatch.setattr(dataset, "WavReader", decoded.append)
         assert run(["eval", "--model", str(workspace / "model.wrice"),
                     "--in", str(workspace / "corpus"), "--noise", scale,
                     "--workers", "1"]) == 1
@@ -399,7 +410,7 @@ class TestExitCodes:
         wav.parent.mkdir(parents=True)
         write_wav(wav, AudioBuffer(np.zeros(2048), 22050))
         decoded = []
-        monkeypatch.setattr(dataset, "read_wav", lambda path: decoded.append(path))
+        monkeypatch.setattr(dataset, "WavReader", decoded.append)
         out = tmp_path / "x.csv"
         assert run(["extract", "--in", str(tmp_path / "corpus"), "--out", str(out),
                     "--workers", "1"]) == 1

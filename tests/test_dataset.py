@@ -10,15 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TINY_EX, TINY_SR, noise_buffer
-from wrice.audio_io import AudioBuffer, write_wav
+from conftest import TINY_EX, TINY_SR, noise_buffer, wav_bytes, whole_file_rows
+from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_labels, corpus_rows,
                            file_rows, fit_scaler, ingest_corpus, map_per_file,
                            read_extraction, read_features_csv, scale_rows,
                            stratified_split, write_features_csv)
-from wrice.errors import (ClassTooSmallError, DuplicateLabelError,
-                          EmptyCorpusError, NonFiniteError, SchemaMismatchError)
-from wrice.dsp import StftConfig
+from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
+                          MalformedWavError, NonFiniteError, SchemaMismatchError)
+from wrice.dsp import BLOCK_FRAMES, StftConfig
 from wrice.features import SCHEMA_VERSION, FeatureConfig, extract_features
 
 
@@ -541,20 +541,134 @@ class TestFileRows:
 
     def test_peak_memory_at_four_scales_of_a_thirty_second_file(self, realistic_corpus):
         path = sorted(realistic_corpus.glob("*/*.wav"))[0]
-        ex = Extraction()
+        assert_streamed_peak(path)
+
+    def test_peak_memory_at_four_scales_of_a_five_minute_file(self, realistic_corpus,
+                                                              tmp_path):
+        # the 30 s file's samples (after write_wav's 44-byte header) ten times
+        # over: one bound for both lengths
+        source = sorted(realistic_corpus.glob("*/*.wav"))[0]
+        path = tmp_path / "five_minutes.wav"
+        path.write_bytes(wav_bytes(source.read_bytes()[44:] * 10, sample_rate=22050))
+        assert_streamed_peak(path)
+
+
+def assert_streamed_peak(path):
+    """The tracemalloc peak of `file_rows` at four scales is a constant
+    number of block-sized buffers, whatever the file's length: twice the
+    spectrum buffers of one block (windowed frames, complex spectrum,
+    magnitudes, power) and one block of samples per scale and for the clean
+    signal. Decoding, resampling and noising a whole file first needed 13.9
+    MiB at 30 s and 107 MiB at 300 s."""
+    ex = Extraction()
+    scales = (None, 0.5, 0.05, 0.005)
+    n = ex.stft.frame_len
+    spectra = BLOCK_FRAMES * (8 * n + (16 + 8 + 8) * (n // 2 + 1))
+    samples = 8 * ((BLOCK_FRAMES - 1) * ex.stft.hop + n)
+    bound = 2 * spectra + (len(scales) + 1) * samples
+    file_rows(path, ex, scales)  # caches filled before tracing
+    tracemalloc.start()
+    try:
+        file_rows(path, ex, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+# analysis segments of 2.5 s at 11025 Hz hold 104 frames of 1024 at hop 256,
+# so each is two blocks that share samples
+STREAM_EX = Extraction(TINY_SR, 2.5, StftConfig(frame_len=1024, hop=256))
+STREAM_SCALES = (None, 0.0, 0.5, 0.005)
+ENCODINGS = {"int16": (1, 16), "int24": (1, 24), "int32": (1, 32), "float32": (3, 32)}
+
+
+def write_encoded(path, samples, encoding, sample_rate):
+    """A WAV of the (frames, channels) `samples` in one of ENCODINGS."""
+    format_tag, bits = ENCODINGS[encoding]
+    if format_tag == 3:
+        payload = samples.astype("<f4").tobytes()
+    else:
+        scale = 2 ** (bits - 1)
+        ints = np.clip(np.rint(samples * scale), -scale, scale - 1).astype("<i4")
+        payload = (ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes() if bits == 24
+                   else ints.astype(f"<i{bits // 8}").tobytes())
+    path.write_bytes(wav_bytes(payload, format_tag, samples.shape[1], sample_rate, bits))
+    return path
+
+
+def tone_and_noise(seconds, sample_rate, channels, seed=0):
+    """Noise over a tone, so that every feature family has something to see."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * sample_rate)
+    tone = 0.3 * np.sin(2 * np.pi * 440.0 * np.arange(n) / sample_rate)
+    return tone[:, None] + rng.uniform(-0.4, 0.4, (n, channels))
+
+
+class TestStreamedRows:
+    """`file_rows` streams each file one block of frames at a time; its rows
+    must equal `whole_file_rows`, the whole-buffer oracle, bit for bit."""
+
+    @pytest.mark.parametrize("rate", [44100, 48000, 16000, TINY_SR])
+    @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+    @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+    @pytest.mark.parametrize("seconds,n_rows", [(1.2, 1), (6.0, 2)],
+                             ids=["shorter-than-a-segment", "segments-and-a-partial"])
+    def test_rows_equal_the_whole_file_oracle(self, tmp_path, seconds, n_rows, encoding,
+                                              channels, rate):
+        path = write_encoded(tmp_path / "in.wav", tone_and_noise(seconds, rate, channels),
+                             encoding, rate)
+        got = file_rows(path, STREAM_EX, STREAM_SCALES, seed=9, file_idx=3)
+        want = whole_file_rows(path, STREAM_EX, STREAM_SCALES, 9, 3)
+        assert len(got) == len(want) == len(STREAM_SCALES)
+        for rows, oracle in zip(got, want):
+            assert rows.shape == (n_rows, STREAM_EX.features.n_features)
+            assert np.array_equal(rows, oracle)
+        assert np.array_equal(got[0], got[1])  # a 0 scale is the clean audio
+        assert not np.array_equal(got[0], got[2])
+
+    @pytest.mark.parametrize("hop", [300, 1024], ids=["hop-300", "hop-equals-frame"])
+    def test_hops_that_do_not_divide_the_frame_or_share_no_samples(self, tmp_path, hop):
+        ex = replace(STREAM_EX, stft=StftConfig(frame_len=1024, hop=hop))
+        path = write_encoded(tmp_path / "in.wav", tone_and_noise(9.0, 22050, 2), "int24", 22050)
+        got = file_rows(path, ex, STREAM_SCALES, seed=2, file_idx=0)
+        for rows, oracle in zip(got, whole_file_rows(path, ex, STREAM_SCALES, 2, 0)):
+            assert rows.shape[0] == 3 and np.array_equal(rows, oracle)
+
+    def test_default_extraction_of_a_thirty_second_file(self, realistic_corpus):
+        # 1,288 frames in 21 blocks
+        path = sorted(realistic_corpus.glob("*/*.wav"))[1]
         scales = (None, 0.5, 0.05, 0.005)
-        file_rows(path, ex, scales)  # caches filled before tracing
-        tracemalloc.start()
-        try:
-            file_rows(path, ex, scales)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the clean buffer and one noisy one, and slack for the decode, one
-        # segment's extraction and the noise's finiteness check; a noisy
-        # buffer kept alive while the next one is drawn would exceed it
-        bound = 2 * 8 * 30 * ex.sample_rate + 4.5 * 2**20
-        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+        got = file_rows(path, Extraction(), scales, seed=42, file_idx=7)
+        for rows, oracle in zip(got, whole_file_rows(path, Extraction(), scales, 42, 7)):
+            assert np.array_equal(rows, oracle)
+
+    @pytest.mark.parametrize("damage,error,message", [
+        ("not-riff", MalformedWavError, "not a RIFF/WAVE file"),
+        ("truncated", MalformedWavError, "chunk b'data' truncated"),
+        ("nan-in-the-second-segment", NonFiniteError, "samples contain NaN or Inf"),
+        ("nan-after-the-last-segment", NonFiniteError, "samples contain NaN or Inf"),
+        ("shorter-than-a-frame", ValueError, "buffer too short for one frame (500 < 1024)"),
+    ])
+    def test_bad_files_fail_as_the_whole_file_decoder_does(self, tmp_path, damage, error,
+                                                           message):
+        samples = tone_and_noise(6.0, TINY_SR, 1)
+        if damage.startswith("nan"):
+            samples[int((3.0 if "second" in damage else 5.5) * TINY_SR), 0] = np.nan
+        if damage == "shorter-than-a-frame":
+            samples = samples[:500]
+        path = write_encoded(tmp_path / "bad.wav", samples, "float32", TINY_SR)
+        raw = path.read_bytes()
+        if damage == "not-riff":
+            path.write_bytes(b"RIFX" + raw[4:])
+        elif damage == "truncated":
+            path.write_bytes(raw[:-100])
+        with pytest.raises(error) as info:
+            file_rows(path, STREAM_EX, STREAM_SCALES)
+        assert str(info.value) == f"{path}: {message}"
+        if error is not ValueError:  # the decoder's own error, raised as it is
+            with pytest.raises(error, match=re.escape(str(info.value))):
+                read_wav(path)
 
 
 _THREAD_MODEL_CONFIGS = [

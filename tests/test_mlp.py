@@ -1,6 +1,7 @@
 """Network forward/backward math, Adam, training loop, persistence."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -549,21 +550,49 @@ class TestPersistence:
             save_model(model, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("where", [0, _ADAM_BLOCK + 1, -1],
+                             ids=["first", "second-block", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_parameter_in_any_block_is_refused(self, tmp_path, where, bad):
+        # the finiteness checks run block by block; paper4's 541,188
+        # parameters end in a partial block
+        model = paper4_model()
+        params = model.params.copy()
+        params[where] = bad
+        with pytest.raises(ValueError, match="^params holds non-finite values$"):
+            MlpModel(model.layer_dims, params, model.scaler, model.label_map,
+                     model.extraction)
+        model.params[where] = bad
+        path = tmp_path / "model.wrice"
+        with pytest.raises(NonFiniteError,
+                           match=f"^{re.escape(str(path))}: model has non-finite "
+                                 "parameters; not saved$"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_save_copies_no_body(self, tmp_path):
         model = paper4_model()
         peak = traced_peak(lambda: save_model(model, tmp_path / "paper4.wrice"))
-        # the finiteness check's bools and slack
-        bound = model.params.size + 2**19
-        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+        # slack only: no copy of the body, and no bool per parameter for the
+        # finiteness check (541,188 bytes)
+        bound = 2**17
+        assert peak <= bound, f"peak {peak / 2**10:.0f} KiB, bound {bound / 2**10:.0f} KiB"
+
+    def test_construction_builds_nothing_parameter_long(self):
+        model = paper4_model()
+        peak = traced_peak(lambda: MlpModel(model.layer_dims, model.params, model.scaler,
+                                            model.label_map, model.extraction))
+        bound = 2**17  # slack, far below one bool per parameter
+        assert peak <= bound, f"peak {peak / 2**10:.0f} KiB, bound {bound / 2**10:.0f} KiB"
 
     def test_load_copies_no_body(self, tmp_path):
         model = paper4_model()
         path = tmp_path / "paper4.wrice"
         save_model(model, path)
         peak = traced_peak(lambda: load_model(path))
-        # the file's bytes, the loaded params, the finiteness check's bools
-        # and slack
-        bound = path.stat().st_size + model.params.nbytes + model.params.size + 2**19
+        # the loaded params and header slack: the body is read into them,
+        # not held as bytes beside them
+        bound = model.params.nbytes + 2**17
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_save_is_deterministic(self, tmp_path):
