@@ -218,9 +218,12 @@ def _cmd_augment(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
-    buf = resample_linear(read_wav(args.in_path), args.sr)
     cfg = StftConfig(args.frame, args.hop)
-    magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+    buf = resample_linear(read_wav(args.in_path), args.sr)
+    try:
+        magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+    except ValueError as exc:  # a file shorter than one frame
+        raise ValueError(f"{args.in_path}: {exc}") from exc
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
             f"window={WINDOW} source={args.in_path}")
     if fmt == "csv":

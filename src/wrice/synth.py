@@ -230,7 +230,8 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     least one sample) are checked before anything is written. Returns the
     (path, category) manifest, which is also written to `root/manifest.csv`.
     """
-    # imported here because dataset imports add_noise from this module
+    # imported here because dataset imports add_noise_into and check_noise_scale
+    # from this module
     from . import dataset
 
     counts = DEFAULT_COUNTS if counts is None else counts

@@ -206,7 +206,7 @@ class TestWorkflow:
         assert run(["train", "--features", str(feats), "--out", str(model),
                     "--epochs", "1", "--arch", "compact3"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(feats) in err
+        assert err.startswith(f"error: {feats}: ")
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not model.exists()
 
@@ -398,6 +398,15 @@ class TestExitCodes:
         assert err == "error: frame_len must be a power of two >= 2, got 1000\n"
         assert not out.exists()
 
+    def test_spectrogram_refuses_a_non_power_of_two_frame_before_reading(self, tmp_path,
+                                                                        capsys):
+        out = tmp_path / "x.csv"
+        assert run(["spectrogram", "--in", str(tmp_path / "missing.wav"), "--out", str(out),
+                    "--frame", "1000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: frame_len must be a power of two >= 2, got 1000\n"
+        assert not out.exists()
+
     def test_bad_corpus_is_domain_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run(["extract", "--in", str(tmp_path / "empty"),
@@ -429,6 +438,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(wav) in err and "NaN or Inf" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_spectrogram_of_a_wav_shorter_than_a_frame_names_the_file(self, tmp_path, capsys):
+        wav = tmp_path / "short.wav"
+        wav.write_bytes(wav_bytes(bytes(2000), sample_rate=22050))
+        out = tmp_path / "x.csv"
+        assert run(["spectrogram", "--in", str(wav), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {wav}: buffer too short for one frame (1000 < 2048)\n"
+        assert not out.exists()
 
     def test_synth_worker_error_is_domain_error(self, tmp_path, capsys):
         # a directory where a WAV should go: the pool worker's write fails

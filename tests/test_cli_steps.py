@@ -1,13 +1,19 @@
 """The workflow as a shell runs it: each `wrice` verb in a fresh process,
-with outputs compared byte for byte.
+with outputs compared byte for byte or counted.
+
+A corpus extracted and trained on with OpenBLAS limited to one thread and
+with its default thread count must give the same CSV and the same model.
 
 `rt` is the round trip of a small corpus at 11025 Hz: 8 files of 3 s,
 extracted at frame 1024, hop 256, in 1.5 s segments, and a compact3 model
-trained on the CSV alone. The tests read it in three ways that exercise the
-streamed per-file path: a 24-bit stereo copy of a file, a hop that does not
-divide the frame, and a pooled noisy eval.
+trained on the CSV alone. The tests check that the model and `spectrogram`
+keep those settings (16 eval rows, two segments per file, 126 frames of 513
+bins), and that the streamed per-file path gives the same bytes for a
+24-bit stereo copy of a file, at a hop that does not divide the frame, and
+in a pooled noisy eval at any worker count.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,14 +25,40 @@ import pytest
 import wrice
 
 
-def wrice_cli(*args) -> str:
-    """Run `python -m wrice.cli` on `args` in a new process; its stdout."""
+def wrice_cli(*args, env=None) -> str:
+    """Run `python -m wrice.cli` on `args` in a new process; its stdout.
+    `env` maps variable names to the values this call sets, or to None for
+    the ones it removes."""
     src = str(Path(wrice.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "wrice.cli", *map(str, args)], env=env,
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    done = subprocess.run([sys.executable, "-m", "wrice.cli", *map(str, args)], env=full,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # extraction calls no BLAS routine, and training writes its gradients
+    # through `matmul(out=)` into views of one flat buffer, so the CSVs of
+    # two workers and the models must be byte-identical with BLAS limited to
+    # one thread and at its default count. Training needs >= 2 rows per class
+    wrice_cli("synth", "--out", tmp_path / "corpus", "--seed", 2, "--counts", "2,2,2,2",
+              env={"OMP_NUM_THREADS": None})
+    limits = {"one": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+              "default": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}}
+    for name, env in limits.items():
+        wrice_cli("extract", "--in", tmp_path / "corpus", "--out", tmp_path / f"{name}.csv",
+                  "--workers", 2, env=env)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    for name, env in limits.items():
+        wrice_cli("train", "--features", tmp_path / "one.csv", "--out", tmp_path / f"{name}.wrice",
+                  env=env)
+    assert (tmp_path / "one.wrice").read_bytes() == (tmp_path / "default.wrice").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +71,24 @@ def rt(tmp_path_factory):
     wrice_cli("train", "--features", ws / "rt.csv", "--out", ws / "rt.wrice",
               "--epochs", 5, "--seed", 4, "--arch", "compact3")
     return ws
+
+
+def test_the_model_scores_at_the_settings_of_its_csv(rt):
+    # trained from the CSV alone, the model scores the corpus at 11025 Hz in
+    # 1.5 s segments, so its 8 files of 3 s give 16 rows
+    wrice_cli("eval", "--model", rt / "rt.wrice", "--in", rt / "rt", "--json", rt / "r.json")
+    report = json.loads((rt / "r.json").read_text())
+    assert (report["clean"]["n"], report["configs"]["sample_rate"]) == (16, 11025)
+
+
+def test_spectrogram_stacks_the_frames_of_extraction(rt):
+    # the same Hann-windowed blocks: one 3 s file gives 513 bins of
+    # (33075 - 1024) // 256 + 1 = 126 frames
+    wrice_cli("spectrogram", "--in", rt / "rt" / "dry_40" / "dry_40_000.wav",
+              "--out", rt / "rt_spec.csv", "--sr", 11025, "--frame", 1024, "--hop", 256)
+    meta, freqs, *rows = (rt / "rt_spec.csv").read_text().splitlines()
+    assert " window=hann " in meta
+    assert (len(freqs.split(",")), len(rows)) == (513, 126)
 
 
 def test_a_stereo_24bit_copy_predicts_the_bytes_of_its_mono_source(rt):
