@@ -1,6 +1,6 @@
 """Wheel-rail rolling-noise analysis: features, classifier, synthetic corpus."""
 
-from .audio_io import AudioBuffer, read_wav, resample_linear, segment, write_wav
+from .audio_io import AudioBuffer, read_wav, write_wav
 from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, Extraction,
                       LabeledDataset, Scaler, corpus_rows, file_rows,
                       fit_scaler, ingest_corpus, read_extraction, read_features_csv,

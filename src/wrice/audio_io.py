@@ -1,12 +1,14 @@
-"""WAV decoding to mono, mono WAV encoding, resampling, and fixed-length segmentation.
+"""WAV decoding to mono, by frame range and at any rate, and mono WAV encoding.
 
 Decodes little-endian RIFF/WAVE with uncompressed PCM (16/24/32-bit integer)
 or 32-bit IEEE-float data, any channel count, mixed to mono on decode by the
 sample-wise mean of the channels. `WavReader` decodes any range of a file's
-frames, and resampled ranges equal to resampling the whole file, so a long
-file can be analysed a block at a time; `read_wav` is that reader over the
-whole file. Encodes one mono buffer as integer PCM. Everything downstream
-works on mono float buffers in nominal [-1, 1] range.
+frames, or of the file resampled to another rate, so a long file can be
+analysed a block at a time; `read_wav` is that reader over the whole file at
+its own rate. Nothing here resamples or segments a decoded buffer: the
+analysis rate and segments of a file are `WavReader.read_resampled` ranges,
+cut by `dataset.file_rows`. Encodes one mono buffer as integer PCM.
+Everything downstream works on mono float samples in nominal [-1, 1] range.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class AudioBuffer:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
 
 
 def read_wav(path) -> AudioBuffer:
@@ -173,9 +171,15 @@ class WavReader:
         return samples[:, 0] if self.channels == 1 else samples.mean(axis=1)
 
     def read_resampled(self, rate: int, start: int, stop: int) -> np.ndarray:
-        """Samples [start, stop) of this file resampled to `rate`, equal to
-        those of `resample_linear` over the whole file; reads only the
-        source frames that they span."""
+        """Samples [start, stop) of this file resampled to `rate`, of the
+        `resampled_length(frames, sample_rate, rate)` that the whole file
+        makes; reads only the source frames that they span.
+
+        Sample i is the linear interpolation of the file at source instant
+        i * sample_rate / rate, so ranges read one at a time join to the
+        whole file resampled, bit for bit. Not band-limited: fine for
+        downsampling broadband noise, known to alias on spectrally dense
+        content. At the file's own rate this is `read`."""
         if rate == self.sample_rate:
             return self.read(start, stop - start)
         if start == stop:
@@ -241,24 +245,6 @@ def write_wav(path, buf: AudioBuffer, bits_per_sample: int = 16) -> None:
     Path(path).write_bytes(blob)
 
 
-def resample_linear(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Resample by linear interpolation at the new sample instants.
-
-    Output length is floor(len * target / source). Not band-limited; fine for
-    downsampling broadband noise, known to alias on spectrally dense content.
-    """
-    if target_rate <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
-    if target_rate == buf.sample_rate:
-        return buf
-    out_len = resampled_length(len(buf), buf.sample_rate, target_rate)
-    if out_len == 0:
-        return AudioBuffer(np.empty(0), target_rate)
-    positions, lo, hi = _source_span(0, out_len, len(buf), buf.sample_rate, target_rate)
-    return AudioBuffer(np.interp(positions, np.arange(lo, hi), buf.samples[lo:hi]),
-                       target_rate)
-
-
 def resampled_length(n: int, source_rate: int, target_rate: int) -> int:
     """The length of n samples at source_rate resampled to target_rate."""
     return n if target_rate == source_rate else n * int(target_rate) // source_rate
@@ -273,23 +259,3 @@ def _source_span(start: int, stop: int, n: int, source_rate: int,
     bit for bit."""
     positions = np.arange(start, stop) * (source_rate / target_rate)
     return positions, int(positions[0]), min(n, int(positions[-1]) + 2)
-
-
-def segment(buf: AudioBuffer, seconds: float) -> list[AudioBuffer]:
-    """The windows of `segment_bounds` cut from `buf`, as views of it."""
-    return [AudioBuffer(buf.samples[start:stop], buf.sample_rate)
-            for start, stop in segment_bounds(len(buf), seconds, buf.sample_rate)]
-
-
-def segment_bounds(n: int, seconds: float, sample_rate: int) -> list[tuple[int, int]]:
-    """[start, stop) of each consecutive non-overlapping window of
-    floor(seconds * sample_rate) samples of an n-sample signal.
-
-    The trailing partial window is dropped so every segment has identical length.
-    """
-    if seconds <= 0:
-        raise ValueError(f"segment duration must be positive, got {seconds}")
-    window = int(seconds * sample_rate)
-    if window < 1:
-        raise ValueError(f"segment duration {seconds}s is shorter than one sample")
-    return [(i * window, (i + 1) * window) for i in range(n // window)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import read_wav, resample_linear, write_wav
+from .audio_io import WavReader, read_wav, resampled_length, write_wav
 from .dsp import WINDOW, StftConfig, spectrum_blocks
 from .errors import WriceError
 
@@ -191,6 +191,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    synth.check_noise_scale(args.scale)
     src = Path(args.in_path)
     out = Path(args.out)
     if src.is_dir():
@@ -219,15 +220,20 @@ def _cmd_augment(args) -> int:
 def _cmd_spectrogram(args) -> int:
     fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
     cfg = StftConfig(args.frame, args.hop)
-    buf = resample_linear(read_wav(args.in_path), args.sr)
+    if args.sr <= 0:
+        raise ValueError(f"--sr must be a positive sample rate, got {args.sr}")
+    # the whole file at the analysis rate, resampled as `file_rows` resamples it
+    with WavReader(args.in_path) as wav:
+        samples = wav.read_resampled(
+            args.sr, 0, resampled_length(wav.frames, wav.sample_rate, args.sr))
     try:
-        magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+        magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(samples, cfg)])
     except ValueError as exc:  # a file shorter than one frame
         raise ValueError(f"{args.in_path}: {exc}") from exc
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
             f"window={WINDOW} source={args.in_path}")
     if fmt == "csv":
-        bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (buf.sample_rate / cfg.frame_len)
+        bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (args.sr / cfg.frame_len)
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# wrice-spectrogram {meta}\n")
             writer = csv.writer(fh)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 # `read_wav` stays bound here: perfbench's tracer test reads `dataset.read_wav`
-from .audio_io import WavReader, read_wav, resampled_length, segment_bounds  # noqa: F401
+from .audio_io import WavReader, read_wav, resampled_length  # noqa: F401
 from .dsp import BLOCK_FRAMES, WINDOW, StftConfig, block_spans
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
@@ -38,7 +38,8 @@ STD_FLOOR = 1e-12
 @dataclass(frozen=True)
 class Extraction:
     """The analysis rate, segment length, STFT and feature settings that turn
-    audio into feature rows; a model scores audio only through its own."""
+    audio into feature rows; a model scores audio only through its own. A
+    segment holds at least one STFT frame."""
 
     sample_rate: int = DEFAULT_SAMPLE_RATE
     segment_seconds: float = DEFAULT_SEGMENT_SECONDS
@@ -50,6 +51,9 @@ class Extraction:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not 0 < self.segment_seconds < math.inf:
             raise ValueError(f"segment_seconds must be positive, got {self.segment_seconds}")
+        if int(self.segment_seconds * self.sample_rate) < self.stft.frame_len:
+            raise ValueError(f"segment_seconds {self.segment_seconds} at {self.sample_rate} Hz "
+                             f"is shorter than one {self.stft.frame_len}-sample frame")
 
     def meta(self) -> dict:
         """The feature CSV's `#` meta keys of these settings, in file order."""
@@ -163,12 +167,12 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     its index, never on processing order or worker count. Errors name the
     path once.
 
-    The rows are those of `extract_features` on each segment of
-    `synth.add_noise(resample_linear(read_wav(path), ex.sample_rate), ...)`,
-    bit for bit, but the file is read, resampled, noised and analysed one
-    `dsp.block_spans` block at a time. Each scale's noise is drawn in sample
-    order: samples that two blocks share keep their draws, and samples that
-    no frame covers are drawn too. So a call holds one block of samples per
+    The rows are those of `extract_features` on each segment of the whole
+    file resampled at once (`WavReader.read_resampled` over all of it) and
+    noised at once (`synth.add_noise`), bit for bit, but the file is read,
+    resampled, noised and analysed one `dsp.block_spans` block at a time.
+    Each scale's noise is drawn in sample order: samples that two blocks
+    share keep their draws, and samples that no frame covers are drawn too. So a call holds one block of samples per
     scale and the buffers of one `BlockFeatures`, whatever the file's length.
     """
     with WavReader(path) as wav:  # its errors name the path already
@@ -184,7 +188,8 @@ def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
         if scale is not None:
             check_noise_scale(scale)
     n = resampled_length(wav.frames, wav.sample_rate, ex.sample_rate)
-    segments = segment_bounds(n, ex.segment_seconds, ex.sample_rate) or [(0, n)]
+    window = int(ex.segment_seconds * ex.sample_rate)
+    segments = [(i * window, (i + 1) * window) for i in range(n // window)] or [(0, n)]
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, file_idx])) if scale
             else None for i, scale in enumerate(scales)]  # a 0 scale draws nothing
     blocks = BlockFeatures(ex.stft, ex.features, ex.sample_rate)

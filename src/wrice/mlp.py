@@ -22,7 +22,7 @@ from .dsp import WINDOW, StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
 from .features import (BANDWIDTH_ORDER, LOG_FLOOR, MEL_FMIN, ROLLOFF_PCT, SCHEMA_VERSION,
-                       FeatureConfig, FeatureVector)
+                       FeatureConfig)
 
 MODEL_FORMAT = "wrice-model"
 MODEL_VERSION = 2
@@ -116,9 +116,9 @@ class MlpModel:
     """A dense ReLU network and the settings that inference needs.
 
     `params` holds every parameter in one 1-D float64 array, in the model
-    file's body order (w0, b0, w1, b1, ...). `weights`, `biases` and
-    `parameters()` are views into it, so a write through them changes
-    `params`, and rebinding `params` would leave them stale. The scaler is
+    file's body order (w0, b0, w1, b1, ...). `weights` and `biases` are
+    views into it, so a write through them changes `params`, and rebinding
+    `params` would leave them stale. The scaler is
     as wide as the input layer; the label map is a list of distinct names,
     one per output.
     """
@@ -152,10 +152,6 @@ class MlpModel:
     @property
     def n_inputs(self) -> int:
         return self.layer_dims[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        """Views of `params`, tensor by tensor, in its order."""
-        return _views(self.params, self.layer_dims)
 
     def copy(self) -> "MlpModel":
         return replace(self, params=self.params.copy(), layer_dims=list(self.layer_dims))
@@ -229,7 +225,7 @@ def loss_sparse_ce(probs: np.ndarray, labels) -> float:
 
 def _gradients_from_cache(model: MlpModel, activations, probs, labels,
                           grads: list[np.ndarray]) -> None:
-    """Writes the gradients into `grads`, tensors laid out like `parameters()`."""
+    """Writes the gradients into `grads`, the `_views` of a `params`-shaped array."""
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch_size), labels] = 1.0
@@ -335,15 +331,15 @@ def train(model: MlpModel, train_set: LabeledDataset,
     return trained, history
 
 
-def predict(model: MlpModel, fv: FeatureVector | np.ndarray) -> tuple[str, np.ndarray]:
+def predict(model: MlpModel, rows: np.ndarray) -> tuple[str, np.ndarray]:
     """Scale raw features with the bundled scaler and classify them.
 
-    `fv` is one feature vector, or an (n_segments, d) matrix of one file's
-    segment rows, classified by the mean of the per-segment probabilities.
-    Returns (label name, class probabilities); ties break to the lowest id.
+    `rows` is one raw feature row, or an (n_segments, d) matrix of one
+    file's segment rows (`dataset.file_rows`), classified by the mean of
+    the per-segment probabilities. Returns (label name, class
+    probabilities); ties break to the lowest id.
     """
-    values = fv.values if isinstance(fv, FeatureVector) else fv
-    probs = forward(model, scale_rows(model.scaler, np.atleast_2d(values))).mean(axis=0)
+    probs = forward(model, scale_rows(model.scaler, np.atleast_2d(rows))).mean(axis=0)
     return model.label_map[int(np.argmax(probs))], probs
 
 

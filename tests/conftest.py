@@ -9,10 +9,11 @@ frame, independently of `features.zcr`'s one pass over the signal.
 `frame_zcr`) to whole frame and magnitude arrays, so feature
 tests can pin degenerate spectra directly and compare `extract_features`,
 which reduces block by block, against one pass over everything.
-`whole_file_rows` is `dataset.file_rows` done on whole buffers, the oracle
-for its block-by-block streaming. `full_array_adam_step` is the Adam update
-in one pass over the whole parameter array, the oracle for
-`mlp.adam_step`, which runs in blocks.
+`interp_resample` is `WavReader.read_resampled` done on a whole buffer, and
+`whole_file_rows` is `dataset.file_rows` done on whole buffers, the oracles
+for their range-by-range and block-by-block streaming.
+`full_array_adam_step` is the Adam update in one pass over the whole
+parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
 """
 
 import json
@@ -261,17 +262,23 @@ def family_means(frames, mags, sample_rate: int = 22050,
     ])
 
 
+def interp_resample(samples: np.ndarray, rate: int, target_rate: int) -> np.ndarray:
+    """The oracle for `WavReader.read_resampled`, which reads a range at a
+    time: `samples` at `rate` resampled to `target_rate` by one `np.interp`
+    over all of them, at every output instant i * rate / target_rate."""
+    if rate == target_rate:
+        return samples
+    n_out = len(samples) * target_rate // rate
+    return np.interp(np.arange(n_out) * (rate / target_rate), np.arange(len(samples)), samples)
+
+
 def whole_file_rows(path, ex: Extraction, scales, seed: int, file_idx: int) -> list:
     """The oracle for `dataset.file_rows`, which streams a file block by
     block: the whole file decoded, resampled by `np.interp` at every output
     instant, noised by one draw of its full length per scale, cut into
     segments, and each segment extracted whole."""
     buf = read_wav(path)
-    samples, rate = buf.samples, buf.sample_rate
-    if rate != ex.sample_rate:
-        n_out = len(samples) * ex.sample_rate // rate
-        samples = np.interp(np.arange(n_out) * (rate / ex.sample_rate),
-                            np.arange(len(samples)), samples)
+    samples = interp_resample(buf.samples, buf.sample_rate, ex.sample_rate)
     window = int(ex.segment_seconds * ex.sample_rate)
     per_scale = []
     for scale_idx, scale in enumerate(scales):

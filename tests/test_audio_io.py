@@ -1,4 +1,4 @@
-"""WAV decode (with mixdown to mono), encode, resampling, segmentation."""
+"""WAV decode (with mixdown to mono), by range and resampled, and encode."""
 
 import struct
 import tracemalloc
@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import wav_bytes
-from wrice.audio_io import (AudioBuffer, WavReader, read_wav, resample_linear, segment,
-                            write_wav)
+from conftest import interp_resample, wav_bytes
+from wrice.audio_io import AudioBuffer, WavReader, read_wav, resampled_length, write_wav
 from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
 
 
@@ -218,55 +217,41 @@ def test_peak_memory_of_a_thirty_second_16bit_write(tmp_path):
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
+def float_wav(tmp_path, samples, sample_rate):
+    """A mono 32-bit float WAV of `samples`, which decode exactly if float32 holds them."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    return write_blob(tmp_path, wav_bytes(payload, format_tag=3, sample_rate=sample_rate,
+                                          bits=32))
+
+
 class TestResample:
-    def test_equal_rates_identity(self):
-        buf = AudioBuffer([0.0, 0.25, 0.5], 8000)
-        assert resample_linear(buf, 8000) is buf
+    def test_equal_rates_give_read(self, tmp_path):
+        path = float_wav(tmp_path, [0.0, 0.25, 0.5], 8000)
+        with WavReader(path) as wav:
+            assert np.array_equal(wav.read_resampled(8000, 0, 3), wav.read(0, 3))
 
-    def test_halving_picks_every_other_instant(self):
-        buf = AudioBuffer([0.0, 1.0, 2.0, 3.0], 4)
-        out = resample_linear(buf, 2)
-        assert out.sample_rate == 2
-        np.testing.assert_array_equal(out.samples, [0.0, 2.0])
+    def test_halving_picks_every_other_instant(self, tmp_path):
+        path = float_wav(tmp_path, [0.0, 0.125, 0.25, 0.375], 4)
+        with WavReader(path) as wav:
+            assert resampled_length(wav.frames, wav.sample_rate, 2) == 2
+            np.testing.assert_array_equal(wav.read_resampled(2, 0, 2), [0.0, 0.25])
 
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            resample_linear(AudioBuffer([0.0], 8000), 0)
+    @pytest.mark.parametrize("n,source,target,length", [
+        (7001, 44100, 22050, 3500), (7001, 44100, 44100, 7001), (3, 44100, 8000, 0),
+        (100, 8000, 22050, 275)])
+    def test_output_length_is_floored(self, n, source, target, length):
+        assert resampled_length(n, source, target) == length
 
-    def test_sine_rms_preserved(self):
+    def test_sine_rms_preserved(self, tmp_path):
         rate = 192000
         t = np.arange(rate) / rate
-        buf = AudioBuffer(np.sin(2 * np.pi * 1000 * t), rate)
-        out = resample_linear(buf, 22050)
-        assert len(out) == 22050
-        rms = np.sqrt(np.mean(out.samples**2))
+        path = float_wav(tmp_path, np.sin(2 * np.pi * 1000 * t), rate)
+        with WavReader(path) as wav:
+            n = resampled_length(wav.frames, wav.sample_rate, 22050)
+            out = wav.read_resampled(22050, 0, n)
+        assert n == len(out) == 22050
+        rms = np.sqrt(np.mean(out**2))
         assert abs(rms - 1 / np.sqrt(2)) / (1 / np.sqrt(2)) < 0.01
-
-
-class TestSegment:
-    def test_three_whole_windows(self):
-        buf = AudioBuffer(np.zeros(90 * 100), 100)
-        assert len(segment(buf, 30)) == 3
-
-    def test_partial_dropped_entirely(self):
-        buf = AudioBuffer(np.zeros(29 * 100), 100)
-        assert segment(buf, 30) == []
-
-    def test_trailing_half_window_dropped(self):
-        buf = AudioBuffer(np.zeros(int(60.5 * 100)), 100)
-        assert len(segment(buf, 30)) == 2
-
-    def test_bad_duration(self):
-        with pytest.raises(ValueError):
-            segment(AudioBuffer(np.zeros(10), 100), 0)
-
-    def test_concatenation_is_prefix_of_input(self):
-        rng = np.random.default_rng(5)
-        buf = AudioBuffer(rng.uniform(-1, 1, 257), 100)
-        parts = segment(buf, 0.5)  # 50-sample windows
-        joined = np.concatenate([p.samples for p in parts])
-        np.testing.assert_array_equal(joined, buf.samples[: len(joined)])
-        assert all(len(p) == 50 for p in parts)
 
 
 class TestAudioBuffer:
@@ -277,9 +262,6 @@ class TestAudioBuffer:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioBuffer([0.0], 0)
-
-    def test_duration(self):
-        assert AudioBuffer(np.zeros(22050), 22050).duration == 1.0
 
 
 class TestWavReader:
@@ -308,7 +290,7 @@ class TestWavReader:
 
     @pytest.mark.parametrize("rate", [22050, 16000, 48000, 8000])
     def test_resampled_ranges_join_to_the_whole_file_resampled(self, stereo24, rate):
-        want = resample_linear(read_wav(stereo24), rate).samples
+        want = interp_resample(read_wav(stereo24).samples, 44100, rate)
         cuts = np.unique(np.random.default_rng(rate).integers(1, len(want), 9))
         bounds = [0, *cuts.tolist(), len(want)]
         with WavReader(stereo24) as wav:

@@ -12,16 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edit_model_header, wav_bytes
+from conftest import edit_model_header, wav_bytes, whole_file_rows
 import wrice
-from wrice import dataset
-from wrice.audio_io import AudioBuffer, WavReader, read_wav, resample_linear, segment, write_wav
+from wrice import audio_io, cli, dataset
+from wrice.audio_io import AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
 from wrice.dataset import (Extraction, ingest_corpus, read_features_csv, scale_rows,
                            write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
-from wrice.features import SCHEMA_VERSION, FeatureConfig, extract_features
+from wrice.features import SCHEMA_VERSION, FeatureConfig
 from wrice.mlp import forward, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
@@ -156,10 +156,7 @@ class TestWorkflow:
         lines = capsys.readouterr().out.strip().splitlines()
 
         model = load_model(model_path)
-        ex = model.extraction
-        rows = np.vstack([extract_features(piece, ex.stft, ex.features).values
-                          for piece in segment(resample_linear(read_wav(wav), ex.sample_rate),
-                                               ex.segment_seconds)])
+        [rows] = whole_file_rows(wav, model.extraction, (None,), 0, 0)
         assert rows.shape[0] == 2
         per_segment = forward(model, scale_rows(model.scaler, rows))
         mean = per_segment.mean(axis=0)
@@ -406,6 +403,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: frame_len must be a power of two >= 2, got 1000\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["extract", "--segment-seconds", "0.05"],
+         "segment_seconds 0.05 at 22050 Hz is shorter than one 2048-sample frame"),
+        (["extract", "--sr", "0"], "sample_rate must be positive, got 0"),
+        (["spectrogram", "--sr", "0"], "--sr must be a positive sample rate, got 0"),
+        (["spectrogram", "--sr", "-3"], "--sr must be a positive sample rate, got -3"),
+        (["augment", "--scale", "nan"], "noise scale must be finite and >= 0, got nan"),
+        (["augment", "--scale", "-1"], "noise scale must be finite and >= 0, got -1.0"),
+        (["eval", "--noise", "-1"], "noise scale must be finite and >= 0, got -1.0"),
+    ], ids=["extract-segment-shorter-than-a-frame", "extract-sr-0", "spectrogram-sr-0",
+            "spectrogram-sr-negative", "augment-scale-nan", "augment-scale-negative",
+            "eval-noise-negative"])
+    def test_a_bad_setting_is_refused_before_any_wav_is_opened(self, workspace, tmp_path,
+                                                               capsys, monkeypatch, argv,
+                                                               message):
+        def refuse(path):
+            pytest.fail(f"opened {path} although the settings cannot work")
+
+        for module in (audio_io, dataset, cli):  # every binding of the reader in wrice
+            if hasattr(module, "WavReader"):
+                monkeypatch.setattr(module, "WavReader", refuse)
+        corpus = workspace / "corpus"
+        verb, *flags = argv
+        source = {"extract": corpus, "eval": corpus,
+                  "spectrogram": next(corpus.glob("dry_40/*.wav")),
+                  "augment": next(corpus.glob("dry_40/*.wav"))}[verb]
+        io_args = {"extract": ["--out", str(tmp_path / "x.csv"), "--workers", "1"],
+                   "eval": ["--model", str(workspace / "model.wrice"), "--workers", "1"],
+                   "spectrogram": ["--out", str(tmp_path / "x.csv")],
+                   "augment": ["--out", str(tmp_path / "x.wav")]}[verb]
+        assert run([verb, "--in", str(source), *io_args, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_corpus_is_domain_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

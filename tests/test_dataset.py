@@ -278,11 +278,17 @@ class TestExtraction:
         {"sample_rate": 0}, {"sample_rate": -22050},
         {"segment_seconds": 0.0}, {"segment_seconds": -1.5},
         {"segment_seconds": float("nan")}, {"segment_seconds": float("inf")},
+        {"segment_seconds": 0.05},
+        {"segment_seconds": 1.0, "sample_rate": 1023, "stft": StftConfig(1024, 256)},
     ], ids=["rate-zero", "rate-negative", "segment-zero", "segment-negative",
-            "segment-nan", "segment-inf"])
+            "segment-nan", "segment-inf", "segment-shorter-than-a-frame",
+            "segment-one-sample-short-of-a-frame"])
     def test_non_positive_rate_or_segment_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Extraction(**kwargs)
+
+    def test_a_segment_of_exactly_one_frame_is_accepted(self):
+        assert Extraction(1024, 1.0, StftConfig(frame_len=1024, hop=256)).sample_rate == 1024
 
     # the settings that the meta does not record are constants of `features`,
     # so no extraction can carry another value of them into a CSV
@@ -447,6 +453,16 @@ class TestIngest:
                       AudioBuffer(rng.uniform(-0.5, 0.5, TINY_SR // 2), TINY_SR))
         ds = ingest_corpus(root, replace(TINY_EX, segment_seconds=30.0))
         assert ds.n == 2
+
+    @pytest.mark.parametrize("seconds,n_rows", [(3.0, 3), (2.05, 2), (0.5, 1)],
+                             ids=["three-whole-segments", "trailing-partial-dropped",
+                                  "shorter-than-a-segment"])
+    def test_a_file_gives_one_row_per_whole_segment(self, tmp_path, seconds, n_rows):
+        path = tmp_path / "a.wav"
+        rng = np.random.default_rng(0)
+        write_wav(path, AudioBuffer(rng.uniform(-0.5, 0.5, int(seconds * TINY_SR)), TINY_SR))
+        [rows] = file_rows(path, replace(TINY_EX, segment_seconds=1.0))
+        assert rows.shape == (n_rows, TINY_EX.features.n_features)
 
     def test_empty_category_named_in_error(self, tmp_path):
         root = tmp_path / "corpus"

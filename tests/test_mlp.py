@@ -16,7 +16,7 @@ from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
-from wrice.features import SCHEMA_VERSION, FeatureConfig, FeatureVector
+from wrice.features import SCHEMA_VERSION, FeatureConfig
 from wrice.mlp import (_ADAM_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION,
                        AdamState, MlpModel, TrainConfig, adam_step, backward, forward,
                        init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
@@ -27,6 +27,11 @@ def bundled(layer_dims, seed=0):
     """`init_model` with an identity scaler: the rows it trains on and
     predicts are exactly the raw ones."""
     return init_model(layer_dims, seed=seed, **identity_bundle(layer_dims))
+
+
+def tensors(model):
+    """The weight and bias views in the model file's order: w0, b0, w1, b1, ..."""
+    return [t for pair in zip(model.weights, model.biases) for t in pair]
 
 
 def traced_peak(fn) -> int:
@@ -104,13 +109,13 @@ class TestFlatLayout:
     def test_views_share_memory_with_params(self):
         model = bundled([3, 5, 2], seed=0)
         assert model.params.shape == (3 * 5 + 5 + 5 * 2 + 2,)
-        for view in model.weights + model.biases + model.parameters():
+        for view in model.weights + model.biases:
             assert np.shares_memory(view, model.params)
         model.weights[1][1, 4] = 7.0  # w1 follows w0 (5 x 3) and b0 (5)
         assert model.params[15 + 5 + 1 * 5 + 4] == 7.0
         model.biases[0][2] = -3.0
         assert model.params[15 + 2] == -3.0
-        model.parameters()[3][:] = 9.0
+        model.biases[1][:] = 9.0
         np.testing.assert_array_equal(model.params[-2:], 9.0)
 
     def test_copy_shares_no_memory(self):
@@ -328,16 +333,14 @@ class TestTrain:
         model = bundled([2, 8, 2], seed=1)
         trained, history = train(model, ds, TrainConfig(epochs=0, seed=1))
         assert history.loss == [] and history.accuracy == []
-        for a, b in zip(model.parameters(), trained.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.params, trained.params)
 
     def test_input_model_not_mutated(self):
         ds = blob_dataset()
         model = bundled([2, 8, 2], seed=1)
-        before = [p.copy() for p in model.parameters()]
+        before = model.params.copy()
         train(model, ds, TrainConfig(epochs=3, batch_size=8, seed=1))
-        for a, b in zip(before, model.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(before, model.params)
 
     def test_separable_blobs_reach_tiny_loss(self):
         ds = blob_dataset(n_per_class=20, seed=0)
@@ -408,7 +411,7 @@ class TestPredict:
         model = bundled([3, 8, 4])
         rng = np.random.default_rng(1)
         for _ in range(10):
-            fv = FeatureVector(values=rng.normal(size=3))
+            fv = rng.normal(size=3)
             label, probs = predict(model, fv)
             assert label == model.label_map[int(np.argmax(probs))]
 
@@ -416,7 +419,7 @@ class TestPredict:
         model = bundled([3, 8, 4])
         for w in model.weights:
             w[:] = 0.0
-        label, probs = predict(model, FeatureVector(values=np.ones(3)))
+        label, probs = predict(model, np.ones(3))
         assert label == "c0"
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
@@ -426,7 +429,7 @@ class TestPredict:
                                          std=np.array([2.0, 4.0])),
                            label_map=["x", "y", "z"], extraction=Extraction())
         raw = np.array([12.0, -1.0])
-        _, probs = predict(model, FeatureVector(values=raw))
+        _, probs = predict(model, raw)
         np.testing.assert_allclose(probs, forward(model, np.array([1.0, 1.0])),
                                    atol=1e-15)
 
@@ -437,13 +440,13 @@ class TestPredict:
         per_segment = forward(model, rows)  # identity scaler
         np.testing.assert_allclose(probs, per_segment.mean(axis=0), rtol=1e-15)
         assert label == model.label_map[int(np.argmax(per_segment.mean(axis=0)))]
-        _, single = predict(model, FeatureVector(values=rows[0]))
+        _, single = predict(model, rows[0])
         np.testing.assert_array_equal(predict(model, rows[:1])[1], single)
 
     def test_width_mismatch(self):
         model = bundled([3, 8, 4])
         with pytest.raises(SchemaMismatchError):
-            predict(model, FeatureVector(values=np.zeros(5)))
+            predict(model, np.zeros(5))
 
 
 class TestPersistence:
@@ -458,8 +461,7 @@ class TestPersistence:
         path = tmp_path / "model.wrice"
         save_model(model, path)
         back = load_model(path)
-        for a, b in zip(model.parameters(), back.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.params, back.params)
         np.testing.assert_array_equal(back.scaler.mean, model.scaler.mean)
         assert back.label_map == model.label_map
         assert back.extraction == model.extraction
@@ -616,10 +618,10 @@ class TestPersistence:
     def test_version_1_text_file_must_be_retrained(self, tmp_path):
         # the version-1 layout: one line of .17g text per tensor after the header
         model = self.make_model()
-        lines = [" ".join(format(v, ".17g") for v in t.ravel()) for t in model.parameters()]
+        lines = [" ".join(format(v, ".17g") for v in t.ravel()) for t in tensors(model)]
         header = {"format": "wrice-model", "version": 1, "layer_dims": model.layer_dims,
                   "tensors": [{"name": f"t{i}", "shape": list(t.shape)}
-                              for i, t in enumerate(model.parameters())]}
+                              for i, t in enumerate(tensors(model))]}
         path = tmp_path / "model.wrice"
         path.write_bytes(json.dumps(header).encode() + b"\n"
                          + ("\n".join(lines) + "\n").encode())
@@ -632,12 +634,12 @@ class TestPersistence:
         save_model(model, path)
         raw = path.read_bytes()
         head, _, body = raw.partition(b"\n")
-        assert body == b"".join(p.astype("<f8").tobytes() for p in model.parameters())
+        assert body == b"".join(p.astype("<f8").tobytes() for p in tensors(model))
         assert body == model.params.astype("<f8").tobytes()
-        n_params = sum(p.size for p in model.parameters())
+        n_params = sum(p.size for p in tensors(model))
         assert len(raw) == len(head) + 1 + 8 * n_params
         assert [t["shape"] for t in json.loads(head)["tensors"]] == \
-            [list(p.shape) for p in model.parameters()]
+            [list(p.shape) for p in tensors(model)]
 
     @pytest.mark.parametrize("cut", [
         pytest.param(lambda body: body[:-8], id="short-by-one-value"),
