@@ -18,7 +18,7 @@ import numpy as np
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
 from .audio_io import WavReader, read_wav, resampled_length, write_wav
-from .dsp import WINDOW, StftConfig, spectrum_blocks
+from .dsp import WINDOW, BlockSpectra, StftConfig, block_spans
 from .errors import WriceError
 
 _LOG_FLOOR_DB = -80.0  # PGM dynamic range floor below the spectrogram peak
@@ -112,10 +112,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_list(text: str, convert, flag: str, kind: str) -> list:
+    """The comma-separated entries of a flag's value, each through `convert`;
+    ValueError naming the flag and the first entry that does not parse."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(convert(entry))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: entry {entry!r} is not {kind}") from None
+    return values
+
+
 def _cmd_synth(args) -> int:
     counts = None
     if args.counts is not None:
-        values = [int(v) for v in args.counts.split(",")]
+        values = _parse_list(args.counts, int, "--counts", "an integer")
         if len(values) != len(synth.CATEGORIES):
             raise ValueError(f"--counts needs {len(synth.CATEGORIES)} values "
                              f"for {synth.CATEGORIES}")
@@ -158,8 +170,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    scales = _parse_list(args.noise, float, "--noise", "a number") if args.noise else []
     model = mlp.load_model(args.model)
-    scales = [float(v) for v in args.noise.split(",")] if args.noise else []
     # clean goes last so each noise scale keeps its index, hence its realization
     *noisy, clean = evaluation.noise_validation(model, args.in_path, [*scales, None],
                                                 seed=args.seed, workers=args.workers)
@@ -222,44 +234,64 @@ def _cmd_spectrogram(args) -> int:
     cfg = StftConfig(args.frame, args.hop)
     if args.sr <= 0:
         raise ValueError(f"--sr must be a positive sample rate, got {args.sr}")
-    # the whole file at the analysis rate, resampled as `file_rows` resamples it
-    with WavReader(args.in_path) as wav:
-        samples = wav.read_resampled(
-            args.sr, 0, resampled_length(wav.frames, wav.sample_rate, args.sr))
-    try:
-        magnitudes = np.concatenate([mags for _, mags in spectrum_blocks(samples, cfg)])
-    except ValueError as exc:  # a file shorter than one frame
-        raise ValueError(f"{args.in_path}: {exc}") from exc
     meta = (f"sr={args.sr} frame={args.frame} hop={args.hop} "
             f"window={WINDOW} source={args.in_path}")
-    if fmt == "csv":
-        bin_freqs = np.arange(cfg.frame_len // 2 + 1) * (args.sr / cfg.frame_len)
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# wrice-spectrogram {meta}\n")
-            writer = csv.writer(fh)
-            writer.writerow([format(f, ".17g") for f in bin_freqs])
-            for row in magnitudes:
-                writer.writerow([format(v, ".17g") for v in row])
-    else:
-        _write_pgm(magnitudes, args.out, meta)
-    n_frames, n_bins = magnitudes.shape
+    with WavReader(args.in_path) as wav:
+        n = resampled_length(wav.frames, wav.sample_rate, args.sr)
+        try:
+            spans = block_spans(n, cfg)
+        except ValueError as exc:  # a file shorter than one frame
+            raise ValueError(f"{args.in_path}: {exc}") from exc
+        spectra = BlockSpectra(cfg)
+
+        def blocks():
+            """Each block's magnitudes, its samples read and resampled as
+            `file_rows` reads them; the array is reused by the next block."""
+            for start, stop in spans:
+                yield spectra(wav.read_resampled(args.sr, start, stop))[1]
+
+        n_frames, n_bins = (n - cfg.frame_len) // cfg.hop + 1, cfg.frame_len // 2 + 1
+        if fmt == "csv":
+            _write_csv(blocks, args.out, meta, np.arange(n_bins) * (args.sr / cfg.frame_len))
+        else:
+            _write_pgm(blocks, (n_frames, n_bins), args.out, meta)
     print(f"wrote {n_frames}x{n_bins} spectrogram to {args.out}")
     return 0
 
 
-def _write_pgm(magnitudes: np.ndarray, path, meta: str) -> None:
-    """8-bit binary PGM, log-scaled with a -80 dB floor, low bins at the bottom."""
-    peak = magnitudes.max()
+def _write_csv(blocks, path, meta: str, bin_freqs: np.ndarray) -> None:
+    """The magnitudes as text, one frame per row, written as `blocks()`
+    yields them."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# wrice-spectrogram {meta}\n")
+        writer = csv.writer(fh)
+        writer.writerow([format(f, ".17g") for f in bin_freqs])
+        for magnitudes in blocks():
+            for row in magnitudes:
+                writer.writerow([format(v, ".17g") for v in row])
+
+
+def _write_pgm(blocks, shape: tuple[int, int], path, meta: str) -> None:
+    """8-bit binary PGM, log-scaled with a -80 dB floor, low bins at the bottom.
+
+    `blocks()` yields the magnitudes of a (frames, bins) `shape` a block of
+    frames at a time; a first pass over them finds the peak, and a second
+    fills the image, so only the image and one block are held."""
+    peak = max(magnitudes.max() for magnitudes in blocks())
     floor = _LOG_FLOOR_DB
-    if peak <= 0:
-        levels = np.zeros_like(magnitudes)
-    else:
-        db = 20.0 * np.log10(np.maximum(magnitudes / peak, 10.0 ** (floor / 20.0)))
-        levels = (db - floor) / -floor
-    pixels = np.rint(levels * 255).astype(np.uint8)
-    image = pixels.T[::-1]  # rows = bins (high frequency on top), cols = frames
-    header = f"P5\n# wrice-spectrogram {meta}\n{image.shape[1]} {image.shape[0]}\n255\n"
-    Path(path).write_bytes(header.encode() + image.tobytes())
+    image = np.zeros(shape[::-1], dtype=np.uint8)  # rows = bins, cols = frames
+    if peak > 0:
+        first = 0
+        for magnitudes in blocks():
+            db = 20.0 * np.log10(np.maximum(magnitudes / peak, 10.0 ** (floor / 20.0)))
+            levels = (db - floor) / -floor
+            last = first + len(magnitudes)
+            image[::-1, first:last] = np.rint(levels * 255).astype(np.uint8).T
+            first = last
+    header = f"P5\n# wrice-spectrogram {meta}\n{shape[0]} {shape[1]}\n255\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(image)
 
 
 def run(argv=None) -> int:

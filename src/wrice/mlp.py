@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -71,8 +72,8 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Bias-corrected first/second moment accumulators of one flat parameter
-    array (`train` passes `MlpModel.params`), and two scratch buffers of at
-    most `_ADAM_BLOCK` elements, so a step allocates no temporaries."""
+    array, its step count, and two scratch buffers of at most `_ADAM_BLOCK`
+    elements, so a step allocates no temporaries."""
 
     m: np.ndarray
     v: np.ndarray
@@ -81,9 +82,15 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
-        block = min(params.size, _ADAM_BLOCK)
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   scratch=(np.empty(block), np.empty(block)))
+        return cls.for_tensors([params])[0]
+
+    @classmethod
+    def for_tensors(cls, tensors: list[np.ndarray]) -> list["AdamState"]:
+        """One state per flat tensor (`train` passes each tensor of
+        `MlpModel.params`), all sharing one pair of scratch buffers."""
+        block = min(max(t.size for t in tensors), _ADAM_BLOCK)
+        scratch = (np.empty(block), np.empty(block))
+        return [cls(m=np.zeros_like(t), v=np.zeros_like(t), scratch=scratch) for t in tensors]
 
 
 @dataclass
@@ -223,18 +230,30 @@ def loss_sparse_ce(probs: np.ndarray, labels) -> float:
     return float(-np.log(np.maximum(picked, _CE_CLAMP)).mean())
 
 
-def _gradients_from_cache(model: MlpModel, activations, probs, labels,
-                          grads: list[np.ndarray]) -> None:
-    """Writes the gradients into `grads`, the `_views` of a `params`-shaped array."""
+def _layer_gradients(model: MlpModel, activations, probs, labels,
+                     buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Backpropagation of the mean batch loss, one tensor at a time from the
+    output layer down: yields (index in `_tensor_shapes` order, gradient of
+    that tensor), each gradient written into the front of `buffer`, which
+    the next one overwrites. A layer's delta for the layer below is taken
+    before its gradients are yielded, so the caller may update that layer's
+    tensors as soon as it has their gradients."""
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch_size), labels] = 1.0
     delta = (probs - onehot) / batch_size  # d(mean CE)/d(logits)
     for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, activations[layer], out=grads[2 * layer])
-        np.sum(delta, axis=0, out=grads[2 * layer + 1])
-        if layer > 0:
-            delta = (delta @ model.weights[layer]) * (activations[layer] > 0)
+        w = model.weights[layer]
+        below = (delta @ w) * (activations[layer] > 0) if layer > 0 else None
+        yield 2 * layer, np.matmul(delta.T, activations[layer],
+                                   out=buffer[:w.size].reshape(w.shape))
+        yield 2 * layer + 1, np.sum(delta, axis=0, out=buffer[:w.shape[0]])
+        delta = below
+
+
+def _gradient_buffer(layer_dims) -> np.ndarray:
+    """A buffer for the gradient of the model's largest tensor."""
+    return np.empty(max(math.prod(shape) for shape in _tensor_shapes(layer_dims)))
 
 
 def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -246,8 +265,10 @@ def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np
     if labels.shape[0] != batch.shape[0]:
         raise ValueError("batch and label counts differ")
     probs, activations, _ = _forward_cached(model, batch)
-    grads = _views(np.empty_like(model.params), model.layer_dims)
-    _gradients_from_cache(model, activations, probs, labels, grads)
+    grads = [None] * (2 * len(model.weights))
+    buffer = _gradient_buffer(model.layer_dims)
+    for index, grad in _layer_gradients(model, activations, probs, labels, buffer):
+        grads[index] = grad.copy()
     return grads[0::2], grads[1::2]
 
 
@@ -294,18 +315,21 @@ def train(model: MlpModel, train_set: LabeledDataset,
 
     Rows scaled beforehand would be scaled twice. Shuffles per epoch with a
     generator seeded from cfg.seed; the final partial batch is trained on.
-    The input model is not modified. History holds the per-epoch mean
-    training loss and accuracy. Raises NonFiniteError if a batch loss
-    becomes NaN or infinite (a learning rate too large for the data can
-    diverge).
+    Trains `model` in place and returns it with the history, which holds
+    the per-epoch mean training loss and accuracy; train `model.copy()` to
+    keep the original. Each tensor takes its Adam step as soon as
+    backpropagation has its gradient, so beside `params` training holds
+    Adam's two moments and one gradient buffer the size of the largest
+    tensor. Raises NonFiniteError if a batch loss becomes NaN or infinite
+    (a learning rate too large for the data can diverge); the model is then
+    left as the steps before it made it.
     """
     if train_set.n == 0:
         raise ValueError("training set is empty")
-    trained = model.copy()
-    x_all = scale_rows(trained.scaler, train_set.features)
-    grad = np.empty_like(trained.params)
-    grads = _views(grad, trained.layer_dims)
-    state = AdamState.for_params(trained.params)
+    x_all = scale_rows(model.scaler, train_set.features)
+    tensors = [t.reshape(-1) for t in _views(model.params, model.layer_dims)]
+    states = AdamState.for_tensors(tensors)
+    buffer = _gradient_buffer(model.layer_dims)
     rng = np.random.default_rng(cfg.seed)
     y_all = train_set.labels
     history = TrainHistory()
@@ -317,18 +341,18 @@ def train(model: MlpModel, train_set: LabeledDataset,
             picked = perm[start : start + cfg.batch_size]
             xb = x_all[picked]
             yb = y_all[picked]
-            probs, activations, _ = _forward_cached(trained, xb)
+            probs, activations, _ = _forward_cached(model, xb)
             loss = loss_sparse_ce(probs, yb)
             if not math.isfinite(loss):
                 raise NonFiniteError(f"training loss became {loss} in epoch {epoch}; "
                                      f"the learning rate {cfg.learning_rate} may be too large")
             total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
-            _gradients_from_cache(trained, activations, probs, yb, grads)
-            adam_step(trained.params, grad, state, cfg)
+            for index, grad in _layer_gradients(model, activations, probs, yb, buffer):
+                adam_step(tensors[index], grad.reshape(-1), states[index], cfg)
         history.loss.append(total_loss / train_set.n)
         history.accuracy.append(total_correct / train_set.n)
-    return trained, history
+    return model, history
 
 
 def predict(model: MlpModel, rows: np.ndarray) -> tuple[str, np.ndarray]:

@@ -14,10 +14,12 @@ which reduces block by block, against one pass over everything.
 for their range-by-range and block-by-block streaming.
 `full_array_adam_step` is the Adam update in one pass over the whole
 parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
+`traced_peak` is the tracemalloc peak of a call, for the memory tests.
 """
 
 import json
 import struct
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -133,6 +135,18 @@ def full_array_adam_step(params, grad, state, cfg) -> None:
     b += ADAM_EPSILON
     a /= b
     params -= a
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, of a second call of `fn`; the first
+    fills any cache before tracing."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference_grads(model, x, y, h=1e-5):

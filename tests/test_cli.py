@@ -12,17 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edit_model_header, wav_bytes, whole_file_rows
+from conftest import (edit_model_header, interp_resample, magnitudes, traced_peak, wav_bytes,
+                      whole_file_rows)
 import wrice
 from wrice import audio_io, cli, dataset
 from wrice.audio_io import AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
-from wrice.dataset import (Extraction, ingest_corpus, read_features_csv, scale_rows,
-                           write_features_csv)
+from wrice.dataset import (Extraction, LabeledDataset, ingest_corpus, read_features_csv,
+                           scale_rows, write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
 from wrice.features import SCHEMA_VERSION, FeatureConfig
-from wrice.mlp import forward, load_model
+from wrice.mlp import forward, layer_dims_for, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
          "--segment-seconds", "1.5"]
@@ -366,6 +367,70 @@ class TestSpectrogramDump:
         assert len(rest) == width * height
 
 
+    @pytest.mark.parametrize("sr", [22050, 16000])
+    def test_the_blocks_give_the_whole_file_spectrogram(self, tmp_path, sr):
+        # 6 s at 22050 Hz: several blocks of 64 frames at either rate
+        wav = tmp_path / "in.wav"
+        write_wav(wav, AudioBuffer(0.5 * np.sin(np.arange(6 * 22050) * 0.05)
+                                   + np.random.default_rng(2).normal(scale=0.05, size=6 * 22050),
+                                   22050))
+        decoded = read_wav(wav)
+        want = magnitudes(AudioBuffer(interp_resample(decoded.samples, 22050, sr), sr),
+                          StftConfig())
+        assert len(want) > 2 * 64
+        args = ["spectrogram", "--in", str(wav), "--sr", str(sr)]
+        assert run([*args, "--out", str(tmp_path / "s.csv")]) == 0
+        rows = (tmp_path / "s.csv").read_text().splitlines()[2:]
+        got = np.array([[float(v) for v in row.split(",")] for row in rows])
+        np.testing.assert_array_equal(got, want)  # .17g round-trips float64
+        assert run([*args, "--out", str(tmp_path / "s.pgm")]) == 0
+        pixels = (tmp_path / "s.pgm").read_bytes().partition(b"\n255\n")[2]
+        # the whole-array form of the -80 dB floor scaling
+        db = 20.0 * np.log10(np.maximum(want / want.max(), 10.0 ** (-80.0 / 20.0)))
+        image = np.rint((db + 80.0) / 80.0 * 255).astype(np.uint8).T[::-1]
+        assert pixels == image.tobytes()
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of whole verbs, on inputs large enough that holding
+    a second copy of what they work on would show."""
+
+    def test_train_holds_the_model_its_moments_and_one_tensor_gradient(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 40
+        rows = LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
+                              label_map=[f"c{i}" for i in range(4)],
+                              source_paths=[f"rows/{i}.wav" for i in range(n)])
+        feats = tmp_path / "feats.csv"
+        write_features_csv(rows, feats, Extraction())
+        argv = ["train", "--features", str(feats), "--out", str(tmp_path / "model.wrice"),
+                "--epochs", "1"]
+        peak = traced_peak(lambda: run(argv))
+        # paper4: the model (541,188 parameters, 4.1 MiB), Adam's two
+        # moments, the gradient of one 512 x 512 tensor, and slack for Adam's
+        # scratch (0.5 MiB) and a 32-row batch's activations; a copy of the
+        # model or a parameter-length gradient (2.1 MiB more) would exceed it
+        dims = layer_dims_for("paper4", 26, 4)
+        params = 8 * sum(a * b + b for a, b in zip(dims, dims[1:]))
+        bound = 3 * params + 8 * 512 * 512 + 3 * 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_spectrogram_holds_one_block_and_the_image(self, tmp_path, fmt):
+        wav = tmp_path / "long.wav"
+        write_wav(wav, AudioBuffer(np.random.default_rng(1).normal(scale=0.1, size=24 * 22050),
+                                   22050))
+        out = tmp_path / f"spec.{fmt}"
+        peak = traced_peak(lambda: run(["spectrogram", "--in", str(wav), "--out", str(out)]))
+        # 1030 frames of 1025 bins: one block's buffers (2.5 MiB) and the
+        # arithmetic on it, and for a PGM its one byte per pixel; the file's
+        # samples (4.0 MiB) or every frame's magnitudes (8.1 MiB) would
+        # exceed it
+        image = 1030 * 1025 if fmt == "pgm" else 0
+        bound = image + 6 * 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -437,6 +502,23 @@ class TestExitCodes:
         assert run([verb, "--in", str(source), *io_args, *flags]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["eval", "--noise", "0.5,"], "--noise '0.5,': entry '' is not a number"),
+        (["eval", "--noise", "0.5,x,0.05"], "--noise '0.5,x,0.05': entry 'x' is not a number"),
+        (["synth", "--counts", "1,2,x,1"], "--counts '1,2,x,1': entry 'x' is not an integer"),
+        (["synth", "--counts", "1,2,1.5,1"],
+         "--counts '1,2,1.5,1': entry '1.5' is not an integer"),
+    ], ids=["noise-trailing-comma", "noise-word", "counts-word", "counts-fraction"])
+    def test_a_list_entry_that_does_not_parse_names_its_flag(self, workspace, tmp_path,
+                                                             capsys, argv, message):
+        verb, *flags = argv
+        io_args = {"eval": ["--model", str(workspace / "model.wrice"),
+                            "--in", str(workspace / "corpus"), "--workers", "1"],
+                   "synth": ["--out", str(tmp_path / "corpus"), "--workers", "1"]}[verb]
+        assert run([verb, *io_args, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_corpus_is_domain_error(self, tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import json
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (edit_model_header, finite_difference_grads, full_array_adam_step,
-                      identity_bundle)
+                      identity_bundle, traced_peak)
 from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
@@ -32,18 +31,6 @@ def bundled(layer_dims, seed=0):
 def tensors(model):
     """The weight and bias views in the model file's order: w0, b0, w1, b1, ..."""
     return [t for pair in zip(model.weights, model.biases) for t in pair]
-
-
-def traced_peak(fn) -> int:
-    """tracemalloc's peak, in bytes, of a second call of `fn`; the first
-    fills any cache before tracing."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def paper4_model():
@@ -335,12 +322,14 @@ class TestTrain:
         assert history.loss == [] and history.accuracy == []
         np.testing.assert_array_equal(model.params, trained.params)
 
-    def test_input_model_not_mutated(self):
+    def test_trains_the_given_model_in_place(self):
         ds = blob_dataset()
         model = bundled([2, 8, 2], seed=1)
-        before = model.params.copy()
-        train(model, ds, TrainConfig(epochs=3, batch_size=8, seed=1))
-        np.testing.assert_array_equal(before, model.params)
+        params, before = model.params, model.params.copy()
+        trained, _ = train(model, ds, TrainConfig(epochs=3, batch_size=8, seed=1))
+        assert trained is model and trained.params is params
+        assert all(np.shares_memory(t, params) for t in tensors(trained))
+        assert not np.array_equal(params, before)
 
     def test_separable_blobs_reach_tiny_loss(self):
         ds = blob_dataset(n_per_class=20, seed=0)
@@ -376,23 +365,39 @@ class TestTrain:
 
     @pytest.mark.parametrize("arch", sorted(mlp.ARCHITECTURES))
     def test_matches_training_with_the_full_array_oracle(self, arch, monkeypatch):
-        model = bundled(layer_dims_for(arch, 26, 4), seed=2)
+        dims = layer_dims_for(arch, 26, 4)
         rows = random_rows(40, seed=2)
         cfg = TrainConfig(epochs=3, seed=2)
-        trained, _ = train(model, rows, cfg)
+        trained, _ = train(bundled(dims, seed=2), rows, cfg)
         monkeypatch.setattr(mlp, "adam_step", full_array_adam_step)
-        reference, _ = train(model, rows, cfg)
+        reference, _ = train(bundled(dims, seed=2), rows, cfg)
         np.testing.assert_array_equal(trained.params, reference.params)
 
-    def test_peak_memory_is_four_parameter_arrays(self):
+    def test_one_step_is_adam_on_the_backward_gradients(self):
+        # one batch of every row: `train` steps each tensor as soon as its
+        # gradient is ready, and must still give the one flat Adam step on
+        # the gradients of the weights before that step
+        rows = random_rows(12, seed=6)
+        cfg = TrainConfig(epochs=1, batch_size=rows.n, learning_rate=0.05, seed=6)
+        want = bundled([26, 16, 8, 4], seed=6)
+        perm = np.random.default_rng(cfg.seed).permutation(rows.n)
+        grad_w, grad_b = backward(want, rows.features[perm], rows.labels[perm])
+        grad = np.concatenate([g.ravel() for pair in zip(grad_w, grad_b) for g in pair])
+        adam_step(want.params, grad, AdamState.for_params(want.params), cfg)
+        trained, _ = train(bundled([26, 16, 8, 4], seed=6), rows, cfg)
+        np.testing.assert_array_equal(trained.params, want.params)
+
+    def test_peak_memory_is_two_parameter_arrays_and_the_largest_tensor(self):
         model = paper4_model()
         rows = random_rows(10)
         peak = traced_peak(lambda: train(model, rows, TrainConfig(epochs=2)))
-        # the trained copy, the gradient and Adam's two moments, and slack for
-        # the activations, the finiteness check and the block-long scratch;
-        # parameter-length scratch would exceed it
-        bound = 4 * model.params.nbytes + 2 * 2**20
-        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+        # Adam's two moments, the gradient of the largest tensor (512 x 512),
+        # and slack for the block-long scratch (0.5 MiB) and the activations;
+        # a parameter-length gradient (2.1 MiB more) or a copy of the model
+        # would exceed it
+        largest = max(w.nbytes for w in model.weights)
+        bound = 2 * model.params.nbytes + largest + 3 * 2**19
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_empty_training_set(self):
         ds = blob_dataset().subset([])
