@@ -206,6 +206,11 @@ def _cmd_augment(args) -> int:
     synth.check_noise_scale(args.scale)
     src = Path(args.in_path)
     out = Path(args.out)
+    if out.resolve() == src.resolve():
+        raise ValueError(f"--out {out} is --in {src}: augment would overwrite its input")
+    if src.is_dir() and src.resolve() in out.resolve().parents:
+        raise ValueError(f"--out {out} lies inside the --in corpus {src}: "
+                         "augment would write into its input")
     if src.is_dir():
         _, pairs = ds_mod.corpus_files(src)
         rows = []

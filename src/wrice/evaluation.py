@@ -119,9 +119,11 @@ def write_report(document: dict, path) -> None:
 
 
 def format_report(report: EvalReport) -> str:
-    """Human-readable accuracy plus confusion matrix (rows true, cols predicted)."""
+    """Human-readable accuracy plus confusion matrix (rows true, cols predicted),
+    every column as wide as the widest label or count."""
     tag = "clean" if report.noise_scale is None else f"noise {report.noise_scale:g}"
-    width = max(len(name) for name in report.label_map)
+    width = max(max(len(name) for name in report.label_map),
+                len(str(report.confusion.max())))
     lines = [f"{tag}: accuracy {report.accuracy:.4f} ({np.trace(report.confusion)}/{report.n})"]
     header = " " * (width + 2) + " ".join(f"{name:>{width}}" for name in report.label_map)
     lines.append(header)

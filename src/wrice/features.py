@@ -14,6 +14,15 @@ spectrogram is held.
 Weighting conventions: centroid and bandwidth use magnitude weights,
 roll-off and chroma use energy (squared magnitude).
 
+`rolloffs` finds each row's roll-off bin by a two-level search: sums of
+chunks of 32 bins, run through to the chunk where the threshold is
+crossed, then that chunk bin by bin. A row keeps the bin only when its
+approximate prefix sums clear the threshold by 4·n·u·total, the bound on
+how far any summation order of n non-negative terms can stray from the
+sequential one; every other row (ties, zero, subnormal or non-finite
+totals) takes the sequential running sum over all its bins. So the
+roll-offs equal those of that running sum, bit for bit.
+
 The family settings are librosa's and fixed, since no feature CSV records
 them: `ROLLOFF_PCT` (85% roll-off), `BANDWIDTH_ORDER` (second-order
 bandwidth), `MEL_FMIN` (mel bands from 0 Hz to Nyquist) and `LOG_FLOOR`
@@ -47,6 +56,12 @@ ROLLOFF_PCT = 0.85
 BANDWIDTH_ORDER = 2
 MEL_FMIN = 0.0
 LOG_FLOOR = 1e-10
+
+# bins per chunk of `rolloffs`' first level: about the square root of the
+# 1025 bins of a 2048-sample frame, so both levels run through ~32 sums
+_ROLLOFF_CHUNK = 32
+_FLOAT = np.finfo(np.float64)
+_UNIT_ROUNDOFF = _FLOAT.eps / 2
 
 
 def feature_names(n_mfcc: int = 20) -> list[str]:
@@ -138,7 +153,71 @@ def bandwidths(mags, freqs, centroids) -> np.ndarray:
 
 def rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Lowest frequency at or below which `ROLLOFF_PCT` of each row's energy
-    lies; a silent row gives 0."""
+    lies; a silent row gives 0.
+
+    The answer is, bit for bit, that of the sequential running sum
+    C_k = C_(k-1) + p_k over a row's n bins: the first k with
+    C_k >= T = `ROLLOFF_PCT` * C_(n-1). Most rows skip that chain of n
+    dependent additions. Each row is summed in chunks of `_ROLLOFF_CHUNK`
+    bins, the chunk sums are run through, and only the chunk in which they
+    cross the threshold is run through bin by bin, giving approximate
+    prefix sums A_k, total A and threshold T' = `ROLLOFF_PCT` * A.
+
+    Every A_k and C_k sums its non-negative terms in some order, so each is
+    within gP_k of their exact sum P_k <= P, where g = (n-1)u / (1 - (n-1)u)
+    and u = 2^-53 is the unit roundoff (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sec. 4.2). So |C_k - A_k| <= 2gP,
+    and T and T' differ by at most 1.7(g + u)P: together less than 4nuA
+    for any n below 10^14. A row keeps its candidate bin k only when
+    A_k - T' >= 4nuA and T' - A_(k-1) > 4nuA, which proves
+    C_k >= T > C_(k-1). Every other row takes the sequential running sum
+    itself: an exact or near tie, and a total A that is zero, not finite,
+    below twice the smallest normal float (where T' may be subnormal and
+    lose its relative accuracy) or above half the largest (where C may
+    overflow). So does a whole block that is not float64 or holds a
+    negative value, to which the bound does not apply."""
+    if power.dtype != np.float64 or power.min(initial=0.0) < 0:
+        return _sequential_rolloffs(power, freqs)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are not proven
+        bins, proven = _searched_rolloff_bins(power)
+    out = freqs[bins]
+    redo = np.flatnonzero(~proven)
+    if redo.size:
+        out[redo] = _sequential_rolloffs(power[redo], freqs)
+    return out
+
+
+def _searched_rolloff_bins(power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidate roll-off bin from the two-level search of
+    `rolloffs`, and whether the margin proves it that of the sequential sum."""
+    rows, n = power.shape
+    whole = n // _ROLLOFF_CHUNK
+    sums = np.empty((rows, -(-n // _ROLLOFF_CHUNK)))
+    np.einsum("fcb->fc", power[:, : whole * _ROLLOFF_CHUNK].reshape(rows, whole, _ROLLOFF_CHUNK),
+              out=sums[:, :whole])
+    if sums.shape[1] > whole:
+        np.sum(power[:, whole * _ROLLOFF_CHUNK :], axis=1, out=sums[:, whole])
+    np.cumsum(sums, axis=1, out=sums)
+    totals = sums[:, -1]
+    thresholds = ROLLOFF_PCT * totals
+    chunk = np.argmax(sums >= thresholds[:, None], axis=1)
+    row = np.arange(rows)
+    below_chunk = np.where(chunk > 0, sums[row, chunk - 1], 0.0)
+    bins = chunk[:, None] * _ROLLOFF_CHUNK + np.arange(_ROLLOFF_CHUNK)
+    prefix = power[row[:, None], np.minimum(bins, n - 1)]
+    prefix[bins >= n] = 0.0  # past the last bin of a short final chunk
+    np.cumsum(prefix, axis=1, out=prefix)
+    prefix += below_chunk[:, None]
+    step = np.argmax(prefix >= thresholds[:, None], axis=1)
+    below = np.where(step > 0, prefix[row, step - 1], below_chunk)
+    margin = 4 * n * _UNIT_ROUNDOFF * totals
+    proven = ((totals >= 2 * _FLOAT.tiny) & (totals <= _FLOAT.max / 2)
+              & (prefix[row, step] - thresholds >= margin) & (thresholds - below > margin))
+    return chunk * _ROLLOFF_CHUNK + step, proven
+
+
+def _sequential_rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """`rolloffs` by the sequential running sum over every bin of each row."""
     cumulative = np.cumsum(power, axis=1)
     totals = cumulative[:, -1]
     first = np.argmax(cumulative >= ROLLOFF_PCT * totals[:, None], axis=1)

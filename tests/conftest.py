@@ -4,11 +4,14 @@ Two transform oracles that share no code with `numpy.fft`, which the package
 uses: `naive_dft`, a deliberate O(n^2) matrix product, and an iterative
 radix-2 FFT (`fft`, and `rfft`, which packs real frames into a half-length
 complex FFT), checked against it. `frame_zcr` counts sign changes frame by
-frame, independently of `features.zcr`'s one pass over the signal.
-`family_means` applies the package's per-frame family functions (and
-`frame_zcr`) to whole frame and magnitude arrays, so feature
-tests can pin degenerate spectra directly and compare `extract_features`,
-which reduces block by block, against one pass over everything.
+frame, independently of `features.zcr`'s one pass over the signal, and
+`sequential_rolloffs` takes one running sum over every bin, the arithmetic
+that `features.rolloffs`' two-level search must reproduce bit for bit.
+`family_means` applies the package's per-frame family functions (with
+`frame_zcr` and `sequential_rolloffs` for theirs) to whole frame and
+magnitude arrays, so feature tests can pin degenerate spectra directly and
+compare `extract_features`, which reduces block by block, against one pass
+over everything.
 `interp_resample` is `WavReader.read_resampled` done on a whole buffer, and
 `whole_file_rows` is `dataset.file_rows` done on whole buffers, the oracles
 for their range-by-range and block-by-block streaming.
@@ -29,8 +32,9 @@ import pytest
 from wrice.audio_io import AudioBuffer, read_wav
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import StftConfig, spectrum_blocks
-from wrice.features import (FeatureConfig, bandwidths, centroids, chroma_projector, chromas,
-                            extract_features, mel_projector, mfccs, rms, rolloffs)
+from wrice.features import (ROLLOFF_PCT, FeatureConfig, bandwidths, centroids,
+                            chroma_projector, chromas, extract_features, mel_projector, mfccs,
+                            rms)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -259,18 +263,29 @@ def frame_zcr(frames: np.ndarray) -> np.ndarray:
     return np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / frames.shape[1]
 
 
+def sequential_rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The oracle for `features.rolloffs`: the lowest frequency at or below
+    which `ROLLOFF_PCT` of each row's energy lies (a silent row gives 0),
+    from one sequential running sum over every bin of the row."""
+    cumulative = np.cumsum(power, axis=1)
+    totals = cumulative[:, -1]
+    first = np.argmax(cumulative >= ROLLOFF_PCT * totals[:, None], axis=1)
+    return np.where(totals > 0, freqs[first], 0.0)
+
+
 def family_means(frames, mags, sample_rate: int = 22050,
                  feat_cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """The feature vector in schema order: each per-frame family function
-    (for ZCR, the `frame_zcr` oracle) applied once to all of `frames` (raw)
-    and `mags` (their magnitudes), then averaged over the frames."""
+    (for ZCR and roll-off, the `frame_zcr` and `sequential_rolloffs`
+    oracles) applied once to all of `frames` (raw) and `mags` (their
+    magnitudes), then averaged over the frames."""
     frame_len = 2 * (mags.shape[1] - 1)
     freqs = bin_freqs(frame_len, sample_rate)
     power = np.square(mags)
     centers = centroids(mags, freqs)
     return np.concatenate([
         [frame_zcr(frames).mean(), centers.mean(), bandwidths(mags, freqs, centers).mean(),
-         rolloffs(power, freqs).mean(), rms(frames).mean(),
+         sequential_rolloffs(power, freqs).mean(), rms(frames).mean(),
          chromas(power, chroma_projector(frame_len, sample_rate)).mean()],
         mfccs(power, mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
     ])

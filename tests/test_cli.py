@@ -295,6 +295,34 @@ class TestWorkflow:
                     "--scale", "0.01", "--seed", "2"]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("out,message", [
+        ("corpus", "--out {out} is --in {src}: augment would overwrite its input"),
+        ("corpus/../corpus", "--out {out} is --in {src}: augment would overwrite its input"),
+        ("corpus/noisy", "--out {out} lies inside the --in corpus {src}: "
+                         "augment would write into its input"),
+    ], ids=["same", "same-spelled-otherwise", "inside"])
+    def test_augment_refuses_to_write_into_its_source_corpus(self, workspace, tmp_path,
+                                                              capsys, out, message):
+        src = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", src)
+        tree = lambda: {path: path.read_bytes() for path in src.rglob("*") if path.is_file()}
+        before = tree()
+        assert run(["augment", "--in", str(src), "--out", str(tmp_path / out),
+                    "--scale", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(out=tmp_path / out, src=src)}\n"
+        assert tree() == before and not (src / "noisy").exists()
+
+    def test_augment_refuses_to_overwrite_its_source_file(self, workspace, tmp_path, capsys):
+        wav = tmp_path / "in.wav"
+        shutil.copy(next((workspace / "corpus" / "wet_60").glob("*.wav")), wav)
+        before = wav.read_bytes()
+        assert run(["augment", "--in", str(wav), "--out", str(wav), "--scale", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {wav} is --in {wav}: augment would overwrite its input\n"
+        assert wav.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [wav]
+
     def test_stereo_input_gives_the_outputs_of_its_mono_mean(self, workspace, tmp_path):
         # channels k + d and k - d average to the 16-bit mono samples k
         # exactly, so `augment` and `spectrogram` must write the same bytes

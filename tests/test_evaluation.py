@@ -180,3 +180,26 @@ class TestReportOutput:
         text = format_report(evaluate(passthrough_model(), ds))
         assert "accuracy 1.0000" in text
         assert "c0" in text and "c3" in text
+
+    def test_format_report_widens_columns_to_the_widest_count(self):
+        report = EvalReport(accuracy=220 / 228, confusion=[[120, 3], [5, 100]], n=228,
+                            label_map=["a", "b"])
+        assert format_report(report).splitlines() == [
+            "clean: accuracy 0.9649 (220/228)",
+            "       a   b",
+            "    a 120   3",
+            "    b   5 100",
+        ]
+
+    def test_format_report_of_the_default_labels_is_unchanged(self):
+        confusion = [[52, 1, 0, 0], [0, 61, 0, 0], [2, 0, 49, 0], [0, 0, 3, 61]]
+        report = EvalReport(accuracy=223 / 229, confusion=confusion, n=229,
+                            label_map=["dry_40", "dry_60", "wet_40", "wet_60"],
+                            noise_scale=0.05, seed=3)
+        assert format_report(report) == (
+            "noise 0.05: accuracy 0.9738 (223/229)\n"
+            "        dry_40 dry_60 wet_40 wet_60\n"
+            "  dry_40     52      1      0      0\n"
+            "  dry_60      0     61      0      0\n"
+            "  wet_40      2      0     49      0\n"
+            "  wet_60      0      0      3     61")

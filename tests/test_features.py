@@ -1,18 +1,21 @@
 """Feature families: closed forms, independent oracles, and invariants."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.fft
 
 from conftest import (bin_freqs, family_means, frame_zcr, magnitudes, naive_dft, noise_buffer,
-                      rfft, sine_buffer)
+                      rfft, sequential_rolloffs, sine_buffer)
 from wrice.audio_io import AudioBuffer
 from wrice.dsp import BLOCK_FRAMES, StftConfig, frame_signal, hann_window
-from wrice.features import (BANDWIDTH_ORDER, FeatureConfig, FeatureVector, bandwidths,
-                            centroids, chroma_projector, chromas, dct_ortho_matrix,
+from wrice.features import (BANDWIDTH_ORDER, ROLLOFF_PCT, FeatureConfig, FeatureVector,
+                            bandwidths, centroids, chroma_projector, chromas, dct_ortho_matrix,
                             extract_features, feature_names, hz_to_mel, mel_filterbank, mfccs,
                             mfccs_from_mel_energies, rms, rolloffs, zcr)
 from wrice.synth import spec_for_category, synth_sample
@@ -160,6 +163,56 @@ class TestBandwidth:
         assert BANDWIDTH_ORDER == 2
 
 
+ROLLOFF_ROWS = ("noise", "sparse", "tie", "zero", "one-bin", "subnormal", "overflow",
+                "not-finite", "rounds-up", "rounds-down")
+
+
+def rolloff_row(kind: str, n: int, rng) -> np.ndarray:
+    """One row of `n` power bins of the named kind, for the roll-off property test.
+
+    "tie": non-negative integers, scaled by a power of two, whose prefix sum
+    at a random bin equals the threshold exactly. "rounds-up" and
+    "rounds-down": a pair of bins summing to 1 at a random place, followed by
+    bins of just over (up) or just under (down) half an ulp of 1, which the
+    sequential sum rounds up to a whole ulp or drops, so that its threshold
+    strays from the exact one by up to about 0.85·n·u (u = 2^-53); the first
+    bin of the pair is placed a random fraction of the way between the two
+    thresholds, so that only a margin of at least that size keeps the
+    answer."""
+    row = np.zeros(n)
+    place = int(rng.integers(0, n - 1))
+    if kind == "noise":
+        row = rng.standard_normal(n) ** 2 * 10.0 ** rng.uniform(-30, 30)
+    elif kind == "sparse":
+        row = rng.standard_normal(n) ** 2 * (rng.random(n) < 0.05)
+    elif kind == "tie":
+        left = rng.integers(0, 8, place + 1)
+        right = rng.integers(0, 8, n - place - 1)
+        left[-1] += 1
+        right[rng.integers(0, right.size)] += 1
+        row = np.concatenate([left * 17 * right.sum(), right * 3 * left.sum()])
+        row = np.ldexp(row.astype(float), int(rng.integers(-40, 40)))
+        assert ROLLOFF_PCT * np.cumsum(row)[-1] == np.cumsum(row)[place]
+    elif kind == "one-bin":
+        row[place] = 10.0 ** rng.uniform(-300, 300)
+    elif kind == "subnormal":
+        row = rng.integers(0, 1000, n) * 5e-324
+    elif kind == "overflow":
+        row = rng.uniform(0.6, 1.0, n) * np.finfo(np.float64).max
+    elif kind == "not-finite":
+        row = rng.standard_normal(n) ** 2
+        row[place] = rng.choice([np.inf, np.nan])
+    elif kind in ("rounds-up", "rounds-down"):
+        half_ulp = 2.0**-53 * (1 + 2.0**-10 if kind == "rounds-up" else 1 - 2.0**-10)
+        row[place + 2 :] = half_ulp
+        row[place : place + 2] = 0.5
+        sequential = ROLLOFF_PCT * np.cumsum(row)[-1]
+        exact = ROLLOFF_PCT * math.fsum(row)
+        row[place] = exact + rng.random() * (sequential - exact)
+        row[place + 1] = 1.0 - row[place]
+    return row
+
+
 class TestRolloff:
     def test_single_bin_any_pct(self):
         np.testing.assert_array_equal(rolloffs(one_bin(77), FREQS), [FREQS[77]])
@@ -170,6 +223,42 @@ class TestRolloff:
 
     def test_silent_frame_contributes_zero(self):
         np.testing.assert_array_equal(rolloffs(np.zeros((1, FREQS.size)), FREQS), [0.0])
+
+    @pytest.mark.parametrize("log2_frame", range(1, 13))  # frames of 2 to 4096 samples
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(ROLLOFF_ROWS), min_size=1, max_size=64),
+           layout=st.sampled_from(("C", "F", "strided")), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_sequential_running_sum(self, log2_frame, kinds, layout, seed):
+        rng = np.random.default_rng(seed)
+        n = 2**log2_frame // 2 + 1
+        block = np.array([rolloff_row(kind, n, rng) for kind in kinds])
+        if layout == "F":
+            block = np.asfortranarray(block)
+        elif layout == "strided":
+            wide = np.zeros((len(kinds), 2 * n))
+            wide[:, 1::2] = block
+            block = wide[:, 1::2]
+        freqs = np.arange(n) * (SR / 2**log2_frame)
+        with np.errstate(over="ignore"):  # "overflow" rows overflow the sequential sum
+            want = sequential_rolloffs(block, freqs)
+            got = rolloffs(block, freqs)
+        assert np.array_equal(got, want)
+
+    def test_a_block_with_a_negative_value_takes_the_sequential_sum(self):
+        # +4 and -4 cancel inside one chunk, so chunk sums would put the
+        # roll-off in the last bin, while the running sum crosses at bin 3
+        block = np.random.default_rng(2).random((3, FREQS.size)) * 1e-3
+        block[1, 3:5] = 4.0, -4.0
+        block[1, -1] = 1.0
+        assert rolloffs(block, FREQS)[1] == FREQS[3]
+        assert np.array_equal(rolloffs(block, FREQS), sequential_rolloffs(block, FREQS))
+
+    def test_equals_the_sequential_running_sum_on_extraction_blocks(self):
+        buf = synth_sample(spec_for_category("dry_60"), SR, 31)
+        for noise in (0.0, 0.005, 0.05, 0.5):
+            samples = buf.samples + noise * np.random.default_rng(1).standard_normal(len(buf))
+            power = np.square(magnitudes(AudioBuffer(samples, SR), CFG))
+            assert np.array_equal(rolloffs(power, FREQS), sequential_rolloffs(power, FREQS))
 
 
 class TestMelFilterbank:
