@@ -7,7 +7,7 @@ frames, or of the file resampled to another rate, so a long file can be
 analysed a block at a time; `read_wav` is that reader over the whole file at
 its own rate. Nothing here resamples or segments a decoded buffer: the
 analysis rate and segments of a file are `WavReader.read_resampled` ranges,
-cut by `dataset.file_rows`. Encodes one mono buffer as integer PCM.
+cut by `dataset.file_rows`. Encodes one mono buffer as 16-bit PCM.
 Everything downstream works on mono float samples in nominal [-1, 1] range.
 """
 
@@ -214,33 +214,25 @@ def _sample_dtype(format_tag: int, bits: int, path) -> str | None:
     return _PCM_DTYPES.get(bits)
 
 
-def write_wav(path, buf: AudioBuffer, bits_per_sample: int = 16) -> None:
-    """Encode a mono buffer as little-endian integer PCM.
+def write_wav(path, buf: AudioBuffer) -> None:
+    """Encode a mono buffer as little-endian 16-bit PCM.
 
-    Values outside [-1, 1] are clipped to the integer range. Decoded integer
-    PCM re-encoded at the same bit depth round-trips exactly.
+    Values outside [-1, 1] are clipped to the int16 range. Decoded 16-bit
+    PCM re-encoded round-trips exactly.
     """
-    if bits_per_sample not in (16, 24, 32):
-        raise ValueError(f"unsupported PCM bit depth {bits_per_sample}")
-    scale = 2 ** (bits_per_sample - 1)
+    scale = 2**15
     # rounded and clipped in place, so the only full-length temporaries are
     # this float64 array and its one integer cast
     ints = np.multiply(buf.samples, scale)
     np.rint(ints, out=ints)
     np.clip(ints, -scale, scale - 1, out=ints)
-    ints = ints.astype("<i2" if bits_per_sample == 16 else "<i4")
-    if bits_per_sample == 24:
-        frames = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    else:
-        frames = ints.tobytes()
+    ints = ints.astype("<i2")
+    frames = ints.tobytes()
 
-    block_align = bits_per_sample // 8
     fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, buf.sample_rate,
-                      buf.sample_rate * block_align, block_align, bits_per_sample)
+                      buf.sample_rate * 2, 2, 16)
     body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(frames)) + frames)
-    if len(frames) & 1:
-        body += b"\x00"
     blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     Path(path).write_bytes(blob)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import WavReader, read_wav, resampled_length, write_wav
+from .audio_io import AudioBuffer, WavReader, read_wav, resampled_length, write_wav
 from .dsp import WINDOW, BlockSpectra, StftConfig, block_spans
 from .errors import WriceError
 
@@ -202,6 +202,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _augment_file(src, target, scale: float, seed) -> None:
+    """Write `src` plus `scale` times the draws of `default_rng(seed)` to
+    `target` as 16-bit PCM: the noise kernel that `file_rows` runs."""
+    clean = read_wav(src)
+    noisy = np.empty(len(clean))
+    synth.add_noise_into(noisy, clean.samples, scale, np.random.default_rng(seed))
+    write_wav(target, AudioBuffer(noisy, clean.sample_rate))
+
+
 def _cmd_augment(args) -> int:
     synth.check_noise_scale(args.scale)
     src = Path(args.in_path)
@@ -215,11 +224,10 @@ def _cmd_augment(args) -> int:
         _, pairs = ds_mod.corpus_files(src)
         rows = []
         for file_idx, (path, category) in enumerate(pairs):
-            noisy = synth.add_noise(read_wav(path), args.scale,
-                                    np.random.SeedSequence([args.seed, 0, file_idx]))
             target = out / category / path.name
             target.parent.mkdir(parents=True, exist_ok=True)
-            write_wav(target, noisy)
+            _augment_file(path, target, args.scale,
+                          np.random.SeedSequence([args.seed, 0, file_idx]))
             rows.append((str(target), category))
         with open(out / "manifest.csv", "w", newline="") as fh:
             fh.write(f"# wrice-augment scale={args.scale} seed={args.seed} source={src}\n")
@@ -228,8 +236,7 @@ def _cmd_augment(args) -> int:
             writer.writerows(rows)
         print(f"wrote {len(rows)} noisy files under {out}")
     else:
-        noisy = synth.add_noise(read_wav(src), args.scale, args.seed)
-        write_wav(out, noisy)
+        _augment_file(src, out, args.scale, args.seed)
         print(f"wrote {out}")
     return 0
 

@@ -169,11 +169,12 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
 
     The rows are those of `extract_features` on each segment of the whole
     file resampled at once (`WavReader.read_resampled` over all of it) and
-    noised at once (`synth.add_noise`), bit for bit, but the file is read,
-    resampled, noised and analysed one `dsp.block_spans` block at a time.
-    Each scale's noise is drawn in sample order: samples that two blocks
-    share keep their draws, and samples that no frame covers are drawn too. So a call holds one block of samples per
-    scale and the buffers of one `BlockFeatures`, whatever the file's length.
+    noised at once (`synth.add_noise_into` over all of it), bit for bit, but
+    the file is read, resampled, noised and analysed one `dsp.block_spans`
+    block at a time. Each scale's noise is drawn in sample order: samples
+    that two blocks share keep their draws, and samples that no frame covers
+    are drawn too. So a call holds one block of samples per scale and the
+    buffers of one `BlockFeatures`, whatever the file's length.
     """
     with WavReader(path) as wav:  # its errors name the path already
         try:

@@ -3,14 +3,12 @@
 `BlockSpectra` is the one spectrum path: it applies a periodic Hann window
 (the only window, `WINDOW`) to one block of frames and takes `numpy.fft.rfft`
 magnitudes, in buffers reused from block to block. `block_spans` bounds the
-blocks of a signal, and `spectrum_blocks` runs over them, so no caller holds
-a whole spectrogram unless it stacks the blocks itself. `StftConfig`
-admits power-of-two frame lengths only.
+blocks of a signal, so no caller holds a whole spectrogram unless it stacks
+the blocks itself. `StftConfig` admits power-of-two frame lengths only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,12 +100,3 @@ class BlockSpectra:
         spectrum = np.fft.rfft(windowed, axis=-1, out=self._spectrum[:k])
         return frames, np.abs(spectrum, out=self._mags[:k])
 
-
-def spectrum_blocks(samples, cfg: StftConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (raw frames, magnitudes of their Hann-windowed one-sided FFT) for
-    consecutive blocks of up to BLOCK_FRAMES frames, each block's magnitudes
-    a new array. Raises ValueError if the signal is shorter than one frame."""
-    spectra = BlockSpectra(cfg)
-    for start, stop in block_spans(len(samples), cfg):
-        frames, mags = spectra(samples[start:stop])
-        yield frames, mags.copy()

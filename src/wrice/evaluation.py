@@ -125,7 +125,7 @@ def format_report(report: EvalReport) -> str:
     width = max(max(len(name) for name in report.label_map),
                 len(str(report.confusion.max())))
     lines = [f"{tag}: accuracy {report.accuracy:.4f} ({np.trace(report.confusion)}/{report.n})"]
-    header = " " * (width + 2) + " ".join(f"{name:>{width}}" for name in report.label_map)
+    header = " " * (width + 3) + " ".join(f"{name:>{width}}" for name in report.label_map)
     lines.append(header)
     for i, name in enumerate(report.label_map):
         cells = " ".join(f"{v:>{width}}" for v in report.confusion[i])

@@ -81,10 +81,6 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls.for_tensors([params])[0]
-
-    @classmethod
     def for_tensors(cls, tensors: list[np.ndarray]) -> list["AdamState"]:
         """One state per flat tensor (`train` passes each tensor of
         `MlpModel.params`), all sharing one pair of scratch buffers."""
@@ -254,22 +250,6 @@ def _layer_gradients(model: MlpModel, activations, probs, labels,
 def _gradient_buffer(layer_dims) -> np.ndarray:
     """A buffer for the gradient of the model's largest tensor."""
     return np.empty(max(math.prod(shape) for shape in _tensor_shapes(layer_dims)))
-
-
-def backward(model: MlpModel, inputs, labels) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of the mean batch loss w.r.t. weights and biases."""
-    batch, _ = _as_batch(inputs, model.n_inputs)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    if labels.shape[0] != batch.shape[0]:
-        raise ValueError("batch and label counts differ")
-    probs, activations, _ = _forward_cached(model, batch)
-    grads = [None] * (2 * len(model.weights))
-    buffer = _gradient_buffer(model.layer_dims)
-    for index, grad in _layer_gradients(model, activations, probs, labels, buffer):
-        grads[index] = grad.copy()
-    return grads[0::2], grads[1::2]
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray,

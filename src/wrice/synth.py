@@ -76,20 +76,6 @@ def spec_for_category(category: str, duration_s: float = DEFAULT_DURATION_S) -> 
     return ConditionSpec(spec.friction, spec.speed_rpm, duration_s)
 
 
-def add_noise(buf: AudioBuffer, scale: float, seed) -> AudioBuffer:
-    """Add scale * standard-normal noise per sample; no clipping.
-
-    `seed` may be an int or a numpy SeedSequence; the same seed reproduces the
-    same realization.
-    """
-    check_noise_scale(scale)
-    if scale == 0:
-        return buf
-    noisy = np.empty(len(buf))
-    add_noise_into(noisy, buf.samples, scale, np.random.default_rng(seed))
-    return AudioBuffer(noisy, buf.sample_rate)
-
-
 def check_noise_scale(scale: float) -> None:
     """ValueError unless `scale` is a finite noise scale >= 0."""
     if not 0 <= scale < math.inf:
@@ -212,7 +198,7 @@ def _synth_file(job) -> None:
     """One corpus file: synthesise it from its own seed and write it as 16-bit PCM."""
     path, spec, sample_rate, seed_key = job
     buf = synth_sample(spec, sample_rate, np.random.SeedSequence(seed_key))
-    write_wav(path, buf, bits_per_sample=16)
+    write_wav(path, buf)
 
 
 def synth_corpus(root, counts: dict[str, int] | None = None,

@@ -17,6 +17,12 @@ over everything.
 for their range-by-range and block-by-block streaming.
 `full_array_adam_step` is the Adam update in one pass over the whole
 parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
+`magnitudes` stacks the package's `BlockSpectra` blocks into a whole
+spectrogram, and `layer_gradients` copies out the per-tensor gradients of
+`mlp._layer_gradients`, so tests check the spectrum and the backpropagation
+that extraction and `train` run.
+`write_pcm` writes 16-bit files with `write_wav` and 24- and 32-bit ones,
+which wrice reads but does not write, with `wav_bytes`.
 `traced_peak` is the tracemalloc peak of a call, for the memory tests.
 """
 
@@ -29,9 +35,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrice.audio_io import AudioBuffer, read_wav
+from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import Extraction, Scaler
-from wrice.dsp import StftConfig, spectrum_blocks
+from wrice.dsp import BlockSpectra, StftConfig, block_spans
 from wrice.features import (ROLLOFF_PCT, FeatureConfig, bandwidths, centroids,
                             chroma_projector, chromas, extract_features, mel_projector, mfccs,
                             rms)
@@ -173,6 +179,20 @@ def finite_difference_grads(model, x, y, h=1e-5):
     return grads_w, grads_b
 
 
+def layer_gradients(model, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gradients of the mean batch loss w.r.t. the weights and the biases, by
+    the routine `train` runs: `_forward_cached`, then `_layer_gradients`,
+    each gradient copied out of the buffer the next one overwrites."""
+    from wrice.mlp import _forward_cached, _gradient_buffer, _layer_gradients
+
+    probs, activations, _ = _forward_cached(model, np.atleast_2d(x))
+    grads = [None] * (2 * len(model.weights))
+    buffer = _gradient_buffer(model.layer_dims)
+    for index, grad in _layer_gradients(model, activations, probs, np.atleast_1d(y), buffer):
+        grads[index] = grad.copy()
+    return grads[0::2], grads[1::2]
+
+
 def identity_bundle(layer_dims) -> dict:
     """The scaler, label map and extraction that every `MlpModel` carries:
     an identity scaler (mean 0, std 1, so a scaled row equals the raw one
@@ -232,6 +252,28 @@ def wav_bytes(payload: bytes, format_tag=1, channels=1, sample_rate=44100,
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
+def _pcm_bytes(vals: np.ndarray, bits: int) -> bytes:
+    """Little-endian PCM bytes of integer samples (int16, or int32 for 24 and
+    32 bits), for `wav_bytes`: wrice decodes 24- and 32-bit PCM but writes
+    only 16-bit."""
+    raw = vals.tobytes()
+    if bits == 24:  # the low three bytes of each little-endian int32
+        raw = np.frombuffer(raw, np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return raw
+
+
+def write_pcm(path, samples, sample_rate: int, bits: int) -> None:
+    """`samples` as a mono `bits`-bit PCM file: by `write_wav` at 16 bits,
+    and at 24 and 32 bits, which wrice decodes but does not write, by
+    `wav_bytes` around the samples rounded and clipped to the integer range."""
+    if bits == 16:
+        write_wav(path, AudioBuffer(samples, sample_rate))
+        return
+    scale = 2 ** (bits - 1)
+    ints = np.clip(np.rint(np.multiply(samples, scale)), -scale, scale - 1).astype("<i4")
+    path.write_bytes(wav_bytes(_pcm_bytes(ints, bits), sample_rate=sample_rate, bits=bits))
+
+
 def sine_buffer(freq_hz: float, sample_rate: int = 22050, seconds: float = 1.0,
                 amplitude: float = 1.0, phase: float = 0.0) -> AudioBuffer:
     t = np.arange(int(seconds * sample_rate)) / sample_rate
@@ -251,8 +293,11 @@ def bin_freqs(frame_len: int = 2048, sample_rate: int = 22050) -> np.ndarray:
 
 
 def magnitudes(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
-    """Every frame's Hann-windowed magnitudes: the blocks of `spectrum_blocks`, stacked."""
-    return np.concatenate([mags for _, mags in spectrum_blocks(buf.samples, cfg)])
+    """Every frame's Hann-windowed magnitudes: the `BlockSpectra` blocks of
+    `block_spans`, each copied out of the buffer the next one reuses, stacked."""
+    spectra = BlockSpectra(cfg)
+    return np.concatenate([spectra(buf.samples[start:stop])[1].copy()
+                           for start, stop in block_spans(len(buf), cfg)])
 
 
 def frame_zcr(frames: np.ndarray) -> np.ndarray:

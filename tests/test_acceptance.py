@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bin_freqs, finite_difference_grads, magnitudes, naive_dft, sine_buffer
+from conftest import (bin_freqs, finite_difference_grads, layer_gradients, magnitudes,
+                      naive_dft, sine_buffer)
 from wrice import dataset as ds_mod
 from wrice import evaluation, mlp, synth
 from wrice.audio_io import AudioBuffer
@@ -76,7 +77,7 @@ def full_run(tmp_path_factory) -> FullRun:
 
 
 def test_dsp_oracle_equivalence():
-    with criterion("DSP oracle equivalence: spectrum_blocks magnitudes vs |naive DFT| "
+    with criterion("DSP oracle equivalence: BlockSpectra magnitudes vs |naive DFT| "
                    "of the Hann-windowed frames, 1e-9 relative, 100 frames of 256..4096, "
                    "< 30 s"):
         rng = np.random.default_rng(SEED)
@@ -172,7 +173,7 @@ def test_gradient_check():
         started = time.perf_counter()
         for trial in range(20):
             model, x, y = gradient_check_instance([3, 5, 4, 2], seed=trial)
-            grad_w, grad_b = mlp.backward(model, x, y)
+            grad_w, grad_b = layer_gradients(model, x, y)
             num_w, num_b = finite_difference_grads(model, x, y, h=1e-5)
             for got, ref in list(zip(grad_w, num_w)) + list(zip(grad_b, num_b)):
                 scale = np.maximum(np.abs(ref), 1e-8)

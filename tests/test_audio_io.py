@@ -6,17 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import interp_resample, wav_bytes
+from conftest import _pcm_bytes, interp_resample, wav_bytes, write_pcm
 from wrice.audio_io import AudioBuffer, WavReader, read_wav, resampled_length, write_wav
 from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
-
-
-def _pcm_bytes(vals: np.ndarray, bits: int) -> bytes:
-    """Little-endian PCM bytes of integer samples (int16, or int32 for 24 and 32 bits)."""
-    raw = vals.tobytes()
-    if bits == 24:  # the low three bytes of each little-endian int32
-        raw = np.frombuffer(raw, np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    return raw
 
 
 def write_blob(tmp_path, blob: bytes):
@@ -153,7 +145,7 @@ class TestReadWav:
     def test_peak_memory_of_a_thirty_second_mono_file(self, tmp_path, bits):
         n = 30 * 22050
         path = tmp_path / "long.wav"
-        write_wav(path, AudioBuffer(0.5 * np.sin(0.01 * np.arange(n)), 22050), bits)
+        write_pcm(path, 0.5 * np.sin(0.01 * np.arange(n)), 22050, bits)
         read_wav(path)
         tracemalloc.start()
         try:
@@ -178,17 +170,16 @@ def test_integer_pcm_roundtrip_exact(tmp_path, bits):
     rng = np.random.default_rng(9)
     scale = 2 ** (bits - 1)
     ints = rng.integers(-scale, scale, size=300)
-    buf = AudioBuffer(ints / scale, 48000)
     path = tmp_path / f"rt{bits}.wav"
-    write_wav(path, buf, bits_per_sample=bits)
+    write_pcm(path, ints / scale, 48000, bits)
     decoded = read_wav(path)
     assert decoded.sample_rate == 48000
     assert path.stat().st_size == 44 + bits // 8 * 300
-    np.testing.assert_array_equal(decoded.samples, buf.samples)
+    np.testing.assert_array_equal(decoded.samples, ints / scale)
 
     # and a second encode produces identical bytes
     path2 = tmp_path / f"rt{bits}_again.wav"
-    write_wav(path2, decoded, bits_per_sample=bits)
+    write_pcm(path2, decoded.samples, 48000, bits)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -196,7 +187,7 @@ def test_integer_pcm_roundtrip_exact(tmp_path, bits):
 def test_out_of_range_samples_clip_to_the_integer_range(tmp_path, bits):
     scale = 2 ** (bits - 1)
     path = tmp_path / f"clip{bits}.wav"
-    write_wav(path, AudioBuffer([-3.0, -1.0, 1.0, 3.0, -0.5 / scale, 1.5 / scale], 8000), bits)
+    write_pcm(path, [-3.0, -1.0, 1.0, 3.0, -0.5 / scale, 1.5 / scale], 8000, bits)
     want = np.array([-scale, -scale, scale - 1, scale - 1, 0, 2]) / scale
     np.testing.assert_array_equal(read_wav(path).samples, want)
 

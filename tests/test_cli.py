@@ -295,6 +295,47 @@ class TestWorkflow:
                     "--scale", "0.01", "--seed", "2"]) == 0
         assert out.exists()
 
+    def test_augment_adds_the_seeded_draws_to_each_file(self, workspace, tmp_path):
+        # corpus file i gets the draws of SeedSequence([seed, 0, i]), a single
+        # file those of --seed, added to its decoded samples and written as
+        # 16-bit PCM at the source rate
+        def quantised(samples):
+            return np.clip(np.rint(samples * 2**15), -2**15, 2**15 - 1) / 2**15
+
+        corpus = workspace / "corpus"
+        _, pairs = dataset.corpus_files(corpus)
+        out = tmp_path / "noisy"
+        assert run(["augment", "--in", str(corpus), "--out", str(out),
+                    "--scale", "0.05", "--seed", "4"]) == 0
+        for i, (src, category) in enumerate(pairs):
+            clean = read_wav(src)
+            draws = np.random.default_rng(np.random.SeedSequence([4, 0, i])).standard_normal(
+                len(clean))
+            got = read_wav(out / category / src.name)
+            assert got.sample_rate == clean.sample_rate
+            np.testing.assert_array_equal(got.samples, quantised(clean.samples + 0.05 * draws))
+        src, one = pairs[0][0], tmp_path / "one.wav"
+        assert run(["augment", "--in", str(src), "--out", str(one),
+                    "--scale", "0.5", "--seed", "4"]) == 0
+        clean = read_wav(src).samples
+        draws = np.random.default_rng(4).standard_normal(clean.size)
+        np.testing.assert_array_equal(read_wav(one).samples, quantised(clean + 0.5 * draws))
+
+    @pytest.mark.parametrize("scale", ["0.05", "0"])
+    def test_augment_is_deterministic_and_scale_zero_writes_the_source(self, workspace,
+                                                                       tmp_path, scale):
+        corpus = workspace / "corpus"
+        trees = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(["augment", "--in", str(corpus), "--out", str(out),
+                        "--scale", scale, "--seed", "3"]) == 0
+            trees.append({path.relative_to(out): path.read_bytes()
+                          for path in out.rglob("*.wav")})
+        assert trees[0] == trees[1] and len(trees[0]) == 16
+        if scale == "0":
+            assert trees[0] == {path.relative_to(corpus): path.read_bytes()
+                                for path in corpus.rglob("*.wav")}
+
     @pytest.mark.parametrize("out,message", [
         ("corpus", "--out {out} is --in {src}: augment would overwrite its input"),
         ("corpus/../corpus", "--out {out} is --in {src}: augment would overwrite its input"),

@@ -80,7 +80,7 @@ class TestFftAgainstNaiveDft:
 
 
 class TestStft:
-    """`spectrum_blocks`, stacked: the one transform that the features use."""
+    """`BlockSpectra` over `block_spans`, stacked: the one transform that the features use."""
 
     def test_sine_at_bin_center_peaks_in_that_bin(self):
         sr, frame_len = 22050, 2048

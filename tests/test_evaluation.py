@@ -186,7 +186,7 @@ class TestReportOutput:
                             label_map=["a", "b"])
         assert format_report(report).splitlines() == [
             "clean: accuracy 0.9649 (220/228)",
-            "       a   b",
+            "        a   b",
             "    a 120   3",
             "    b   5 100",
         ]
@@ -198,7 +198,7 @@ class TestReportOutput:
                             noise_scale=0.05, seed=3)
         assert format_report(report) == (
             "noise 0.05: accuracy 0.9738 (223/229)\n"
-            "        dry_40 dry_60 wet_40 wet_60\n"
+            "         dry_40 dry_60 wet_40 wet_60\n"
             "  dry_40     52      1      0      0\n"
             "  dry_60      0     61      0      0\n"
             "  wet_40      2      0     49      0\n"

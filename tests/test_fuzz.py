@@ -1,8 +1,9 @@
 """Damaged files: every reader loads them or raises a WriceError, nothing else.
 
-Each target is a small file that wrice's own writer made; the damage is a few
-byte flips or a truncation of it (MacIver et al., "Hypothesis: A new approach
-to property-based testing", JOSS 2019).
+Each target is a small file that wrice's own writer made (the 24-bit WAV,
+which wrice reads but does not write, is built by `conftest.write_pcm`); the
+damage is a few byte flips or a truncation of it (MacIver et al.,
+"Hypothesis: A new approach to property-based testing", JOSS 2019).
 """
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_SR
-from wrice.audio_io import AudioBuffer, read_wav, write_wav
+from conftest import TINY_SR, write_pcm
+from wrice.audio_io import read_wav
 from wrice.dataset import (Extraction, LabeledDataset, Scaler, read_extraction,
                            read_features_csv, write_features_csv)
 from wrice.errors import WriceError
@@ -36,7 +37,7 @@ def _damaged(raw: bytes, how) -> bytes:
 
 def _wav_writer(bits):
     samples = np.random.default_rng(bits).uniform(-0.9, 0.9, 300)
-    return lambda path: write_wav(path, AudioBuffer(samples, TINY_SR), bits)
+    return lambda path: write_pcm(path, samples, TINY_SR, bits)
 
 
 def _write_csv(path):

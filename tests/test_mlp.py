@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (edit_model_header, finite_difference_grads, full_array_adam_step,
-                      identity_bundle, traced_peak)
+                      identity_bundle, layer_gradients, traced_peak)
 from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
@@ -17,7 +17,7 @@ from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError
                           VersionMismatchError)
 from wrice.features import SCHEMA_VERSION, FeatureConfig
 from wrice.mlp import (_ADAM_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION,
-                       AdamState, MlpModel, TrainConfig, adam_step, backward, forward,
+                       AdamState, MlpModel, TrainConfig, adam_step, forward,
                        init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
                        save_model, softmax, train)
 
@@ -192,7 +192,7 @@ class TestBackward:
         model = bundled([3, 2], seed=3)
         x = np.array([0.5, -1.0, 2.0])
         probs = forward(model, x)
-        grad_w, grad_b = backward(model, x, [1])
+        grad_w, grad_b = layer_gradients(model, x, [1])
         expected_delta = probs.copy()
         expected_delta[1] -= 1.0
         np.testing.assert_allclose(grad_b[0], expected_delta, atol=1e-12)
@@ -203,7 +203,7 @@ class TestBackward:
 
         for trial in range(3):
             model, x, y = gradient_check_instance([3, 5, 4, 2], seed=10 + trial, batch=4)
-            grad_w, grad_b = backward(model, x, y)
+            grad_w, grad_b = layer_gradients(model, x, y)
             num_w, num_b = finite_difference_grads(model, x, y)
             for got, ref in list(zip(grad_w, num_w)) + list(zip(grad_b, num_b)):
                 scale = np.maximum(np.abs(ref), 1e-8)
@@ -214,21 +214,22 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
         y = np.array([0, 2, 1])
-        gw1, gb1 = backward(model, x, y)
-        gw2, gb2 = backward(model, np.vstack([x, x]), np.concatenate([y, y]))
+        gw1, gb1 = layer_gradients(model, x, y)
+        gw2, gb2 = layer_gradients(model, np.vstack([x, x]), np.concatenate([y, y]))
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_empty_batch(self):
-        model = bundled([4, 3], seed=0)
-        with pytest.raises(ValueError):
-            backward(model, np.empty((0, 4)), np.empty(0, dtype=int))
+    def test_an_empty_training_set_is_refused(self):
+        # `train` is the only caller of the gradient routine, so no empty
+        # batch reaches it
+        with pytest.raises(ValueError, match="training set is empty"):
+            train(bundled([26, 4], seed=0), random_rows(0))
 
 
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.for_params(params)
+        state = AdamState.for_tensors([params])[0]
         cfg = TrainConfig(learning_rate=0.01)
         adam_step(params, np.array([0.5, -0.25, 4.0]), state, cfg)
         # bias-corrected m/sqrt(v) is sign(g) on the first step
@@ -237,14 +238,14 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         params = np.array([1.0, 2.0])
-        state = AdamState.for_params(params)
+        state = AdamState.for_tensors([params])[0]
         adam_step(params, np.zeros(2), state, TrainConfig())
         np.testing.assert_array_equal(params, [1.0, 2.0])
 
     def test_identical_trajectories(self):
         def run():
             params = np.array([0.3, -0.7])
-            state = AdamState.for_params(params)
+            state = AdamState.for_tensors([params])[0]
             cfg = TrainConfig(learning_rate=0.05)
             for step in range(20):
                 adam_step(params, np.array([np.sin(step + 1.0), np.cos(step + 1.0)]),
@@ -257,7 +258,7 @@ class TestAdam:
         rng = np.random.default_rng(3)
         params = rng.normal(size=30)  # the length of a [3, 4, 2] model's params
         ref_p, ref_m, ref_v = params.copy(), np.zeros(30), np.zeros(30)
-        state = AdamState.for_params(params)
+        state = AdamState.for_tensors([params])[0]
         cfg = TrainConfig(learning_rate=0.05)
         b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
         for t in range(1, 7):
@@ -277,8 +278,8 @@ class TestAdam:
     def test_blocks_match_the_full_array_oracle(self, size):
         rng = np.random.default_rng(size)
         params = rng.normal(size=size)
-        want_p, want_state = params.copy(), AdamState.for_params(params)
-        state = AdamState.for_params(params)
+        want_p, want_state = params.copy(), AdamState.for_tensors([params])[0]
+        state = AdamState.for_tensors([params])[0]
         cfg = TrainConfig(learning_rate=0.05)
         for _ in range(4):
             g = rng.normal(size=size)
@@ -290,12 +291,12 @@ class TestAdam:
 
     @pytest.mark.parametrize("size", [0, 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 541_188])
     def test_scratch_is_at_most_one_block(self, size):
-        state = AdamState.for_params(np.zeros(size))
+        state = AdamState.for_tensors([np.zeros(size)])[0]
         assert [buf.shape for buf in state.scratch] == [(min(size, _ADAM_BLOCK),)] * 2
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
-        state = AdamState.for_params(params)
+        state = AdamState.for_tensors([params])[0]
         with pytest.raises(ValueError, match="differ"):
             adam_step(params, np.zeros(4), state, TrainConfig())
 
@@ -381,9 +382,9 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=rows.n, learning_rate=0.05, seed=6)
         want = bundled([26, 16, 8, 4], seed=6)
         perm = np.random.default_rng(cfg.seed).permutation(rows.n)
-        grad_w, grad_b = backward(want, rows.features[perm], rows.labels[perm])
+        grad_w, grad_b = layer_gradients(want, rows.features[perm], rows.labels[perm])
         grad = np.concatenate([g.ravel() for pair in zip(grad_w, grad_b) for g in pair])
-        adam_step(want.params, grad, AdamState.for_params(want.params), cfg)
+        adam_step(want.params, grad, AdamState.for_tensors([want.params])[0], cfg)
         trained, _ = train(bundled([26, 16, 8, 4], seed=6), rows, cfg)
         np.testing.assert_array_equal(trained.params, want.params)
 

@@ -18,7 +18,8 @@ from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
 from wrice.features import centroids, rms
 from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, _sinusoid,
-                         add_noise, spec_for_category, synth_corpus, synth_sample)
+                         add_noise_into, check_noise_scale, spec_for_category, synth_corpus,
+                         synth_sample)
 
 CFG = StftConfig(frame_len=1024, hop=256)
 
@@ -31,47 +32,53 @@ def mean_rms(buf: AudioBuffer) -> float:
     return rms(frame_signal(buf.samples, CFG)).mean()
 
 
+def noised(samples, scale: float, seed) -> np.ndarray:
+    """`samples` plus `scale` times the draws of `default_rng(seed)`, by the
+    kernel that `file_rows` and `augment` run, after the scale check they
+    make first."""
+    check_noise_scale(scale)
+    out = np.empty(len(samples))
+    add_noise_into(out, samples, scale, np.random.default_rng(seed))
+    return out
+
+
 class TestAddNoise:
     def test_scale_zero_is_identity(self):
-        buf = AudioBuffer(np.linspace(-0.5, 0.5, 100), 8000)
-        out = add_noise(buf, 0.0, seed=1)
-        np.testing.assert_array_equal(out.samples, buf.samples)
+        samples = np.linspace(-0.5, 0.5, 100)
+        np.testing.assert_array_equal(noised(samples, 0.0, seed=1), samples)
 
     def test_sample_std_tracks_scale(self):
-        silent = AudioBuffer(np.zeros(1_000_000), 8000)
-        out = add_noise(silent, 0.5, seed=2)
-        assert abs(out.samples.std() - 0.5) / 0.5 < 0.01
+        out = noised(np.zeros(1_000_000), 0.5, seed=2)
+        assert abs(out.std() - 0.5) / 0.5 < 0.01
 
     def test_same_seed_same_noise(self):
-        buf = AudioBuffer(np.zeros(64), 8000)
-        a = add_noise(buf, 0.1, seed=3)
-        b = add_noise(buf, 0.1, seed=3)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = noised(np.zeros(64), 0.1, seed=3)
+        b = noised(np.zeros(64), 0.1, seed=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_additive_linearity(self):
-        base = AudioBuffer(np.zeros(128), 8000)
-        signal = AudioBuffer(np.sin(np.arange(128)), 8000)
-        only_noise = add_noise(base, 0.2, seed=4).samples
-        noisy = add_noise(signal, 0.2, seed=4).samples
-        np.testing.assert_allclose(noisy - signal.samples, only_noise, atol=1e-15)
+        signal = np.sin(np.arange(128))
+        only_noise = noised(np.zeros(128), 0.2, seed=4)
+        noisy = noised(signal, 0.2, seed=4)
+        np.testing.assert_allclose(noisy - signal, only_noise, atol=1e-15)
 
     def test_negative_scale(self):
         with pytest.raises(ValueError):
-            add_noise(AudioBuffer(np.zeros(8), 8000), -0.1, seed=0)
+            check_noise_scale(-0.1)
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_non_finite_scale(self, scale):
         with pytest.raises(ValueError, match="finite"):
-            add_noise(AudioBuffer(np.zeros(8), 8000), scale, seed=0)
+            check_noise_scale(scale)
 
     def test_equals_samples_plus_scaled_normal_draws(self):
-        # the noisy buffer is built in place from the draws; IEEE addition and
-        # multiplication commute, so it equals the plain expression bit for bit
+        # the noisy samples are built in place from the draws; IEEE addition
+        # and multiplication commute, so they equal the plain expression bit
+        # for bit
         samples = np.random.default_rng(5).uniform(-1, 1, 4096)
         seed = np.random.SeedSequence([5, 1, 2])
         want = samples + 0.05 * np.random.default_rng(seed).standard_normal(samples.size)
-        got = add_noise(AudioBuffer(samples, 8000), 0.05, seed).samples
-        assert np.array_equal(got, want)
+        assert np.array_equal(noised(samples, 0.05, seed), want)
         assert np.array_equal(samples, np.random.default_rng(5).uniform(-1, 1, 4096))
 
 
