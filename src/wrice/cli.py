@@ -34,9 +34,21 @@ def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
                         help="hop between frames in samples (default %(default)s)")
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPU count)")
+    parser.add_argument("--workers", type=_worker_count, default=None,
+                        help="parallel worker processes (default: the CPUs this "
+                             "process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:

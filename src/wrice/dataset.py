@@ -8,6 +8,7 @@ is fitted on the training partition only and applied downstream.
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import logging
 import math
@@ -24,7 +25,7 @@ from .dsp import BLOCK_FRAMES, WINDOW, StftConfig, block_spans
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
 from .features import (SCHEMA_VERSION, BlockFeatures, FeatureConfig, FeatureVector,
-                       feature_names)
+                       chroma_projector, feature_names, mel_projector)
 from .synth import add_noise_into, check_noise_scale
 
 logger = logging.getLogger(__name__)
@@ -228,14 +229,39 @@ def _file_rows_job(job) -> list[np.ndarray]:
     return file_rows(*job)
 
 
+def _load_for_jobs(ex: Extraction, scales: tuple) -> None:
+    """Load in this process what `file_rows` jobs of `ex` at `scales` load on
+    first use: the cached mel and chroma projectors with `scipy.sparse`,
+    `numpy.fft`, and `numpy.random` when a scale draws noise. Workers forked
+    afterwards inherit them, so no job imports a module or builds a
+    projector."""
+    mel_projector(ex.features, ex.stft.frame_len, ex.sample_rate)
+    chroma_projector(ex.stft.frame_len, ex.sample_rate)
+    importlib.import_module("numpy.fft")
+    if any(scales):  # as in `_streamed_rows`, a 0 scale draws nothing
+        importlib.import_module("numpy.random")
+
+
+def pool_size(workers: int | None) -> int:
+    """`workers`, or by default the number of CPUs this process may run on
+    (its affinity mask, or the CPU count where the platform has none).
+    ValueError below 1."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def map_per_file(fn, jobs, workers: int | None):
     """Run a per-file job list, optionally on a process pool, preserving order.
 
     Results are assembled in job order, so the outcome is identical for any
-    worker count.
+    worker count. `workers` goes through `pool_size`.
     """
     jobs = list(jobs)
-    workers = max((os.cpu_count() or 1) if workers is None else workers, 1)
+    workers = pool_size(workers)
     if workers == 1 or len(jobs) < 2:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
@@ -248,13 +274,15 @@ def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
     matrix per entry of `scales`, and the index in `paths` of each row's file.
 
     File i's noise is seeded by `SeedSequence([seed, scale index, i])`, and
-    files run on `workers` processes (default: CPU count) but are stacked in
-    path order, so the matrices are identical for any worker count.
+    files run on `workers` processes (default: the CPUs this process may
+    use) but are stacked in path order, so the matrices are identical for
+    any worker count.
     """
     scales = tuple(scales)
     jobs = [(path, ex, scales, seed, file_idx) for file_idx, path in enumerate(paths)]
     if not scales or not jobs:
         raise ValueError(f"need a scale and a path, got {len(scales)} and {len(jobs)}")
+    _load_for_jobs(ex, scales)
     per_file = map_per_file(_file_rows_job, jobs, workers)
     owner = np.repeat(np.arange(len(per_file)), [len(rows[0]) for rows in per_file])
     return [np.vstack([rows[i] for rows in per_file]) for i in range(len(scales))], owner

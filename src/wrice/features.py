@@ -33,17 +33,26 @@ chroma projections are scipy sparse products, and the dense products are
 `np.einsum`, whose default `optimize=False` never dispatches to BLAS. So a
 pool worker starts no BLAS helper threads and the result does not depend
 on a BLAS thread count.
+
+Importing this module does not import scipy: `mel_projector` and
+`chroma_projector` import `scipy.sparse` when they first build, so a
+process that never extracts (`synth`, `train`) never loads it.
+`dataset.corpus_rows` builds both before its pool forks, so its workers
+inherit the module and the cached projectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .dsp import BLOCK_FRAMES, BlockSpectra, StftConfig, block_spans
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 SCHEMA_VERSION = 1
 
@@ -296,6 +305,8 @@ def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndar
 def mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_array:
     """`mel_filterbank` as a read-only sparse matrix (cached), the `bank`
     that `mfccs` takes."""
+    from scipy.sparse import csr_array
+
     bank = csr_array(mel_filterbank(cfg, frame_len, sample_rate))
     bank.data.setflags(write=False)
     return bank
@@ -305,6 +316,8 @@ def mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_a
 def chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
     """(12, n_bins) read-only 0/1 map of FFT bins onto pitch classes (cached),
     the `projector` that `chromas` takes; DC maps to none."""
+    from scipy.sparse import csr_array
+
     positive = np.arange(1, frame_len // 2 + 1)
     freqs = positive * (sample_rate / frame_len)
     classes = np.round(12.0 * np.log2(freqs / 440.0)).astype(int) % 12  # 0 is A4 = 440 Hz

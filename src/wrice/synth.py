@@ -196,9 +196,8 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
 
 def _synth_file(job) -> None:
     """One corpus file: synthesise it from its own seed and write it as 16-bit PCM."""
-    path, spec, sample_rate, seed_key = job
-    buf = synth_sample(spec, sample_rate, np.random.SeedSequence(seed_key))
-    write_wav(path, buf)
+    path, spec, sample_rate, seed = job
+    write_wav(path, synth_sample(spec, sample_rate, seed))
 
 
 def synth_corpus(root, counts: dict[str, int] | None = None,
@@ -211,10 +210,11 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     seconds long. Every file gets its own seed derived from (seed, category
     index, file index), so the corpus is reproducible while samples stay
     independent, and its bytes do not depend on `workers` (parallel
-    processes, default: CPU count). The counts, each category's
-    ConditionSpec, its cutoff against the Nyquist rate and its length (at
-    least one sample) are checked before anything is written. Returns the
-    (path, category) manifest, which is also written to `root/manifest.csv`.
+    processes, default: the CPUs this process may use). The counts, each
+    category's ConditionSpec, its cutoff against the Nyquist rate and its
+    length (at least one sample), and `workers` are checked before anything
+    is written. Returns the (path, category) manifest, which is also written
+    to `root/manifest.csv`.
     """
     # imported here because dataset imports add_noise_into and check_noise_scale
     # from this module
@@ -230,6 +230,7 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             spec = spec_for_category(category, duration_s)
             _n_samples(spec, sample_rate)
             planned.append((cat_idx, category, spec))
+    workers = dataset.pool_size(workers)
     jobs = []
     manifest: list[tuple[str, str]] = []
     for cat_idx, category, spec in planned:
@@ -237,7 +238,10 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
         cat_dir.mkdir(parents=True, exist_ok=True)
         for file_idx in range(counts[category]):
             path = cat_dir / f"{category}_{file_idx:03d}.wav"
-            jobs.append((path, spec, sample_rate, (seed, cat_idx, file_idx)))
+            # a SeedSequence made here loads numpy.random before the pool
+            # forks, so the workers inherit it rather than each importing it
+            jobs.append((path, spec, sample_rate,
+                         np.random.SeedSequence((seed, cat_idx, file_idx))))
             manifest.append((str(path), category))
     dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()

@@ -24,10 +24,16 @@ that extraction and `train` run.
 `write_pcm` writes 16-bit files with `write_wav` and 24- and 32-bit ones,
 which wrice reads but does not write, with `wav_bytes`.
 `traced_peak` is the tracemalloc peak of a call, for the memory tests.
+`fresh_python` runs a command in a new interpreter that imports this
+checkout's wrice, for what one process cannot show of another: which
+modules a verb loads, and the bytes a shell run writes.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -35,12 +41,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wrice
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import BlockSpectra, StftConfig, block_spans
 from wrice.features import (ROLLOFF_PCT, FeatureConfig, bandwidths, centroids,
                             chroma_projector, chromas, extract_features, mel_projector, mfccs,
                             rms)
+
+
+def fresh_python(*args, env=None, timeout=300) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports wrice from this
+    checkout, its output captured as text. `env` maps variable names to the
+    values this call sets, or to None for the ones it removes."""
+    src = str(Path(wrice.__file__).parents[1])
+    full = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    return subprocess.run([sys.executable, *map(str, args)], env=full, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:

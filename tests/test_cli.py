@@ -1,20 +1,16 @@
 """End-to-end CLI behavior: workflow, exit codes, artifact determinism."""
 
 import json
-import os
 import shutil
 import struct
-import subprocess
-import sys
+import textwrap
 import wave
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (edit_model_header, interp_resample, magnitudes, traced_peak, wav_bytes,
-                      whole_file_rows)
-import wrice
+from conftest import (edit_model_header, fresh_python, interp_resample, magnitudes, traced_peak,
+                      wav_bytes, whole_file_rows)
 from wrice import audio_io, cli, dataset
 from wrice.audio_io import AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
@@ -398,15 +394,37 @@ def _write_stereo16(path, frames, rate):
         fh.writeframes(frames.tobytes())
 
 
-def test_importing_the_cli_does_not_load_scipy_signal():
-    # no verb needs scipy.signal, and importing it would be most of the
-    # start-up time and memory of every verb
-    src = str(Path(wrice.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, wrice.cli; print('scipy.signal' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+def test_importing_the_cli_does_not_load_scipy_signal(tmp_path):
+    # no verb needs scipy.signal, and only extraction needs scipy.sparse (the
+    # mel and chroma projectors): importing either would be most of the
+    # start-up time and memory of every verb. One fresh interpreter imports
+    # the package and the CLI, trains in process, then extracts
+    rng = np.random.default_rng(0)
+    rows = LabeledDataset(features=rng.normal(size=(12, 26)), labels=np.arange(12) % 4,
+                          label_map=["dry_40", "dry_60", "wet_40", "wet_60"],
+                          source_paths=[f"f{i}.wav" for i in range(12)])
+    write_features_csv(rows, tmp_path / "f.csv", Extraction())
+    write_wav(tmp_path / "a.wav", AudioBuffer(rng.standard_normal(22050), 22050))
+    code = textwrap.dedent("""\
+        import json, sys
+        seen = {}
+        def check(stage):
+            seen[stage] = [m for m in ("scipy.signal", "scipy.sparse") if m in sys.modules]
+        import wrice
+        check("import wrice")
+        import wrice.cli
+        check("import wrice.cli")
+        assert wrice.cli.run(["train", "--features", sys.argv[1], "--out", sys.argv[2],
+                              "--epochs", "2"]) == 0
+        check("train")
+        wrice.dataset.corpus_rows([sys.argv[3]], wrice.dataset.Extraction(), workers=1)
+        check("corpus_rows")
+        print(json.dumps(seen))
+        """)
+    done = fresh_python("-c", code, tmp_path / "f.csv", tmp_path / "m.wrice", tmp_path / "a.wav")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import wrice": [], "import wrice.cli": [], "train": [], "corpus_rows": ["scipy.sparse"]}
 
 
 class TestSpectrogramDump:
@@ -515,6 +533,20 @@ class TestExitCodes:
                     "augment", "spectrogram"):
             assert run([sub, "--help"]) == 0
             assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("verb", [
+        ["synth", "--out", "{tmp}/corpus"],
+        ["extract", "--in", "{tmp}/corpus", "--out", "{tmp}/f.csv"],
+        ["eval", "--model", "{tmp}/m.wrice", "--in", "{tmp}/corpus"],
+    ], ids=["synth", "extract", "eval"])
+    def test_fewer_than_one_worker_is_usage_error(self, tmp_path, capsys, verb, workers):
+        # refused by the parser, before anything is read or written; it was
+        # once raised to one worker silently
+        argv = [arg.format(tmp=tmp_path) for arg in verb] + ["--workers", workers]
+        assert run(argv) == 2
+        assert f"argument --workers: must be at least 1, got {workers}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
         assert run(["predict", "--model", str(tmp_path / "no.wrice"),

@@ -14,30 +14,17 @@ in a pooled noisy eval at any worker count.
 """
 
 import json
-import os
-import subprocess
-import sys
 import wave
-from pathlib import Path
 
 import pytest
 
-import wrice
+from conftest import fresh_python
 
 
 def wrice_cli(*args, env=None) -> str:
     """Run `python -m wrice.cli` on `args` in a new process; its stdout.
-    `env` maps variable names to the values this call sets, or to None for
-    the ones it removes."""
-    src = str(Path(wrice.__file__).parents[1])
-    full = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    for name, value in (env or {}).items():
-        if value is None:
-            full.pop(name, None)
-        else:
-            full[name] = value
-    done = subprocess.run([sys.executable, "-m", "wrice.cli", *map(str, args)], env=full,
-                          capture_output=True, text=True, timeout=300)
+    `env` is `fresh_python`'s."""
+    done = fresh_python("-m", "wrice.cli", *args, env=env)
     assert done.returncode == 0, done.stderr
     return done.stdout
 

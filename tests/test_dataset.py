@@ -1,5 +1,6 @@
 """Corpus ingestion, splitting, scaling, and CSV persistence."""
 
+import json
 import os
 import pickle
 import re
@@ -10,10 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TINY_EX, TINY_SR, noise_buffer, wav_bytes, whole_file_rows
+from conftest import TINY_EX, TINY_SR, fresh_python, noise_buffer, wav_bytes, whole_file_rows
+from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_labels, corpus_rows,
-                           file_rows, fit_scaler, ingest_corpus, map_per_file,
+                           file_rows, fit_scaler, ingest_corpus, map_per_file, pool_size,
                            read_extraction, read_features_csv, scale_rows,
                            stratified_split, write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
@@ -709,3 +711,72 @@ class TestMapPerFile:
     def test_pool_workers_extract_on_one_thread(self):
         per_job = map_per_file(_threads_after_extraction, range(4), workers=2)
         assert per_job == [[1] * len(_THREAD_MODEL_CONFIGS)] * 4
+
+    def test_the_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        # the affinity mask, not the machine's CPU count: under `taskset -c 0`
+        # on two CPUs a pool of two would share one CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started on one CPU")
+
+        monkeypatch.setattr(dataset, "ProcessPoolExecutor", no_pool)
+        assert pool_size(None) == 1
+        assert map_per_file(abs, [-1, 2, -3], None) == [1, 2, 3]
+
+    def test_the_default_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pool_size(None) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(None) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            map_per_file(abs, [-1, 2], workers)
+
+
+# A script prefix: `dataset.map_per_file` runs each job through `checked`,
+# which returns the job's result with the worker's pid and the modules the
+# job added to `sys.modules`; the script prints its own pid, then those
+_IMPORTS_PER_JOB = """\
+import functools, json, os, sys
+from wrice import dataset
+
+def checked(fn, job):
+    before = set(sys.modules)
+    result = fn(job)
+    return result, os.getpid(), sorted(set(sys.modules) - before)
+
+def recorded(fn, jobs, workers):
+    out = run(functools.partial(checked, fn), jobs, workers)
+    print(json.dumps([[pid, added] for _, pid, added in out]))
+    return [result for result, _, _ in out]
+
+run, dataset.map_per_file = dataset.map_per_file, recorded
+print(os.getpid())
+"""
+
+
+def test_pool_jobs_import_nothing(tmp_path):
+    # each fork worker inherits what its jobs use from the parent, which
+    # loads it before the pool starts: scipy.sparse and the projectors for
+    # extraction, numpy.fft, and numpy.random for synthesis and noise. Each
+    # step runs in a fresh interpreter, so nothing is loaded beforehand
+    steps = [
+        "from wrice.synth import synth_corpus; synth_corpus(sys.argv[1], "
+        "counts={'dry_40': 2, 'wet_60': 2}, sample_rate=11025, seed=1, duration_s=1.5, "
+        "workers=2)",
+        "from wrice.dsp import StftConfig; "
+        "dataset.corpus_rows([p for p, _ in dataset.corpus_files(sys.argv[1])[1]], "
+        "dataset.Extraction(11025, 1.5, StftConfig(1024, 256)), (None, 0.05), workers=2)",
+    ]
+    for step in steps:
+        done = fresh_python("-c", _IMPORTS_PER_JOB + step, tmp_path / "corpus")
+        assert done.returncode == 0, done.stderr
+        parent, per_job = map(json.loads, done.stdout.splitlines())
+        assert len(per_job) == 4
+        assert all(pid != parent for pid, _ in per_job)  # the jobs ran in workers
+        assert [added for _, added in per_job] == [[]] * 4, step

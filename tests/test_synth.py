@@ -1,9 +1,6 @@
 """Synthetic corpus generator and additive-noise augmentation."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +8,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-import wrice
-from conftest import TINY_SR, bin_freqs, magnitudes
+from conftest import TINY_SR, bin_freqs, fresh_python, magnitudes
 from wrice import synth
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
@@ -239,21 +235,23 @@ class TestSynthCorpus:
                  for root in roots]
         assert texts[0] == texts[1]
 
-    @pytest.mark.parametrize("counts,sample_rate,match", [
-        ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR,
+    @pytest.mark.parametrize("counts,sample_rate,workers,match", [
+        ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR, 2,
          "negative count for category 'wet_40'"),
-        ({c: 1 for c in CATEGORIES}, 4000, r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
-        ({"dry_nan": 1}, TINY_SR,
+        ({c: 1 for c in CATEGORIES}, 4000, 2, r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
+        ({"dry_nan": 1}, TINY_SR, 2,
          "^bad category name 'dry_nan': speed_rpm must be positive and finite, got nan$"),
-        ({"dry_inf": 1}, TINY_SR,
+        ({"dry_inf": 1}, TINY_SR, 2,
          "^bad category name 'dry_inf': speed_rpm must be positive and finite, got inf$"),
-    ], ids=["negative-count", "dry-cutoff-above-nyquist", "nan-speed", "inf-speed"])
+        ({c: 1 for c in CATEGORIES}, TINY_SR, 0, "^workers must be at least 1, got 0$"),
+    ], ids=["negative-count", "dry-cutoff-above-nyquist", "nan-speed", "inf-speed",
+            "zero-workers"])
     @pytest.mark.filterwarnings("error")
-    def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, match):
+    def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, workers, match):
         root = tmp_path / "corpus"
         with pytest.raises(ValueError, match=match):
             synth_corpus(root, counts=counts, sample_rate=sample_rate, seed=0,
-                         duration_s=0.3, workers=2)
+                         duration_s=0.3, workers=workers)
         assert not root.exists()
 
     def test_zero_counts_create_nothing(self, tmp_path):
@@ -294,14 +292,13 @@ class TestSynthCorpus:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_synth_corpus_does_not_load_scipy_signal(tmp_path, workers):
-    # one worker filters in this process; two fork workers from it
-    src = str(Path(wrice.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # nor scipy.sparse, which only extraction needs; one worker filters in
+    # this process, two fork workers from it
     code = ("import sys; from wrice.synth import synth_corpus; "
             "synth_corpus(sys.argv[1], counts={'dry_40': 2, 'wet_60': 1}, "
             f"sample_rate={TINY_SR}, seed=1, duration_s=0.3, workers={workers}); "
-            "print('scipy.signal' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "corpus")], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+            "print([m for m in ('scipy.signal', 'scipy.sparse') if m in sys.modules])")
+    done = fresh_python("-c", code, tmp_path / "corpus")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
     assert len(list((tmp_path / "corpus").rglob("*.wav"))) == 3
