@@ -11,9 +11,9 @@ from .errors import (ClassTooSmallError, CorruptModelError, DuplicateLabelError,
                      SchemaMismatchError, UnsupportedEncodingError,
                      VersionMismatchError, WriceError)
 from .evaluation import EvalReport, evaluate, noise_validation
-from .features import (FeatureConfig, FeatureVector, bandwidths, centroids, chroma_projector,
-                       chromas, extract_features, feature_names, mel_filterbank,
-                       mel_projector, mfccs, rms, rolloffs, zcr)
+from .features import (FeatureVector, bandwidths, centroids, chroma_projector, chromas,
+                       extract_features, feature_names, mel_filterbank, mel_projector, mfccs,
+                       rms, rolloffs, zcr)
 from .mlp import (AdamState, MlpModel, TrainConfig, TrainHistory, adam_step, forward,
                   init_model, layer_dims_for, load_model, loss_sparse_ce, predict, save_model,
                   softmax, train)

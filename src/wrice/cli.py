@@ -115,9 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrogram", help="dump a magnitude spectrogram as CSV or PGM")
     p.add_argument("--in", dest="in_path", required=True, help="input WAV file")
-    p.add_argument("--out", required=True, help="output .csv or .pgm path")
-    p.add_argument("--format", choices=("csv", "pgm"), default=None,
-                   help="inferred from the output suffix when omitted")
+    p.add_argument("--out", required=True,
+                   help="output path: PGM if it ends in .pgm (any case), else CSV")
     _add_stft_flags(p)
     p.set_defaults(func=_cmd_spectrogram)
 
@@ -254,7 +253,6 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    fmt = args.format or ("pgm" if str(args.out).lower().endswith(".pgm") else "csv")
     cfg = StftConfig(args.frame, args.hop)
     if args.sr <= 0:
         raise ValueError(f"--sr must be a positive sample rate, got {args.sr}")
@@ -275,10 +273,10 @@ def _cmd_spectrogram(args) -> int:
                 yield spectra(wav.read_resampled(args.sr, start, stop))[1]
 
         n_frames, n_bins = (n - cfg.frame_len) // cfg.hop + 1, cfg.frame_len // 2 + 1
-        if fmt == "csv":
-            _write_csv(blocks, args.out, meta, np.arange(n_bins) * (args.sr / cfg.frame_len))
-        else:
+        if str(args.out).lower().endswith(".pgm"):
             _write_pgm(blocks, (n_frames, n_bins), args.out, meta)
+        else:
+            _write_csv(blocks, args.out, meta, np.arange(n_bins) * (args.sr / cfg.frame_len))
     print(f"wrote {n_frames}x{n_bins} spectrogram to {args.out}")
     return 0
 

@@ -24,8 +24,8 @@ from .audio_io import WavReader, read_wav, resampled_length  # noqa: F401
 from .dsp import BLOCK_FRAMES, WINDOW, StftConfig, block_spans
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
-from .features import (SCHEMA_VERSION, BlockFeatures, FeatureConfig, FeatureVector,
-                       chroma_projector, feature_names, mel_projector)
+from .features import (N_FEATURES, N_MELS, N_MFCC, SCHEMA_VERSION, BlockFeatures,
+                       FeatureVector, chroma_projector, feature_names, mel_projector)
 from .synth import add_noise_into, check_noise_scale
 
 logger = logging.getLogger(__name__)
@@ -38,14 +38,15 @@ STD_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Extraction:
-    """The analysis rate, segment length, STFT and feature settings that turn
+    """The analysis rate, segment length, STFT and mel band count that turn
     audio into feature rows; a model scores audio only through its own. A
-    segment holds at least one STFT frame."""
+    segment holds at least one STFT frame, and the bands number at least
+    `N_MFCC`."""
 
     sample_rate: int = DEFAULT_SAMPLE_RATE
     segment_seconds: float = DEFAULT_SEGMENT_SECONDS
     stft: StftConfig = StftConfig()
-    features: FeatureConfig = FeatureConfig()
+    n_mels: int = N_MELS
 
     def __post_init__(self):
         if not self.sample_rate > 0:
@@ -55,12 +56,14 @@ class Extraction:
         if int(self.segment_seconds * self.sample_rate) < self.stft.frame_len:
             raise ValueError(f"segment_seconds {self.segment_seconds} at {self.sample_rate} Hz "
                              f"is shorter than one {self.stft.frame_len}-sample frame")
+        if self.n_mels < N_MFCC:
+            raise ValueError(f"n_mels must be at least n_mfcc={N_MFCC}, got {self.n_mels}")
 
     def meta(self) -> dict:
         """The feature CSV's `#` meta keys of these settings, in file order."""
         return {"sr": self.sample_rate, "frame": self.stft.frame_len, "hop": self.stft.hop,
                 "window": WINDOW, "segment_seconds": self.segment_seconds,
-                "n_mfcc": self.features.n_mfcc, "n_mels": self.features.n_mels}
+                "n_mfcc": N_MFCC, "n_mels": self.n_mels}
 
 
 @dataclass
@@ -194,13 +197,13 @@ def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
     segments = [(i * window, (i + 1) * window) for i in range(n // window)] or [(0, n)]
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, file_idx])) if scale
             else None for i, scale in enumerate(scales)]  # a 0 scale draws nothing
-    blocks = BlockFeatures(ex.stft, ex.features, ex.sample_rate)
+    blocks = BlockFeatures(ex.stft, ex.n_mels, ex.sample_rate)
     longest = (BLOCK_FRAMES - 1) * ex.stft.hop + ex.stft.frame_len
     clean = np.empty(longest)
     noisy = {i: np.empty(longest) for i, rng in enumerate(rngs) if rng is not None}
-    rows = np.empty((len(scales), len(segments), ex.features.n_features))
+    rows = np.empty((len(scales), len(segments), N_FEATURES))
     for k, (first, last) in enumerate(segments):
-        sums = np.zeros((len(scales), ex.features.n_features))
+        sums = np.zeros((len(scales), N_FEATURES))
         done = held = 0  # samples of the segment read so far, and in the last block
         for start, stop in block_spans(last - first, ex.stft):
             keep = done - start  # samples the previous block covers too
@@ -234,8 +237,9 @@ def _load_for_jobs(ex: Extraction, scales: tuple) -> None:
     first use: the cached mel and chroma projectors with `scipy.sparse`,
     `numpy.fft`, and `numpy.random` when a scale draws noise. Workers forked
     afterwards inherit them, so no job imports a module or builds a
-    projector."""
-    mel_projector(ex.features, ex.stft.frame_len, ex.sample_rate)
+    projector. `mel_projector` takes the arguments of `BlockFeatures`' call,
+    by position, so the two share one cache entry."""
+    mel_projector(ex.n_mels, ex.stft.frame_len, ex.sample_rate)
     chroma_projector(ex.stft.frame_len, ex.sample_rate)
     importlib.import_module("numpy.fft")
     if any(scales):  # as in `_streamed_rows`, a 0 scale draws nothing
@@ -368,18 +372,17 @@ def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
 
     The first line is `_meta_line`, so `read_features_csv` reads the rows
     back and `read_extraction` the settings that made them. Raises
-    ValueError, and writes nothing, if the width is not
-    `ex.features.n_features` or a label holds whitespace or `|`, which the
-    meta line cannot carry.
+    ValueError, and writes nothing, if the width is not `N_FEATURES` or a
+    label holds whitespace or `|`, which the meta line cannot carry.
     """
-    if ds.features.shape[1] != ex.features.n_features:
-        raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, but n_mfcc="
-                         f"{ex.features.n_mfcc} makes {ex.features.n_features}")
+    if ds.features.shape[1] != N_FEATURES:
+        raise ValueError(f"{path}: {ds.features.shape[1]} feature columns, "
+                         f"the schema has {N_FEATURES}")
     check_csv_labels(ds.label_map, path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_meta_line(ds.label_map, ex))
         writer = csv.writer(fh)
-        writer.writerow(["path", "label", *feature_names(ex.features.n_mfcc)])
+        writer.writerow(["path", "label", *feature_names()])
         for i in range(ds.n):
             writer.writerow([ds.source_paths[i], ds.label_map[ds.labels[i]],
                              *(format(v, ".17g") for v in ds.features[i])])
@@ -419,13 +422,13 @@ def _read_meta(fh, path) -> tuple[list[str], Extraction]:
     if values["schema_version"] != SCHEMA_VERSION:
         raise SchemaMismatchError(f"{path}: feature schema version "
                                   f"{values['schema_version']}, expected {SCHEMA_VERSION}")
-    if values["window"] != WINDOW:
-        raise SchemaMismatchError(f"{path}: meta window={values['window']}: "
-                                  f"the only window is {WINDOW}")
+    for key, fixed in (("window", WINDOW), ("n_mfcc", N_MFCC)):
+        if values[key] != fixed:
+            raise SchemaMismatchError(f"{path}: meta {key}={values[key]}: "
+                                      f"the only {key} is {fixed}")
     try:
         ex = Extraction(values["sr"], values["segment_seconds"],
-                        StftConfig(values["frame"], values["hop"]),
-                        FeatureConfig(n_mfcc=values["n_mfcc"], n_mels=values["n_mels"]))
+                        StftConfig(values["frame"], values["hop"]), values["n_mels"])
     except ValueError as exc:
         raise SchemaMismatchError(f"{path}: meta out of range: {exc}") from exc
     label_map = values["label_map"].split("|")
@@ -447,24 +450,24 @@ def read_features_csv(path) -> LabeledDataset:
     """Read a feature CSV produced by write_features_csv.
 
     Line 1 is the meta line, checked as by `read_extraction`; line 2 is the
-    header, whose columns are the schema's base features plus the meta's
-    `n_mfcc` MFCCs. Raises SchemaMismatchError if the meta line or header
-    is not the one wrice writes, or if a line is not UTF-8 or CSV or holds
-    a row of the wrong width, a value that is not a number or a label that
-    the label map lacks (the message names the path and the line), and
-    NonFiniteError if a feature value is NaN or infinite.
+    header, whose columns are `feature_names()`. Raises SchemaMismatchError
+    if the meta line or header is not the one wrice writes, or if a line is
+    not UTF-8 or CSV or holds a row of the wrong width, a value that is not
+    a number or a label that the label map lacks (the message names the
+    path and the line), and NonFiniteError if a feature value is NaN or
+    infinite.
     """
     fh = _feature_csv_text(path)
-    label_map, ex = _read_meta(fh, path)
-    expected_header = ["path", "label", *feature_names(ex.features.n_mfcc)]
+    label_map, _ = _read_meta(fh, path)
+    expected_header = ["path", "label", *feature_names()]
     ids = {name: i for i, name in enumerate(label_map)}
     paths, labels, rows = [], [], []
     reader = csv.reader(fh)
     try:
         if next(reader, None) != expected_header:
             raise SchemaMismatchError(
-                f"{path}: line 2: header does not match the {len(expected_header) - 2}-column "
-                f"feature schema of n_mfcc={ex.features.n_mfcc}")
+                f"{path}: line 2: header does not match the {N_FEATURES}-column "
+                "feature schema")
         for row in reader:
             line = 1 + reader.line_num
             if len(row) != len(expected_header):

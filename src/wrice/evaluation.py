@@ -21,17 +21,24 @@ REPORT_VERSION = 1
 
 @dataclass
 class EvalReport:
-    accuracy: float
+    """One scoring run; its sample count and accuracy are read off the
+    confusion matrix."""
+
     confusion: np.ndarray       # (n_labels, n_labels); rows true, cols predicted
-    n: int
     label_map: list[str]
     noise_scale: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
         self.confusion = np.asarray(self.confusion, dtype=np.int64)
-        if self.confusion.sum() != self.n:
-            raise ValueError("confusion matrix entries must sum to the sample count")
+
+    @property
+    def n(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def accuracy(self) -> float:
+        return float(np.trace(self.confusion)) / self.n
 
     def to_dict(self) -> dict:
         entry = {"accuracy": self.accuracy, "n": self.n,
@@ -49,9 +56,8 @@ def _report(true_labels: np.ndarray, predicted: np.ndarray, label_map,
     n_labels = len(label_map)
     confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
     np.add.at(confusion, (true_labels, predicted), 1)
-    accuracy = float(np.trace(confusion)) / len(true_labels)
-    return EvalReport(accuracy=accuracy, confusion=confusion, n=len(true_labels),
-                      label_map=list(label_map), noise_scale=noise_scale, seed=seed)
+    return EvalReport(confusion=confusion, label_map=list(label_map),
+                      noise_scale=noise_scale, seed=seed)
 
 
 def _label_ids(model: MlpModel, label_map) -> np.ndarray:

@@ -1,8 +1,11 @@
 """The seven rolling-noise feature families and the 26-value summary vector.
 
 Per sample: zero-crossing rate, spectral centroid, spectral bandwidth,
-spectral roll-off, RMS energy, chroma, and 20 MFCCs, each averaged over a
-shared frame grid. Each family is one public per-frame function, which
+spectral roll-off, RMS energy, chroma, and `N_MFCC` (20) MFCCs, each
+averaged over a shared frame grid: `N_FEATURES` (26) values in the fixed
+order of `feature_names()`. The one setting that may vary is the number of
+mel bands the MFCCs are taken from (`N_MELS` by default, at least
+`N_MFCC`). Each family is one public per-frame function, which
 returns one value (MFCC: one row) per frame: `zcr` reads the signal
 (one pass, not one per overlapping frame), `rms` raw frames,
 `centroids` and `bandwidths` one-sided magnitudes, `rolloffs`,
@@ -59,7 +62,9 @@ SCHEMA_VERSION = 1
 _BASE_NAMES = ("zcr_mean", "centroid_mean", "bandwidth_mean",
                "rolloff_mean", "rms_mean", "chroma_mean")
 
-N_BASE_FEATURES = len(_BASE_NAMES)
+N_MFCC = 20
+N_FEATURES = len(_BASE_NAMES) + N_MFCC
+N_MELS = 128
 
 ROLLOFF_PCT = 0.85
 BANDWIDTH_ORDER = 2
@@ -73,30 +78,14 @@ _FLOAT = np.finfo(np.float64)
 _UNIT_ROUNDOFF = _FLOAT.eps / 2
 
 
-def feature_names(n_mfcc: int = 20) -> list[str]:
+def feature_names() -> list[str]:
     """Column names of the fixed feature schema, in vector order."""
-    return list(_BASE_NAMES) + [f"mfcc_mean_{i}" for i in range(1, n_mfcc + 1)]
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """The MFCC settings that a feature CSV and a model file record."""
-
-    n_mfcc: int = 20
-    n_mels: int = 128
-
-    def __post_init__(self):
-        if self.n_mfcc < 1 or self.n_mfcc > self.n_mels:
-            raise ValueError(f"need 1 <= n_mfcc <= n_mels, got {self.n_mfcc}/{self.n_mels}")
-
-    @property
-    def n_features(self) -> int:
-        return len(_BASE_NAMES) + self.n_mfcc
+    return list(_BASE_NAMES) + [f"mfcc_mean_{i}" for i in range(1, N_MFCC + 1)]
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Fixed-order per-sample feature summary (26 values with defaults)."""
+    """Fixed-order per-sample feature summary (`N_FEATURES` values)."""
 
     values: np.ndarray
 
@@ -242,10 +231,10 @@ def chromas(power: np.ndarray, projector: csr_array) -> np.ndarray:
     return normalized.mean(axis=1)
 
 
-def mfccs(power: np.ndarray, bank: csr_array, cfg: FeatureConfig) -> np.ndarray:
-    """The first n_mfcc cepstral coefficients of each row, after the mel
+def mfccs(power: np.ndarray, bank: csr_array) -> np.ndarray:
+    """The first `N_MFCC` cepstral coefficients of each row, after the mel
     filter `bank`."""
-    return mfccs_from_mel_energies((bank @ power.T).T, cfg)
+    return mfccs_from_mel_energies((bank @ power.T).T)
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:
@@ -257,7 +246,7 @@ def mel_to_hz(mel) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> np.ndarray:
+def mel_filterbank(n_mels: int, frame_len: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filters with unit peak, evaluated on FFT bins.
 
     Centers are equally spaced on the mel scale between `MEL_FMIN` and the
@@ -266,11 +255,11 @@ def mel_filterbank(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> np.n
     (n_mels, frame_len/2 + 1) matrix.
     """
     n_bins = frame_len // 2 + 1
-    mels = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(sample_rate / 2), cfg.n_mels + 2)
+    mels = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(sample_rate / 2), n_mels + 2)
     centers = np.floor((frame_len + 1) * mel_to_hz(mels) / sample_rate).astype(int)
     centers = np.minimum(centers, n_bins - 1)
-    bank = np.zeros((cfg.n_mels, n_bins), dtype=np.float64)
-    for j in range(cfg.n_mels):
+    bank = np.zeros((n_mels, n_bins), dtype=np.float64)
+    for j in range(n_mels):
         lo, mid, hi = centers[j : j + 3]
         for k in range(lo, mid):
             bank[j, k] = (k - lo) / (mid - lo)
@@ -292,22 +281,23 @@ def dct_ortho_matrix(size: int) -> np.ndarray:
     return mat
 
 
-def mfccs_from_mel_energies(energies: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+def mfccs_from_mel_energies(energies: np.ndarray) -> np.ndarray:
     """Log (floored at `LOG_FLOOR`) then orthonormal DCT-II; keeps the first
-    n_mfcc coefficients."""
+    `N_MFCC` coefficients."""
     energies = np.atleast_2d(np.asarray(energies, dtype=np.float64))
     logs = np.log(np.maximum(energies, LOG_FLOOR))
     dct = dct_ortho_matrix(energies.shape[1])
-    return np.einsum("fm,km->fk", logs, dct[: cfg.n_mfcc])
+    return np.einsum("fm,km->fk", logs, dct[:N_MFCC])
 
 
 @lru_cache(maxsize=8)
-def mel_projector(cfg: FeatureConfig, frame_len: int, sample_rate: int) -> csr_array:
+def mel_projector(n_mels: int, frame_len: int, sample_rate: int) -> csr_array:
     """`mel_filterbank` as a read-only sparse matrix (cached), the `bank`
-    that `mfccs` takes."""
+    that `mfccs` takes. Callers pass all three arguments by position, so
+    they share one cache entry."""
     from scipy.sparse import csr_array
 
-    bank = csr_array(mel_filterbank(cfg, frame_len, sample_rate))
+    bank = csr_array(mel_filterbank(n_mels, frame_len, sample_rate))
     bank.data.setflags(write=False)
     return bank
 
@@ -332,11 +322,11 @@ class BlockFeatures:
     frames, summed over its frames. The spectrum, its magnitudes and their
     squares are computed in buffers that every block reuses."""
 
-    def __init__(self, stft_cfg: StftConfig, feat_cfg: FeatureConfig, sample_rate: int):
+    def __init__(self, stft_cfg: StftConfig, n_mels: int, sample_rate: int):
         n = stft_cfg.frame_len
-        self.stft_cfg, self.feat_cfg = stft_cfg, feat_cfg
+        self.stft_cfg = stft_cfg
         self._freqs = np.arange(n // 2 + 1) * (sample_rate / n)
-        self._bank = mel_projector(feat_cfg, n, sample_rate)
+        self._bank = mel_projector(n_mels, n, sample_rate)
         self._chroma = chroma_projector(n, sample_rate)
         self._spectra = BlockSpectra(stft_cfg)
         self._power = np.empty((BLOCK_FRAMES, n // 2 + 1))
@@ -353,21 +343,20 @@ class BlockFeatures:
         sums += np.column_stack([
             zcr(span, self.stft_cfg), centers, bandwidths(mags, self._freqs, centers),
             rolloffs(power, self._freqs), rms(frames), chromas(power, self._chroma),
-            mfccs(power, self._bank, self.feat_cfg),
+            mfccs(power, self._bank),
         ]).sum(axis=0)
         return frames.shape[0]
 
 
 def extract_features(buf, stft_cfg: StftConfig | None = None,
-                     feat_cfg: FeatureConfig | None = None) -> FeatureVector:
+                     n_mels: int = N_MELS) -> FeatureVector:
     """Compute all feature families on one shared frame grid, one block of
     frames at a time: each family's per-frame values go into running sums
     through `BlockFeatures`, and the vector is their mean over every frame.
     Raises ValueError if the buffer is shorter than one frame."""
     stft_cfg = stft_cfg or StftConfig()
-    feat_cfg = feat_cfg or FeatureConfig()
     spans = block_spans(len(buf), stft_cfg)
-    blocks = BlockFeatures(stft_cfg, feat_cfg, buf.sample_rate)
-    sums = np.zeros(feat_cfg.n_features)
+    blocks = BlockFeatures(stft_cfg, n_mels, buf.sample_rate)
+    sums = np.zeros(N_FEATURES)
     n_frames = sum(blocks.add(buf.samples[start:stop], sums) for start, stop in spans)
     return FeatureVector(values=sums / n_frames)

@@ -22,8 +22,8 @@ from .dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from .dsp import WINDOW, StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
-from .features import (BANDWIDTH_ORDER, LOG_FLOOR, MEL_FMIN, ROLLOFF_PCT, SCHEMA_VERSION,
-                       FeatureConfig)
+from .features import (BANDWIDTH_ORDER, LOG_FLOOR, MEL_FMIN, N_MFCC, ROLLOFF_PCT,
+                       SCHEMA_VERSION)
 
 MODEL_FORMAT = "wrice-model"
 MODEL_VERSION = 2
@@ -197,22 +197,18 @@ def _as_batch(x, n_inputs: int) -> tuple[np.ndarray, bool]:
 
 
 def _forward_cached(model: MlpModel, batch: np.ndarray):
-    """Returns (probs, activations, preacts); activations[0] is the input."""
+    """Returns (probs, activations); activations[0] is the input."""
     activations = [batch]
-    preacts = []
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = activations[-1] @ w.T + b
-        preacts.append(z)
-        activations.append(np.maximum(z, 0.0))
+        activations.append(np.maximum(activations[-1] @ w.T + b, 0.0))
     logits = activations[-1] @ model.weights[-1].T + model.biases[-1]
-    preacts.append(logits)
-    return softmax(logits), activations, preacts
+    return softmax(logits), activations
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Class probabilities for one scaled vector or a batch of them."""
     batch, single = _as_batch(x, model.n_inputs)
-    probs, _, _ = _forward_cached(model, batch)
+    probs, _ = _forward_cached(model, batch)
     return probs[0] if single else probs
 
 
@@ -321,7 +317,7 @@ def train(model: MlpModel, train_set: LabeledDataset,
             picked = perm[start : start + cfg.batch_size]
             xb = x_all[picked]
             yb = y_all[picked]
-            probs, activations, _ = _forward_cached(model, xb)
+            probs, activations = _forward_cached(model, xb)
             loss = loss_sparse_ce(probs, yb)
             if not math.isfinite(loss):
                 raise NonFiniteError(f"training loss became {loss} in epoch {epoch}; "
@@ -360,7 +356,7 @@ def _header(model: MlpModel) -> dict:
         "label_map": model.label_map,
         "scaler": {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
         "stft": {**asdict(ex.stft), **_FIXED_STFT},
-        "features": {**asdict(ex.features), **_FIXED_FEATURES},
+        "features": {"n_mfcc": N_MFCC, "n_mels": ex.n_mels, **_FIXED_FEATURES},
         "audio": {"sample_rate": ex.sample_rate, "segment_seconds": ex.segment_seconds},
         "schema_version": SCHEMA_VERSION,
         "tensors": tensors,
@@ -471,7 +467,6 @@ def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     # a null section is a TypeError here, so the file is named malformed
     scaler, stft, features, audio = (header[k] for k in ("scaler", "stft", "features", "audio"))
     extraction = Extraction(audio["sample_rate"], audio["segment_seconds"],
-                            StftConfig(stft["frame_len"], stft["hop"]),
-                            FeatureConfig(features["n_mfcc"], features["n_mels"]))
+                            StftConfig(stft["frame_len"], stft["hop"]), features["n_mels"])
     return MlpModel(dims, params, Scaler(np.array(scaler["mean"]), np.array(scaler["std"])),
                     header["label_map"], extraction)

@@ -45,9 +45,8 @@ import wrice
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import BlockSpectra, StftConfig, block_spans
-from wrice.features import (ROLLOFF_PCT, FeatureConfig, bandwidths, centroids,
-                            chroma_projector, chromas, extract_features, mel_projector, mfccs,
-                            rms)
+from wrice.features import (N_MELS, ROLLOFF_PCT, bandwidths, centroids, chroma_projector,
+                            chromas, extract_features, mel_projector, mfccs, rms)
 
 
 def fresh_python(*args, env=None, timeout=300) -> subprocess.CompletedProcess:
@@ -207,7 +206,7 @@ def layer_gradients(model, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     each gradient copied out of the buffer the next one overwrites."""
     from wrice.mlp import _forward_cached, _gradient_buffer, _layer_gradients
 
-    probs, activations, _ = _forward_cached(model, np.atleast_2d(x))
+    probs, activations = _forward_cached(model, np.atleast_2d(x))
     grads = [None] * (2 * len(model.weights))
     buffer = _gradient_buffer(model.layer_dims)
     for index, grad in _layer_gradients(model, activations, probs, np.atleast_1d(y), buffer):
@@ -257,8 +256,10 @@ def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
     for _ in range(100):
         x = rng.normal(size=(batch, layer_dims[0]))
         y = rng.integers(0, layer_dims[-1], size=batch)
-        _, _, preacts = _forward_cached(model, x)
-        if min(np.abs(z).min() for z in preacts[:-1]) > kink_margin:
+        _, activations = _forward_cached(model, x)
+        hidden = [a @ w.T + b for a, w, b in
+                  zip(activations, model.weights[:-1], model.biases[:-1])]
+        if min(np.abs(z).min() for z in hidden) > kink_margin:
             return model, x, y
     raise RuntimeError("could not find a kink-free draw")
 
@@ -340,8 +341,7 @@ def sequential_rolloffs(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.where(totals > 0, freqs[first], 0.0)
 
 
-def family_means(frames, mags, sample_rate: int = 22050,
-                 feat_cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+def family_means(frames, mags, sample_rate: int = 22050, n_mels: int = N_MELS) -> np.ndarray:
     """The feature vector in schema order: each per-frame family function
     (for ZCR and roll-off, the `frame_zcr` and `sequential_rolloffs`
     oracles) applied once to all of `frames` (raw) and `mags` (their
@@ -354,7 +354,7 @@ def family_means(frames, mags, sample_rate: int = 22050,
         [frame_zcr(frames).mean(), centers.mean(), bandwidths(mags, freqs, centers).mean(),
          sequential_rolloffs(power, freqs).mean(), rms(frames).mean(),
          chromas(power, chroma_projector(frame_len, sample_rate)).mean()],
-        mfccs(power, mel_projector(feat_cfg, frame_len, sample_rate), feat_cfg).mean(axis=0),
+        mfccs(power, mel_projector(n_mels, frame_len, sample_rate)).mean(axis=0),
     ])
 
 
@@ -385,7 +385,7 @@ def whole_file_rows(path, ex: Extraction, scales, seed: int, file_idx: int) -> l
         pieces = ([signal[i * window : (i + 1) * window] for i in range(len(signal) // window)]
                   or [signal])
         per_scale.append(np.array([
-            extract_features(AudioBuffer(piece, ex.sample_rate), ex.stft, ex.features).values
+            extract_features(AudioBuffer(piece, ex.sample_rate), ex.stft, ex.n_mels).values
             for piece in pieces]))
     return per_scale
 

@@ -21,9 +21,9 @@ from wrice import evaluation, mlp, synth
 from wrice.audio_io import AudioBuffer
 from wrice.cli import run
 from wrice.dsp import StftConfig, frame_signal, hann_window
-from wrice.features import (FeatureConfig, bandwidths, centroids, dct_ortho_matrix,
-                            extract_features, feature_names, mel_filterbank, mfccs,
-                            mfccs_from_mel_energies, rolloffs)
+from wrice.features import (N_MELS, bandwidths, centroids, dct_ortho_matrix, extract_features,
+                            feature_names, mel_filterbank, mfccs, mfccs_from_mel_energies,
+                            rolloffs)
 
 SEED = 42
 
@@ -111,7 +111,7 @@ def test_feature_closed_form_suite():
 
         for freq in (250, 1000, 4000):
             got = dict(zip(names, extract_features(sine_buffer(freq, sr, seconds=0.5),
-                                                   cfg, FeatureConfig()).values))
+                                                   cfg).values))
             assert abs(got["centroid_mean"] - freq) / freq < 0.02
             assert abs(got["zcr_mean"] - 2 * freq / sr) / (2 * freq / sr) < 0.05
             expected_rms = 1 / np.sqrt(2)
@@ -127,8 +127,8 @@ def test_feature_closed_form_suite():
 
         base_buf = noise_buffer(0.4, sr, seed=SEED)
         scaled_buf = AudioBuffer(base_buf.samples * 2.0, sr)
-        base = extract_features(base_buf, cfg, FeatureConfig()).values
-        scaled = extract_features(scaled_buf, cfg, FeatureConfig()).values
+        base = extract_features(base_buf, cfg).values
+        scaled = extract_features(scaled_buf, cfg).values
         for name in ("zcr_mean", "centroid_mean", "bandwidth_mean",
                      "rolloff_mean", "chroma_mean"):
             i = names.index(name)
@@ -154,11 +154,11 @@ def test_mfcc_dct_correctness():
         assert np.abs(recovered - vec).max() <= 1e-9
         assert np.abs(mat @ mat.T - np.eye(128)).max() <= 1e-12
 
-        constant = mfccs_from_mel_energies(np.ones((5, 128)), FeatureConfig())
+        constant = mfccs_from_mel_energies(np.ones((5, 128)))
         assert np.abs(constant).max() <= 1e-12
 
         power = np.square(magnitudes(noise_buffer(0.3, 22050, seed=SEED), StftConfig()))
-        coeffs = mfccs(power, mel_filterbank(FeatureConfig(), 2048, 22050), FeatureConfig())
+        coeffs = mfccs(power, mel_filterbank(N_MELS, 2048, 22050))
         assert coeffs.shape == (power.shape[0], 20)
 
         elapsed = time.perf_counter() - started

@@ -18,7 +18,7 @@ from wrice.dataset import (Extraction, LabeledDataset, ingest_corpus, read_featu
                            scale_rows, write_features_csv)
 from wrice.dsp import StftConfig
 from wrice.evaluation import evaluate, noise_validation
-from wrice.features import SCHEMA_VERSION, FeatureConfig
+from wrice.features import SCHEMA_VERSION
 from wrice.mlp import forward, layer_dims_for, load_model
 
 SMALL = ["--sr", "11025", "--frame", "1024", "--hop", "256",
@@ -170,8 +170,7 @@ class TestWorkflow:
                                        per_segment[i], atol=1e-6)
 
     def test_train_bundles_the_feature_settings_of_the_csv(self, workspace, tmp_path):
-        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
-                        FeatureConfig(n_mels=40))
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         data = ingest_corpus(workspace / "corpus", ex, workers=1)
         feats, model = tmp_path / "mel40.csv", tmp_path / "mel40.wrice"
         write_features_csv(data, feats, ex)
@@ -179,7 +178,7 @@ class TestWorkflow:
                     "--epochs", "2", "--arch", "compact3"]) == 0
         back = load_model(model)
         assert back.extraction == ex
-        assert back.extraction.features.n_mels == 40
+        assert back.extraction.n_mels == 40
 
     # a model bundles the extraction that its CSV's meta line records, so a
     # meta line that is not the one `extract` writes trains no model
@@ -229,7 +228,8 @@ class TestWorkflow:
         assert not model.exists()
 
     @pytest.mark.parametrize("key,bad", [("sr", "abc"), ("n_mels", "x"),
-                                         ("segment_seconds", "0"), ("frame", "1000")])
+                                         ("segment_seconds", "0"), ("frame", "1000"),
+                                         ("n_mfcc", "13")])
     def test_train_rejects_a_bad_meta_value(self, workspace, tmp_path, capsys, key, bad):
         text = (workspace / "feats.csv").read_text()
         good = next(t for t in text.splitlines()[0].split() if t.startswith(f"{key}="))
@@ -264,17 +264,6 @@ class TestWorkflow:
         assert err.startswith("error:") and "malformed model file" in err
         assert "need a 26-wide scaler and 4 labels, got 26 and 1" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-
-    def test_train_rejects_a_meta_n_mfcc_that_disagrees_with_the_header(
-            self, workspace, tmp_path, capsys):
-        text = (workspace / "feats.csv").read_text()
-        assert " n_mfcc=20 " in text.splitlines()[0]
-        feats = tmp_path / "feats.csv"
-        feats.write_text(text.replace(" n_mfcc=20 ", " n_mfcc=13 ", 1))
-        assert run(["train", "--features", str(feats), "--out", str(tmp_path / "m.wrice"),
-                    "--epochs", "1", "--arch", "compact3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "n_mfcc=13" in err and str(feats) in err
 
     def test_augment_corpus(self, workspace, tmp_path, capsys):
         out = tmp_path / "noisy"
@@ -379,7 +368,7 @@ class TestWorkflow:
             aug, spec = tmp_path / "aug.wav", tmp_path / "spec.csv"
             assert run(["augment", "--in", str(wav), "--out", str(aug),
                         "--scale", "0.05", "--seed", "2"]) == 0
-            assert run(["spectrogram", "--in", str(wav), "--out", str(spec), "--format", "csv",
+            assert run(["spectrogram", "--in", str(wav), "--out", str(spec),
                         "--sr", "11025", "--frame", "1024", "--hop", "256"]) == 0
             outputs.append((aug.read_bytes(), spec.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -452,6 +441,17 @@ class TestSpectrogramDump:
         width, height = int(dims[0]), int(dims[1])
         assert height == 513
         assert len(rest) == width * height
+
+    def test_the_out_suffix_alone_sets_the_format(self, workspace, tmp_path, capsys):
+        wav = next((workspace / "corpus" / "dry_60").glob("*.wav"))
+        upper = tmp_path / "spec.PGM"
+        assert run(["spectrogram", "--in", str(wav), "--out", str(upper)]) == 0
+        assert upper.read_bytes().startswith(b"P5\n")
+        out = tmp_path / "spec.pgm"
+        assert run(["spectrogram", "--in", str(wav), "--out", str(out),
+                    "--format", "csv"]) == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("sr", [22050, 16000])
@@ -711,6 +711,7 @@ class TestExitCodes:
                      id="rolloff-pct-0.9"),
         pytest.param(lambda h: h["stft"].update(window="rectangular"), True,
                      id="rectangular-window"),
+        pytest.param(lambda h: h["features"].update(n_mfcc=13), True, id="n-mfcc-13"),
         # JSON reads 1e400 as an infinite float, which int() cannot convert
         pytest.param(lambda h: h["layer_dims"].__setitem__(0, 1e400), False,
                      id="layer-dims-overflow"),

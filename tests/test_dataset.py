@@ -21,7 +21,7 @@ from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_labels, co
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                           MalformedWavError, NonFiniteError, SchemaMismatchError)
 from wrice.dsp import BLOCK_FRAMES, StftConfig
-from wrice.features import SCHEMA_VERSION, FeatureConfig, extract_features
+from wrice.features import N_FEATURES, N_MELS, SCHEMA_VERSION, extract_features
 
 
 def make_dataset(counts, d=26, seed=0):
@@ -169,35 +169,6 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaMismatchError, match="line 3: row with 27 columns"):
             read_features_csv(path)
 
-    def test_meta_n_mfcc_sets_the_width(self, tmp_path):
-        ds = make_dataset({"a": 2, "b": 2}, d=19)
-        path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, Extraction(features=FeatureConfig(n_mfcc=13)))
-        np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
-
-    @pytest.mark.parametrize("d", [19, 25, 26])
-    def test_any_width_round_trips_without_metadata(self, tmp_path, d):
-        ds = make_dataset({"a": 2, "b": 2}, d=d)
-        path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, Extraction(features=FeatureConfig(n_mfcc=d - 6)))
-        assert read_extraction(path).features.n_mfcc == d - 6
-        np.testing.assert_array_equal(read_features_csv(path).features, ds.features)
-
-    @pytest.mark.parametrize("n_mfcc,match", [
-        ("21", "header does not match the 27-column feature schema of n_mfcc=21"),
-        ("19", "header does not match the 25-column feature schema of n_mfcc=19"),
-        ("0", r"meta out of range: need 1 <= n_mfcc <= n_mels, got 0/128"),
-        ("-20", r"meta out of range: need 1 <= n_mfcc <= n_mels, got -20/128"),
-        ("twenty", "meta n_mfcc=twenty: invalid literal"),
-    ], ids=["more-mfccs", "fewer-mfccs", "zero", "negative", "not-a-number"])
-    def test_meta_n_mfcc_disagreeing_with_the_header_rejected(self, tmp_path, n_mfcc, match):
-        path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
-        path.write_text(path.read_text().replace(" n_mfcc=20 ", f" n_mfcc={n_mfcc} ", 1))
-        with pytest.raises(SchemaMismatchError, match=match) as info:
-            read_features_csv(path)
-        assert str(path) in str(info.value)
-
     def test_row_label_missing_from_the_label_map_names_path_and_line(self, tmp_path):
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
@@ -264,14 +235,13 @@ class TestCsvRoundTrip:
 
 class TestExtraction:
     def test_defaults(self):
-        assert Extraction() == Extraction(22050, 30.0, StftConfig(), FeatureConfig())
+        assert Extraction() == Extraction(22050, 30.0, StftConfig(), 128)
 
     def test_meta_keys_in_file_order(self):
-        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
-                        FeatureConfig(n_mfcc=13, n_mels=40))
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         assert list(ex.meta().items()) == [
             ("sr", 11025), ("frame", 1024), ("hop", 256), ("window", "hann"),
-            ("segment_seconds", 1.5), ("n_mfcc", 13), ("n_mels", 40)]
+            ("segment_seconds", 1.5), ("n_mfcc", 20), ("n_mels", 40)]
 
     def test_picklable(self):
         assert pickle.loads(pickle.dumps(TINY_EX)) == TINY_EX
@@ -282,9 +252,10 @@ class TestExtraction:
         {"segment_seconds": float("nan")}, {"segment_seconds": float("inf")},
         {"segment_seconds": 0.05},
         {"segment_seconds": 1.0, "sample_rate": 1023, "stft": StftConfig(1024, 256)},
+        {"n_mels": 19},
     ], ids=["rate-zero", "rate-negative", "segment-zero", "segment-negative",
             "segment-nan", "segment-inf", "segment-shorter-than-a-frame",
-            "segment-one-sample-short-of-a-frame"])
+            "segment-one-sample-short-of-a-frame", "fewer-mels-than-mfccs"])
     def test_non_positive_rate_or_segment_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Extraction(**kwargs)
@@ -300,27 +271,23 @@ class TestExtraction:
     ])
     def test_csv_refuses_settings_its_meta_cannot_record(self, tmp_path, field, value):
         with pytest.raises(TypeError, match=field):
-            FeatureConfig(**{field: value})
+            Extraction(**{field: value})
         path = tmp_path / "feats.csv"
         write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
         assert f" {field}=" not in path.read_text().partition("\n")[0]
 
-    def test_csv_refuses_a_width_that_its_n_mfcc_does_not_make(self, tmp_path):
+    # a 6-column dataset once wrote a meta `n_mfcc=0` that its reader refused
+    @pytest.mark.parametrize("d", [6, 19, 27])
+    def test_csv_refuses_a_width_other_than_the_schemas(self, tmp_path, d):
         path = tmp_path / "feats.csv"
-        with pytest.raises(ValueError, match="26 feature columns, but n_mfcc=13 makes 19"):
-            write_features_csv(make_dataset({"a": 2, "b": 2}), path,
-                               Extraction(features=FeatureConfig(n_mfcc=13)))
-        assert not path.exists()
-        # a 6-column dataset once wrote a meta `n_mfcc=0` that its reader refused
-        with pytest.raises(ValueError, match=": 6 feature columns, but n_mfcc=20 makes 26"):
-            write_features_csv(make_dataset({"a": 2, "b": 2}, d=6), path, Extraction())
+        with pytest.raises(ValueError, match=f": {d} feature columns, the schema has 26"):
+            write_features_csv(make_dataset({"a": 2, "b": 2}, d=d), path, Extraction())
         assert not path.exists()
 
     def test_read_back_from_the_csv(self, tmp_path):
-        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256),
-                        FeatureConfig(n_mfcc=13, n_mels=40))
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}, d=19), path, ex)
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path, ex)
         assert read_extraction(path) == ex
 
     # each edit leaves every value that the meta line records parseable and
@@ -365,11 +332,15 @@ class TestExtraction:
     @pytest.mark.parametrize("token,match", [
         ("sr=abc", "meta sr=abc: invalid literal"),
         ("n_mels=x", "meta n_mels=x: invalid literal"),
+        ("n_mels=19", "meta out of range: n_mels must be at least n_mfcc=20, got 19"),
+        ("n_mfcc=13", "meta n_mfcc=13: the only n_mfcc is 20"),
+        ("n_mfcc=twenty", "meta n_mfcc=twenty: invalid literal"),
         ("segment_seconds=0", "meta out of range: segment_seconds must be positive"),
         ("hop=0", r"meta out of range: hop must be in \(0, frame_len\]"),
         ("frame=1000", "meta out of range: frame_len must be a power of two >= 2, got 1000"),
         ("window=rectangular", "meta window=rectangular: the only window is hann"),
-    ], ids=["sr-not-a-number", "n-mels-not-a-number", "segment-zero", "hop-zero",
+    ], ids=["sr-not-a-number", "n-mels-not-a-number", "n-mels-below-n-mfcc", "n-mfcc-not-20",
+            "n-mfcc-not-a-number", "segment-zero", "hop-zero",
             "frame-not-a-power-of-two", "window-not-hann"])
     def test_bad_meta_value_names_the_csv(self, tmp_path, token, match):
         path = tmp_path / "feats.csv"
@@ -464,7 +435,7 @@ class TestIngest:
         rng = np.random.default_rng(0)
         write_wav(path, AudioBuffer(rng.uniform(-0.5, 0.5, int(seconds * TINY_SR)), TINY_SR))
         [rows] = file_rows(path, replace(TINY_EX, segment_seconds=1.0))
-        assert rows.shape == (n_rows, TINY_EX.features.n_features)
+        assert rows.shape == (n_rows, N_FEATURES)
 
     def test_empty_category_named_in_error(self, tmp_path):
         root = tmp_path / "corpus"
@@ -523,7 +494,7 @@ class TestFileRows:
         ds = ingest_corpus(root, TINY_EX, workers=1)
         for path, n_rows in zip(paths, (2, 1)):
             [rows] = file_rows(path, TINY_EX)
-            assert rows.shape == (n_rows, TINY_EX.features.n_features)
+            assert rows.shape == (n_rows, N_FEATURES)
             mine = [p == str(path) for p in ds.source_paths]
             assert np.array_equal(rows, ds.features[mine])
 
@@ -531,7 +502,7 @@ class TestFileRows:
         _, paths = two_and_one
         [rows], owner = corpus_rows(paths, TINY_EX, workers=1)
         assert owner.tolist() == [0, 0, 1]
-        assert rows.shape == (3, TINY_EX.features.n_features)
+        assert rows.shape == (3, N_FEATURES)
 
     @pytest.mark.parametrize("scales,n_paths", [((), 2), ((None,), 0)])
     def test_corpus_rows_needs_a_scale_and_a_path(self, two_and_one, scales, n_paths):
@@ -640,7 +611,7 @@ class TestStreamedRows:
         want = whole_file_rows(path, STREAM_EX, STREAM_SCALES, 9, 3)
         assert len(got) == len(want) == len(STREAM_SCALES)
         for rows, oracle in zip(got, want):
-            assert rows.shape == (n_rows, STREAM_EX.features.n_features)
+            assert rows.shape == (n_rows, N_FEATURES)
             assert np.array_equal(rows, oracle)
         assert np.array_equal(got[0], got[1])  # a 0 scale is the clean audio
         assert not np.array_equal(got[0], got[2])
@@ -690,8 +661,8 @@ class TestStreamedRows:
 
 
 _THREAD_MODEL_CONFIGS = [
-    (StftConfig(), FeatureConfig()),
-    (StftConfig(frame_len=16384, hop=4096), FeatureConfig(n_mels=512)),
+    (StftConfig(), N_MELS),
+    (StftConfig(frame_len=16384, hop=4096), 512),
 ]
 
 
@@ -699,8 +670,8 @@ def _threads_after_extraction(_job) -> list[int]:
     """This process's thread count after extracting a 30 s buffer at each config."""
     buf = noise_buffer(seconds=30.0)
     counts = []
-    for stft_cfg, feat_cfg in _THREAD_MODEL_CONFIGS:
-        extract_features(buf, stft_cfg, feat_cfg)
+    for stft_cfg, n_mels in _THREAD_MODEL_CONFIGS:
+        extract_features(buf, stft_cfg, n_mels)
         counts.append(len(os.listdir("/proc/self/task")))
     return counts
 
@@ -740,15 +711,20 @@ class TestMapPerFile:
 
 # A script prefix: `dataset.map_per_file` runs each job through `checked`,
 # which returns the job's result with the worker's pid and the modules the
-# job added to `sys.modules`; the script prints its own pid, then those
+# job added to `sys.modules`, plus "projector" if it built a mel or chroma
+# projector; the script prints its own pid, then those
 _IMPORTS_PER_JOB = """\
 import functools, json, os, sys
-from wrice import dataset
+from wrice import dataset, features
+
+def builds():
+    return [f.cache_info().misses for f in (features.mel_projector, features.chroma_projector)]
 
 def checked(fn, job):
-    before = set(sys.modules)
+    before, built = set(sys.modules), builds()
     result = fn(job)
-    return result, os.getpid(), sorted(set(sys.modules) - before)
+    added = sorted(set(sys.modules) - before) + ["projector"] * (builds() != built)
+    return result, os.getpid(), added
 
 def recorded(fn, jobs, workers):
     out = run(functools.partial(checked, fn), jobs, workers)
@@ -764,7 +740,8 @@ def test_pool_jobs_import_nothing(tmp_path):
     # each fork worker inherits what its jobs use from the parent, which
     # loads it before the pool starts: scipy.sparse and the projectors for
     # extraction, numpy.fft, and numpy.random for synthesis and noise. Each
-    # step runs in a fresh interpreter, so nothing is loaded beforehand
+    # step runs in a fresh interpreter, so nothing is loaded beforehand; a
+    # projector cached under other arguments than the jobs' would be rebuilt
     steps = [
         "from wrice.synth import synth_corpus; synth_corpus(sys.argv[1], "
         "counts={'dry_40': 2, 'wet_60': 2}, sample_rate=11025, seed=1, duration_s=1.5, "

@@ -81,10 +81,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(passthrough_model(), ds)
 
-    def test_report_validates_totals(self):
-        with pytest.raises(ValueError):
-            EvalReport(accuracy=1.0, confusion=np.ones((2, 2), dtype=int), n=3,
-                       label_map=["a", "b"])
+    def test_accuracy_and_n_come_from_the_confusion(self):
+        report = EvalReport(confusion=[[3, 1], [0, 4]], label_map=["a", "b"])
+        assert (report.n, report.accuracy) == (8, 7 / 8)
+        assert type(report.n) is int and type(report.accuracy) is float
+        report.confusion = np.array([[3, 0], [0, 0]])
+        assert (report.n, report.accuracy) == (3, 1.0)
+        assert report.to_dict()["n"] == 3 and report.to_dict()["accuracy"] == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +185,7 @@ class TestReportOutput:
         assert "c0" in text and "c3" in text
 
     def test_format_report_widens_columns_to_the_widest_count(self):
-        report = EvalReport(accuracy=220 / 228, confusion=[[120, 3], [5, 100]], n=228,
-                            label_map=["a", "b"])
+        report = EvalReport(confusion=[[120, 3], [5, 100]], label_map=["a", "b"])
         assert format_report(report).splitlines() == [
             "clean: accuracy 0.9649 (220/228)",
             "        a   b",
@@ -193,7 +195,7 @@ class TestReportOutput:
 
     def test_format_report_of_the_default_labels_is_unchanged(self):
         confusion = [[52, 1, 0, 0], [0, 61, 0, 0], [2, 0, 49, 0], [0, 0, 3, 61]]
-        report = EvalReport(accuracy=223 / 229, confusion=confusion, n=229,
+        report = EvalReport(confusion=confusion,
                             label_map=["dry_40", "dry_60", "wet_40", "wet_60"],
                             noise_scale=0.05, seed=3)
         assert format_report(report) == (

@@ -1,7 +1,9 @@
 """Feature families: closed forms, independent oracles, and invariants."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from conftest import (bin_freqs, family_means, frame_zcr, magnitudes, naive_dft,
                       rfft, sequential_rolloffs, sine_buffer)
 from wrice.audio_io import AudioBuffer
 from wrice.dsp import BLOCK_FRAMES, StftConfig, frame_signal, hann_window
-from wrice.features import (BANDWIDTH_ORDER, ROLLOFF_PCT, FeatureConfig, FeatureVector,
-                            bandwidths, centroids, chroma_projector, chromas, dct_ortho_matrix,
+from wrice.features import (BANDWIDTH_ORDER, N_MELS, ROLLOFF_PCT, FeatureVector, bandwidths,
+                            centroids, chroma_projector, chromas, dct_ortho_matrix,
                             extract_features, feature_names, hz_to_mel, mel_filterbank, mfccs,
                             mfccs_from_mel_energies, rms, rolloffs, zcr)
 from wrice.synth import spec_for_category, synth_sample
@@ -267,11 +269,11 @@ class TestMelFilterbank:
         assert hz_to_mel(0.0) == 0.0
 
     def test_default_shape(self):
-        bank = mel_filterbank(FeatureConfig(), 2048, SR)
+        bank = mel_filterbank(N_MELS, 2048, SR)
         assert bank.shape == (128, 1025)
 
     def test_rows_have_unit_peak_and_positive_mass(self):
-        bank = mel_filterbank(FeatureConfig(), 2048, SR)
+        bank = mel_filterbank(N_MELS, 2048, SR)
         np.testing.assert_array_equal(bank.max(axis=1), np.ones(128))
         assert (bank.sum(axis=1) > 0).all()
         assert (bank >= 0).all() and (bank <= 1).all()
@@ -288,13 +290,13 @@ class TestMfcc:
         np.testing.assert_allclose(mat.T @ coeffs, x, atol=1e-9)
 
     def test_constant_mel_energies_give_zero_coefficients(self):
-        out = mfccs_from_mel_energies(np.ones((3, 128)), FeatureConfig())
+        out = mfccs_from_mel_energies(np.ones((3, 128)))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_exactly_twenty_coefficients(self):
         power = np.square(magnitudes(noise_buffer(0.2, SR, seed=1), CFG))
-        bank = mel_filterbank(FeatureConfig(), CFG.frame_len, SR)
-        assert mfccs(power, bank, FeatureConfig()).shape == (power.shape[0], 20)
+        bank = mel_filterbank(N_MELS, CFG.frame_len, SR)
+        assert mfccs(power, bank).shape == (power.shape[0], 20)
 
     def test_half_amplitude_moves_only_coefficient_zero(self):
         buf = noise_buffer(0.4, SR, amplitude=0.5, seed=3)
@@ -305,8 +307,8 @@ class TestMfcc:
         np.testing.assert_allclose(full_c[1:], half_c[1:], atol=1e-6)
 
     def test_silence_stays_finite(self):
-        bank = mel_filterbank(FeatureConfig(), CFG.frame_len, SR)
-        out = mfccs(np.zeros((2, FREQS.size)), bank, FeatureConfig())
+        bank = mel_filterbank(N_MELS, CFG.frame_len, SR)
+        out = mfccs(np.zeros((2, FREQS.size)), bank)
         assert np.isfinite(out).all()
 
 
@@ -353,7 +355,7 @@ class TestChroma:
 
 class TestExtractFeatures:
     def test_vector_has_26_values_in_schema_order(self):
-        fv = extract_features(noise_buffer(0.2, SR, seed=2), CFG, FeatureConfig())
+        fv = extract_features(noise_buffer(0.2, SR, seed=2), CFG)
         assert len(fv) == 26
         assert len(feature_names()) == 26
         assert feature_names()[:6] == ["zcr_mean", "centroid_mean", "bandwidth_mean",
@@ -362,12 +364,12 @@ class TestExtractFeatures:
 
     def test_deterministic_bitwise(self):
         buf = noise_buffer(0.2, SR, seed=4)
-        a = extract_features(buf, CFG, FeatureConfig())
-        b = extract_features(buf, CFG, FeatureConfig())
+        a = extract_features(buf, CFG)
+        b = extract_features(buf, CFG)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_digital_silence_is_finite_with_zero_rates(self):
-        fv = extract_features(AudioBuffer(np.zeros(4096), SR), CFG, FeatureConfig())
+        fv = extract_features(AudioBuffer(np.zeros(4096), SR), CFG)
         names = feature_names()
         got = dict(zip(names, fv.values))
         assert got["zcr_mean"] == 0.0
@@ -379,13 +381,13 @@ class TestExtractFeatures:
 
     def test_too_short_buffer(self):
         with pytest.raises(ValueError):
-            extract_features(AudioBuffer(np.zeros(100), SR), CFG, FeatureConfig())
+            extract_features(AudioBuffer(np.zeros(100), SR), CFG)
 
     def test_amplitude_scaling_invariance(self):
         buf = noise_buffer(0.3, SR, seed=6)
         doubled = AudioBuffer(buf.samples * 2.0, SR)
-        base = extract_features(buf, CFG, FeatureConfig()).values
-        scaled = extract_features(doubled, CFG, FeatureConfig()).values
+        base = extract_features(buf, CFG).values
+        scaled = extract_features(doubled, CFG).values
         names = feature_names()
         scale_free = [names.index(n) for n in
                       ("zcr_mean", "centroid_mean", "bandwidth_mean",
@@ -420,19 +422,17 @@ class TestGoldenAgainstRadix2:
     def test_thirty_second_buffers_agree(self, category, seed):
         buf = synth_sample(spec_for_category(category), SR, seed)
         assert len(buf) == 30 * SR
-        feat_cfg = FeatureConfig()
-        want = family_means(frame_signal(buf.samples, CFG), radix2_magnitudes(buf, CFG),
-                            SR, feat_cfg)
-        got = extract_features(buf, CFG, feat_cfg).values
+        want = family_means(frame_signal(buf.samples, CFG), radix2_magnitudes(buf, CFG), SR)
+        got = extract_features(buf, CFG).values
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def assert_matches_families(buf, stft_cfg: StftConfig, feat_cfg: FeatureConfig):
+def assert_matches_families(buf, stft_cfg: StftConfig, n_mels: int = N_MELS):
     """extract_features, reduced block by block, against the seven per-frame
     family functions applied once to every frame."""
     want = family_means(frame_signal(buf.samples, stft_cfg), magnitudes(buf, stft_cfg),
-                        buf.sample_rate, feat_cfg)
-    got = extract_features(buf, stft_cfg, feat_cfg).values
+                        buf.sample_rate, n_mels)
+    got = extract_features(buf, stft_cfg, n_mels).values
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -446,7 +446,7 @@ class TestBlockEdges:
     def test_frame_counts_around_the_block_size(self, rolling, n_frames):
         buf = AudioBuffer(rolling[: CFG.frame_len + (n_frames - 1) * CFG.hop], SR)
         assert frame_signal(buf.samples, CFG).shape[0] == n_frames
-        assert_matches_families(buf, CFG, FeatureConfig())
+        assert_matches_families(buf, CFG)
 
     def test_silence_across_a_block_boundary(self, rolling):
         samples = rolling[: CFG.frame_len + 199 * CFG.hop].copy()
@@ -456,29 +456,29 @@ class TestBlockEdges:
         loud_rows = mags.max(axis=1) > 0
         silent = np.flatnonzero(~loud_rows)
         assert silent.min() < BLOCK_FRAMES < silent.max()
-        assert_matches_families(buf, CFG, FeatureConfig())
+        assert_matches_families(buf, CFG)
         # silent frames count in the frame total but add 0
         share = np.count_nonzero(loud_rows) / loud_rows.size
         loud = family_means(frame_signal(samples, CFG)[loud_rows], mags[loud_rows], SR)
-        got = extract_features(buf, CFG, FeatureConfig()).values
+        got = extract_features(buf, CFG).values
         for name in ("centroid_mean", "rolloff_mean", "chroma_mean"):
             i = feature_names().index(name)
             assert got[i] == pytest.approx(share * loud[i], rel=1e-12), name
 
-    @pytest.mark.parametrize("stft_cfg,feat_cfg", [
-        pytest.param(CFG, FeatureConfig(n_mels=40, n_mfcc=13), id="40-mels-13-mfccs"),
-        pytest.param(StftConfig(frame_len=1024, hop=256), FeatureConfig(), id="frame-1024-hop-256"),
+    @pytest.mark.parametrize("stft_cfg,n_mels", [
+        pytest.param(CFG, 40, id="40-mels"),
+        pytest.param(StftConfig(frame_len=1024, hop=256), N_MELS, id="frame-1024-hop-256"),
     ])
-    def test_non_default_configs(self, rolling, stft_cfg, feat_cfg):
-        assert_matches_families(AudioBuffer(rolling[: 5 * SR], SR), stft_cfg, feat_cfg)
+    def test_non_default_configs(self, rolling, stft_cfg, n_mels):
+        assert_matches_families(AudioBuffer(rolling[: 5 * SR], SR), stft_cfg, n_mels)
 
     def test_peak_memory_of_a_thirty_second_buffer(self, rolling):
         buf = AudioBuffer(rolling, SR)
         assert len(buf) == 30 * SR
-        extract_features(buf, CFG, FeatureConfig())  # caches filled before tracing
+        extract_features(buf, CFG)  # caches filled before tracing
         tracemalloc.start()
         try:
-            extract_features(buf, CFG, FeatureConfig())
+            extract_features(buf, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -493,3 +493,21 @@ class TestFeatureVectorType:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             FeatureVector(values=np.zeros((2, 2)))
+
+
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((REPO / "perfbench" / "reference.json").read_text())["golden"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[f"seed-{e['seed']}" for e in GOLDEN])
+def test_benchmark_golden_vectors(monkeypatch, entry):
+    # the benchmark's golden check, on each of its stored 26-vectors
+    monkeypatch.syspath_prepend(str(REPO))
+    from perfbench import inputs
+    from perfbench.workloads import GOLDEN_RTOL
+
+    got = extract_features(AudioBuffer(inputs.golden_buffer(entry["seed"]), 22050)).values
+    want = np.array(entry["values"])
+    assert got.shape == want.shape
+    worst = float(np.max(np.abs(got - want) / np.abs(want)))
+    assert worst <= GOLDEN_RTOL, f"max relative difference {worst:.3g}"

@@ -15,7 +15,7 @@ from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
-from wrice.features import SCHEMA_VERSION, FeatureConfig
+from wrice.features import SCHEMA_VERSION
 from wrice.mlp import (_ADAM_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MODEL_VERSION,
                        AdamState, MlpModel, TrainConfig, adam_step, forward,
                        init_model, layer_dims_for, load_model, loss_sparse_ce, predict,
@@ -479,8 +479,7 @@ class TestPersistence:
         np.testing.assert_array_equal(forward(model, x), forward(back, x))
 
     @pytest.mark.parametrize("extraction", [
-        Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128),
-                   FeatureConfig(n_mfcc=13, n_mels=40)),
+        Extraction(11025, 1.5, StftConfig(frame_len=512, hop=128), n_mels=40),
     ], ids=["non-default"])
     def test_round_trip_keeps_the_extraction(self, tmp_path, extraction):
         model = replace(self.make_model(), extraction=extraction)
@@ -493,7 +492,7 @@ class TestPersistence:
         fixture = Path(__file__).parent / "data" / "model_v2.wrice"
         model = load_model(fixture)
         assert model.extraction == Extraction(
-            11025, 1.5, StftConfig(frame_len=1024, hop=256), FeatureConfig(n_mels=40))
+            11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         assert model.label_map == ["p", "q", "r"]
         np.testing.assert_array_equal(model.params, bundled([4, 5, 3], seed=1).params)
         save_model(model, tmp_path / "again.wrice")
