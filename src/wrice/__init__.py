@@ -3,8 +3,8 @@
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dataset import (DEFAULT_SAMPLE_RATE, DEFAULT_SEGMENT_SECONDS, Extraction,
                       LabeledDataset, Scaler, corpus_rows, file_rows,
-                      fit_scaler, ingest_corpus, read_extraction, read_features_csv,
-                      scale_rows, stratified_split, write_features_csv)
+                      fit_scaler, ingest_corpus, read_features_csv, scale_rows,
+                      stratified_split, write_features_csv)
 from .dsp import StftConfig, frame_signal, hann_window
 from .errors import (ClassTooSmallError, CorruptModelError, DuplicateLabelError,
                      EmptyCorpusError, MalformedWavError, NonFiniteError,

@@ -34,19 +34,21 @@ def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
                         help="hop between frames in samples (default %(default)s)")
 
 
-def _worker_count(text: str) -> int:
-    """A --workers value: an integer of at least 1."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _int_at_least(low: int):
+    """The argparse type of a flag whose value is an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=_worker_count, default=None,
+    parser.add_argument("--workers", type=_int_at_least(1), default=None,
                         help="parallel worker processes (default: the CPUs this "
                              "process may run on)")
 
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--out", required=True, help="corpus root directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--sr", type=int, default=ds_mod.DEFAULT_SAMPLE_RATE)
     p.add_argument("--duration", type=float, default=synth.DEFAULT_DURATION_S,
                    help="seconds per file (default %(default)s)")
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--arch", choices=sorted(mlp.ARCHITECTURES), default="paper4")
     p.set_defaults(func=_cmd_train)
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True, help="corpus root directory")
     p.add_argument("--noise", default=None,
                    help="comma-separated noise scales, e.g. 0.5,0.05,0.005")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json", dest="json_path", default=None,
                    help="also write a machine-readable report here")
     _add_workers_flag(p)
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True, help="WAV file or corpus root")
     p.add_argument("--out", required=True, help="output file or directory")
     p.add_argument("--scale", type=float, required=True, help="noise scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("spectrogram", help="dump a magnitude spectrogram as CSV or PGM")
@@ -154,19 +156,17 @@ def _cmd_extract(args) -> int:
     ex = ds_mod.Extraction(args.sr, args.segment_seconds, StftConfig(args.frame, args.hop))
     ds_mod.check_csv_labels(ds_mod.corpus_labels(args.in_path), args.out)
     ds = ds_mod.ingest_corpus(args.in_path, ex, workers=args.workers)
-    ds_mod.write_features_csv(ds, args.out, ex)
+    ds_mod.write_features_csv(ds, args.out)
     print(f"wrote {ds.n} rows x {ds.features.shape[1]} features to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     data = ds_mod.read_features_csv(args.features)
-    ex = ds_mod.read_extraction(args.features)
-
     train_set, test_set = ds_mod.stratified_split(data, args.test_fraction, args.seed)
     dims = mlp.layer_dims_for(args.arch, data.features.shape[1], len(data.label_map))
     model = mlp.init_model(dims, seed=args.seed, scaler=ds_mod.fit_scaler(train_set),
-                           label_map=list(data.label_map), extraction=ex)
+                           label_map=list(data.label_map), extraction=data.extraction)
     cfg = mlp.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                           learning_rate=args.lr, seed=args.seed)
     model, history = mlp.train(model, train_set, cfg)
@@ -181,7 +181,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scales = _parse_list(args.noise, float, "--noise", "a number") if args.noise else []
+    scales = [] if args.noise is None else _parse_list(args.noise, float, "--noise", "a number")
     model = mlp.load_model(args.model)
     # clean goes last so each noise scale keeps its index, hence its realization
     *noisy, clean = evaluation.noise_validation(model, args.in_path, [*scales, None],
@@ -218,12 +218,12 @@ def _augment_file(src, target, scale: float, seed) -> None:
     `target` as 16-bit PCM: the noise kernel that `file_rows` runs."""
     clean = read_wav(src)
     noisy = np.empty(len(clean))
-    synth.add_noise_into(noisy, clean.samples, scale, np.random.default_rng(seed))
+    ds_mod.add_noise_into(noisy, clean.samples, scale, np.random.default_rng(seed))
     write_wav(target, AudioBuffer(noisy, clean.sample_rate))
 
 
 def _cmd_augment(args) -> int:
-    synth.check_noise_scale(args.scale)
+    ds_mod.check_noise_scale(args.scale)
     src = Path(args.in_path)
     out = Path(args.out)
     if out.resolve() == src.resolve():

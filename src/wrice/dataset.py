@@ -2,7 +2,10 @@
 
 A corpus is a directory with one subdirectory per category, each holding WAV
 files (`root/<category>/<file>.wav`). Features are stored raw; standardization
-is fitted on the training partition only and applied downstream.
+is fitted on the training partition only and applied downstream. Every
+`LabeledDataset` carries the `Extraction` that made its rows, which a
+feature CSV's meta line records. The additive-noise kernel lives here,
+beside the per-file seed rule it serves.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
 from .features import (N_FEATURES, N_MELS, N_MFCC, SCHEMA_VERSION, BlockFeatures,
                        FeatureVector, chroma_projector, feature_names, mel_projector)
-from .synth import add_noise_into, check_noise_scale
 
 logger = logging.getLogger(__name__)
 
@@ -68,12 +70,14 @@ class Extraction:
 
 @dataclass
 class LabeledDataset:
-    """Feature rows with integer labels and per-row file provenance."""
+    """Feature rows with integer labels, per-row file provenance, and the
+    extraction that made the rows."""
 
     features: np.ndarray          # (n, d) float64, raw (unscaled)
     labels: np.ndarray            # (n,) int
     label_map: list[str]          # id -> category name
     source_paths: list[str]
+    extraction: Extraction
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -106,7 +110,8 @@ class LabeledDataset:
         return LabeledDataset(features=self.features[indices],
                               labels=self.labels[indices],
                               label_map=list(self.label_map),
-                              source_paths=[self.source_paths[i] for i in indices])
+                              source_paths=[self.source_paths[i] for i in indices],
+                              extraction=self.extraction)
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,21 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     return label_map, pairs
 
 
+def check_noise_scale(scale: float | None) -> None:
+    """ValueError unless `scale` is the clean `None` or a finite noise scale >= 0."""
+    if scale is not None and not 0 <= scale < math.inf:
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
+
+
+def add_noise_into(out: np.ndarray, clean: np.ndarray, scale: float, rng) -> None:
+    """out = clean + scale * the next len(out) standard-normal draws of the
+    generator `rng`. Draws come in sample order, so filling consecutive
+    pieces of a signal draws what one call over all of it would."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += clean
+
+
 def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
               file_idx: int = 0) -> list[np.ndarray]:
     """One file read once, a block of frames at a time: for each entry of
@@ -168,30 +188,30 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     shorter than one segment is one whole-file segment. A `None` scale is the
     clean audio; a float scale adds the noise realization seeded by
     `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
-    its index, never on processing order or worker count. Errors name the
-    path once.
+    its index, never on processing order or worker count. A bad scale is
+    refused before the file is opened; other errors name the path once.
 
     The rows are those of `extract_features` on each segment of the whole
     file resampled at once (`WavReader.read_resampled` over all of it) and
-    noised at once (`synth.add_noise_into` over all of it), bit for bit, but
+    noised at once (`add_noise_into` over all of it), bit for bit, but
     the file is read, resampled, noised and analysed one `dsp.block_spans`
     block at a time. Each scale's noise is drawn in sample order: samples
     that two blocks share keep their draws, and samples that no frame covers
     are drawn too. So a call holds one block of samples per scale and the
     buffers of one `BlockFeatures`, whatever the file's length.
     """
+    scales = tuple(scales)
+    for scale in scales:
+        check_noise_scale(scale)
     with WavReader(path) as wav:  # its errors name the path already
         try:
-            return _streamed_rows(wav, ex, tuple(scales), seed, file_idx)
+            return _streamed_rows(wav, ex, scales, seed, file_idx)
         except (WriceError, ValueError) as exc:
             raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
                    file_idx: int) -> list[np.ndarray]:
-    for scale in scales:
-        if scale is not None:
-            check_noise_scale(scale)
     n = resampled_length(wav.frames, wav.sample_rate, ex.sample_rate)
     window = int(ex.segment_seconds * ex.sample_rate)
     segments = [(i * window, (i + 1) * window) for i in range(n // window)] or [(0, n)]
@@ -280,12 +300,14 @@ def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
     File i's noise is seeded by `SeedSequence([seed, scale index, i])`, and
     files run on `workers` processes (default: the CPUs this process may
     use) but are stacked in path order, so the matrices are identical for
-    any worker count.
+    any worker count. The scales are checked before any file is opened.
     """
     scales = tuple(scales)
     jobs = [(path, ex, scales, seed, file_idx) for file_idx, path in enumerate(paths)]
     if not scales or not jobs:
         raise ValueError(f"need a scale and a path, got {len(scales)} and {len(jobs)}")
+    for scale in scales:
+        check_noise_scale(scale)
     _load_for_jobs(ex, scales)
     per_file = map_per_file(_file_rows_job, jobs, workers)
     owner = np.repeat(np.arange(len(per_file)), [len(rows[0]) for rows in per_file])
@@ -305,7 +327,7 @@ def ingest_corpus(root, ex: Extraction = Extraction(), *,
     file_labels = np.array([label_map.index(category) for _, category in pairs])
     [rows], owner = corpus_rows([path for path, _ in pairs], ex, workers=workers)
     return LabeledDataset(features=rows, labels=file_labels[owner], label_map=label_map,
-                          source_paths=[str(pairs[i][0]) for i in owner])
+                          source_paths=[str(pairs[i][0]) for i in owner], extraction=ex)
 
 
 def stratified_split(ds: LabeledDataset, test_fraction: float,
@@ -367,11 +389,12 @@ def _meta_line(label_map, ex: Extraction) -> str:
     return "# wrice-features " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
 
 
-def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
+def write_features_csv(ds: LabeledDataset, path) -> None:
     """Write `path,label,<26 feature columns>` rows at full float precision.
 
-    The first line is `_meta_line`, so `read_features_csv` reads the rows
-    back and `read_extraction` the settings that made them. Raises
+    The first line is the `_meta_line` of `ds.extraction`, so
+    `read_features_csv` reads back the rows and the settings that made
+    them. Raises
     ValueError, and writes nothing, if the width is not `N_FEATURES` or a
     label holds whitespace or `|`, which the meta line cannot carry.
     """
@@ -380,7 +403,7 @@ def write_features_csv(ds: LabeledDataset, path, ex: Extraction) -> None:
                          f"the schema has {N_FEATURES}")
     check_csv_labels(ds.label_map, path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_meta_line(ds.label_map, ex))
+        fh.write(_meta_line(ds.label_map, ds.extraction))
         writer = csv.writer(fh)
         writer.writerow(["path", "label", *feature_names()])
         for i in range(ds.n):
@@ -439,26 +462,20 @@ def _read_meta(fh, path) -> tuple[list[str], Extraction]:
     return label_map, ex
 
 
-def read_extraction(path) -> Extraction:
-    """The extraction that a feature CSV's meta line records. A meta line
-    that is not the one `write_features_csv` writes, or a value that does
-    not parse or is out of range, is a SchemaMismatchError naming the path."""
-    return _read_meta(_feature_csv_text(path), path)[1]
-
-
 def read_features_csv(path) -> LabeledDataset:
-    """Read a feature CSV produced by write_features_csv.
+    """Read a feature CSV produced by write_features_csv, once; the dataset's
+    extraction is the one its meta line records.
 
-    Line 1 is the meta line, checked as by `read_extraction`; line 2 is the
-    header, whose columns are `feature_names()`. Raises SchemaMismatchError
-    if the meta line or header is not the one wrice writes, or if a line is
-    not UTF-8 or CSV or holds a row of the wrong width, a value that is not
-    a number or a label that the label map lacks (the message names the
-    path and the line), and NonFiniteError if a feature value is NaN or
-    infinite.
+    Line 1 is the meta line, line 2 the header, whose columns are
+    `feature_names()`. Raises SchemaMismatchError if the meta line or header
+    is not the one wrice writes, if a meta value does not parse or is out
+    of range, or if a line is not UTF-8 or CSV or holds a row of the wrong
+    width, a value that is not a number or a label that the label map lacks
+    (the message names the path and the line), and NonFiniteError if a
+    feature value is NaN or infinite.
     """
     fh = _feature_csv_text(path)
-    label_map, _ = _read_meta(fh, path)
+    label_map, ex = _read_meta(fh, path)
     expected_header = ["path", "label", *feature_names()]
     ids = {name: i for i, name in enumerate(label_map)}
     paths, labels, rows = [], [], []
@@ -487,6 +504,6 @@ def read_features_csv(path) -> LabeledDataset:
         raise SchemaMismatchError(f"{path}: no feature rows")
     try:
         return LabeledDataset(features=np.array(rows), labels=np.array(labels),
-                              label_map=label_map, source_paths=paths)
+                              label_map=label_map, source_paths=paths, extraction=ex)
     except WriceError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -11,7 +11,6 @@ import numpy as np
 from .dataset import LabeledDataset, corpus_files, corpus_rows, scale_rows
 from .errors import SchemaMismatchError
 from .mlp import MlpModel, forward
-from .synth import check_noise_scale
 
 DEFAULT_NOISE_SCALES = (0.5, 0.05, 0.005)
 
@@ -96,9 +95,6 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     scales = list(scales)
     if not scales:
         raise ValueError("no noise scales given")
-    for scale in scales:
-        if scale is not None:
-            check_noise_scale(scale)
     _, pairs = corpus_files(root)
     file_ids = _label_ids(model, [category for _, category in pairs])
     per_scale, owner = corpus_rows([path for path, _ in pairs], model.extraction, scales,

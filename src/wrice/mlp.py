@@ -344,8 +344,8 @@ def predict(model: MlpModel, rows: np.ndarray) -> tuple[str, np.ndarray]:
 
 
 def _header(model: MlpModel) -> dict:
-    """The model file's header, without its checksum; also what the checksum
-    covers, re-derived from the parsed model when a file is loaded."""
+    """The model file's header, without its checksum: what the checksum
+    covers."""
     tensors = [{"name": f"{'wb'[i % 2]}{i // 2}", "shape": list(shape)}
                for i, shape in enumerate(_tensor_shapes(model.layer_dims))]
     ex = model.extraction
@@ -370,6 +370,12 @@ def _all_finite(params: np.ndarray) -> bool:
                for start in range(0, params.size, _ADAM_BLOCK))
 
 
+def _header_line(model: MlpModel, checksum) -> bytes:
+    """The header line that `save_model` writes for `model` with `checksum`,
+    and the only one that `load_model` accepts for the model it parses."""
+    return (json.dumps({**_header(model), "checksum": checksum}) + "\n").encode()
+
+
 def _checksum(header: dict, body) -> str:
     """sha256 over the canonical JSON of the header, a newline, and the body
     (any bytes-like object, hashed in place)."""
@@ -388,10 +394,8 @@ def save_model(model: MlpModel, path) -> None:
     if not _all_finite(model.params):
         raise NonFiniteError(f"{path}: model has non-finite parameters; not saved")
     body = _body(model)
-    header = _header(model)
-    header["checksum"] = _checksum(header, body)
     with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
+        fh.write(_header_line(model, _checksum(_header(model), body)))
         fh.write(body)
 
 
@@ -400,10 +404,13 @@ def load_model(path) -> MlpModel:
 
     The header line is parsed first, then the body is read straight into
     the one float64 array that becomes `params`, so loading holds one copy
-    of the parameters. Raises VersionMismatchError on a wrong version field
-    (files of an older version must be written again by `wrice train`),
-    SchemaMismatchError on another feature schema, and CorruptModelError on
-    structural damage or checksum failure.
+    of the parameters. The header line must be, byte for byte, the one
+    `save_model` writes for the model it parses to (with the file's own
+    checksum field), and the checksum must then match. Raises
+    VersionMismatchError on a wrong version field (files of an older version
+    must be written again by `wrice train`), SchemaMismatchError on another
+    feature schema, and CorruptModelError on any other header or on a
+    checksum failure.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -423,23 +430,17 @@ def load_model(path) -> MlpModel:
         if version != SCHEMA_VERSION:
             raise SchemaMismatchError(
                 f"{path}: feature schema version {version!r}, expected {SCHEMA_VERSION}")
-        # a missing key or a bad value is damage, not a caller error; parsing
-        # comes first so such damage is named, the header must then be the
-        # one `save_model` writes for the parsed model, and the checksum last
-        # catches any edited value that still parses
+        # a missing key or a bad value is damage, not a caller error; the
+        # checksum last catches any edited value that still renders as written
         try:
             model = _model_from(header, fh, os.fstat(fh.fileno()).st_size - len(line), path)
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise CorruptModelError(
                 f"{path}: malformed model file ({type(exc).__name__}: {exc})") from exc
-    expected = _header(model)
-    absent = object()
-    differ = sorted(k for k in (header.keys() | expected.keys()) - {"checksum"}
-                    if header.get(k, absent) != expected.get(k, absent))
-    if differ:
-        raise CorruptModelError(f"{path}: malformed model file (fields {differ} are not "
-                                "what wrice writes for this model)")
-    if _checksum(expected, _body(model)) != header.get("checksum"):
+    if line != _header_line(model, header.get("checksum")):
+        raise CorruptModelError(f"{path}: malformed model file (the header is not the one "
+                                "wrice writes for the model it describes)")
+    if _checksum(_header(model), _body(model)) != header["checksum"]:
         raise CorruptModelError(f"{path}: checksum mismatch (file truncated or edited)")
     return model
 
@@ -452,10 +453,7 @@ def _body(model: MlpModel) -> memoryview:
 
 def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     dims = [int(d) for d in header["layer_dims"]]
-    shapes = _tensor_shapes(dims)
-    if [tuple(entry["shape"]) for entry in header["tensors"]] != shapes:
-        raise ValueError(f"tensor shapes do not match layer_dims {dims}")
-    size = 8 * sum(math.prod(shape) for shape in shapes)
+    size = 8 * sum(math.prod(shape) for shape in _tensor_shapes(dims))
     if body_size != size:
         raise CorruptModelError(f"{path}: body has {body_size} bytes, its tensors need {size}")
     # the body is read into the array that the model then owns, not copied
@@ -466,7 +464,8 @@ def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     params = params.astype(np.float64, copy=False)
     # a null section is a TypeError here, so the file is named malformed
     scaler, stft, features, audio = (header[k] for k in ("scaler", "stft", "features", "audio"))
-    extraction = Extraction(audio["sample_rate"], audio["segment_seconds"],
-                            StftConfig(stft["frame_len"], stft["hop"]), features["n_mels"])
+    extraction = Extraction(int(audio["sample_rate"]), float(audio["segment_seconds"]),
+                            StftConfig(int(stft["frame_len"]), int(stft["hop"])),
+                            int(features["n_mels"]))
     return MlpModel(dims, params, Scaler(np.array(scaler["mean"]), np.array(scaler["std"])),
                     header["label_map"], extraction)

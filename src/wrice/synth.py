@@ -1,4 +1,4 @@
-"""Synthetic rolling-noise corpus generation and additive-noise augmentation.
+"""Synthetic rolling-noise corpus generation.
 
 The recordings the classifier was designed around are not public, so this
 module fabricates a stand-in corpus: band-limited Gaussian noise shaped by a
@@ -6,7 +6,8 @@ one-pole low-pass, amplitude-modulated at the wheel rotation rate, with a
 small stack of rotation harmonics underneath. Wet contact gets a lower
 cutoff and less level than dry; higher speed raises both. The point is a
 corpus whose four classes are cleanly separable in feature space, not an
-acoustic model of the contact patch.
+acoustic model of the contact patch. The additive-noise kernel of noise
+validation and `augment` is `dataset.add_noise_into`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dataset
 from .audio_io import AudioBuffer, write_wav
 
 FRICTIONS = ("dry", "wet")
@@ -74,21 +76,6 @@ def spec_for_category(category: str, duration_s: float = DEFAULT_DURATION_S) -> 
         raise ValueError(f"bad category name {category!r}: {exc}") from exc
     # the duration is checked outside the `try`, so it is not named a bad category
     return ConditionSpec(spec.friction, spec.speed_rpm, duration_s)
-
-
-def check_noise_scale(scale: float) -> None:
-    """ValueError unless `scale` is a finite noise scale >= 0."""
-    if not 0 <= scale < math.inf:
-        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
-
-
-def add_noise_into(out: np.ndarray, clean: np.ndarray, scale: float, rng) -> None:
-    """out = clean + scale * the next len(out) standard-normal draws of the
-    generator `rng`. Draws come in sample order, so filling consecutive
-    pieces of a signal draws what one call over all of it would."""
-    rng.standard_normal(out=out)
-    out *= scale
-    out += clean
 
 
 def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
@@ -210,16 +197,14 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     seconds long. Every file gets its own seed derived from (seed, category
     index, file index), so the corpus is reproducible while samples stay
     independent, and its bytes do not depend on `workers` (parallel
-    processes, default: the CPUs this process may use). The counts, each
-    category's ConditionSpec, its cutoff against the Nyquist rate and its
-    length (at least one sample), and `workers` are checked before anything
-    is written. Returns the (path, category) manifest, which is also written
-    to `root/manifest.csv`.
+    processes, default: the CPUs this process may use). The seed (at least
+    0), the counts, each category's ConditionSpec, its cutoff against the
+    Nyquist rate and its length (at least one sample), and `workers` are
+    checked before anything is written. Returns the (path, category)
+    manifest, which is also written to `root/manifest.csv`.
     """
-    # imported here because dataset imports add_noise_into and check_noise_scale
-    # from this module
-    from . import dataset
-
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     counts = DEFAULT_COUNTS if counts is None else counts
     root = Path(root)
     planned = []

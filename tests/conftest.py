@@ -239,6 +239,24 @@ def edit_model_header(source, target, edit, rehash=False):
     return target
 
 
+# `tests/data/model_v2.wrice`, written by an earlier release; it must keep
+# loading and re-saving byte-identically
+MODEL_V2 = Path(__file__).parent / "data" / "model_v2.wrice"
+
+# header edits of MODEL_V2 that parse to a model it could hold but are not
+# the bytes `save_model` writes for it: with `rehash`, only the loader's
+# rule that the header line is those bytes can refuse them
+RESPELT_HEADERS = [
+    pytest.param(lambda h: h["stft"].update(hop=256.0), id="hop-float"),
+    pytest.param(lambda h: h["features"].update(n_mels=40.0), id="n-mels-float"),
+    pytest.param(lambda h: h["audio"].update(sample_rate=11025.0), id="sample-rate-float"),
+    pytest.param(lambda h: h["audio"].update(segment_seconds=2), id="segment-seconds-int"),
+    pytest.param(lambda h: h["stft"].update(hop=True), id="hop-true"),
+    pytest.param(lambda h: h["stft"].update(hop="256"), id="hop-string"),
+    pytest.param(lambda h: h.update(format=h.pop("format")), id="keys-reordered"),
+]
+
+
 def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
     """A random (model, inputs, labels) triple safe for finite differencing.
 

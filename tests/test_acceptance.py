@@ -265,8 +265,9 @@ def test_persistence_round_trips(full_run, tmp_path):
     with criterion("Persistence: feature CSV and model file round-trip to "
                    "bit-identical values and predictions"):
         csv_path = tmp_path / "features.csv"
-        ds_mod.write_features_csv(full_run.data, csv_path, full_run.model.extraction)
+        ds_mod.write_features_csv(full_run.data, csv_path)
         back = ds_mod.read_features_csv(csv_path)
+        assert back.extraction == full_run.model.extraction
         np.testing.assert_array_equal(back.features, full_run.data.features)
         np.testing.assert_array_equal(back.labels, full_run.data.labels)
         assert back.label_map == full_run.data.label_map

@@ -5,12 +5,13 @@ import shutil
 import struct
 import textwrap
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (edit_model_header, fresh_python, interp_resample, magnitudes, traced_peak,
-                      wav_bytes, whole_file_rows)
+from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, fresh_python,
+                      interp_resample, magnitudes, traced_peak, wav_bytes, whole_file_rows)
 from wrice import audio_io, cli, dataset
 from wrice.audio_io import AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
@@ -173,12 +174,26 @@ class TestWorkflow:
         ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         data = ingest_corpus(workspace / "corpus", ex, workers=1)
         feats, model = tmp_path / "mel40.csv", tmp_path / "mel40.wrice"
-        write_features_csv(data, feats, ex)
+        write_features_csv(data, feats)
         assert run(["train", "--features", str(feats), "--out", str(model),
                     "--epochs", "2", "--arch", "compact3"]) == 0
         back = load_model(model)
         assert back.extraction == ex
         assert back.extraction.n_mels == 40
+
+    def test_train_reads_its_csv_once(self, workspace, tmp_path, monkeypatch):
+        feats = workspace / "feats.csv"
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert run(["train", "--features", str(feats), "--out", str(tmp_path / "m.wrice"),
+                    "--epochs", "1", "--arch", "compact3"]) == 0
+        assert reads.count(feats) == 1
 
     # a model bundles the extraction that its CSV's meta line records, so a
     # meta line that is not the one `extract` writes trains no model
@@ -391,8 +406,9 @@ def test_importing_the_cli_does_not_load_scipy_signal(tmp_path):
     rng = np.random.default_rng(0)
     rows = LabeledDataset(features=rng.normal(size=(12, 26)), labels=np.arange(12) % 4,
                           label_map=["dry_40", "dry_60", "wet_40", "wet_60"],
-                          source_paths=[f"f{i}.wav" for i in range(12)])
-    write_features_csv(rows, tmp_path / "f.csv", Extraction())
+                          source_paths=[f"f{i}.wav" for i in range(12)],
+                          extraction=Extraction())
+    write_features_csv(rows, tmp_path / "f.csv")
     write_wav(tmp_path / "a.wav", AudioBuffer(rng.standard_normal(22050), 22050))
     code = textwrap.dedent("""\
         import json, sys
@@ -487,9 +503,10 @@ class TestPeakMemory:
         n = 40
         rows = LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
                               label_map=[f"c{i}" for i in range(4)],
-                              source_paths=[f"rows/{i}.wav" for i in range(n)])
+                              source_paths=[f"rows/{i}.wav" for i in range(n)],
+                              extraction=Extraction())
         feats = tmp_path / "feats.csv"
-        write_features_csv(rows, feats, Extraction())
+        write_features_csv(rows, feats)
         argv = ["train", "--features", str(feats), "--out", str(tmp_path / "model.wrice"),
                 "--epochs", "1"]
         peak = traced_peak(lambda: run(argv))
@@ -546,6 +563,21 @@ class TestExitCodes:
         argv = [arg.format(tmp=tmp_path) for arg in verb] + ["--workers", workers]
         assert run(argv) == 2
         assert f"argument --workers: must be at least 1, got {workers}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("verb", [
+        ["synth", "--out", "{tmp}/corpus"],
+        ["train", "--features", "{tmp}/f.csv", "--out", "{tmp}/m.wrice"],
+        ["eval", "--model", "{tmp}/m.wrice", "--in", "{tmp}/corpus"],
+        ["augment", "--in", "{tmp}/corpus", "--out", "{tmp}/noisy", "--scale", "0.1"],
+    ], ids=["synth", "train", "eval", "augment"])
+    def test_a_negative_seed_is_usage_error(self, tmp_path, capsys, verb):
+        # refused by the parser, before anything is read or written; numpy
+        # once refused it mid-run, naming no flag (synth after making its
+        # first category directory, eval blaming the first WAV)
+        argv = [arg.format(tmp=tmp_path) for arg in verb] + ["--seed", "-1"]
+        assert run(argv) == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_is_domain_error(self, tmp_path, capsys):
@@ -607,11 +639,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["eval", "--noise", "0.5,"], "--noise '0.5,': entry '' is not a number"),
+        (["eval", "--noise", ""], "--noise '': entry '' is not a number"),
         (["eval", "--noise", "0.5,x,0.05"], "--noise '0.5,x,0.05': entry 'x' is not a number"),
         (["synth", "--counts", "1,2,x,1"], "--counts '1,2,x,1': entry 'x' is not an integer"),
         (["synth", "--counts", "1,2,1.5,1"],
          "--counts '1,2,1.5,1': entry '1.5' is not an integer"),
-    ], ids=["noise-trailing-comma", "noise-word", "counts-word", "counts-fraction"])
+        (["synth", "--counts", ""], "--counts '': entry '' is not an integer"),
+    ], ids=["noise-trailing-comma", "noise-empty", "noise-word", "counts-word",
+            "counts-fraction", "counts-empty"])
     def test_a_list_entry_that_does_not_parse_names_its_flag(self, workspace, tmp_path,
                                                              capsys, argv, message):
         verb, *flags = argv
@@ -724,6 +759,18 @@ class TestExitCodes:
         assert run(["predict", "--model", str(model), str(wav)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "malformed model file" in err
+        assert "Traceback" not in err
+
+    # each parses to a model that `predict` could run, or crash on: a float
+    # `hop` once loaded and then died in extraction with a TypeError traceback
+    @pytest.mark.parametrize("edit", RESPELT_HEADERS)
+    def test_a_model_header_other_than_the_bytes_wrice_writes_is_domain_error(
+            self, workspace, tmp_path, capsys, edit):
+        model = edit_model_header(MODEL_V2, tmp_path / "respelt.wrice", edit, rehash=True)
+        wav = next((workspace / "corpus" / "dry_40").glob("*.wav"))
+        assert run(["predict", "--model", str(model), str(wav)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed model file")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["predict", "extract", "eval"])

@@ -14,17 +14,18 @@ import pytest
 from conftest import TINY_EX, TINY_SR, fresh_python, noise_buffer, wav_bytes, whole_file_rows
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
-from wrice.dataset import (Extraction, LabeledDataset, Scaler, corpus_labels, corpus_rows,
-                           file_rows, fit_scaler, ingest_corpus, map_per_file, pool_size,
-                           read_extraction, read_features_csv, scale_rows,
-                           stratified_split, write_features_csv)
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, add_noise_into,
+                           check_noise_scale, corpus_labels, corpus_rows, file_rows,
+                           fit_scaler, ingest_corpus, map_per_file, pool_size,
+                           read_features_csv, scale_rows, stratified_split,
+                           write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                           MalformedWavError, NonFiniteError, SchemaMismatchError)
 from wrice.dsp import BLOCK_FRAMES, StftConfig
 from wrice.features import N_FEATURES, N_MELS, SCHEMA_VERSION, extract_features
 
 
-def make_dataset(counts, d=26, seed=0):
+def make_dataset(counts, d=26, seed=0, extraction=Extraction()):
     rng = np.random.default_rng(seed)
     features, labels, paths = [], [], []
     names = sorted(counts)
@@ -34,7 +35,7 @@ def make_dataset(counts, d=26, seed=0):
             labels.append(label_id)
             paths.append(f"{name}/{name}_{i:03d}.wav")
     return LabeledDataset(features=np.array(features), labels=np.array(labels),
-                          label_map=names, source_paths=paths)
+                          label_map=names, source_paths=paths, extraction=extraction)
 
 
 class TestCorpusLabels:
@@ -97,6 +98,12 @@ class TestStratifiedSplit:
             with pytest.raises(ValueError):
                 stratified_split(ds, bad, seed=0)
 
+    def test_both_halves_keep_the_extraction(self):
+        ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
+        train, test = stratified_split(make_dataset({"a": 5, "b": 5}, extraction=ex),
+                                       0.2, seed=0)
+        assert train.extraction == ex and test.extraction == ex
+
 
 class TestScaler:
     def test_train_statistics_after_scaling(self):
@@ -109,7 +116,8 @@ class TestScaler:
     def test_constant_column_floors_std(self):
         features = np.column_stack([np.full(10, 5.0), np.arange(10.0)])
         ds = LabeledDataset(features=features, labels=np.zeros(10, dtype=int),
-                            label_map=["x"], source_paths=[f"x/{i}.wav" for i in range(10)])
+                            label_map=["x"], source_paths=[f"x/{i}.wav" for i in range(10)],
+                            extraction=Extraction())
         scaler = fit_scaler(ds)
         assert scaler.mean[0] == 5.0
         assert scaler.std[0] == pytest.approx(1e-12)
@@ -141,18 +149,24 @@ class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path):
         ds = make_dataset({"a": 5, "b": 4}, seed=11)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, Extraction())
+        write_features_csv(ds, path)
         back = read_features_csv(path)
         assert back.label_map == ds.label_map
         assert back.source_paths == ds.source_paths
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.features, ds.features)
-        assert read_extraction(path) == Extraction()
+        assert back.extraction == Extraction()
+
+    def test_the_extraction_is_a_required_field(self):
+        ds = make_dataset({"a": 2, "b": 2})
+        with pytest.raises(TypeError, match="extraction"):
+            LabeledDataset(features=ds.features, labels=ds.labels, label_map=ds.label_map,
+                           source_paths=ds.source_paths)
 
     def test_header_row(self, tmp_path):
         ds = make_dataset({"a": 2, "b": 2})
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, Extraction())
+        write_features_csv(ds, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         header = lines[1].split(",")
@@ -162,7 +176,7 @@ class TestCsvRoundTrip:
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
-        write_features_csv(make_dataset({"a": 3, "b": 3}), path, Extraction())
+        write_features_csv(make_dataset({"a": 3, "b": 3}), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rpartition(",")[0]
         path.write_text("\n".join(lines) + "\n")
@@ -171,14 +185,14 @@ class TestCsvRoundTrip:
 
     def test_row_label_missing_from_the_label_map_names_path_and_line(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         path.write_text(path.read_text().replace("\nb/b_000.wav,b,", "\nb/b_000.wav,c,", 1))
         with pytest.raises(SchemaMismatchError, match="line 5: label 'c' not in label map"):
             read_features_csv(path)
 
     def test_duplicate_label_map_names_the_csv(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         path.write_text(path.read_text().replace(" label_map=a|b ", " label_map=a|b|a ", 1))
         with pytest.raises(DuplicateLabelError, match="duplicate category names") as info:
             read_features_csv(path)
@@ -192,7 +206,7 @@ class TestCsvRoundTrip:
 
     def test_other_schema_version_rejected(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         text = path.read_text()
         path.write_text(text.replace(f"schema_version={SCHEMA_VERSION}",
                                      f"schema_version={SCHEMA_VERSION + 1}", 1))
@@ -206,7 +220,7 @@ class TestCsvRoundTrip:
     ])
     def test_bad_cell_names_path_and_line(self, tmp_path, bad, match):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         lines = path.read_bytes().split(b"\n")
         cells = lines[3].split(b",")
         cells[4] = bad
@@ -223,9 +237,9 @@ class TestCsvRoundTrip:
         features[1, 3] = bad
         with pytest.raises(NonFiniteError, match=r"first row 1 \(a/a_001.wav\)"):
             LabeledDataset(features=features, labels=ds.labels, label_map=ds.label_map,
-                           source_paths=ds.source_paths)
+                           source_paths=ds.source_paths, extraction=ds.extraction)
         path = tmp_path / "feats.csv"
-        write_features_csv(ds, path, Extraction())
+        write_features_csv(ds, path)
         path.write_text(path.read_text().replace(format(ds.features[1, 3], ".17g"),
                                                  str(bad), 1))
         with pytest.raises(NonFiniteError, match="NaN or Inf") as info:
@@ -273,7 +287,7 @@ class TestExtraction:
         with pytest.raises(TypeError, match=field):
             Extraction(**{field: value})
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         assert f" {field}=" not in path.read_text().partition("\n")[0]
 
     # a 6-column dataset once wrote a meta `n_mfcc=0` that its reader refused
@@ -281,14 +295,21 @@ class TestExtraction:
     def test_csv_refuses_a_width_other_than_the_schemas(self, tmp_path, d):
         path = tmp_path / "feats.csv"
         with pytest.raises(ValueError, match=f": {d} feature columns, the schema has 26"):
-            write_features_csv(make_dataset({"a": 2, "b": 2}, d=d), path, Extraction())
+            write_features_csv(make_dataset({"a": 2, "b": 2}, d=d), path)
         assert not path.exists()
 
     def test_read_back_from_the_csv(self, tmp_path):
         ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, ex)
-        assert read_extraction(path) == ex
+        ds = make_dataset({"a": 2, "b": 2}, extraction=ex)
+        write_features_csv(ds, path)
+        back = read_features_csv(path)
+        assert back.extraction == ex
+        assert path.read_text().partition("\n")[0] == (
+            f"# wrice-features schema_version={SCHEMA_VERSION} label_map=a|b sr=11025 "
+            "frame=1024 hop=256 "
+            "window=hann segment_seconds=1.5 n_mfcc=20 n_mels=40")
+        np.testing.assert_array_equal(back.features, ds.features)
 
     # each edit leaves every value that the meta line records parseable and
     # in range, so only the comparison with the line wrice writes refuses it
@@ -310,19 +331,18 @@ class TestExtraction:
     ])
     def test_meta_line_other_than_wrices_is_refused(self, tmp_path, edit, match):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         meta, _, rest = path.read_text().partition("\n")
         edited = edit(meta)
         assert edited != meta
         path.write_text(edited + "\n" + rest)
-        for read in (read_extraction, read_features_csv):
-            with pytest.raises(SchemaMismatchError, match=match) as info:
-                read(path)
-            assert str(path) in str(info.value)
+        with pytest.raises(SchemaMismatchError, match=match) as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
 
     def test_a_second_meta_line_is_refused(self, tmp_path):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         meta, _, rest = path.read_text().partition("\n")
         path.write_text(f"{meta}\n{meta}\n{rest}")
         with pytest.raises(SchemaMismatchError, match="line 2: header does not match") as info:
@@ -344,20 +364,19 @@ class TestExtraction:
             "frame-not-a-power-of-two", "window-not-hann"])
     def test_bad_meta_value_names_the_csv(self, tmp_path, token, match):
         path = tmp_path / "feats.csv"
-        write_features_csv(make_dataset({"a": 2, "b": 2}), path, Extraction())
+        write_features_csv(make_dataset({"a": 2, "b": 2}), path)
         key = token.partition("=")[0]
         path.write_text(re.sub(rf" {key}=\S+", f" {token}", path.read_text(), count=1))
-        for read in (read_extraction, read_features_csv):
-            with pytest.raises(SchemaMismatchError, match=match) as info:
-                read(path)
-            assert str(path) in str(info.value)
+        with pytest.raises(SchemaMismatchError, match=match) as info:
+            read_features_csv(path)
+        assert str(path) in str(info.value)
 
     # the label map is one `|`-joined token of a whitespace-split meta line
     @pytest.mark.parametrize("label", ["dry 40", "dry\t40", "dry|40"])
     def test_csv_refuses_a_label_its_meta_cannot_carry(self, tmp_path, label):
         path = tmp_path / "feats.csv"
         with pytest.raises(ValueError, match=re.escape(repr(label))):
-            write_features_csv(make_dataset({"a": 2, label: 2}), path, Extraction())
+            write_features_csv(make_dataset({"a": 2, label: 2}), path)
         assert not path.exists()
 
 
@@ -486,6 +505,56 @@ def two_and_one(tmp_path_factory):
         write_wav(paths[-1], AudioBuffer(rng.uniform(-0.5, 0.5, int(TINY_SR * seconds)),
                                          TINY_SR))
     return root, paths
+
+
+def noised(samples, scale: float, seed) -> np.ndarray:
+    """`samples` plus `scale` times the draws of `default_rng(seed)`, by the
+    kernel that `file_rows` and `augment` run, after the scale check they
+    make first."""
+    check_noise_scale(scale)
+    out = np.empty(len(samples))
+    add_noise_into(out, samples, scale, np.random.default_rng(seed))
+    return out
+
+
+class TestAddNoise:
+    def test_scale_zero_is_identity(self):
+        samples = np.linspace(-0.5, 0.5, 100)
+        np.testing.assert_array_equal(noised(samples, 0.0, seed=1), samples)
+
+    def test_sample_std_tracks_scale(self):
+        out = noised(np.zeros(1_000_000), 0.5, seed=2)
+        assert abs(out.std() - 0.5) / 0.5 < 0.01
+
+    def test_same_seed_same_noise(self):
+        a = noised(np.zeros(64), 0.1, seed=3)
+        b = noised(np.zeros(64), 0.1, seed=3)
+        np.testing.assert_array_equal(a, b)
+
+    def test_additive_linearity(self):
+        signal = np.sin(np.arange(128))
+        only_noise = noised(np.zeros(128), 0.2, seed=4)
+        noisy = noised(signal, 0.2, seed=4)
+        np.testing.assert_allclose(noisy - signal, only_noise, atol=1e-15)
+
+    def test_negative_scale(self):
+        with pytest.raises(ValueError):
+            check_noise_scale(-0.1)
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            check_noise_scale(scale)
+
+    def test_equals_samples_plus_scaled_normal_draws(self):
+        # the noisy samples are built in place from the draws; IEEE addition
+        # and multiplication commute, so they equal the plain expression bit
+        # for bit
+        samples = np.random.default_rng(5).uniform(-1, 1, 4096)
+        seed = np.random.SeedSequence([5, 1, 2])
+        want = samples + 0.05 * np.random.default_rng(seed).standard_normal(samples.size)
+        assert np.array_equal(noised(samples, 0.05, seed), want)
+        assert np.array_equal(samples, np.random.default_rng(5).uniform(-1, 1, 4096))
 
 
 class TestFileRows:

@@ -33,7 +33,8 @@ def crafted_dataset(true_labels, feature_labels, n_classes=4):
     return LabeledDataset(features=one_hot_rows(feature_labels, n_classes),
                           labels=np.array(true_labels),
                           label_map=[f"c{i}" for i in range(n_classes)],
-                          source_paths=[f"c{t}/{i}.wav" for i, t in enumerate(true_labels)])
+                          source_paths=[f"c{t}/{i}.wav" for i, t in enumerate(true_labels)],
+                          extraction=Extraction())
 
 
 class TestEvaluate:
@@ -70,7 +71,8 @@ class TestEvaluate:
 
     def test_labels_are_mapped_to_model_ids(self):
         ds = LabeledDataset(features=one_hot_rows([2, 0, 2]), labels=np.array([0, 1, 0]),
-                            label_map=["c2", "c0"], source_paths=["a", "b", "c"])
+                            label_map=["c2", "c0"], source_paths=["a", "b", "c"],
+                            extraction=Extraction())
         report = evaluate(passthrough_model(), ds)
         assert report.label_map == ["c0", "c1", "c2", "c3"]
         assert report.accuracy == 1.0

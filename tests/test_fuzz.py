@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import TINY_SR, write_pcm
 from wrice.audio_io import read_wav
-from wrice.dataset import (Extraction, LabeledDataset, Scaler, read_extraction,
-                           read_features_csv, write_features_csv)
+from wrice.dataset import (Extraction, LabeledDataset, Scaler, read_features_csv,
+                           write_features_csv)
 from wrice.errors import WriceError
 from wrice.mlp import init_model, load_model, save_model
 
@@ -44,8 +44,9 @@ def _write_csv(path):
     rng = np.random.default_rng(3)
     ds = LabeledDataset(features=rng.normal(size=(4, 26)), labels=np.array([0, 0, 1, 1]),
                         label_map=["dry_40", "wet_60"],
-                        source_paths=[f"c/{i}.wav" for i in range(4)])
-    write_features_csv(ds, path, Extraction())
+                        source_paths=[f"c/{i}.wav" for i in range(4)],
+                        extraction=Extraction())
+    write_features_csv(ds, path)
 
 
 def _write_model(path):
@@ -54,15 +55,10 @@ def _write_model(path):
                           extraction=Extraction()), path)
 
 
-def _read_csv(path):
-    read_extraction(path)
-    read_features_csv(path)
-
-
 TARGETS = {
     "wav16": (_wav_writer(16), read_wav),
     "wav24": (_wav_writer(24), read_wav),
-    "csv": (_write_csv, _read_csv),
+    "csv": (_write_csv, read_features_csv),
     "model": (_write_model, load_model),
 }
 

@@ -3,13 +3,12 @@
 import json
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (edit_model_header, finite_difference_grads, full_array_adam_step,
-                      identity_bundle, layer_gradients, traced_peak)
+from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, finite_difference_grads,
+                      full_array_adam_step, identity_bundle, layer_gradients, traced_peak)
 from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
@@ -43,7 +42,8 @@ def random_rows(n, seed=0):
     rng = np.random.default_rng(seed)
     return LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
                           label_map=[f"c{i}" for i in range(4)],
-                          source_paths=[f"rows/{i}.wav" for i in range(n)])
+                          source_paths=[f"rows/{i}.wav" for i in range(n)],
+                          extraction=Extraction())
 
 
 def blob_dataset(n_per_class=20, seed=0):
@@ -54,7 +54,8 @@ def blob_dataset(n_per_class=20, seed=0):
     features = np.vstack([a, b]) / 2.0
     labels = np.array([0] * n_per_class + [1] * n_per_class)
     return LabeledDataset(features=features, labels=labels, label_map=["left", "right"],
-                          source_paths=[f"blob/{i}.wav" for i in range(2 * n_per_class)])
+                          source_paths=[f"blob/{i}.wav" for i in range(2 * n_per_class)],
+                          extraction=Extraction())
 
 
 class TestInit:
@@ -489,14 +490,27 @@ class TestPersistence:
 
     def test_file_of_the_previous_release_loads_unchanged(self, tmp_path):
         # written by the code that kept four loose extraction fields on MlpModel
-        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
-        model = load_model(fixture)
+        model = load_model(MODEL_V2)
         assert model.extraction == Extraction(
             11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         assert model.label_map == ["p", "q", "r"]
         np.testing.assert_array_equal(model.params, bundled([4, 5, 3], seed=1).params)
         save_model(model, tmp_path / "again.wrice")
-        assert (tmp_path / "again.wrice").read_bytes() == fixture.read_bytes()
+        assert (tmp_path / "again.wrice").read_bytes() == MODEL_V2.read_bytes()
+
+    @pytest.mark.parametrize("edit", RESPELT_HEADERS)
+    def test_a_header_other_than_the_bytes_wrice_writes_is_corrupt(self, tmp_path, edit):
+        edited = edit_model_header(MODEL_V2, tmp_path / "edited.wrice", edit, rehash=True)
+        with pytest.raises(CorruptModelError, match="malformed model file"):
+            load_model(edited)
+
+    def test_an_edited_value_in_the_form_wrice_writes_loads(self, tmp_path):
+        # the byte rule refuses a spelling, not a value: with the checksum
+        # recomputed, this header is one that `save_model` could have written
+        edited = edit_model_header(MODEL_V2, tmp_path / "edited.wrice",
+                                   lambda h: h["audio"].update(segment_seconds=2.0),
+                                   rehash=True)
+        assert load_model(edited).extraction.segment_seconds == 2.0
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h: h.update(features=None), id="features-null"),
@@ -531,8 +545,7 @@ class TestPersistence:
                                                 "std": [1.5] * 5}), id="5-wide-scaler"),
     ])
     def test_bundle_narrower_or_wider_than_the_layers_is_corrupt(self, tmp_path, edit):
-        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
-        edited = edit_model_header(fixture, tmp_path / "edited.wrice", edit, rehash=True)
+        edited = edit_model_header(MODEL_V2, tmp_path / "edited.wrice", edit, rehash=True)
         with pytest.raises(CorruptModelError,
                            match=r"malformed model file .*layer_dims \[4, 5, 3\] need"):
             load_model(edited)
@@ -541,8 +554,7 @@ class TestPersistence:
     @pytest.mark.parametrize("label_map", [["p", "p", "r"], "pqr", [1, 2, 3]],
                              ids=["duplicate", "string", "numbers"])
     def test_label_map_of_other_than_distinct_names_is_corrupt(self, tmp_path, label_map):
-        fixture = Path(__file__).parent / "data" / "model_v2.wrice"
-        edited = edit_model_header(fixture, tmp_path / "edited.wrice",
+        edited = edit_model_header(MODEL_V2, tmp_path / "edited.wrice",
                                    lambda h: h.update(label_map=label_map), rehash=True)
         with pytest.raises(CorruptModelError,
                            match=r"malformed model file .*list of distinct names"):

@@ -14,8 +14,7 @@ from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
 from wrice.features import centroids, rms
 from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, _sinusoid,
-                         add_noise_into, check_noise_scale, spec_for_category, synth_corpus,
-                         synth_sample)
+                         spec_for_category, synth_corpus, synth_sample)
 
 CFG = StftConfig(frame_len=1024, hop=256)
 
@@ -26,56 +25,6 @@ def mean_centroid(buf: AudioBuffer) -> float:
 
 def mean_rms(buf: AudioBuffer) -> float:
     return rms(frame_signal(buf.samples, CFG)).mean()
-
-
-def noised(samples, scale: float, seed) -> np.ndarray:
-    """`samples` plus `scale` times the draws of `default_rng(seed)`, by the
-    kernel that `file_rows` and `augment` run, after the scale check they
-    make first."""
-    check_noise_scale(scale)
-    out = np.empty(len(samples))
-    add_noise_into(out, samples, scale, np.random.default_rng(seed))
-    return out
-
-
-class TestAddNoise:
-    def test_scale_zero_is_identity(self):
-        samples = np.linspace(-0.5, 0.5, 100)
-        np.testing.assert_array_equal(noised(samples, 0.0, seed=1), samples)
-
-    def test_sample_std_tracks_scale(self):
-        out = noised(np.zeros(1_000_000), 0.5, seed=2)
-        assert abs(out.std() - 0.5) / 0.5 < 0.01
-
-    def test_same_seed_same_noise(self):
-        a = noised(np.zeros(64), 0.1, seed=3)
-        b = noised(np.zeros(64), 0.1, seed=3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_additive_linearity(self):
-        signal = np.sin(np.arange(128))
-        only_noise = noised(np.zeros(128), 0.2, seed=4)
-        noisy = noised(signal, 0.2, seed=4)
-        np.testing.assert_allclose(noisy - signal, only_noise, atol=1e-15)
-
-    def test_negative_scale(self):
-        with pytest.raises(ValueError):
-            check_noise_scale(-0.1)
-
-    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
-    def test_non_finite_scale(self, scale):
-        with pytest.raises(ValueError, match="finite"):
-            check_noise_scale(scale)
-
-    def test_equals_samples_plus_scaled_normal_draws(self):
-        # the noisy samples are built in place from the draws; IEEE addition
-        # and multiplication commute, so they equal the plain expression bit
-        # for bit
-        samples = np.random.default_rng(5).uniform(-1, 1, 4096)
-        seed = np.random.SeedSequence([5, 1, 2])
-        want = samples + 0.05 * np.random.default_rng(seed).standard_normal(samples.size)
-        assert np.array_equal(noised(samples, 0.05, seed), want)
-        assert np.array_equal(samples, np.random.default_rng(5).uniform(-1, 1, 4096))
 
 
 def lfilter_lowpass(x, cutoff_hz, sample_rate):
@@ -235,22 +184,25 @@ class TestSynthCorpus:
                  for root in roots]
         assert texts[0] == texts[1]
 
-    @pytest.mark.parametrize("counts,sample_rate,workers,match", [
-        ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR, 2,
+    @pytest.mark.parametrize("counts,sample_rate,workers,seed,match", [
+        ({"dry_40": 1, "dry_60": 1, "wet_40": -1, "wet_60": 1}, TINY_SR, 2, 0,
          "negative count for category 'wet_40'"),
-        ({c: 1 for c in CATEGORIES}, 4000, 2, r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
-        ({"dry_nan": 1}, TINY_SR, 2,
+        ({c: 1 for c in CATEGORIES}, 4000, 2, 0,
+         r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
+        ({"dry_nan": 1}, TINY_SR, 2, 0,
          "^bad category name 'dry_nan': speed_rpm must be positive and finite, got nan$"),
-        ({"dry_inf": 1}, TINY_SR, 2,
+        ({"dry_inf": 1}, TINY_SR, 2, 0,
          "^bad category name 'dry_inf': speed_rpm must be positive and finite, got inf$"),
-        ({c: 1 for c in CATEGORIES}, TINY_SR, 0, "^workers must be at least 1, got 0$"),
+        ({c: 1 for c in CATEGORIES}, TINY_SR, 0, 0, "^workers must be at least 1, got 0$"),
+        ({c: 1 for c in CATEGORIES}, TINY_SR, 2, -1, "^seed must be at least 0, got -1$"),
     ], ids=["negative-count", "dry-cutoff-above-nyquist", "nan-speed", "inf-speed",
-            "zero-workers"])
+            "zero-workers", "negative-seed"])
     @pytest.mark.filterwarnings("error")
-    def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, workers, match):
+    def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, workers, seed,
+                                        match):
         root = tmp_path / "corpus"
         with pytest.raises(ValueError, match=match):
-            synth_corpus(root, counts=counts, sample_rate=sample_rate, seed=0,
+            synth_corpus(root, counts=counts, sample_rate=sample_rate, seed=seed,
                          duration_s=0.3, workers=workers)
         assert not root.exists()
 
