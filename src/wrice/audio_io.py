@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -65,7 +64,8 @@ def read_wav(path) -> AudioBuffer:
         return AudioBuffer(wav.read(0, wav.frames), wav.sample_rate)
 
 
-# float data is checked for NaN and Inf this many samples at a time
+# float data is checked for NaN and Inf, and `write_wav` encodes, this many
+# samples at a time
 _SCAN_SAMPLES = 1 << 16
 
 
@@ -214,27 +214,54 @@ def _sample_dtype(format_tag: int, bits: int, path) -> str | None:
     return _PCM_DTYPES.get(bits)
 
 
+# the largest rate whose byte rate (2 bytes a sample) fits the fmt chunk's
+# 32-bit field, and the most samples whose RIFF size (36 + 2 bytes a sample)
+# fits its 32-bit field
+MAX_WAV_RATE = 2**31 - 1
+MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
+
+
+def check_wav_size(n_samples: int, sample_rate: int) -> None:
+    """ValueError unless `write_wav` can write n_samples at sample_rate:
+    a rate above MAX_WAV_RATE, or more samples than MAX_WAV_SAMPLES, would
+    overflow a 32-bit header field."""
+    if sample_rate > MAX_WAV_RATE:
+        raise ValueError(f"sample rate {sample_rate} Hz exceeds the {MAX_WAV_RATE} Hz "
+                         "that a 16-bit WAV header holds")
+    if n_samples > MAX_WAV_SAMPLES:
+        raise ValueError(f"{n_samples} samples exceed the {MAX_WAV_SAMPLES} that a "
+                         "16-bit WAV file holds")
+
+
 def write_wav(path, buf: AudioBuffer) -> None:
     """Encode a mono buffer as little-endian 16-bit PCM.
 
     Values outside [-1, 1] are clipped to the int16 range. Decoded 16-bit
-    PCM re-encoded round-trips exactly.
+    PCM re-encoded round-trips exactly. Samples are scaled, rounded and
+    clipped _SCAN_SAMPLES at a time into one int16 array, which is written
+    after the header. ValueError, before the file is opened, for a rate or
+    length that `check_wav_size` refuses.
     """
+    check_wav_size(len(buf.samples), buf.sample_rate)
     scale = 2**15
-    # rounded and clipped in place, so the only full-length temporaries are
-    # this float64 array and its one integer cast
-    ints = np.multiply(buf.samples, scale)
-    np.rint(ints, out=ints)
-    np.clip(ints, -scale, scale - 1, out=ints)
-    ints = ints.astype("<i2")
-    frames = ints.tobytes()
+    ints = np.empty(len(buf.samples), dtype="<i2")
+    scratch = np.empty(min(len(ints), _SCAN_SAMPLES))
+    for start in range(0, len(ints), _SCAN_SAMPLES):
+        chunk = buf.samples[start:start + _SCAN_SAMPLES]
+        scaled = scratch[:len(chunk)]
+        np.multiply(chunk, scale, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -scale, scale - 1, out=scaled)
+        ints[start:start + len(chunk)] = scaled
 
     fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, buf.sample_rate,
                       buf.sample_rate * 2, 2, 16)
-    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(frames)) + frames)
-    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-    Path(path).write_bytes(blob)
+    header = (b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + ints.nbytes) + b"WAVE"
+              + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"data" + struct.pack("<I", ints.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(ints.data)
 
 
 def resampled_length(n: int, source_rate: int, target_rate: int) -> int:

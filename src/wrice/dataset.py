@@ -169,6 +169,12 @@ def check_noise_scale(scale: float | None) -> None:
         raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
 
 
+def check_seed(seed: int) -> None:
+    """ValueError unless `seed` is at least 0, as `numpy.random` requires."""
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+
+
 def add_noise_into(out: np.ndarray, clean: np.ndarray, scale: float, rng) -> None:
     """out = clean + scale * the next len(out) standard-normal draws of the
     generator `rng`. Draws come in sample order, so filling consecutive
@@ -188,8 +194,9 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     shorter than one segment is one whole-file segment. A `None` scale is the
     clean audio; a float scale adds the noise realization seeded by
     `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
-    its index, never on processing order or worker count. A bad scale is
-    refused before the file is opened; other errors name the path once.
+    its index, never on processing order or worker count. A bad scale or a
+    negative seed is refused before the file is opened; other errors name
+    the path once.
 
     The rows are those of `extract_features` on each segment of the whole
     file resampled at once (`WavReader.read_resampled` over all of it) and
@@ -203,6 +210,7 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     scales = tuple(scales)
     for scale in scales:
         check_noise_scale(scale)
+    check_seed(seed)
     with WavReader(path) as wav:  # its errors name the path already
         try:
             return _streamed_rows(wav, ex, scales, seed, file_idx)
@@ -300,7 +308,8 @@ def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
     File i's noise is seeded by `SeedSequence([seed, scale index, i])`, and
     files run on `workers` processes (default: the CPUs this process may
     use) but are stacked in path order, so the matrices are identical for
-    any worker count. The scales are checked before any file is opened.
+    any worker count. The scales and the seed are checked before any file
+    is opened.
     """
     scales = tuple(scales)
     jobs = [(path, ex, scales, seed, file_idx) for file_idx, path in enumerate(paths)]
@@ -308,6 +317,7 @@ def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
         raise ValueError(f"need a scale and a path, got {len(scales)} and {len(jobs)}")
     for scale in scales:
         check_noise_scale(scale)
+    check_seed(seed)
     _load_for_jobs(ex, scales)
     per_file = map_per_file(_file_rows_job, jobs, workers)
     owner = np.repeat(np.arange(len(per_file)), [len(rows[0]) for rows in per_file])
@@ -335,10 +345,11 @@ def stratified_split(ds: LabeledDataset, test_fraction: float,
     """Per-category shuffled partition; ceil(test_fraction * n_c) rows go to test.
 
     Rows are sorted by source path first, so the outcome depends only on the
-    corpus contents and the seed, not on ingestion order.
+    corpus contents and the seed (at least 0), not on ingestion order.
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check_seed(seed)
     order = sorted(range(ds.n), key=lambda i: (ds.source_paths[i], i))
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []

@@ -89,8 +89,8 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     scale, derived from (seed, scale index, file index in path order), so
     results do not depend on processing order or worker count. A `None`
     scale scores the clean corpus (its report has no noise scale and no
-    seed). A scale that is negative or not finite is refused before any
-    file is decoded. The model's bundled scaler is reused without refitting.
+    seed). A scale that is negative or not finite, or a negative seed, is
+    refused before any file is decoded. The model's bundled scaler is reused without refitting.
     """
     scales = list(scales)
     if not scales:

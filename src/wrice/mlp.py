@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Extraction, LabeledDataset, Scaler, scale_rows
+from .dataset import Extraction, LabeledDataset, Scaler, check_seed, scale_rows
 from .dsp import WINDOW, StftConfig
 from .errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                      VersionMismatchError)
@@ -67,6 +67,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -168,7 +169,8 @@ def layer_dims_for(arch: str, n_inputs: int, n_outputs: int) -> list[int]:
 
 def init_model(layer_dims, seed: int = 0, *, scaler: Scaler, label_map: list[str],
                extraction: Extraction) -> MlpModel:
-    """Glorot-uniform weights, zero biases; deterministic per seed."""
+    """Glorot-uniform weights, zero biases; deterministic per seed (at least 0)."""
+    check_seed(seed)
     dims = [int(d) for d in layer_dims]
     size = sum(math.prod(shape) for shape in _tensor_shapes(dims))
     model = MlpModel(dims, np.zeros(size), scaler, label_map, extraction)

@@ -6,8 +6,12 @@ one-pole low-pass, amplitude-modulated at the wheel rotation rate, with a
 small stack of rotation harmonics underneath. Wet contact gets a lower
 cutoff and less level than dry; higher speed raises both. The point is a
 corpus whose four classes are cleanly separable in feature space, not an
-acoustic model of the contact patch. The additive-noise kernel of noise
-validation and `augment` is `dataset.add_noise_into`.
+acoustic model of the contact patch. After the low-pass and the RMS, each
+recording is normalised, modulated and summed with its harmonics in one
+pass over cache-sized chunks, its sinusoids built by angle addition from
+per-block tables, so a file costs one noise draw, one filter pass and one
+chunked pass. The additive-noise kernel of noise validation and `augment`
+is `dataset.add_noise_into`.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dataset
-from .audio_io import AudioBuffer, write_wav
+from .audio_io import AudioBuffer, check_wav_size, write_wav
 
 FRICTIONS = ("dry", "wet")
 DEFAULT_CUTOFF_HZ = {"dry": 4000.0, "wet": 1200.0}
@@ -42,6 +47,9 @@ _HARMONIC_LEVEL = 0.15
 
 _LOWPASS_BLOCK = 128
 _SINE_BLOCK = 4096
+# synth_sample's per-sample pass runs this many samples at a time, a whole
+# number of _SINE_BLOCK blocks: the chunk and two tone buffers, 768 KiB
+_CHUNK = 8 * _SINE_BLOCK
 
 DEFAULT_DURATION_S = 30.0
 DEFAULT_COUNTS = {"dry_40": 52, "dry_60": 61, "wet_40": 51, "wet_60": 64}
@@ -107,25 +115,53 @@ def _one_pole_lowpass(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.n
     return y[:len(x)]
 
 
-def _sinusoid(step: float, phase: float, out: np.ndarray) -> np.ndarray:
-    """Fill out[i] = sin(step * i + phase), one _SINE_BLOCK samples at a time.
+class _Tone(NamedTuple):
+    """The tables of sin(step * i + phase) over the samples i of one
+    recording: the cosines and sines of the offsets step * k within a
+    _SINE_BLOCK block, and math.sin and math.cos of each block's start
+    angle a = step * s + phase."""
+
+    step: float
+    phase: float
+    cos_b: np.ndarray
+    sin_b: np.ndarray
+    sin_a: np.ndarray
+    cos_a: np.ndarray
+
+
+def _tone(step: float, phase: float, n: int) -> _Tone:
+    """The `_Tone` tables of an n-sample recording, built once per tone."""
+    offsets = np.arange(min(n, _SINE_BLOCK)) * step
+    cos_b = np.cos(offsets)
+    starts = [start * step + phase for start in range(0, n, _SINE_BLOCK)]
+    return _Tone(step, phase, cos_b, np.sin(offsets, out=offsets),
+                 np.array([math.sin(a) for a in starts]), np.array([math.cos(a) for a in starts]))
+
+
+def _sinusoid(tone: _Tone, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill out[k] = sin(tone.step * (start + k) + tone.phase), where `start`
+    is a multiple of _SINE_BLOCK; `scratch` is at least as long as `out`.
 
     The block starting at sample s is sin(a + step * k) = sin(a) * cos(step * k)
     + cos(a) * sin(step * k) with a = step * s + phase, so one block of offset
     cosines and sines serves every block, and sin/cos run n / _SINE_BLOCK +
-    2 * _SINE_BLOCK times instead of n. Elementwise ufuncs only: no BLAS call.
+    2 * _SINE_BLOCK times per recording instead of n. All the whole blocks
+    of `out` take one ufunc call per term, and a partial last block one
+    more. Elementwise ufuncs only: no BLAS call.
     """
-    offsets = np.arange(min(len(out), _SINE_BLOCK)) * step
-    cos_b = np.cos(offsets)
-    sin_b = np.sin(offsets, out=offsets)
-    scratch = np.empty_like(cos_b)
-    for start in range(0, len(out), _SINE_BLOCK):
-        a = start * step + phase
-        blk = out[start:start + _SINE_BLOCK]
-        m = len(blk)
-        np.multiply(cos_b[:m], math.sin(a), out=blk)
-        np.multiply(sin_b[:m], math.cos(a), out=scratch[:m])
-        blk += scratch[:m]
+    whole, rest = divmod(len(out), _SINE_BLOCK)
+    cut = whole * _SINE_BLOCK
+    # the whole blocks as (whole, _SINE_BLOCK) views, then a partial last
+    # block as a (1, rest) view
+    for lo, hi, width in ((0, cut, _SINE_BLOCK), (cut, len(out), rest)):
+        if hi > lo:
+            rows = (hi - lo) // width
+            block = (start + lo) // _SINE_BLOCK
+            blocks = out[lo:hi].reshape(rows, width)
+            terms = scratch[:hi - lo].reshape(rows, width)
+            np.multiply(tone.cos_b[:width], tone.sin_a[block:block + rows, None], out=blocks)
+            np.multiply(tone.sin_b[:width], tone.cos_a[block:block + rows, None], out=terms)
+            blocks += terms
     return out
 
 
@@ -146,6 +182,9 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
 
     All shaping parameters are jittered uniformly within +/-_JITTER_PCT
     (10%) so samples of one condition form a cloud rather than a point.
+    The noise and every scalar are drawn before the per-sample pass, in the
+    order: jitters, noise, modulation phase, then each harmonic's amplitude
+    and phase.
     """
     n = _n_samples(spec, sample_rate)
     cutoff = spec.cutoff_hz
@@ -163,21 +202,31 @@ def synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
     depth = jittered(_MOD_DEPTH)
 
     samples = _one_pole_lowpass(rng.standard_normal(n), cutoff, sample_rate)
-    samples /= np.sqrt(np.mean(samples**2))
-    # One scratch array holds the modulation, then each harmonic in turn, so
-    # a pool worker's peak memory stays two sample-length arrays.
-    wave = _sinusoid(2.0 * np.pi * rotation_hz / sample_rate, rng.uniform(0, 2 * np.pi),
-                     np.empty(n))
-    wave *= depth
-    wave += 1.0
-    samples *= level
-    samples *= wave
+    rms = np.sqrt(np.mean(samples**2))
+    modulation = _tone(2.0 * np.pi * rotation_hz / sample_rate, rng.uniform(0, 2 * np.pi), n)
+    harmonics = []
     for harmonic in range(1, _N_HARMONICS + 1):
         amp = jittered(level * _HARMONIC_LEVEL / harmonic)
         phase = rng.uniform(0, 2 * np.pi)
-        _sinusoid(2.0 * np.pi * harmonic * rotation_hz / sample_rate, phase, wave)
-        wave *= amp
-        samples += wave
+        harmonics.append((amp, _tone(2.0 * np.pi * harmonic * rotation_hz / sample_rate,
+                                     phase, n)))
+    # One pass over _CHUNK samples at a time, so the chunk, its tone and
+    # the tone's scratch stay in cache; each sample gets the operations, in
+    # the order, that one pass of each over the whole recording gives it.
+    waves, scratch = np.empty((2, min(n, _CHUNK)))
+    for start in range(0, n, _CHUNK):
+        chunk = samples[start:start + _CHUNK]
+        wave = waves[:len(chunk)]
+        chunk /= rms
+        _sinusoid(modulation, start, wave, scratch)
+        wave *= depth
+        wave += 1.0
+        chunk *= level
+        chunk *= wave
+        for amp, tone in harmonics:
+            _sinusoid(tone, start, wave, scratch)
+            wave *= amp
+            chunk += wave
     return AudioBuffer(samples, sample_rate)
 
 
@@ -199,12 +248,12 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     independent, and its bytes do not depend on `workers` (parallel
     processes, default: the CPUs this process may use). The seed (at least
     0), the counts, each category's ConditionSpec, its cutoff against the
-    Nyquist rate and its length (at least one sample), and `workers` are
+    Nyquist rate, its length (at least one sample) and the rate and length
+    against what a 16-bit WAV holds (`check_wav_size`), and `workers` are
     checked before anything is written. Returns the (path, category)
     manifest, which is also written to `root/manifest.csv`.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    dataset.check_seed(seed)
     counts = DEFAULT_COUNTS if counts is None else counts
     root = Path(root)
     planned = []
@@ -213,7 +262,7 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             raise ValueError(f"negative count for category {category!r}")
         if counts[category] > 0:
             spec = spec_for_category(category, duration_s)
-            _n_samples(spec, sample_rate)
+            check_wav_size(_n_samples(spec, sample_rate), sample_rate)
             planned.append((cat_idx, category, spec))
     workers = dataset.pool_size(workers)
     jobs = []

@@ -21,6 +21,12 @@ parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
 spectrogram, and `layer_gradients` copies out the per-tensor gradients of
 `mlp._layer_gradients`, so tests check the spectrum and the backpropagation
 that extraction and `train` run.
+`whole_recording_synth_sample` and `per_block_sinusoid` are the
+synthesis as it ran before it was fused into one chunked pass: each
+operation over the whole recording in turn, and one sinusoid call per
+_SINE_BLOCK block. `whole_buffer_write_wav` is the 16-bit encoder with one
+full-length conversion. They are the byte-identity oracles of
+`synth.synth_sample`, `synth._sinusoid` and `write_wav`.
 `write_pcm` writes 16-bit files with `write_wav` and 24- and 32-bit ones,
 which wrice reads but does not write, with `wav_bytes`.
 `traced_peak` is the tracemalloc peak of a call, for the memory tests.
@@ -30,6 +36,7 @@ modules a verb loads, and the bytes a shell run writes.
 """
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -42,11 +49,14 @@ import numpy as np
 import pytest
 
 import wrice
-from wrice.audio_io import AudioBuffer, read_wav, write_wav
+from wrice.audio_io import _WAVE_FORMAT_PCM, AudioBuffer, read_wav, write_wav
 from wrice.dataset import Extraction, Scaler
 from wrice.dsp import BlockSpectra, StftConfig, block_spans
 from wrice.features import (N_MELS, ROLLOFF_PCT, bandwidths, centroids, chroma_projector,
                             chromas, extract_features, mel_projector, mfccs, rms)
+from wrice.synth import (_BASE_LEVEL, _HARMONIC_LEVEL, _JITTER_PCT, _MOD_DEPTH, _N_HARMONICS,
+                         _REFERENCE_RPM, _SINE_BLOCK, _SPEED_CUTOFF_EXP, _SPEED_LEVEL_EXP,
+                         DRY_LEVEL_BOOST, ConditionSpec, _n_samples, _one_pole_lowpass)
 
 
 def fresh_python(*args, env=None, timeout=300) -> subprocess.CompletedProcess:
@@ -280,6 +290,91 @@ def gradient_check_instance(layer_dims, seed, batch=3, kink_margin=1e-3):
         if min(np.abs(z).min() for z in hidden) > kink_margin:
             return model, x, y
     raise RuntimeError("could not find a kink-free draw")
+
+
+def per_block_sinusoid(step: float, phase: float, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] = sin(step * i + phase), one _SINE_BLOCK samples at a time.
+
+    The block starting at sample s is sin(a + step * k) = sin(a) * cos(step * k)
+    + cos(a) * sin(step * k) with a = step * s + phase, so one block of offset
+    cosines and sines serves every block, and sin/cos run n / _SINE_BLOCK +
+    2 * _SINE_BLOCK times instead of n. Elementwise ufuncs only: no BLAS call.
+    """
+    offsets = np.arange(min(len(out), _SINE_BLOCK)) * step
+    cos_b = np.cos(offsets)
+    sin_b = np.sin(offsets, out=offsets)
+    scratch = np.empty_like(cos_b)
+    for start in range(0, len(out), _SINE_BLOCK):
+        a = start * step + phase
+        blk = out[start:start + _SINE_BLOCK]
+        m = len(blk)
+        np.multiply(cos_b[:m], math.sin(a), out=blk)
+        np.multiply(sin_b[:m], math.cos(a), out=scratch[:m])
+        blk += scratch[:m]
+    return out
+
+
+def whole_recording_synth_sample(spec: ConditionSpec, sample_rate: int, seed) -> AudioBuffer:
+    """One synthetic recording; deterministic per seed.
+
+    All shaping parameters are jittered uniformly within +/-_JITTER_PCT
+    (10%) so samples of one condition form a cloud rather than a point.
+    """
+    n = _n_samples(spec, sample_rate)
+    cutoff = spec.cutoff_hz
+    rng = np.random.default_rng(seed)
+
+    def jittered(value: float) -> float:
+        return value * rng.uniform(1.0 - _JITTER_PCT, 1.0 + _JITTER_PCT)
+
+    speed_ratio = spec.speed_rpm / _REFERENCE_RPM
+    level = jittered(_BASE_LEVEL
+                     * (DRY_LEVEL_BOOST if spec.friction == "dry" else 1.0)
+                     * speed_ratio**_SPEED_LEVEL_EXP)
+    cutoff = min(jittered(cutoff * speed_ratio**_SPEED_CUTOFF_EXP), 0.49 * sample_rate)
+    rotation_hz = jittered(spec.speed_rpm / 60.0)
+    depth = jittered(_MOD_DEPTH)
+
+    samples = _one_pole_lowpass(rng.standard_normal(n), cutoff, sample_rate)
+    samples /= np.sqrt(np.mean(samples**2))
+    # One scratch array holds the modulation, then each harmonic in turn, so
+    # a pool worker's peak memory stays two sample-length arrays.
+    wave = per_block_sinusoid(2.0 * np.pi * rotation_hz / sample_rate,
+                              rng.uniform(0, 2 * np.pi), np.empty(n))
+    wave *= depth
+    wave += 1.0
+    samples *= level
+    samples *= wave
+    for harmonic in range(1, _N_HARMONICS + 1):
+        amp = jittered(level * _HARMONIC_LEVEL / harmonic)
+        phase = rng.uniform(0, 2 * np.pi)
+        per_block_sinusoid(2.0 * np.pi * harmonic * rotation_hz / sample_rate, phase, wave)
+        wave *= amp
+        samples += wave
+    return AudioBuffer(samples, sample_rate)
+
+
+def whole_buffer_write_wav(path, buf: AudioBuffer) -> None:
+    """Encode a mono buffer as little-endian 16-bit PCM.
+
+    Values outside [-1, 1] are clipped to the int16 range. Decoded 16-bit
+    PCM re-encoded round-trips exactly.
+    """
+    scale = 2**15
+    # rounded and clipped in place, so the only full-length temporaries are
+    # this float64 array and its one integer cast
+    ints = np.multiply(buf.samples, scale)
+    np.rint(ints, out=ints)
+    np.clip(ints, -scale, scale - 1, out=ints)
+    ints = ints.astype("<i2")
+    frames = ints.tobytes()
+
+    fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, buf.sample_rate,
+                      buf.sample_rate * 2, 2, 16)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(frames)) + frames)
+    blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+    Path(path).write_bytes(blob)
 
 
 def wav_bytes(payload: bytes, format_tag=1, channels=1, sample_rate=44100,

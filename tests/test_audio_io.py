@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import _pcm_bytes, interp_resample, wav_bytes, write_pcm
-from wrice.audio_io import AudioBuffer, WavReader, read_wav, resampled_length, write_wav
+from conftest import _pcm_bytes, interp_resample, wav_bytes, whole_buffer_write_wav, write_pcm
+from wrice.audio_io import (_SCAN_SAMPLES, MAX_WAV_RATE, MAX_WAV_SAMPLES, AudioBuffer,
+                            WavReader, read_wav, resampled_length, write_wav)
 from wrice.errors import MalformedWavError, NonFiniteError, UnsupportedEncodingError
 
 
@@ -202,10 +203,56 @@ def test_peak_memory_of_a_thirty_second_16bit_write(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one float64 scratch array beside its 16-bit cast, and slack; the frame
-    # bytes and the file's blob come after the scratch array is freed
-    bound = 10 * n + 2**20
+    # the 16-bit array and one chunk of float64 scratch, within the slack
+    bound = 2 * n + 2**20
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+class TestWriteWav:
+    @pytest.mark.parametrize("n", [0, 1, _SCAN_SAMPLES - 1, _SCAN_SAMPLES, _SCAN_SAMPLES + 1,
+                                   pytest.param(30 * 22050, id="30s")])
+    def test_writes_the_bytes_of_the_whole_buffer_oracle(self, tmp_path, n):
+        samples = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+        # exact half-LSB ties, which round to even, and the clip limits
+        ties = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 32766.5, -32767.5,
+                         32767, 32768, -32768, -32769]) / 2**15
+        samples[:len(ties)] = ties[:n]
+        buf = AudioBuffer(samples, 22050)
+        write_wav(tmp_path / "chunked.wav", buf)
+        whole_buffer_write_wav(tmp_path / "whole.wav", buf)
+        assert (tmp_path / "chunked.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+    def test_an_empty_buffer_is_a_44_byte_file_of_no_frames(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        write_wav(path, AudioBuffer(np.empty(0), 8000))
+        assert path.stat().st_size == 44
+        with WavReader(path) as wav:
+            assert (wav.frames, wav.sample_rate) == (0, 8000)
+        assert len(read_wav(path)) == 0
+
+    def test_the_largest_rate_round_trips(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(path, AudioBuffer([0.25, -0.5], MAX_WAV_RATE))
+        decoded = read_wav(path)
+        assert decoded.sample_rate == MAX_WAV_RATE
+        np.testing.assert_array_equal(decoded.samples, [0.25, -0.5])
+
+    def test_a_rate_whose_byte_rate_overflows_is_refused(self, tmp_path):
+        path = tmp_path / "too_fast.wav"
+        with pytest.raises(ValueError, match=f"sample rate {MAX_WAV_RATE + 1} Hz exceeds"):
+            write_wav(path, AudioBuffer([0.25], MAX_WAV_RATE + 1))
+        assert not path.exists()
+
+    def test_a_length_whose_riff_size_overflows_is_refused(self, tmp_path):
+        class Huge:  # an AudioBuffer would scan 2 GiB of flags for NaN first
+            samples = np.broadcast_to(0.0, (MAX_WAV_SAMPLES + 1,))
+            sample_rate = 8000
+
+        assert 36 + 2 * MAX_WAV_SAMPLES < 2**32 <= 36 + 2 * (MAX_WAV_SAMPLES + 1)
+        path = tmp_path / "too_long.wav"
+        with pytest.raises(ValueError, match=f"^{MAX_WAV_SAMPLES + 1} samples exceed"):
+            write_wav(path, Huge())
+        assert not path.exists()
 
 
 def float_wav(tmp_path, samples, sample_rate):

@@ -13,7 +13,7 @@ import pytest
 from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, fresh_python,
                       interp_resample, magnitudes, traced_peak, wav_bytes, whole_file_rows)
 from wrice import audio_io, cli, dataset
-from wrice.audio_io import AudioBuffer, WavReader, read_wav, write_wav
+from wrice.audio_io import MAX_WAV_RATE, AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
 from wrice.dataset import (Extraction, LabeledDataset, ingest_corpus, read_features_csv,
                            scale_rows, write_features_csv)
@@ -709,15 +709,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    # durations that give no audio: each is refused before the category
-    # directories are made, with no traceback and no numpy warning
+    # durations that give no audio, or more than a 16-bit WAV holds: each is
+    # refused before the category directories are made, with no traceback
+    # and no numpy warning
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("duration,match", [
         ("inf", "duration_s must be positive and finite, got inf"),
         ("nan", "duration_s must be positive and finite, got nan"),
         ("0.00001", "duration 1e-05 s at 22050 Hz does not round to a positive"),
         ("1e305", "duration 1e+305 s at 22050 Hz does not round to a positive"),
-    ], ids=["inf", "nan", "under-one-sample", "overflowing-length"])
+        ("1e6", "22050000000 samples exceed the 2147483629 that a 16-bit WAV file holds"),
+    ], ids=["inf", "nan", "under-one-sample", "overflowing-length", "beyond-a-wav-file"])
     def test_synth_duration_without_audio_writes_nothing(self, tmp_path, capsys,
                                                          duration, match):
         root = tmp_path / "corpus"
@@ -727,6 +729,28 @@ class TestExitCodes:
         assert err.startswith(f"error: {match}")
         assert len(err.strip().splitlines()) == 1
         assert not root.exists()
+
+    def test_synth_rate_beyond_a_wav_header_writes_nothing(self, tmp_path, capsys):
+        # 2 bytes a sample at this rate overflow the header's 32-bit byte rate
+        root = tmp_path / "corpus"
+        assert run(["synth", "--out", str(root), "--sr", "3000000000", "--duration", "1e-9",
+                    "--counts", "1,0,0,0", "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: sample rate 3000000000 Hz exceeds the {MAX_WAV_RATE} Hz "
+                       "that a 16-bit WAV header holds\n")
+        assert not root.exists()
+
+    def test_augment_of_a_rate_beyond_a_wav_header_is_domain_error(self, tmp_path, capsys):
+        wav = tmp_path / "fast.wav"
+        blob = bytearray(wav_bytes(struct.pack("<2h", 1000, -1000), sample_rate=8000))
+        blob[24:28] = struct.pack("<I", 3_000_000_000)  # the fmt chunk's rate field
+        wav.write_bytes(blob)
+        out = tmp_path / "noisy.wav"
+        assert run(["augment", "--in", str(wav), "--out", str(out), "--scale", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample rate 3000000000 Hz exceeds")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     # header damage that the parser sees is named before the checksum is
     # compared; a `rehash` edit also gets a checksum that matches it

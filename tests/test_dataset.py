@@ -98,6 +98,10 @@ class TestStratifiedSplit:
             with pytest.raises(ValueError):
                 stratified_split(ds, bad, seed=0)
 
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            stratified_split(make_dataset({"a": 4, "b": 4}), 0.25, seed=-1)
+
     def test_both_halves_keep_the_extraction(self):
         ex = Extraction(11025, 1.5, StftConfig(frame_len=1024, hop=256), n_mels=40)
         train, test = stratified_split(make_dataset({"a": 5, "b": 5}, extraction=ex),
@@ -590,6 +594,17 @@ class TestFileRows:
             for got, rows in zip(per_scale, want):
                 assert np.array_equal(got[owner == i], rows)
         assert not np.array_equal(per_scale[0], per_scale[1])
+
+    # refused before the (missing) file is opened or a pool starts, naming
+    # the seed rather than blaming a WAV with numpy's message
+    @pytest.mark.parametrize("entry", ["file_rows", "corpus_rows"])
+    def test_a_negative_seed_is_refused_before_any_file_is_opened(self, tmp_path, entry):
+        missing = tmp_path / "missing.wav"
+        call = {"file_rows": lambda: file_rows(missing, TINY_EX, (0.5,), seed=-1),
+                "corpus_rows": lambda: corpus_rows([missing], TINY_EX, (0.5,), seed=-1,
+                                                   workers=2)}[entry]
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            call()
 
     def test_noise_is_seeded_by_the_file_index(self, two_and_one):
         _, paths = two_and_one

@@ -317,6 +317,14 @@ class TestTrain:
         assert cfg.learning_rate == 0.01
         assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
+    # refused where it is given, not by `default_rng`, which names no setting
+    @pytest.mark.parametrize("make", [lambda: TrainConfig(seed=-1),
+                                      lambda: bundled([2, 4, 2], seed=-1)],
+                             ids=["train-config", "init-model"])
+    def test_a_negative_seed_is_refused(self, make):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            make()
+
     def test_zero_epochs_returns_identical_model(self):
         ds = blob_dataset()
         model = bundled([2, 8, 2], seed=1)

@@ -1,6 +1,7 @@
 """Synthetic corpus generator and additive-noise augmentation."""
 
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from conftest import TINY_SR, bin_freqs, fresh_python, magnitudes
+from conftest import (TINY_SR, bin_freqs, fresh_python, magnitudes, per_block_sinusoid,
+                      whole_recording_synth_sample)
 from wrice import synth
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.dsp import StftConfig, frame_signal
 from wrice.features import centroids, rms
-from wrice.synth import (CATEGORIES, ConditionSpec, _one_pole_lowpass, _sinusoid,
-                         spec_for_category, synth_corpus, synth_sample)
+from wrice.synth import (_CHUNK, _SINE_BLOCK, CATEGORIES, ConditionSpec, _one_pole_lowpass,
+                         _sinusoid, _tone, spec_for_category, synth_corpus, synth_sample)
 
 CFG = StftConfig(frame_len=1024, hop=256)
 
@@ -34,10 +36,10 @@ def lfilter_lowpass(x, cutoff_hz, sample_rate):
     return lfilter([alpha], [1.0, alpha - 1.0], x)
 
 
-def sin_oracle(step, phase, out):
-    """Every angle of the sinusoid through one full-length `np.sin`: the
-    oracle for the block kernel."""
-    return np.sin(np.arange(out.size) * step + phase, out=out)
+def sin_oracle(tone, start, out, scratch):
+    """Every angle of the sinusoid through one `np.sin` over the chunk: the
+    oracle for the block kernel, with its signature."""
+    return np.sin(np.arange(start, start + out.size) * tone.step + tone.phase, out=out)
 
 
 def assert_wav_bytes_match(tmp_path, monkeypatch, category, seed, kernel, oracle):
@@ -70,9 +72,22 @@ class TestOnePoleLowpass:
                                "_one_pole_lowpass", lfilter_lowpass)
 
 
+def fill_by_chunks(tone, n, chunk):
+    """The n samples of `tone` filled by one `_sinusoid` call per `chunk`
+    samples, each into a fresh buffer."""
+    return np.concatenate([_sinusoid(tone, start, np.full(min(chunk, n - start), np.nan),
+                                     np.empty(chunk))
+                           for start in range(0, n, chunk)])
+
+
+# lengths on both sides of one sine block and of one chunk, and 30 s
+LENGTHS = [1, _SINE_BLOCK - 1, _SINE_BLOCK, _SINE_BLOCK + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+
+
 class TestSinusoid:
     # harmonics 1 and 5 of a 1.1 Hz rotation (the fastest wheel, 60 rpm, at
-    # +10% jitter); n on both sides of one 4096-sample block, and 30 s
+    # +10% jitter); n on both sides of one 4096-sample block, and 30 s, from
+    # the recording's start and from later chunk starts
     @pytest.mark.parametrize("harmonic", [1, 5])
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, pytest.param(None, id="30s")])
     @pytest.mark.parametrize("sample_rate", [8000, 22050, 48000])
@@ -80,12 +95,23 @@ class TestSinusoid:
         n = 30 * sample_rate if n is None else n
         omega = 2.0 * np.pi * harmonic * 1.1
         phase = 5.0
-        want = np.sin(np.arange(n) / sample_rate * omega + phase)
-        got = _sinusoid(omega / sample_rate, phase, np.full(n, np.nan))
-        assert got.shape == want.shape
-        if n:
-            largest_angle = (n - 1) / sample_rate * omega + phase
-            assert np.max(np.abs(got - want)) <= 1e-15 * (1 + largest_angle)
+        for start in (0, _CHUNK, 3 * _CHUNK):
+            want = np.sin(np.arange(start, start + n) / sample_rate * omega + phase)
+            tone = _tone(omega / sample_rate, phase, start + n)
+            got = _sinusoid(tone, start, np.full(n, np.nan), np.empty(n))
+            assert got.shape == want.shape
+            if n:
+                largest_angle = (start + n - 1) / sample_rate * omega + phase
+                assert np.max(np.abs(got - want)) <= 1e-15 * (1 + largest_angle)
+
+    @pytest.mark.parametrize("n", [*LENGTHS, pytest.param(30 * 22050, id="30s")])
+    def test_chunk_by_chunk_is_one_call_and_the_per_block_oracle(self, n):
+        step, phase = 2.0 * np.pi * 5 * 1.1 / 22050, 5.0
+        tone = _tone(step, phase, n)
+        whole = _sinusoid(tone, 0, np.full(n, np.nan), np.empty(n))
+        assert np.array_equal(whole, per_block_sinusoid(step, phase, np.empty(n)))
+        for chunk in (_SINE_BLOCK, _CHUNK):
+            assert np.array_equal(fill_by_chunks(tone, n, chunk), whole)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("category", CATEGORIES)
@@ -121,6 +147,26 @@ class TestConditionSpec:
 
 
 class TestSynthSample:
+    # every class at three rates, seeds 0-2; dry cutoffs sit at the Nyquist
+    # rate of 8000 Hz, so there both must refuse the spec alike
+    @pytest.mark.parametrize("category", CATEGORIES)
+    @pytest.mark.parametrize("n", [*LENGTHS, pytest.param(7.3, id="7.3s"),
+                                   pytest.param(30.0, id="30s")])
+    @pytest.mark.parametrize("sample_rate", [8000, 22050, 48000])
+    def test_matches_the_whole_recording_oracle(self, sample_rate, n, category):
+        duration = n if isinstance(n, float) else n / sample_rate
+        spec = spec_for_category(category, duration)
+        for seed in range(3):
+            try:
+                want = whole_recording_synth_sample(spec, sample_rate, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    synth_sample(spec, sample_rate, seed)
+                continue
+            got = synth_sample(spec, sample_rate, seed)
+            assert got.sample_rate == want.sample_rate
+            assert np.array_equal(got.samples, want.samples)
+
     def test_exact_duration(self):
         spec = ConditionSpec(friction="wet", speed_rpm=40, duration_s=30.0)
         buf = synth_sample(spec, 22050, seed=0)
@@ -136,8 +182,8 @@ class TestSynthSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the recording and one scratch array for the low-pass, the RMS and
-        # the sinusoids; the sinusoid blocks are 4 x 32 KiB
+        # the recording and one scratch array for the low-pass and the RMS;
+        # the chunked pass adds two 256 KiB buffers and the tone tables
         bound = 2 * 8 * 30 * 22050 + 2**20
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
