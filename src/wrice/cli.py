@@ -23,6 +23,7 @@ from .errors import WriceError
 
 _LOG_FLOOR_DB = -80.0  # PGM dynamic range floor below the spectrogram peak
 _DEFAULTS = ds_mod.Extraction()
+_TRAINING = mlp.TrainConfig()
 
 
 def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
@@ -65,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sr", type=int, default=ds_mod.DEFAULT_SAMPLE_RATE)
     p.add_argument("--duration", type=float, default=synth.DEFAULT_DURATION_S,
                    help="seconds per file (default %(default)s)")
+    counts = ",".join(str(synth.DEFAULT_COUNTS[c]) for c in synth.CATEGORIES)
     p.add_argument("--counts", default=None,
                    help="per-category file counts, comma-separated in sorted "
-                        "category order (default 52,61,51,64)")
+                        f"category order (default {counts})")
     _add_workers_flag(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -84,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True,
                    help="feature CSV from `extract`; its `#` meta sets the model's extraction")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--epochs", type=int, default=_TRAINING.epochs)
+    p.add_argument("--batch", type=int, default=_TRAINING.batch_size)
+    p.add_argument("--lr", type=float, default=_TRAINING.learning_rate)
+    p.add_argument("--seed", type=_int_at_least(0), default=_TRAINING.seed)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--arch", choices=sorted(mlp.ARCHITECTURES), default="paper4")
     p.set_defaults(func=_cmd_train)
@@ -213,12 +215,12 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _augment_file(src, target, scale: float, seed) -> None:
-    """Write `src` plus `scale` times the draws of `default_rng(seed)` to
+def _augment_file(src, target, scale: float, rng) -> None:
+    """Write `src` plus `scale` times the draws of the generator `rng` to
     `target` as 16-bit PCM: the noise kernel that `file_rows` runs."""
     clean = read_wav(src)
     noisy = np.empty(len(clean))
-    ds_mod.add_noise_into(noisy, clean.samples, scale, np.random.default_rng(seed))
+    ds_mod.add_noise_into(noisy, clean.samples, scale, rng)
     write_wav(target, AudioBuffer(noisy, clean.sample_rate))
 
 
@@ -233,21 +235,20 @@ def _cmd_augment(args) -> int:
                          "augment would write into its input")
     if src.is_dir():
         _, pairs = ds_mod.corpus_files(src)
-        rows = []
-        for file_idx, (path, category) in enumerate(pairs):
-            target = out / category / path.name
+        targets = [out / category / path.name for path, category in pairs]
+        ds_mod.check_no_stale_wavs(targets)
+        for file_idx, ((path, _), target) in enumerate(zip(pairs, targets)):
             target.parent.mkdir(parents=True, exist_ok=True)
-            _augment_file(path, target, args.scale,
-                          np.random.SeedSequence([args.seed, 0, file_idx]))
-            rows.append((str(target), category))
+            _augment_file(path, target, args.scale, ds_mod.noise_rng(args.seed, 0, file_idx))
         with open(out / "manifest.csv", "w", newline="") as fh:
             fh.write(f"# wrice-augment scale={args.scale} seed={args.seed} source={src}\n")
             writer = csv.writer(fh)
             writer.writerow(["path", "category"])
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} noisy files under {out}")
+            writer.writerows((str(target), category)
+                             for target, (_, category) in zip(targets, pairs))
+        print(f"wrote {len(targets)} noisy files under {out}")
     else:
-        _augment_file(src, out, args.scale, args.seed)
+        _augment_file(src, out, args.scale, np.random.default_rng(args.seed))
         print(f"wrote {out}")
     return 0
 
@@ -272,7 +273,7 @@ def _cmd_spectrogram(args) -> int:
             for start, stop in spans:
                 yield spectra(wav.read_resampled(args.sr, start, stop))[1]
 
-        n_frames, n_bins = (n - cfg.frame_len) // cfg.hop + 1, cfg.frame_len // 2 + 1
+        n_frames, n_bins = cfg.n_frames(n), cfg.frame_len // 2 + 1
         if str(args.out).lower().endswith(".pgm"):
             _write_pgm(blocks, (n_frames, n_bins), args.out, meta)
         else:

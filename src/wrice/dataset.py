@@ -5,7 +5,7 @@ files (`root/<category>/<file>.wav`). Features are stored raw; standardization
 is fitted on the training partition only and applied downstream. Every
 `LabeledDataset` carries the `Extraction` that made its rows, which a
 feature CSV's meta line records. The additive-noise kernel lives here,
-beside the per-file seed rule it serves.
+beside `noise_rng`, the per-file seed rule of noise validation and `augment`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .dsp import BLOCK_FRAMES, WINDOW, StftConfig, block_spans
 from .errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                      NonFiniteError, SchemaMismatchError, WriceError)
 from .features import (N_FEATURES, N_MELS, N_MFCC, SCHEMA_VERSION, BlockFeatures,
-                       FeatureVector, chroma_projector, feature_names, mel_projector)
+                       chroma_projector, feature_names, mel_projector)
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class Extraction:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not 0 < self.segment_seconds < math.inf:
             raise ValueError(f"segment_seconds must be positive, got {self.segment_seconds}")
-        if int(self.segment_seconds * self.sample_rate) < self.stft.frame_len:
+        if not self.stft.n_frames(int(self.segment_seconds * self.sample_rate)):
             raise ValueError(f"segment_seconds {self.segment_seconds} at {self.sample_rate} Hz "
                              f"is shorter than one {self.stft.frame_len}-sample frame")
         if self.n_mels < N_MFCC:
@@ -163,6 +163,21 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     return label_map, pairs
 
 
+def check_no_stale_wavs(targets) -> None:
+    """ValueError, naming the first, if a directory that the WAV paths
+    `targets` lie in already holds a WAV (any case, as `corpus_files` reads
+    them) that is not one of them: a corpus read afterwards would mix it
+    with the new files. Call it before writing any of `targets`."""
+    targets = {Path(t) for t in targets}
+    for folder in sorted({t.parent for t in targets}):
+        if not folder.is_dir():
+            continue
+        for p in sorted(folder.iterdir()):
+            if p.suffix.lower() == ".wav" and p not in targets and p.is_file():
+                raise ValueError(f"{p}: a WAV that this run would not overwrite, "
+                                 "so the corpus would mix it with the new files")
+
+
 def check_noise_scale(scale: float | None) -> None:
     """ValueError unless `scale` is the clean `None` or a finite noise scale >= 0."""
     if scale is not None and not 0 <= scale < math.inf:
@@ -173,6 +188,14 @@ def check_seed(seed: int) -> None:
     """ValueError unless `seed` is at least 0, as `numpy.random` requires."""
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
+
+
+def noise_rng(seed: int, scale_index: int, file_idx: int) -> np.random.Generator:
+    """The generator of the noise that the scale at `scale_index` adds to
+    file `file_idx` of a run seeded `seed`: `SeedSequence([seed,
+    scale_index, file_idx])`, so a file's noise depends on its index, never
+    on processing order or worker count."""
+    return np.random.default_rng(np.random.SeedSequence([seed, scale_index, file_idx]))
 
 
 def add_noise_into(out: np.ndarray, clean: np.ndarray, scale: float, rng) -> None:
@@ -192,11 +215,11 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
 
     Segments are `ex.segment_seconds` long (trailing partial dropped); a file
     shorter than one segment is one whole-file segment. A `None` scale is the
-    clean audio; a float scale adds the noise realization seeded by
-    `SeedSequence([seed, scale index, file_idx])`, so a file's rows depend on
-    its index, never on processing order or worker count. A bad scale or a
-    negative seed is refused before the file is opened; other errors name
-    the path once.
+    clean audio; a float scale adds the draws of `noise_rng(seed, scale
+    index, file_idx)`. A bad scale, a negative seed or a negative `file_idx`
+    is refused before the file is opened; other errors name the path once.
+    A segment's row is the mean of its frames' values: the sums that
+    `BlockFeatures.add` takes over its blocks, over the frames it reports.
 
     The rows are those of `extract_features` on each segment of the whole
     file resampled at once (`WavReader.read_resampled` over all of it) and
@@ -211,6 +234,8 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     for scale in scales:
         check_noise_scale(scale)
     check_seed(seed)
+    if file_idx < 0:
+        raise ValueError(f"file_idx must be at least 0, got {file_idx}")
     with WavReader(path) as wav:  # its errors name the path already
         try:
             return _streamed_rows(wav, ex, scales, seed, file_idx)
@@ -223,15 +248,15 @@ def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
     n = resampled_length(wav.frames, wav.sample_rate, ex.sample_rate)
     window = int(ex.segment_seconds * ex.sample_rate)
     segments = [(i * window, (i + 1) * window) for i in range(n // window)] or [(0, n)]
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i, file_idx])) if scale
-            else None for i, scale in enumerate(scales)]  # a 0 scale draws nothing
+    rngs = [noise_rng(seed, i, file_idx) if scale else None
+            for i, scale in enumerate(scales)]  # a 0 scale draws nothing
     blocks = BlockFeatures(ex.stft, ex.n_mels, ex.sample_rate)
     longest = (BLOCK_FRAMES - 1) * ex.stft.hop + ex.stft.frame_len
     clean = np.empty(longest)
     noisy = {i: np.empty(longest) for i, rng in enumerate(rngs) if rng is not None}
     rows = np.empty((len(scales), len(segments), N_FEATURES))
     for k, (first, last) in enumerate(segments):
-        sums = np.zeros((len(scales), N_FEATURES))
+        sums, frames = np.zeros((len(scales), N_FEATURES)), np.zeros((len(scales), 1))
         done = held = 0  # samples of the segment read so far, and in the last block
         for start, stop in block_spans(last - first, ex.stft):
             keep = done - start  # samples the previous block covers too
@@ -244,14 +269,14 @@ def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
                 if rng is not None:
                     signal = noisy[i]
                     add_noise_into(signal[fresh], clean[fresh], scale, rng)
-                blocks.add(signal[: stop - start], sums[i])
+                frames[i] += blocks.add(signal[: stop - start], sums[i])
             done, held = stop, stop - start
         for rng in rngs:
             if rng is not None:
                 rng.standard_normal(last - first - done)  # samples after the last frame
-        n_frames = (last - first - ex.stft.frame_len) // ex.stft.hop + 1
-        for i in range(len(scales)):
-            rows[i, k] = FeatureVector(values=sums[i] / n_frames).values
+        rows[:, k] = sums / frames
+        if not np.isfinite(rows[:, k]).all():
+            raise ValueError("feature values contain NaN or Inf")
     return list(rows)
 
 
@@ -305,7 +330,7 @@ def corpus_rows(paths, ex: Extraction, scales=(None,), seed: int = 0,
     """`file_rows` of every path, stacked in path order: one raw feature
     matrix per entry of `scales`, and the index in `paths` of each row's file.
 
-    File i's noise is seeded by `SeedSequence([seed, scale index, i])`, and
+    File i's noise is drawn from `noise_rng(seed, scale index, i)`, and
     files run on `workers` processes (default: the CPUs this process may
     use) but are stacked in path order, so the matrices are identical for
     any worker count. The scales and the seed are checked before any file

@@ -29,6 +29,11 @@ class StftConfig:
         if not 0 < self.hop <= self.frame_len:
             raise ValueError(f"hop must be in (0, frame_len], got {self.hop}")
 
+    def n_frames(self, n_samples: int) -> int:
+        """The frames, frame_len long every hop samples, that lie wholly inside
+        n_samples samples: 0 below one frame."""
+        return max((n_samples - self.frame_len) // self.hop + 1, 0)
+
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window, w[i] = 0.5 - 0.5*cos(2*pi*i/n)."""
@@ -51,11 +56,8 @@ def frame_signal(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     shorter than one frame yields zero frames.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) < cfg.frame_len:
-        return np.empty((0, cfg.frame_len), dtype=np.float64)
-    n_frames = (len(samples) - cfg.frame_len) // cfg.hop + 1
     step = samples.strides[0]
-    return np.lib.stride_tricks.as_strided(samples, (n_frames, cfg.frame_len),
+    return np.lib.stride_tricks.as_strided(samples, (cfg.n_frames(len(samples)), cfg.frame_len),
                                            (cfg.hop * step, step), writeable=False)
 
 
@@ -68,10 +70,9 @@ def block_spans(n_samples: int, cfg: StftConfig) -> list[tuple[int, int]]:
     """[start, stop) of the samples that each block of up to BLOCK_FRAMES
     consecutive frames of an n_samples-long signal covers, in order. Raises
     ValueError if the signal is shorter than one frame."""
-    n, hop = cfg.frame_len, cfg.hop
-    if n_samples < n:
+    n, hop, n_frames = cfg.frame_len, cfg.hop, cfg.n_frames(n_samples)
+    if not n_frames:
         raise ValueError(f"buffer too short for one frame ({n_samples} < {n})")
-    n_frames = (n_samples - n) // hop + 1
     return [(first * hop, (min(first + BLOCK_FRAMES, n_frames) - 1) * hop + n)
             for first in range(0, n_frames, BLOCK_FRAMES)]
 

@@ -86,8 +86,8 @@ def noise_validation(model: MlpModel, root, scales=DEFAULT_NOISE_SCALES,
     """Re-extract the corpus under additive standard-normal noise per scale.
 
     Each file is decoded once and gets one independent noise realization per
-    scale, derived from (seed, scale index, file index in path order), so
-    results do not depend on processing order or worker count. A `None`
+    scale, `dataset.noise_rng(seed, scale index, file index in path order)`,
+    so results do not depend on processing order or worker count. A `None`
     scale scores the clean corpus (its report has no noise scale and no
     seed). A scale that is negative or not finite, or a negative seed, is
     refused before any file is decoded. The model's bundled scaler is reused without refitting.

@@ -113,11 +113,9 @@ def zcr(samples: np.ndarray, stft_cfg: StftConfig) -> np.ndarray:
     so two binary searches count them. The counts are integers, so the
     rates equal those of counting each frame on its own, bit for bit."""
     samples = np.asarray(samples, dtype=np.float64)
-    n, hop = stft_cfg.frame_len, stft_cfg.hop
-    if len(samples) < n:
-        return np.empty(0)
-    starts = np.arange(0, len(samples) - n + 1, hop)
-    nonneg = samples[: starts[-1] + n] >= 0  # the samples the frames cover
+    n = stft_cfg.frame_len
+    starts = np.arange(stft_cfg.n_frames(len(samples))) * stft_cfg.hop
+    nonneg = samples >= 0
     changes = (nonneg[1:] != nonneg[:-1]).nonzero()[0]
     counts = changes.searchsorted(starts + (n - 1)) - changes.searchsorted(starts)
     return counts / n

@@ -237,7 +237,7 @@ def _synth_file(job) -> None:
 
 
 def synth_corpus(root, counts: dict[str, int] | None = None,
-                 sample_rate: int = 22050, seed: int = 0, *,
+                 sample_rate: int = dataset.DEFAULT_SAMPLE_RATE, seed: int = 0, *,
                  workers: int | None = None,
                  duration_s: float = DEFAULT_DURATION_S) -> list[tuple[str, str]]:
     """Write a labeled corpus of 16-bit WAVs under `root/<category>/`.
@@ -249,9 +249,11 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     processes, default: the CPUs this process may use). The seed (at least
     0), the counts, each category's ConditionSpec, its cutoff against the
     Nyquist rate, its length (at least one sample) and the rate and length
-    against what a 16-bit WAV holds (`check_wav_size`), and `workers` are
-    checked before anything is written. Returns the (path, category)
-    manifest, which is also written to `root/manifest.csv`.
+    against what a 16-bit WAV holds (`check_wav_size`), `workers`, and each
+    category directory against WAVs that the run would not overwrite
+    (`dataset.check_no_stale_wavs`) are checked before anything is written.
+    Returns the (path, category) manifest, which is also written to
+    `root/manifest.csv`.
     """
     dataset.check_seed(seed)
     counts = DEFAULT_COUNTS if counts is None else counts
@@ -268,15 +270,16 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     jobs = []
     manifest: list[tuple[str, str]] = []
     for cat_idx, category, spec in planned:
-        cat_dir = root / category
-        cat_dir.mkdir(parents=True, exist_ok=True)
         for file_idx in range(counts[category]):
-            path = cat_dir / f"{category}_{file_idx:03d}.wav"
+            path = root / category / f"{category}_{file_idx:03d}.wav"
             # a SeedSequence made here loads numpy.random before the pool
             # forks, so the workers inherit it rather than each importing it
             jobs.append((path, spec, sample_rate,
                          np.random.SeedSequence((seed, cat_idx, file_idx))))
             manifest.append((str(path), category))
+    dataset.check_no_stale_wavs(path for path, *_ in jobs)
+    for _, category, _ in planned:
+        (root / category).mkdir(parents=True, exist_ok=True)
     dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()
     if manifest:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: workflow, exit codes, artifact determinism."""
 
+import inspect
 import json
 import shutil
 import struct
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, fresh_python,
                       interp_resample, magnitudes, traced_peak, wav_bytes, whole_file_rows)
-from wrice import audio_io, cli, dataset
+from wrice import audio_io, cli, dataset, mlp, synth
 from wrice.audio_io import MAX_WAV_RATE, AudioBuffer, WavReader, read_wav, write_wav
 from wrice.cli import run
 from wrice.dataset import (Extraction, LabeledDataset, ingest_corpus, read_features_csv,
@@ -364,6 +365,28 @@ class TestWorkflow:
         assert wav.read_bytes() == before
         assert list(tmp_path.iterdir()) == [wav]
 
+    def test_augment_into_an_augment_of_a_larger_corpus_is_refused(self, workspace, tmp_path,
+                                                                     capsys):
+        # the corpus lacks dry_40_003.wav, which an earlier augment of the
+        # whole corpus wrote to --out: left there, later verbs would read it
+        small, out = tmp_path / "small", tmp_path / "noisy"
+        shutil.copytree(workspace / "corpus", small)
+        (small / "dry_40" / "dry_40_003.wav").unlink()
+        whole = ["augment", "--in", str(workspace / "corpus"), "--out", str(out),
+                 "--scale", "0.05", "--seed", "2"]
+        assert run(whole) == 0
+        tree = lambda: {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        before = tree()
+        assert run(["augment", "--in", str(small), "--out", str(out),
+                    "--scale", "0.05", "--seed", "2"]) == 1
+        stale = out / "dry_40" / "dry_40_003.wav"
+        assert capsys.readouterr().err == (f"error: {stale}: a WAV that this run would not "
+                                           "overwrite, so the corpus would mix it with the "
+                                           "new files\n")
+        assert tree() == before
+        assert run(whole) == 0 and tree() == before
+        assert run([*whole[:-1], "3"]) == 0
+
     def test_stereo_input_gives_the_outputs_of_its_mono_mean(self, workspace, tmp_path):
         # channels k + d and k - d average to the 16-bit mono samples k
         # exactly, so `augment` and `spectrogram` must write the same bytes
@@ -709,6 +732,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_synth_into_a_larger_corpus_is_refused(self, tmp_path, capsys):
+        # seed 1's dry_40_002.wav would stay beside seed 2's files, and
+        # `extract` would read all twelve
+        root = tmp_path / "c"
+        first = ["synth", "--out", str(root), "--counts", "3,3,3,3", "--duration", "0.2",
+                 "--seed", "1", "--workers", "1"]
+        assert run(first) == 0
+        tree = lambda: {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        before = tree()
+        assert run(["synth", "--out", str(root), "--counts", "2,2,2,2", "--duration", "0.2",
+                    "--seed", "2", "--workers", "1"]) == 1
+        stale = root / "dry_40" / "dry_40_002.wav"
+        assert capsys.readouterr().err == (f"error: {stale}: a WAV that this run would not "
+                                           "overwrite, so the corpus would mix it with the "
+                                           "new files\n")
+        assert tree() == before
+        assert run(first) == 0 and tree() == before
+        assert run([*first[:-3], "2", "--workers", "1"]) == 0
+
     # durations that give no audio, or more than a 16-bit WAV holds: each is
     # refused before the category directories are made, with no traceback
     # and no numpy warning
@@ -862,6 +904,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: learning_rate must be positive and finite, got {lr}\n"
         assert not model.exists()
+
+
+class TestDefaults:
+    """Each verb's defaults are the library values they stand for, read off
+    its minimal command line."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["synth", "--out", "c"],
+         {"seed": inspect.signature(synth.synth_corpus).parameters["seed"].default,
+          "sr": inspect.signature(synth.synth_corpus).parameters["sample_rate"].default,
+          "duration": synth.DEFAULT_DURATION_S, "counts": None, "workers": None}),
+        (["extract", "--in", "c", "--out", "f.csv"],
+         {"sr": Extraction().sample_rate, "frame": Extraction().stft.frame_len,
+          "hop": Extraction().stft.hop, "segment_seconds": Extraction().segment_seconds,
+          "workers": None}),
+        (["train", "--features", "f.csv", "--out", "m.wrice"],
+         {"epochs": mlp.TrainConfig().epochs, "batch": mlp.TrainConfig().batch_size,
+          "lr": mlp.TrainConfig().learning_rate, "seed": mlp.TrainConfig().seed}),
+        (["eval", "--model", "m.wrice", "--in", "c"],
+         {"seed": inspect.signature(noise_validation).parameters["seed"].default,
+          "workers": inspect.signature(noise_validation).parameters["workers"].default}),
+        (["spectrogram", "--in", "a.wav", "--out", "s.csv"],
+         {"sr": Extraction().sample_rate, "frame": Extraction().stft.frame_len,
+          "hop": Extraction().stft.hop}),
+    ], ids=["synth", "extract", "train", "eval", "spectrogram"])
+    def test_each_default_is_the_library_value(self, argv, want):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert {key: args[key] for key in want} == want
+
+    def test_the_library_values_are_the_documented_ones(self):
+        # no default changed when the CLI began to read them from the library
+        assert synth.synth_corpus.__defaults__[:3] == (None, dataset.DEFAULT_SAMPLE_RATE, 0)
+        assert (dataset.DEFAULT_SAMPLE_RATE, synth.DEFAULT_DURATION_S) == (22050, 30.0)
+        assert mlp.TrainConfig() == mlp.TrainConfig(60, 32, 0.01, 0)
+
+    def test_synth_counts_help_names_the_default_counts(self, capsys):
+        # --counts defaults to None, which `synth_corpus` reads as DEFAULT_COUNTS
+        assert inspect.signature(synth.synth_corpus).parameters["counts"].default is None
+        assert run(["synth", "--help"]) == 0
+        counts = ",".join(str(synth.DEFAULT_COUNTS[c]) for c in synth.CATEGORIES)
+        assert counts == "52,61,51,64"
+        assert f"(default {counts})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestDeterminism:

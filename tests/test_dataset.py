@@ -15,10 +15,10 @@ from conftest import TINY_EX, TINY_SR, fresh_python, noise_buffer, wav_bytes, wh
 from wrice import dataset
 from wrice.audio_io import AudioBuffer, read_wav, write_wav
 from wrice.dataset import (Extraction, LabeledDataset, Scaler, add_noise_into,
-                           check_noise_scale, corpus_labels, corpus_rows, file_rows,
-                           fit_scaler, ingest_corpus, map_per_file, pool_size,
-                           read_features_csv, scale_rows, stratified_split,
-                           write_features_csv)
+                           check_noise_scale, check_no_stale_wavs, corpus_labels,
+                           corpus_rows, file_rows, fit_scaler, ingest_corpus, map_per_file,
+                           noise_rng, pool_size, read_features_csv, scale_rows,
+                           stratified_split, write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                           MalformedWavError, NonFiniteError, SchemaMismatchError)
 from wrice.dsp import BLOCK_FRAMES, StftConfig
@@ -50,6 +50,32 @@ class TestCorpusLabels:
     def test_empty(self, tmp_path):
         with pytest.raises(EmptyCorpusError, match="no category subdirectories"):
             corpus_labels(tmp_path)
+
+
+class TestCheckNoStaleWavs:
+    def test_a_wav_the_run_would_not_overwrite_is_named(self, tmp_path):
+        # in any case of its suffix, as `corpus_files` reads it; the first in
+        # sorted order is named, and nothing is deleted
+        (tmp_path / "a").mkdir()
+        for name in ("a_000.wav", "a_002.WAV", "a_003.wav", "notes.txt"):
+            (tmp_path / "a" / name).write_bytes(b"old")
+        targets = [tmp_path / "a" / "a_000.wav", tmp_path / "a" / "a_001.wav"]
+        stale = re.escape(str(tmp_path / "a" / "a_002.WAV"))
+        with pytest.raises(ValueError, match=f"^{stale}: a WAV that this run would not "
+                                             "overwrite"):
+            check_no_stale_wavs(targets)
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "a_000.wav", "a_002.WAV", "a_003.wav", "notes.txt"]
+
+    def test_targets_others_and_new_directories_pass(self, tmp_path):
+        # a directory the run does not write into is not looked at
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+        (tmp_path / "a" / "a_000.wav").write_bytes(b"old")
+        (tmp_path / "a" / "notes.txt").write_bytes(b"old")
+        (tmp_path / "b" / "b_000.wav").write_bytes(b"old")
+        check_no_stale_wavs([tmp_path / "a" / "a_000.wav", tmp_path / "c" / "c_000.wav"])
+        check_no_stale_wavs([])
 
 
 class TestStratifiedSplit:
@@ -605,6 +631,28 @@ class TestFileRows:
                                                    workers=2)}[entry]
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             call()
+
+    # refused before the (missing) file is opened, naming the index rather
+    # than blaming a WAV with numpy's message
+    def test_a_negative_file_index_is_refused_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(ValueError, match="^file_idx must be at least 0, got -1$"):
+            file_rows(tmp_path / "missing.wav", TINY_EX, (0.5,), 0, -1)
+
+    @pytest.mark.parametrize("seed,scale_index,file_idx", [(0, 0, 0), (9, 1, 3), (42, 3, 7),
+                                                           (2**40, 0, 227)])
+    def test_noise_rng_is_the_seed_sequence_of_the_three(self, seed, scale_index, file_idx):
+        want = np.random.default_rng(np.random.SeedSequence([seed, scale_index, file_idx]))
+        assert np.array_equal(noise_rng(seed, scale_index, file_idx).standard_normal(1000),
+                              want.standard_normal(1000))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_segment_of_non_finite_features_names_the_file(self, two_and_one):
+        # a noise scale so large that the power overflows
+        _, paths = two_and_one
+        with pytest.raises(ValueError, match=f"^{re.escape(str(paths[1]))}: feature values "
+                                             "contain NaN or Inf$"):
+            file_rows(paths[1], TINY_EX, (None, 1e300))
 
     def test_noise_is_seeded_by_the_file_index(self, two_and_one):
         _, paths = two_and_one

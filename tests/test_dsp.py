@@ -6,7 +6,12 @@ import pytest
 from conftest import fft, magnitudes, naive_dft, rfft, sine_buffer
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.cli import run
-from wrice.dsp import StftConfig, frame_signal, hann_window
+from wrice.dsp import StftConfig, block_spans, frame_signal, hann_window
+from wrice.features import zcr
+
+# (frame_len, hop) settings: the default, hop equal to the frame, a hop that
+# does not divide the frame, and the smallest frame
+FRAME_SETTINGS = [(2048, 512), (2048, 2048), (256, 100), (2, 1)]
 
 
 class TestHann:
@@ -32,14 +37,33 @@ class TestFrameSignal:
         frames = frame_signal(np.arange(6.0), cfg)
         np.testing.assert_array_equal(frames, [[0, 1, 2, 3], [2, 3, 4, 5]])
 
-    def test_short_signal_gives_no_frames(self):
-        cfg = StftConfig(frame_len=2048, hop=512)
-        assert frame_signal(np.zeros(2047), cfg).shape == (0, 2048)
+    @pytest.mark.parametrize("frame_len,hop", FRAME_SETTINGS)
+    def test_short_signal_gives_no_frames(self, frame_len, hop):
+        cfg = StftConfig(frame_len, hop)
+        for n_samples in (0, frame_len - 1):
+            assert cfg.n_frames(n_samples) == 0
+            assert frame_signal(np.zeros(n_samples), cfg).shape == (0, frame_len)
+            assert zcr(np.zeros(n_samples), cfg).shape == (0,)
+            with pytest.raises(ValueError, match="too short for one frame"):
+                block_spans(n_samples, cfg)
 
-    def test_count_formula(self):
-        cfg = StftConfig(frame_len=2048, hop=512)
-        assert frame_signal(np.zeros(2048 + 512), cfg).shape[0] == 2
-        assert frame_signal(np.zeros(2048), cfg).shape[0] == 1
+    @pytest.mark.parametrize("frame_len,hop", FRAME_SETTINGS)
+    def test_count_formula(self, frame_len, hop):
+        # `StftConfig.n_frames` is the count that framing, blocking and the
+        # zero-crossing rate each give, and that of the frame starts
+        # 0, hop, 2 hop, ... whose frame ends inside the signal
+        cfg = StftConfig(frame_len, hop)
+        for n_samples in (frame_len - 1, frame_len, frame_len + hop - 1, frame_len + hop,
+                          30 * 22050):
+            want = len(range(0, n_samples - frame_len + 1, hop))
+            signal = np.zeros(n_samples)
+            assert cfg.n_frames(n_samples) == want, n_samples
+            assert frame_signal(signal, cfg).shape == (want, frame_len), n_samples
+            assert len(zcr(signal, cfg)) == want, n_samples
+            if want:
+                spans = block_spans(n_samples, cfg)
+                assert sum(len(range(start, stop - frame_len + 1, hop))
+                           for start, stop in spans) == want, n_samples
 
     def test_frames_cover_hop_grid(self):
         cfg = StftConfig(frame_len=4, hop=3)

@@ -82,14 +82,16 @@ class TestZcr:
         return samples
 
     @pytest.mark.parametrize("frame_len,hop", [(2048, 512), (1024, 256), (2048, 500),
-                                               (256, 256), (512, 3)])
+                                               (256, 256), (512, 3), (2048, 2048),
+                                               (256, 100), (2, 1)])
     def test_one_pass_equals_counting_each_frame(self, with_zeros, frame_len, hop):
         cfg = StftConfig(frame_len, hop)
         # the whole signal, then one frame (exactly, and with hop - 1 samples
-        # left over) and too few samples for a frame, cut across the
-        # quantised stretch's start
+        # left over), two frames exactly and too few samples for a frame, cut
+        # across the quantised stretch's start
         cuts = [(with_zeros, None), (with_zeros[19900 : 19900 + frame_len], 1),
                 (with_zeros[19900 : 19899 + frame_len + hop], 1),
+                (with_zeros[19900 : 19900 + frame_len + hop], 2),
                 (with_zeros[19900 : 19899 + frame_len], 0)]
         for samples, n_frames in cuts:
             want = frame_zcr(frame_signal(samples, cfg))
