@@ -163,13 +163,14 @@ def corpus_files(root) -> tuple[list[str], list[tuple[Path, str]]]:
     return label_map, pairs
 
 
-def check_no_stale_wavs(targets) -> None:
+def check_no_stale_wavs(targets, folders=()) -> None:
     """ValueError, naming the first, if a directory that the WAV paths
-    `targets` lie in already holds a WAV (any case, as `corpus_files` reads
-    them) that is not one of them: a corpus read afterwards would mix it
-    with the new files. Call it before writing any of `targets`."""
+    `targets` lie in, or one of `folders`, already holds a WAV (any case,
+    as `corpus_files` reads them) that is not one of them: a corpus read
+    afterwards would mix it with the new files. Call it before writing any
+    of `targets`."""
     targets = {Path(t) for t in targets}
-    for folder in sorted({t.parent for t in targets}):
+    for folder in sorted({t.parent for t in targets} | {Path(f) for f in folders}):
         if not folder.is_dir():
             continue
         for p in sorted(folder.iterdir()):

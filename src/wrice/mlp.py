@@ -9,11 +9,13 @@ Everything is float64 and deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -42,8 +44,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# elements per Adam block: the step's scratch stays this long, whatever the
-# model's size
+# elements per Adam block: the step's scratch, and each block of whole rows
+# of a weight gradient, stay about this long, whatever the model's size
 _ADAM_BLOCK = 32768
 
 # the fixed settings that a header's `stft` and `features` sections hold
@@ -73,20 +75,19 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """Bias-corrected first/second moment accumulators of one flat parameter
-    array, its step count, and two scratch buffers of at most `_ADAM_BLOCK`
+    array, its step count, and one scratch buffer of at most `_ADAM_BLOCK`
     elements, so a step allocates no temporaries."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
     def for_tensors(cls, tensors: list[np.ndarray]) -> list["AdamState"]:
         """One state per flat tensor (`train` passes each tensor of
-        `MlpModel.params`), all sharing one pair of scratch buffers."""
-        block = min(max(t.size for t in tensors), _ADAM_BLOCK)
-        scratch = (np.empty(block), np.empty(block))
+        `MlpModel.params`), all sharing one scratch buffer."""
+        scratch = np.empty(min(max(t.size for t in tensors), _ADAM_BLOCK))
         return [cls(m=np.zeros_like(t), v=np.zeros_like(t), scratch=scratch) for t in tensors]
 
 
@@ -224,14 +225,47 @@ def loss_sparse_ce(probs: np.ndarray, labels) -> float:
     return float(-np.log(np.maximum(picked, _CE_CLAMP)).mean())
 
 
+def _block_rows(fan_in: int, fan_out: int) -> int:
+    """Rows in each block of a (fan_out, fan_in) weight gradient: the
+    multiple of 8 rows that `_ADAM_BLOCK` elements hold, at least 8 and at
+    most all of them; all of them when fan_in is not a multiple of 8.
+
+    These are the blocks whose products are bit-equal to the whole-tensor
+    product under OpenBLAS's Haswell, SkylakeX, Sandybridge, Nehalem,
+    Prescott and Zen kernels, for batches of 1 to 39. A one-row block goes
+    to BLAS's matrix-vector routine, and under SkylakeX a block of another
+    row count, or of a fan_in that is not a multiple of 8, rounds some
+    elements differently from the whole product."""
+    if fan_in % 8:
+        return fan_out
+    return min(fan_out, max(8, _ADAM_BLOCK // fan_in // 8 * 8))
+
+
+def _row_blocks(delta: np.ndarray, act: np.ndarray,
+                buffer: np.ndarray) -> Iterator[np.ndarray]:
+    """The weight gradient `delta.T @ act`, (fan_out, fan_in), as flat
+    blocks of `_block_rows` whole rows. Each block is written into the
+    front of `buffer` only when the one before has been drawn and used."""
+    fan_out, fan_in = delta.shape[1], act.shape[1]
+    rows = _block_rows(fan_in, fan_out)
+    for r0 in range(0, fan_out, rows):
+        r1 = min(r0 + rows, fan_out)
+        block = buffer[:(r1 - r0) * fan_in]
+        np.matmul(delta.T[r0:r1], act, out=block.reshape(r1 - r0, fan_in))
+        yield block
+
+
 def _layer_gradients(model: MlpModel, activations, probs, labels,
-                     buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+                     buffer: np.ndarray) -> Iterator[tuple[int, Iterable[np.ndarray]]]:
     """Backpropagation of the mean batch loss, one tensor at a time from the
-    output layer down: yields (index in `_tensor_shapes` order, gradient of
-    that tensor), each gradient written into the front of `buffer`, which
-    the next one overwrites. A layer's delta for the layer below is taken
+    output layer down: yields (index in `_tensor_shapes` order, that
+    tensor's flat gradient as consecutive blocks), the blocks `adam_step`
+    takes. A weight's gradient comes in blocks of whole rows (`_row_blocks`),
+    a bias's as one block. Every block is written into the front of
+    `buffer`, which the next one overwrites, so each block must be used
+    before the next is drawn. A layer's delta for the layer below is taken
     before its gradients are yielded, so the caller may update that layer's
-    tensors as soon as it has their gradients."""
+    tensors as it draws their blocks."""
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch_size), labels] = 1.0
@@ -239,54 +273,114 @@ def _layer_gradients(model: MlpModel, activations, probs, labels,
     for layer in range(len(model.weights) - 1, -1, -1):
         w = model.weights[layer]
         below = (delta @ w) * (activations[layer] > 0) if layer > 0 else None
-        yield 2 * layer, np.matmul(delta.T, activations[layer],
-                                   out=buffer[:w.size].reshape(w.shape))
-        yield 2 * layer + 1, np.sum(delta, axis=0, out=buffer[:w.shape[0]])
+        yield 2 * layer, _row_blocks(delta, activations[layer], buffer)
+        yield 2 * layer + 1, [np.sum(delta, axis=0, out=buffer[:w.shape[0]])]
         delta = below
 
 
 def _gradient_buffer(layer_dims) -> np.ndarray:
-    """A buffer for the gradient of the model's largest tensor."""
-    return np.empty(max(math.prod(shape) for shape in _tensor_shapes(layer_dims)))
+    """A buffer that fits every block `_layer_gradients` writes: each weight
+    gradient's row block (`_block_rows`; `_ADAM_BLOCK` elements for the
+    512 x 512 weights of paper4) and each whole bias gradient."""
+    return np.empty(max(max(_block_rows(fan_in, fan_out) * fan_in, fan_out)
+                        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])))
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray,
+def adam_step(params: np.ndarray, grad: Iterable[np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update, in place on the flat `params` and on `state`.
 
+    `grad` is the gradient of `params` as consecutive 1-D blocks that cover
+    it in order; a whole gradient `g` is passed as `[g]`. Each block is
+    overwritten with its step, and the next is drawn only after that, so a
+    generator may write every block into one buffer (`train` passes the
+    row blocks of `_layer_gradients`). ValueError if `params` and the state
+    are not flat and of one shape, or if the blocks do not cover `params`;
+    blocks taken before the mismatch have then been stepped.
+
     Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
     p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t, b1, b2 and
-    eps the ADAM_* constants and lr the config's. It runs over consecutive
-    blocks of `_ADAM_BLOCK` elements, every intermediate in the state's
-    block-long scratch buffers; each element sees the same operations as in
-    one pass over the whole array, so the result is bit-identical to it.
+    eps the ADAM_* constants and lr the config's. It runs over at most
+    `_ADAM_BLOCK` elements at a time, every intermediate in the state's
+    block-long scratch buffer or in the gradient block itself; each element
+    sees the same operations as in one pass over the whole array, so the
+    result is bit-identical to it.
     """
-    if not params.shape == grad.shape == state.m.shape == (params.size,):
-        raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} "
-                         "differ or are not flat")
+    if isinstance(grad, np.ndarray):
+        raise TypeError("grad is an iterable of gradient blocks; pass a whole gradient g as [g]")
+    if not params.shape == state.m.shape == (params.size,):
+        raise ValueError(f"params {params.shape} and state {state.m.shape} differ or are not flat")
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
-    for start in range(0, params.size, _ADAM_BLOCK):
-        end = start + _ADAM_BLOCK
-        p, g, m, v = params[start:end], grad[start:end], state.m[start:end], state.v[start:end]
-        a, b = (buf[:p.size] for buf in state.scratch)
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        m += a
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
-        a *= g
-        v += a
-        np.divide(m, correction1, out=a)
-        a *= cfg.learning_rate
-        np.divide(v, correction2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPSILON
-        a /= b
-        p -= a
+    start = 0
+    for block in grad:
+        if block.ndim != 1 or start + block.size > params.size:
+            raise ValueError(f"gradient block {block.shape} at element {start} and params "
+                             f"{params.shape} differ")
+        for lo in range(0, block.size, _ADAM_BLOCK):
+            g = block[lo : lo + _ADAM_BLOCK]
+            p, m, v = (arr[start + lo : start + lo + g.size]
+                       for arr in (params, state.m, state.v))
+            a = state.scratch[:g.size]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+            a *= g
+            v += a
+            # m and v hold this block's gradient now, so g holds the step
+            np.divide(m, correction1, out=a)
+            a *= cfg.learning_rate
+            np.divide(v, correction2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPSILON
+            a /= g
+            p -= a
+        start += block.size
+    if start != params.size:
+        raise ValueError(f"gradient blocks of {start} elements and params {params.shape} differ")
 
 
+def _openblas_setters() -> list:
+    """The thread-local thread-count setter, `openblas_set_num_threads_local`,
+    of each OpenBLAS mapped into this process (numpy's, and scipy's once it
+    is loaded), found through `/proc/self/maps` and driven through `ctypes`;
+    none where `/proc` is absent or no OpenBLAS exports it."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                            if len(fields) == 6 and "openblas" in os.path.basename(fields[5])})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return setters
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread for this thread inside the block, so a product
+    is never split between threads; each count the setter returned is
+    restored after it. Without an OpenBLAS that has the setter, nothing
+    changes."""
+    setters = _openblas_setters()
+    before = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, before):
+            setter(count)
+
+
+@_one_blas_thread()
 def train(model: MlpModel, train_set: LabeledDataset,
           cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch training on raw feature rows, scaled once by `model.scaler`.
@@ -295,11 +389,14 @@ def train(model: MlpModel, train_set: LabeledDataset,
     generator seeded from cfg.seed; the final partial batch is trained on.
     Trains `model` in place and returns it with the history, which holds
     the per-epoch mean training loss and accuracy; train `model.copy()` to
-    keep the original. Each tensor takes its Adam step as soon as
-    backpropagation has its gradient, so beside `params` training holds
-    Adam's two moments and one gradient buffer the size of the largest
-    tensor. Raises NonFiniteError if a batch loss becomes NaN or infinite
-    (a learning rate too large for the data can diverge); the model is then
+    keep the original. Each tensor takes its Adam step as backpropagation
+    makes its gradient, a weight's one block of whole rows at a time, so
+    beside `params` training holds Adam's two moments, one gradient block
+    and one scratch block, each about `_ADAM_BLOCK` elements. The matrix
+    products run on one OpenBLAS thread (`_one_blas_thread`), so the model
+    does not depend on how many threads OpenBLAS would split them over.
+    Raises NonFiniteError if a batch loss becomes NaN or infinite (a
+    learning rate too large for the data can diverge); the model is then
     left as the steps before it made it.
     """
     if train_set.n == 0:
@@ -326,8 +423,8 @@ def train(model: MlpModel, train_set: LabeledDataset,
                                      f"the learning rate {cfg.learning_rate} may be too large")
             total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
-            for index, grad in _layer_gradients(model, activations, probs, yb, buffer):
-                adam_step(tensors[index], grad.reshape(-1), states[index], cfg)
+            for index, blocks in _layer_gradients(model, activations, probs, yb, buffer):
+                adam_step(tensors[index], blocks, states[index], cfg)
         history.loss.append(total_loss / train_set.n)
         history.accuracy.append(total_correct / train_set.n)
     return model, history

@@ -250,8 +250,9 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
     0), the counts, each category's ConditionSpec, its cutoff against the
     Nyquist rate, its length (at least one sample) and the rate and length
     against what a 16-bit WAV holds (`check_wav_size`), `workers`, and each
-    category directory against WAVs that the run would not overwrite
-    (`dataset.check_no_stale_wavs`) are checked before anything is written.
+    category directory, those of the categories counted 0 too, against WAVs
+    that the run would not overwrite (`dataset.check_no_stale_wavs`) are
+    checked before anything is written; counts that are all 0 are refused.
     Returns the (path, category) manifest, which is also written to
     `root/manifest.csv`.
     """
@@ -266,6 +267,8 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             spec = spec_for_category(category, duration_s)
             check_wav_size(_n_samples(spec, sample_rate), sample_rate)
             planned.append((cat_idx, category, spec))
+    if not planned:
+        raise ValueError("every category count is 0, so there is nothing to write")
     workers = dataset.pool_size(workers)
     jobs = []
     manifest: list[tuple[str, str]] = []
@@ -277,15 +280,15 @@ def synth_corpus(root, counts: dict[str, int] | None = None,
             jobs.append((path, spec, sample_rate,
                          np.random.SeedSequence((seed, cat_idx, file_idx))))
             manifest.append((str(path), category))
-    dataset.check_no_stale_wavs(path for path, *_ in jobs)
+    dataset.check_no_stale_wavs((path for path, *_ in jobs),
+                                folders=[root / category for category in counts])
     for _, category, _ in planned:
         (root / category).mkdir(parents=True, exist_ok=True)
     dataset.map_per_file(_synth_file, jobs, workers)
     manifest.sort()
-    if manifest:
-        with open(root / "manifest.csv", "w", newline="") as fh:
-            fh.write(f"# wrice-manifest seed={seed} sample_rate={sample_rate}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["path", "category"])
-            writer.writerows(manifest)
+    with open(root / "manifest.csv", "w", newline="") as fh:
+        fh.write(f"# wrice-manifest seed={seed} sample_rate={sample_rate}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["path", "category"])
+        writer.writerows(manifest)
     return manifest

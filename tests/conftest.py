@@ -17,8 +17,11 @@ over everything.
 for their range-by-range and block-by-block streaming.
 `full_array_adam_step` is the Adam update in one pass over the whole
 parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
+`whole_tensor_layer_gradients` is backpropagation as it ran before weight
+gradients were made in row blocks, each tensor's gradient whole in a buffer
+the size of the largest tensor, the oracle for `mlp._layer_gradients`.
 `magnitudes` stacks the package's `BlockSpectra` blocks into a whole
-spectrogram, and `layer_gradients` copies out the per-tensor gradients of
+spectrogram, and `layer_gradients` joins the per-tensor gradient blocks of
 `mlp._layer_gradients`, so tests check the spectrum and the backpropagation
 that extraction and `train` run.
 `whole_recording_synth_sample` and `per_block_sinusoid` are the
@@ -152,10 +155,13 @@ def rfft(x: np.ndarray) -> np.ndarray:
 
 def full_array_adam_step(params, grad, state, cfg) -> None:
     """`mlp.adam_step` in one pass over the whole array: the same per-element
-    operations in the same order, through two parameter-length temporaries
-    in place of the state's block-long scratch."""
+    operations in the same order, on a copy of the gradient joined from its
+    blocks, through two parameter-length temporaries in place of the state's
+    block-long scratch."""
     from wrice.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
+    # each block is copied before the next is drawn, which may overwrite it
+    grad = np.concatenate([block.copy() for block in grad])
     if not params.shape == grad.shape == state.m.shape:
         raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
     state.t += 1
@@ -213,15 +219,37 @@ def finite_difference_grads(model, x, y, h=1e-5):
 def layer_gradients(model, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the mean batch loss w.r.t. the weights and the biases, by
     the routine `train` runs: `_forward_cached`, then `_layer_gradients`,
-    each gradient copied out of the buffer the next one overwrites."""
+    each block copied out of the buffer the next one overwrites, and the
+    blocks of each tensor joined in its shape."""
     from wrice.mlp import _forward_cached, _gradient_buffer, _layer_gradients
 
     probs, activations = _forward_cached(model, np.atleast_2d(x))
-    grads = [None] * (2 * len(model.weights))
+    tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
+    grads = [None] * len(tensors)
     buffer = _gradient_buffer(model.layer_dims)
-    for index, grad in _layer_gradients(model, activations, probs, np.atleast_1d(y), buffer):
-        grads[index] = grad.copy()
+    for index, blocks in _layer_gradients(model, activations, probs, np.atleast_1d(y), buffer):
+        grads[index] = np.concatenate([block.copy() for block in blocks]).reshape(
+            tensors[index].shape)
     return grads[0::2], grads[1::2]
+
+
+def whole_tensor_layer_gradients(model, activations, probs, labels, buffer):
+    """`mlp._layer_gradients` with each tensor's gradient made whole, by one
+    product per weight, in a buffer the size of the largest tensor (the
+    `buffer` argument is not used): yields (index, [flat gradient]), the
+    step `train` ran before weight gradients came in row blocks."""
+    own = np.empty(max(w.size for w in model.weights))
+    batch_size = probs.shape[0]
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(batch_size), labels] = 1.0
+    delta = (probs - onehot) / batch_size
+    for layer in range(len(model.weights) - 1, -1, -1):
+        w = model.weights[layer]
+        below = (delta @ w) * (activations[layer] > 0) if layer > 0 else None
+        yield 2 * layer, [np.matmul(delta.T, activations[layer],
+                                    out=own[:w.size].reshape(w.shape)).reshape(-1)]
+        yield 2 * layer + 1, [np.sum(delta, axis=0, out=own[:w.shape[0]])]
+        delta = below
 
 
 def identity_bundle(layer_dims) -> dict:

@@ -521,7 +521,7 @@ class TestPeakMemory:
     """tracemalloc peaks of whole verbs, on inputs large enough that holding
     a second copy of what they work on would show."""
 
-    def test_train_holds_the_model_its_moments_and_one_tensor_gradient(self, tmp_path):
+    def test_train_holds_the_model_and_its_moments(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 40
         rows = LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
@@ -534,12 +534,13 @@ class TestPeakMemory:
                 "--epochs", "1"]
         peak = traced_peak(lambda: run(argv))
         # paper4: the model (541,188 parameters, 4.1 MiB), Adam's two
-        # moments, the gradient of one 512 x 512 tensor, and slack for Adam's
-        # scratch (0.5 MiB) and a 32-row batch's activations; a copy of the
-        # model or a parameter-length gradient (2.1 MiB more) would exceed it
+        # moments, and slack for the gradient block and Adam's scratch block
+        # (0.25 MiB each) and a 32-row batch's activations; the gradient of
+        # a whole 512 x 512 tensor (2 MiB more), a copy of the model or a
+        # parameter-length gradient would exceed it
         dims = layer_dims_for("paper4", 26, 4)
         params = 8 * sum(a * b + b for a, b in zip(dims, dims[1:]))
-        bound = 3 * params + 8 * 512 * 512 + 3 * 2**20
+        bound = 3 * params + 3 * 2**20
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
@@ -750,6 +751,25 @@ class TestExitCodes:
         assert tree() == before
         assert run(first) == 0 and tree() == before
         assert run([*first[:-3], "2", "--workers", "1"]) == 0
+
+    @pytest.mark.parametrize("counts,err", [
+        ("0,2,2,2", "{root}/dry_40/dry_40_000.wav: a WAV that this run would not overwrite, "
+                    "so the corpus would mix it with the new files"),
+        ("0,0,0,0", "every category count is 0, so there is nothing to write"),
+    ], ids=["one-category-counted-0", "all-counted-0"])
+    def test_synth_that_would_leave_a_stale_corpus_is_refused(self, tmp_path, capsys, counts,
+                                                              err):
+        # seed 1's dry_40 WAVs, or its whole corpus and manifest, would stay
+        # and be read as the new run's
+        root = tmp_path / "c"
+        args = ["synth", "--out", str(root), "--duration", "0.2", "--workers", "1"]
+        assert run([*args, "--counts", "2,2,2,2", "--seed", "1"]) == 0
+        tree = lambda: {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        before = tree()
+        capsys.readouterr()
+        assert run([*args, "--counts", counts, "--seed", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {err.format(root=root)}\n"
+        assert tree() == before
 
     # durations that give no audio, or more than a 16-bit WAV holds: each is
     # refused before the category directories are made, with no traceback

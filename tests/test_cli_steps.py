@@ -2,7 +2,8 @@
 with outputs compared byte for byte or counted.
 
 A corpus extracted and trained on with OpenBLAS limited to one thread and
-with its default thread count must give the same CSV and the same model.
+with its default thread count must give the same CSV and the same model,
+also under OpenBLAS's pre-AVX Nehalem kernels.
 
 `rt` is the round trip of a small corpus at 11025 Hz: 8 files of 3 s,
 extracted at frame 1024, hop 256, in 1.5 s segments, and a compact3 model
@@ -30,10 +31,9 @@ def wrice_cli(*args, env=None) -> str:
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # extraction calls no BLAS routine, and training writes its gradients
-    # through `matmul(out=)` into views of one flat buffer, so the CSVs of
-    # two workers and the models must be byte-identical with BLAS limited to
-    # one thread and at its default count. Training needs >= 2 rows per class
+    # extraction calls no BLAS routine, so the CSVs of two workers must be
+    # byte-identical with BLAS limited to one thread and at its default
+    # count. Training needs >= 2 rows per class
     wrice_cli("synth", "--out", tmp_path / "corpus", "--seed", 2, "--counts", "2,2,2,2",
               env={"OMP_NUM_THREADS": None})
     limits = {"one": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
@@ -42,10 +42,17 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         wrice_cli("extract", "--in", tmp_path / "corpus", "--out", tmp_path / f"{name}.csv",
                   "--workers", 2, env=env)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
-    for name, env in limits.items():
-        wrice_cli("train", "--features", tmp_path / "one.csv", "--out", tmp_path / f"{name}.wrice",
-                  env=env)
-    assert (tmp_path / "one.wrice").read_bytes() == (tmp_path / "default.wrice").read_bytes()
+    # `train` runs its products on one OpenBLAS thread, so the models must be
+    # too, under the kernels OpenBLAS picks for this CPU and under its
+    # Nehalem kernels, whose products split over 2 threads round otherwise
+    for core in (None, "Nehalem"):
+        models = []
+        for name, env in limits.items():
+            model = tmp_path / f"{name}-{core}.wrice"
+            wrice_cli("train", "--features", tmp_path / "one.csv", "--out", model,
+                      env={**env, "OPENBLAS_CORETYPE": core})
+            models.append(model.read_bytes())
+        assert models[0] == models[1], f"OPENBLAS_CORETYPE={core}"
 
 
 @pytest.fixture(scope="module")

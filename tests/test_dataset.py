@@ -77,6 +77,16 @@ class TestCheckNoStaleWavs:
         check_no_stale_wavs([tmp_path / "a" / "a_000.wav", tmp_path / "c" / "c_000.wav"])
         check_no_stale_wavs([])
 
+    def test_folders_the_run_writes_nothing_into_are_looked_at(self, tmp_path):
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+        (tmp_path / "a" / "notes.txt").write_bytes(b"old")
+        (tmp_path / "b" / "b_000.wav").write_bytes(b"old")
+        check_no_stale_wavs([], folders=[tmp_path / "a", tmp_path / "c"])
+        stale = re.escape(str(tmp_path / "b" / "b_000.wav"))
+        with pytest.raises(ValueError, match=f"^{stale}: a WAV"):
+            check_no_stale_wavs([tmp_path / "a" / "a_000.wav"], folders=[tmp_path / "b"])
+
 
 class TestStratifiedSplit:
     def test_ceil_rule_ten_rows(self):

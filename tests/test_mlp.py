@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, finite_difference_grads,
-                      full_array_adam_step, identity_bundle, layer_gradients, traced_peak)
+                      full_array_adam_step, identity_bundle, layer_gradients, traced_peak,
+                      whole_tensor_layer_gradients)
 from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
@@ -37,10 +38,11 @@ def paper4_model():
     return bundled(layer_dims_for("paper4", 26, 4))
 
 
-def random_rows(n, seed=0):
-    """n random 26-wide rows, labelled c0..c3 in turn."""
+def random_rows(n, seed=0, width=26):
+    """n random rows, 26 wide unless `width` says otherwise, labelled c0..c3
+    in turn."""
     rng = np.random.default_rng(seed)
-    return LabeledDataset(features=rng.normal(size=(n, 26)), labels=np.arange(n) % 4,
+    return LabeledDataset(features=rng.normal(size=(n, width)), labels=np.arange(n) % 4,
                           label_map=[f"c{i}" for i in range(4)],
                           source_paths=[f"rows/{i}.wav" for i in range(n)],
                           extraction=Extraction())
@@ -232,7 +234,7 @@ class TestAdam:
         params = np.array([1.0, -2.0, 3.0])
         state = AdamState.for_tensors([params])[0]
         cfg = TrainConfig(learning_rate=0.01)
-        adam_step(params, np.array([0.5, -0.25, 4.0]), state, cfg)
+        adam_step(params, [np.array([0.5, -0.25, 4.0])], state, cfg)
         # bias-corrected m/sqrt(v) is sign(g) on the first step
         np.testing.assert_allclose(params, [1.0 - 0.01, -2.0 + 0.01, 3.0 - 0.01], atol=1e-6)
         assert state.t == 1
@@ -240,7 +242,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = np.array([1.0, 2.0])
         state = AdamState.for_tensors([params])[0]
-        adam_step(params, np.zeros(2), state, TrainConfig())
+        adam_step(params, [np.zeros(2)], state, TrainConfig())
         np.testing.assert_array_equal(params, [1.0, 2.0])
 
     def test_identical_trajectories(self):
@@ -249,7 +251,7 @@ class TestAdam:
             state = AdamState.for_tensors([params])[0]
             cfg = TrainConfig(learning_rate=0.05)
             for step in range(20):
-                adam_step(params, np.array([np.sin(step + 1.0), np.cos(step + 1.0)]),
+                adam_step(params, [np.array([np.sin(step + 1.0), np.cos(step + 1.0)])],
                           state, cfg)
             return params
 
@@ -264,7 +266,7 @@ class TestAdam:
         b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
         for t in range(1, 7):
             g = rng.normal(size=30)
-            adam_step(params, g, state, cfg)
+            adam_step(params, [g.copy()], state, cfg)
             ref_m = b1 * ref_m + (1 - b1) * g
             ref_v = b2 * ref_v + (1 - b2) * g * g
             m_hat = ref_m / (1 - b1**t)
@@ -277,6 +279,16 @@ class TestAdam:
     @pytest.mark.parametrize("size", [1, _ADAM_BLOCK - 1, _ADAM_BLOCK, _ADAM_BLOCK + 1,
                                       5 * _ADAM_BLOCK // 2, 541_188])
     def test_blocks_match_the_full_array_oracle(self, size):
+        self.check_against_the_full_array_oracle(size, cuts=[])
+
+    @pytest.mark.parametrize("cuts", [[1, 7], [_ADAM_BLOCK - 5, _ADAM_BLOCK + 5, 2 * _ADAM_BLOCK]],
+                             ids=["short-blocks", "off-grid-blocks"])
+    def test_gradient_blocks_off_the_adam_grid_match_the_oracle(self, cuts):
+        self.check_against_the_full_array_oracle(5 * _ADAM_BLOCK // 2, cuts)
+
+    @staticmethod
+    def check_against_the_full_array_oracle(size, cuts):
+        # four steps on a gradient passed in one block, or cut at `cuts`
         rng = np.random.default_rng(size)
         params = rng.normal(size=size)
         want_p, want_state = params.copy(), AdamState.for_tensors([params])[0]
@@ -284,29 +296,61 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.05)
         for _ in range(4):
             g = rng.normal(size=size)
-            adam_step(params, g, state, cfg)
-            full_array_adam_step(want_p, g, want_state, cfg)
+            adam_step(params, np.split(g.copy(), cuts), state, cfg)
+            full_array_adam_step(want_p, [g], want_state, cfg)
         assert state.t == want_state.t == 4
         for got, want in [(params, want_p), (state.m, want_state.m), (state.v, want_state.v)]:
             np.testing.assert_array_equal(got, want)
 
+    def test_each_block_is_drawn_after_the_one_before_is_stepped(self):
+        # one buffer refilled for every block, as `_layer_gradients` does
+        rng = np.random.default_rng(8)
+        params, g = rng.normal(size=(2, 3 * _ADAM_BLOCK + 11))
+        want_p, want_state = params.copy(), AdamState.for_tensors([params])[0]
+        state = AdamState.for_tensors([params])[0]
+        buffer = np.empty(_ADAM_BLOCK)
+
+        def refilled():
+            for start in range(0, g.size, _ADAM_BLOCK):
+                block = buffer[:g[start : start + _ADAM_BLOCK].size]
+                block[...] = g[start : start + _ADAM_BLOCK]
+                yield block
+
+        adam_step(params, refilled(), state, TrainConfig())
+        full_array_adam_step(want_p, [g], want_state, TrainConfig())
+        np.testing.assert_array_equal(params, want_p)
+
     @pytest.mark.parametrize("size", [0, 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 541_188])
     def test_scratch_is_at_most_one_block(self, size):
         state = AdamState.for_tensors([np.zeros(size)])[0]
-        assert [buf.shape for buf in state.scratch] == [(min(size, _ADAM_BLOCK),)] * 2
+        assert state.scratch.shape == (min(size, _ADAM_BLOCK),)
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
         state = AdamState.for_tensors([params])[0]
         with pytest.raises(ValueError, match="differ"):
-            adam_step(params, np.zeros(4), state, TrainConfig())
+            adam_step(params, [np.zeros(4)], state, TrainConfig())
+
+    @pytest.mark.parametrize("blocks", [[np.zeros(2)], [np.zeros(2), np.zeros(2)],
+                                        [np.zeros((1, 3))]],
+                             ids=["short", "overrun", "not-flat"])
+    def test_blocks_that_do_not_cover_params_are_refused(self, blocks):
+        params = np.zeros(3)
+        state = AdamState.for_tensors([params])[0]
+        with pytest.raises(ValueError, match="differ"):
+            adam_step(params, blocks, state, TrainConfig())
+
+    def test_a_bare_array_is_refused(self):
+        # iterating it would give one scalar per element, not blocks
+        params = np.zeros(3)
+        with pytest.raises(TypeError, match=r"pass a whole gradient g as \[g\]"):
+            adam_step(params, np.zeros(3), AdamState.for_tensors([params])[0], TrainConfig())
 
     def test_params_must_be_flat(self):
         params = np.zeros((2, 3))
-        state = AdamState(m=np.zeros((2, 3)), v=np.zeros((2, 3)),
-                          scratch=(np.empty(6), np.empty(6)))
+        state = AdamState(m=np.zeros((2, 3)), v=np.zeros((2, 3)), scratch=np.empty(6))
         with pytest.raises(ValueError, match="not flat"):
-            adam_step(params, np.zeros((2, 3)), state, TrainConfig())
+            adam_step(params, [np.zeros(6)], state, TrainConfig())
 
 
 class TestTrain:
@@ -383,6 +427,64 @@ class TestTrain:
         reference, _ = train(bundled(dims, seed=2), rows, cfg)
         np.testing.assert_array_equal(trained.params, reference.params)
 
+    # fan_in 200 (160-row blocks) and 448 (72-row blocks) do not divide
+    # _ADAM_BLOCK, 33000 exceeds it (8-row blocks), and a fan_in of 300 is
+    # not a multiple of 8, so its weight comes as one block
+    @pytest.mark.parametrize("dims", [layer_dims_for("paper4", 26, 4),
+                                      layer_dims_for("compact3", 26, 4),
+                                      [200, 300, 4], [448, 512, 4], [33000, 12, 4], [300, 200, 4]],
+                             ids=["paper4", "compact3", "200-300-4", "448-512-4", "33000-12-4",
+                                  "300-200-4"])
+    def test_row_blocks_match_the_whole_tensor_oracle(self, dims, monkeypatch):
+        # 45 rows in batches of 32, so the last batch holds 13
+        rows = random_rows(45, seed=5, width=dims[0])
+        cfg = TrainConfig(epochs=2, seed=5)
+
+        def trained_with_states():
+            made = []
+            for_tensors = AdamState.for_tensors
+            with monkeypatch.context() as m:
+                m.setattr(AdamState, "for_tensors",
+                          lambda tensors: made.extend(for_tensors(tensors)) or made)
+                model, _ = train(bundled(dims, seed=5), rows, cfg)
+            return model, made
+
+        got, got_states = trained_with_states()
+        monkeypatch.setattr(mlp, "_layer_gradients", whole_tensor_layer_gradients)
+        monkeypatch.setattr(mlp, "adam_step", full_array_adam_step)
+        want, want_states = trained_with_states()
+        np.testing.assert_array_equal(got.params, want.params)
+        assert len(got_states) == len(want_states) == 2 * (len(dims) - 1)
+        for g, w in zip(got_states, want_states):
+            assert g.t == w.t == 4
+            np.testing.assert_array_equal(g.m, w.m)
+            np.testing.assert_array_equal(g.v, w.v)
+
+    @pytest.mark.parametrize("dims,rows", [(layer_dims_for("paper4", 26, 4), [512, 64, 64, 4]),
+                                           ([448, 600, 4], [72, 4]), ([300, 200, 4], [200, 4]),
+                                           ([40000, 20, 4], [8, 4]), ([8, 9000, 4], [4096, 4])],
+                             ids=["paper4", "448-600-4", "300-200-4", "40000-20-4", "8-9000-4"])
+    def test_weight_gradients_come_in_blocks_of_whole_rows(self, dims, rows):
+        # a multiple of 8 rows, at least 8 (BLAS's matrix-vector routine
+        # would round a one-row block otherwise), and all rows when fan_in is
+        # not a multiple of 8; the one gradient buffer is the largest block,
+        # _ADAM_BLOCK elements for paper4
+        model = bundled(dims, seed=1)
+        x = random_rows(3, width=dims[0]).features
+        probs, activations = mlp._forward_cached(model, x)
+        buffer = mlp._gradient_buffer(dims)
+        sizes = {}
+        for index, blocks in mlp._layer_gradients(model, activations, probs, [0, 1, 2], buffer):
+            sizes[index] = []
+            for block in blocks:
+                assert np.shares_memory(block, buffer)
+                sizes[index].append(block.size)
+        for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+            block = rows[layer] * w.shape[1]
+            assert sizes[2 * layer][:-1] == [block] * (len(sizes[2 * layer]) - 1)
+            assert sum(sizes[2 * layer]) == w.size and sizes[2 * layer + 1] == [b.size]
+        assert buffer.size == max(s for blocks in sizes.values() for s in blocks)
+
     def test_one_step_is_adam_on_the_backward_gradients(self):
         # one batch of every row: `train` steps each tensor as soon as its
         # gradient is ready, and must still give the one flat Adam step on
@@ -393,20 +495,19 @@ class TestTrain:
         perm = np.random.default_rng(cfg.seed).permutation(rows.n)
         grad_w, grad_b = layer_gradients(want, rows.features[perm], rows.labels[perm])
         grad = np.concatenate([g.ravel() for pair in zip(grad_w, grad_b) for g in pair])
-        adam_step(want.params, grad, AdamState.for_tensors([want.params])[0], cfg)
+        adam_step(want.params, [grad], AdamState.for_tensors([want.params])[0], cfg)
         trained, _ = train(bundled([26, 16, 8, 4], seed=6), rows, cfg)
         np.testing.assert_array_equal(trained.params, want.params)
 
-    def test_peak_memory_is_two_parameter_arrays_and_the_largest_tensor(self):
+    def test_peak_memory_is_two_parameter_arrays_and_two_blocks(self):
         model = paper4_model()
         rows = random_rows(10)
         peak = traced_peak(lambda: train(model, rows, TrainConfig(epochs=2)))
-        # Adam's two moments, the gradient of the largest tensor (512 x 512),
-        # and slack for the block-long scratch (0.5 MiB) and the activations;
-        # a parameter-length gradient (2.1 MiB more) or a copy of the model
-        # would exceed it
-        largest = max(w.nbytes for w in model.weights)
-        bound = 2 * model.params.nbytes + largest + 3 * 2**19
+        # Adam's two moments, and slack for the gradient block and the
+        # scratch block (0.25 MiB each) and the activations; the gradient of
+        # a whole 512 x 512 tensor (2 MiB more), a parameter-length gradient
+        # or a copy of the model would exceed it
+        bound = 2 * model.params.nbytes + 3 * 2**19
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
     def test_empty_training_set(self):
@@ -419,6 +520,44 @@ class TestTrain:
         with pytest.raises(NonFiniteError, match="training loss became nan"):
             train(bundled([2, 8, 2], seed=0), blob_dataset(),
                   TrainConfig(epochs=5, batch_size=8, learning_rate=1e300, seed=0))
+
+
+class TestBlasThreads:
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [0.01, 1e300], ids=["trains", "diverges"])
+    def test_train_runs_on_one_thread_and_restores_the_count(self, monkeypatch, learning_rate):
+        # a stand-in setter that returns the count before the call, as
+        # OpenBLAS's does
+        counts = [3]
+
+        def setter(n):
+            counts.append(n)
+            return counts[-2]
+
+        monkeypatch.setattr(mlp, "_openblas_setters", lambda: [setter])
+        during = []
+        forward_cached = mlp._forward_cached
+        monkeypatch.setattr(mlp, "_forward_cached",
+                            lambda *args: during.append(counts[-1]) or forward_cached(*args))
+        try:
+            train(bundled([2, 8, 2], seed=0), blob_dataset(),
+                  TrainConfig(epochs=2, batch_size=8, learning_rate=learning_rate))
+        except NonFiniteError:
+            assert learning_rate == 1e300
+        assert during and set(during) == {1}
+        assert counts == [3, 1, 3]
+
+    def test_numpys_openblas_is_found(self):
+        # numpy wheels bundle scipy-openblas; the thread-local setter is in
+        # OpenBLAS from 0.3.27 on
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        version = tuple(int(part) for part in blas["version"].split(".")[:3])
+        if "openblas" not in blas["name"] or version < (0, 3, 27):
+            pytest.skip(f"numpy uses {blas['name']} {blas['version']}")
+        setters = mlp._openblas_setters()
+        assert setters
+        before = setters[0](1)
+        assert setters[0](before) == 1
 
 
 class TestPredict:

@@ -254,10 +254,17 @@ class TestSynthCorpus:
 
     def test_zero_counts_create_nothing(self, tmp_path):
         root = tmp_path / "corpus"
-        manifest = synth_corpus(root, counts={c: 0 for c in CATEGORIES},
-                                sample_rate=TINY_SR, seed=0)
-        assert manifest == []
+        with pytest.raises(ValueError, match="^every category count is 0, so there is nothing "
+                                             "to write$"):
+            synth_corpus(root, counts={c: 0 for c in CATEGORIES}, sample_rate=TINY_SR, seed=0)
         assert not root.exists()
+
+    def test_a_category_counted_0_may_be_an_empty_directory(self, tmp_path):
+        root = tmp_path / "corpus"
+        (root / "dry_40").mkdir(parents=True)
+        manifest = synth_corpus(root, counts={**{c: 1 for c in CATEGORIES}, "dry_40": 0},
+                                sample_rate=TINY_SR, seed=2, duration_s=0.3)
+        assert sorted({cat for _, cat in manifest}) == ["dry_60", "wet_40", "wet_60"]
 
     def test_counts_and_manifest(self, tmp_path):
         root = tmp_path / "corpus"
