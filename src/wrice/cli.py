@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import evaluation, mlp, synth
-from .audio_io import AudioBuffer, WavReader, read_wav, resampled_length, write_wav
+from .audio_io import AudioBuffer, WavReader, resampled_length, write_wav
 from .dsp import WINDOW, BlockSpectra, StftConfig, block_spans
 from .errors import WriceError
 
@@ -217,11 +217,13 @@ def _cmd_predict(args) -> int:
 
 def _augment_file(src, target, scale: float, rng) -> None:
     """Write `src` plus `scale` times the draws of the generator `rng` to
-    `target` as 16-bit PCM: the noise kernel that `file_rows` runs."""
-    clean = read_wav(src)
-    noisy = np.empty(len(clean))
-    ds_mod.add_noise_into(noisy, clean.samples, scale, rng)
-    write_wav(target, AudioBuffer(noisy, clean.sample_rate))
+    `target` as 16-bit PCM: the noise kernel that `file_rows` runs, on the
+    mono samples that its `WavReader` decodes."""
+    with WavReader(src) as wav:
+        clean, rate = wav.read(0, wav.frames), wav.sample_rate
+    noisy = np.empty(clean.size)
+    ds_mod.add_noise_into(noisy, clean, scale, rng)
+    write_wav(target, AudioBuffer(noisy, rate))
 
 
 def _cmd_augment(args) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -74,9 +75,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators of one flat parameter
-    array, its step count, and one scratch buffer of at most `_ADAM_BLOCK`
-    elements, so a step allocates no temporaries."""
+    """Adam's state over one flat parameter array (all of `MlpModel.params`
+    in `train`): the bias-corrected first/second moments, the step count,
+    and one scratch buffer of at most `_ADAM_BLOCK` elements."""
 
     m: np.ndarray
     v: np.ndarray
@@ -84,11 +85,10 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_tensors(cls, tensors: list[np.ndarray]) -> list["AdamState"]:
-        """One state per flat tensor (`train` passes each tensor of
-        `MlpModel.params`), all sharing one scratch buffer."""
-        scratch = np.empty(min(max(t.size for t in tensors), _ADAM_BLOCK))
-        return [cls(m=np.zeros_like(t), v=np.zeros_like(t), scratch=scratch) for t in tensors]
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        """The state before the first step of the flat array `params`."""
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   scratch=np.empty(min(params.size, _ADAM_BLOCK)))
 
 
 @dataclass
@@ -105,15 +105,20 @@ def _tensor_shapes(layer_dims) -> list[tuple[int, ...]]:
             for shape in ((fan_out, fan_in), (fan_out,))]
 
 
+def _tensor_starts(layer_dims) -> list[int]:
+    """Each tensor's first element in `params`, in `_tensor_shapes` order,
+    then the length of `params`."""
+    return list(itertools.accumulate(map(math.prod, _tensor_shapes(layer_dims)), initial=0))
+
+
 def _views(flat: np.ndarray, layer_dims) -> list[np.ndarray]:
     """`flat` cut into the tensors of `_tensor_shapes`, as views of it;
     ValueError unless its length is theirs."""
-    shapes = _tensor_shapes(layer_dims)
-    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-    if flat.shape != (ends[-1],):
-        raise ValueError(f"params shape {flat.shape}; layer_dims {layer_dims} need {ends[-1]}")
+    starts = _tensor_starts(layer_dims)
+    if flat.shape != (starts[-1],):
+        raise ValueError(f"params shape {flat.shape}; layer_dims {layer_dims} need {starts[-1]}")
     return [flat[start:end].reshape(shape)
-            for start, end, shape in zip(ends, ends[1:], shapes)]
+            for start, end, shape in zip(starts, starts[1:], _tensor_shapes(layer_dims))]
 
 
 @dataclass
@@ -173,13 +178,14 @@ def init_model(layer_dims, seed: int = 0, *, scaler: Scaler, label_map: list[str
     """Glorot-uniform weights, zero biases; deterministic per seed (at least 0)."""
     check_seed(seed)
     dims = [int(d) for d in layer_dims]
-    size = sum(math.prod(shape) for shape in _tensor_shapes(dims))
-    model = MlpModel(dims, np.zeros(size), scaler, label_map, extraction)
+    model = MlpModel(dims, np.zeros(_tensor_starts(dims)[-1]), scaler, label_map, extraction)
     rng = np.random.default_rng(seed)
     for w in model.weights:
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w[...] = rng.uniform(-limit, limit, size=w.shape)
+        rng.random(out=w)  # uniform(-limit, limit) drawn in place, no temporary
+        w *= 2 * limit
+        w -= limit
     return model
 
 
@@ -241,62 +247,53 @@ def _block_rows(fan_in: int, fan_out: int) -> int:
     return min(fan_out, max(8, _ADAM_BLOCK // fan_in // 8 * 8))
 
 
-def _row_blocks(delta: np.ndarray, act: np.ndarray,
-                buffer: np.ndarray) -> Iterator[np.ndarray]:
-    """The weight gradient `delta.T @ act`, (fan_out, fan_in), as flat
-    blocks of `_block_rows` whole rows. Each block is written into the
-    front of `buffer` only when the one before has been drawn and used."""
-    fan_out, fan_in = delta.shape[1], act.shape[1]
-    rows = _block_rows(fan_in, fan_out)
-    for r0 in range(0, fan_out, rows):
-        r1 = min(r0 + rows, fan_out)
-        block = buffer[:(r1 - r0) * fan_in]
-        np.matmul(delta.T[r0:r1], act, out=block.reshape(r1 - r0, fan_in))
-        yield block
-
-
 def _layer_gradients(model: MlpModel, activations, probs, labels,
-                     buffer: np.ndarray) -> Iterator[tuple[int, Iterable[np.ndarray]]]:
-    """Backpropagation of the mean batch loss, one tensor at a time from the
-    output layer down: yields (index in `_tensor_shapes` order, that
-    tensor's flat gradient as consecutive blocks), the blocks `adam_step`
-    takes. A weight's gradient comes in blocks of whole rows (`_row_blocks`),
-    a bias's as one block. Every block is written into the front of
-    `buffer`, which the next one overwrites, so each block must be used
-    before the next is drawn. A layer's delta for the layer below is taken
-    before its gradients are yielded, so the caller may update that layer's
-    tensors as it draws their blocks."""
+                     buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Backpropagation of the mean batch loss, from the output layer down, as
+    the (offset in `params`, flat block) pairs that `adam_step` takes: a
+    weight's gradient in blocks of `_block_rows` whole rows, one `matmul`
+    each, then its bias's as one block. Each block is written into the
+    front of `buffer`, so it must be used before the next is drawn. A
+    layer's delta for the layer below is taken before its blocks are
+    yielded, so the caller may update the layer as it draws them."""
+    starts = _tensor_starts(model.layer_dims)
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(batch_size), labels] = 1.0
     delta = (probs - onehot) / batch_size  # d(mean CE)/d(logits)
     for layer in range(len(model.weights) - 1, -1, -1):
-        w = model.weights[layer]
-        below = (delta @ w) * (activations[layer] > 0) if layer > 0 else None
-        yield 2 * layer, _row_blocks(delta, activations[layer], buffer)
-        yield 2 * layer + 1, [np.sum(delta, axis=0, out=buffer[:w.shape[0]])]
+        w, act = model.weights[layer], activations[layer]
+        below = (delta @ w) * (act > 0) if layer > 0 else None
+        fan_out, fan_in = w.shape
+        rows = _block_rows(fan_in, fan_out)
+        for r0 in range(0, fan_out, rows):
+            block = buffer[:(min(r0 + rows, fan_out) - r0) * fan_in]
+            np.matmul(delta.T[r0 : r0 + rows], act, out=block.reshape(-1, fan_in))
+            yield starts[2 * layer] + r0 * fan_in, block
+        yield starts[2 * layer + 1], np.sum(delta, axis=0, out=buffer[:fan_out])
         delta = below
 
 
 def _gradient_buffer(layer_dims) -> np.ndarray:
-    """A buffer that fits every block `_layer_gradients` writes: each weight
-    gradient's row block (`_block_rows`; `_ADAM_BLOCK` elements for the
-    512 x 512 weights of paper4) and each whole bias gradient."""
+    """The one buffer that `_layer_gradients` writes every block into: as
+    long as a weight gradient's largest row block (`_block_rows`;
+    `_ADAM_BLOCK` elements for paper4's 512 x 512 weights) or bias."""
     return np.empty(max(max(_block_rows(fan_in, fan_out) * fan_in, fan_out)
                         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:])))
 
 
-def adam_step(params: np.ndarray, grad: Iterable[np.ndarray],
+def adam_step(params: np.ndarray, grad: Iterable[tuple[int, np.ndarray]],
               state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update, in place on the flat `params` and on `state`.
 
-    `grad` is the gradient of `params` as consecutive 1-D blocks that cover
-    it in order; a whole gradient `g` is passed as `[g]`. Each block is
-    overwritten with its step, and the next is drawn only after that, so a
-    generator may write every block into one buffer (`train` passes the
-    row blocks of `_layer_gradients`). ValueError if `params` and the state
-    are not flat and of one shape, or if the blocks do not cover `params`;
-    blocks taken before the mismatch have then been stepped.
+    `grad` is the gradient of `params` as (element offset, 1-D block) pairs
+    whose blocks cover `params` exactly once, in any order; a whole gradient
+    `g` is passed as `[(0, g)]`. Each block is overwritten with its step,
+    and the next pair is drawn only after that, so a generator may write
+    every block into one buffer (`train` passes `_layer_gradients`, which
+    runs from the last tensor down). ValueError if `params` and the state
+    are not flat and of one shape, or if a block overruns `params`; and,
+    after the blocks have been stepped, if they overlap or leave a gap.
 
     Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;
     p -= (lr * (m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t, b1, b2 and
@@ -307,17 +304,18 @@ def adam_step(params: np.ndarray, grad: Iterable[np.ndarray],
     result is bit-identical to it.
     """
     if isinstance(grad, np.ndarray):
-        raise TypeError("grad is an iterable of gradient blocks; pass a whole gradient g as [g]")
+        raise TypeError("grad is an iterable of (offset, block) pairs; "
+                        "pass a whole gradient g as [(0, g)]")
     if not params.shape == state.m.shape == (params.size,):
         raise ValueError(f"params {params.shape} and state {state.m.shape} differ or are not flat")
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
-    start = 0
-    for block in grad:
-        if block.ndim != 1 or start + block.size > params.size:
-            raise ValueError(f"gradient block {block.shape} at element {start} and params "
-                             f"{params.shape} differ")
+    spans = []
+    for start, block in grad:
+        if block.ndim != 1 or not 0 <= start <= params.size - block.size:
+            raise ValueError(f"gradient block {block.shape} at element {start} overruns "
+                             f"params {params.shape}")
         for lo in range(0, block.size, _ADAM_BLOCK):
             g = block[lo : lo + _ADAM_BLOCK]
             p, m, v = (arr[start + lo : start + lo + g.size]
@@ -338,9 +336,10 @@ def adam_step(params: np.ndarray, grad: Iterable[np.ndarray],
             g += ADAM_EPSILON
             a /= g
             p -= a
-        start += block.size
-    if start != params.size:
-        raise ValueError(f"gradient blocks of {start} elements and params {params.shape} differ")
+        spans.append((start, start + block.size))
+    edges = [0, *itertools.chain(*sorted(spans)), params.size]
+    if edges[0::2] != edges[1::2]:  # each block stops where the next starts
+        raise ValueError(f"gradient blocks overlap or leave a gap in params {params.shape}")
 
 
 def _openblas_setters() -> list:
@@ -389,8 +388,8 @@ def train(model: MlpModel, train_set: LabeledDataset,
     generator seeded from cfg.seed; the final partial batch is trained on.
     Trains `model` in place and returns it with the history, which holds
     the per-epoch mean training loss and accuracy; train `model.copy()` to
-    keep the original. Each tensor takes its Adam step as backpropagation
-    makes its gradient, a weight's one block of whole rows at a time, so
+    keep the original. Each batch is one `adam_step` of one `AdamState`
+    over `params`, fed `_layer_gradients`' blocks as they are made, so
     beside `params` training holds Adam's two moments, one gradient block
     and one scratch block, each about `_ADAM_BLOCK` elements. The matrix
     products run on one OpenBLAS thread (`_one_blas_thread`), so the model
@@ -402,8 +401,7 @@ def train(model: MlpModel, train_set: LabeledDataset,
     if train_set.n == 0:
         raise ValueError("training set is empty")
     x_all = scale_rows(model.scaler, train_set.features)
-    tensors = [t.reshape(-1) for t in _views(model.params, model.layer_dims)]
-    states = AdamState.for_tensors(tensors)
+    state = AdamState.for_params(model.params)
     buffer = _gradient_buffer(model.layer_dims)
     rng = np.random.default_rng(cfg.seed)
     y_all = train_set.labels
@@ -423,8 +421,8 @@ def train(model: MlpModel, train_set: LabeledDataset,
                                      f"the learning rate {cfg.learning_rate} may be too large")
             total_loss += loss * len(picked)
             total_correct += int((probs.argmax(axis=1) == yb).sum())
-            for index, blocks in _layer_gradients(model, activations, probs, yb, buffer):
-                adam_step(tensors[index], blocks, states[index], cfg)
+            adam_step(model.params, _layer_gradients(model, activations, probs, yb, buffer),
+                      state, cfg)
         history.loss.append(total_loss / train_set.n)
         history.accuracy.append(total_correct / train_set.n)
     return model, history
@@ -552,7 +550,7 @@ def _body(model: MlpModel) -> memoryview:
 
 def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     dims = [int(d) for d in header["layer_dims"]]
-    size = 8 * sum(math.prod(shape) for shape in _tensor_shapes(dims))
+    size = 8 * _tensor_starts(dims)[-1]
     if body_size != size:
         raise CorruptModelError(f"{path}: body has {body_size} bytes, its tensors need {size}")
     # the body is read into the array that the model then owns, not copied

@@ -20,10 +20,13 @@ parameter array, the oracle for `mlp.adam_step`, which runs in blocks.
 `whole_tensor_layer_gradients` is backpropagation as it ran before weight
 gradients were made in row blocks, each tensor's gradient whole in a buffer
 the size of the largest tensor, the oracle for `mlp._layer_gradients`.
+Gradients pass between them as `mlp.adam_step` takes them: (element offset
+in `params`, flat block) pairs, which `assembled_gradient` joins into one
+array, checking that they cover it exactly once.
 `magnitudes` stacks the package's `BlockSpectra` blocks into a whole
-spectrogram, and `layer_gradients` joins the per-tensor gradient blocks of
-`mlp._layer_gradients`, so tests check the spectrum and the backpropagation
-that extraction and `train` run.
+spectrogram, and `layer_gradients` joins the gradient blocks of
+`mlp._layer_gradients` into the model's tensors, so tests check the
+spectrum and the backpropagation that extraction and `train` run.
 `whole_recording_synth_sample` and `per_block_sinusoid` are the
 synthesis as it ran before it was fused into one chunked pass: each
 operation over the whole recording in turn, and one sinusoid call per
@@ -153,15 +156,30 @@ def rfft(x: np.ndarray) -> np.ndarray:
 
 
 
+def assembled_gradient(grad, size: int) -> np.ndarray:
+    """The flat gradient of `size` elements that the (offset, block) pairs of
+    `grad` cover, each block copied before the next is drawn, which may
+    overwrite it; ValueError unless every element is covered exactly once,
+    counted element by element."""
+    full, covered = np.zeros(size), np.zeros(size, dtype=int)
+    for start, block in grad:
+        if block.ndim != 1 or start < 0 or start + block.size > size:
+            raise ValueError(f"block {block.shape} at {start} is outside {size} elements")
+        full[start : start + block.size] = block
+        covered[start : start + block.size] += 1
+    if not (covered == 1).all():
+        raise ValueError(f"{np.count_nonzero(covered != 1)} elements not covered exactly once")
+    return full
+
+
 def full_array_adam_step(params, grad, state, cfg) -> None:
     """`mlp.adam_step` in one pass over the whole array: the same per-element
-    operations in the same order, on a copy of the gradient joined from its
-    blocks, through two parameter-length temporaries in place of the state's
-    block-long scratch."""
+    operations in the same order, on the gradient assembled in full from
+    its (offset, block) pairs, through two parameter-length temporaries in
+    place of the state's block-long scratch."""
     from wrice.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
-    # each block is copied before the next is drawn, which may overwrite it
-    grad = np.concatenate([block.copy() for block in grad])
+    grad = assembled_gradient(grad, params.size)
     if not params.shape == grad.shape == state.m.shape:
         raise ValueError(f"params {params.shape}, grad {grad.shape}, state {state.m.shape} differ")
     state.t += 1
@@ -219,25 +237,37 @@ def finite_difference_grads(model, x, y, h=1e-5):
 def layer_gradients(model, x, y) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the mean batch loss w.r.t. the weights and the biases, by
     the routine `train` runs: `_forward_cached`, then `_layer_gradients`,
-    each block copied out of the buffer the next one overwrites, and the
-    blocks of each tensor joined in its shape."""
+    its blocks assembled into one flat gradient and cut into the shapes of
+    the model's tensors at their own offsets in `params`."""
     from wrice.mlp import _forward_cached, _gradient_buffer, _layer_gradients
 
     probs, activations = _forward_cached(model, np.atleast_2d(x))
-    tensors = [t for pair in zip(model.weights, model.biases) for t in pair]
-    grads = [None] * len(tensors)
-    buffer = _gradient_buffer(model.layer_dims)
-    for index, blocks in _layer_gradients(model, activations, probs, np.atleast_1d(y), buffer):
-        grads[index] = np.concatenate([block.copy() for block in blocks]).reshape(
-            tensors[index].shape)
+    blocks = _layer_gradients(model, activations, probs, np.atleast_1d(y),
+                              _gradient_buffer(model.layer_dims))
+    flat = assembled_gradient(blocks, model.params.size)
+    grads = [flat[start : start + t.size].reshape(t.shape)
+             for t, start in zip(tensors_in_order(model), tensor_offsets(model))]
     return grads[0::2], grads[1::2]
+
+
+def tensors_in_order(model) -> list[np.ndarray]:
+    """The weight and bias views in the model file's order: w0, b0, w1, b1, ..."""
+    return [t for pair in zip(model.weights, model.biases) for t in pair]
+
+
+def tensor_offsets(model) -> list[int]:
+    """Each tensor's first element in `params`, in `tensors_in_order` order,
+    from the sizes of the tensors themselves."""
+    return np.cumsum([0] + [t.size for t in tensors_in_order(model)])[:-1].tolist()
 
 
 def whole_tensor_layer_gradients(model, activations, probs, labels, buffer):
     """`mlp._layer_gradients` with each tensor's gradient made whole, by one
     product per weight, in a buffer the size of the largest tensor (the
-    `buffer` argument is not used): yields (index, [flat gradient]), the
-    step `train` ran before weight gradients came in row blocks."""
+    `buffer` argument is not used): yields (offset in `params`, flat
+    gradient) per tensor, the step `train` ran before weight gradients came
+    in row blocks."""
+    offsets = tensor_offsets(model)
     own = np.empty(max(w.size for w in model.weights))
     batch_size = probs.shape[0]
     onehot = np.zeros_like(probs)
@@ -246,9 +276,9 @@ def whole_tensor_layer_gradients(model, activations, probs, labels, buffer):
     for layer in range(len(model.weights) - 1, -1, -1):
         w = model.weights[layer]
         below = (delta @ w) * (activations[layer] > 0) if layer > 0 else None
-        yield 2 * layer, [np.matmul(delta.T, activations[layer],
-                                    out=own[:w.size].reshape(w.shape)).reshape(-1)]
-        yield 2 * layer + 1, [np.sum(delta, axis=0, out=own[:w.shape[0]])]
+        yield offsets[2 * layer], np.matmul(delta.T, activations[layer],
+                                            out=own[:w.size].reshape(w.shape)).reshape(-1)
+        yield offsets[2 * layer + 1], np.sum(delta, axis=0, out=own[:w.shape[0]])
         delta = below
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, finite_difference_grads,
-                      full_array_adam_step, identity_bundle, layer_gradients, traced_peak,
-                      whole_tensor_layer_gradients)
+                      full_array_adam_step, identity_bundle, layer_gradients, tensor_offsets,
+                      tensors_in_order, traced_peak, whole_tensor_layer_gradients)
 from wrice import mlp
 from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
 from wrice.dsp import StftConfig
@@ -26,11 +26,6 @@ def bundled(layer_dims, seed=0):
     """`init_model` with an identity scaler: the rows it trains on and
     predicts are exactly the raw ones."""
     return init_model(layer_dims, seed=seed, **identity_bundle(layer_dims))
-
-
-def tensors(model):
-    """The weight and bias views in the model file's order: w0, b0, w1, b1, ..."""
-    return [t for pair in zip(model.weights, model.biases) for t in pair]
 
 
 def paper4_model():
@@ -76,6 +71,21 @@ class TestInit:
             assert np.abs(w).max() <= limit
         for b in model.biases:
             np.testing.assert_array_equal(b, 0.0)
+
+    @pytest.mark.parametrize("dims", [[26, 512, 512, 512, 4], [5, 8, 3]], ids=["paper4", "small"])
+    def test_weights_are_the_uniform_draws_bit_for_bit(self, dims):
+        # drawn in place, they must be what `Generator.uniform` returns
+        model = bundled(dims, seed=3)
+        rng = np.random.default_rng(3)
+        for w in model.weights:
+            limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            np.testing.assert_array_equal(w, rng.uniform(-limit, limit, size=w.shape))
+
+    def test_peak_memory_is_the_parameters(self):
+        # paper4's 541,188 parameters and 0.5 MiB of slack; a draw of a whole
+        # 512 x 512 weight (2 MiB) would exceed it
+        peak = traced_peak(lambda: bundled(layer_dims_for("paper4", 26, 4), seed=0))
+        assert peak <= 8 * 541_188 + 2**19, f"peak {peak / 2**20:.2f} MiB"
 
     def test_duplicate_labels_refused(self):
         bundle = identity_bundle([3, 4, 2])
@@ -232,26 +242,26 @@ class TestBackward:
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.for_tensors([params])[0]
+        state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.01)
-        adam_step(params, [np.array([0.5, -0.25, 4.0])], state, cfg)
+        adam_step(params, [(0, np.array([0.5, -0.25, 4.0]))], state, cfg)
         # bias-corrected m/sqrt(v) is sign(g) on the first step
         np.testing.assert_allclose(params, [1.0 - 0.01, -2.0 + 0.01, 3.0 - 0.01], atol=1e-6)
         assert state.t == 1
 
     def test_zero_gradient_keeps_parameters(self):
         params = np.array([1.0, 2.0])
-        state = AdamState.for_tensors([params])[0]
-        adam_step(params, [np.zeros(2)], state, TrainConfig())
+        state = AdamState.for_params(params)
+        adam_step(params, [(0, np.zeros(2))], state, TrainConfig())
         np.testing.assert_array_equal(params, [1.0, 2.0])
 
     def test_identical_trajectories(self):
         def run():
             params = np.array([0.3, -0.7])
-            state = AdamState.for_tensors([params])[0]
+            state = AdamState.for_params(params)
             cfg = TrainConfig(learning_rate=0.05)
             for step in range(20):
-                adam_step(params, [np.array([np.sin(step + 1.0), np.cos(step + 1.0)])],
+                adam_step(params, [(0, np.array([np.sin(step + 1.0), np.cos(step + 1.0)]))],
                           state, cfg)
             return params
 
@@ -261,12 +271,12 @@ class TestAdam:
         rng = np.random.default_rng(3)
         params = rng.normal(size=30)  # the length of a [3, 4, 2] model's params
         ref_p, ref_m, ref_v = params.copy(), np.zeros(30), np.zeros(30)
-        state = AdamState.for_tensors([params])[0]
+        state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.05)
         b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate, ADAM_EPSILON
         for t in range(1, 7):
             g = rng.normal(size=30)
-            adam_step(params, [g.copy()], state, cfg)
+            adam_step(params, [(0, g.copy())], state, cfg)
             ref_m = b1 * ref_m + (1 - b1) * g
             ref_v = b2 * ref_v + (1 - b2) * g * g
             m_hat = ref_m / (1 - b1**t)
@@ -286,18 +296,25 @@ class TestAdam:
     def test_gradient_blocks_off_the_adam_grid_match_the_oracle(self, cuts):
         self.check_against_the_full_array_oracle(5 * _ADAM_BLOCK // 2, cuts)
 
+    @pytest.mark.parametrize("cuts", [[1, 7], [_ADAM_BLOCK - 5, _ADAM_BLOCK + 5, 2 * _ADAM_BLOCK]],
+                             ids=["short-blocks", "off-grid-blocks"])
+    def test_blocks_in_reverse_offset_order_match_the_oracle(self, cuts):
+        # the order `train` passes them in: from the output layer down
+        self.check_against_the_full_array_oracle(5 * _ADAM_BLOCK // 2, cuts, reverse=True)
+
     @staticmethod
-    def check_against_the_full_array_oracle(size, cuts):
+    def check_against_the_full_array_oracle(size, cuts, reverse=False):
         # four steps on a gradient passed in one block, or cut at `cuts`
         rng = np.random.default_rng(size)
         params = rng.normal(size=size)
-        want_p, want_state = params.copy(), AdamState.for_tensors([params])[0]
-        state = AdamState.for_tensors([params])[0]
+        want_p, want_state = params.copy(), AdamState.for_params(params)
+        state = AdamState.for_params(params)
         cfg = TrainConfig(learning_rate=0.05)
         for _ in range(4):
             g = rng.normal(size=size)
-            adam_step(params, np.split(g.copy(), cuts), state, cfg)
-            full_array_adam_step(want_p, [g], want_state, cfg)
+            pairs = list(zip([0, *cuts], np.split(g.copy(), cuts)))
+            adam_step(params, pairs[::-1] if reverse else pairs, state, cfg)
+            full_array_adam_step(want_p, [(0, g)], want_state, cfg)
         assert state.t == want_state.t == 4
         for got, want in [(params, want_p), (state.m, want_state.m), (state.v, want_state.v)]:
             np.testing.assert_array_equal(got, want)
@@ -306,51 +323,61 @@ class TestAdam:
         # one buffer refilled for every block, as `_layer_gradients` does
         rng = np.random.default_rng(8)
         params, g = rng.normal(size=(2, 3 * _ADAM_BLOCK + 11))
-        want_p, want_state = params.copy(), AdamState.for_tensors([params])[0]
-        state = AdamState.for_tensors([params])[0]
+        want_p, want_state = params.copy(), AdamState.for_params(params)
+        state = AdamState.for_params(params)
         buffer = np.empty(_ADAM_BLOCK)
 
         def refilled():
             for start in range(0, g.size, _ADAM_BLOCK):
                 block = buffer[:g[start : start + _ADAM_BLOCK].size]
                 block[...] = g[start : start + _ADAM_BLOCK]
-                yield block
+                yield start, block
 
         adam_step(params, refilled(), state, TrainConfig())
-        full_array_adam_step(want_p, [g], want_state, TrainConfig())
+        full_array_adam_step(want_p, [(0, g)], want_state, TrainConfig())
         np.testing.assert_array_equal(params, want_p)
 
     @pytest.mark.parametrize("size", [0, 1, _ADAM_BLOCK, _ADAM_BLOCK + 1, 541_188])
     def test_scratch_is_at_most_one_block(self, size):
-        state = AdamState.for_tensors([np.zeros(size)])[0]
+        state = AdamState.for_params(np.zeros(size))
         assert state.scratch.shape == (min(size, _ADAM_BLOCK),)
+        assert state.m.shape == state.v.shape == (size,) and state.t == 0
 
     def test_shape_mismatch(self):
         params = np.zeros(3)
-        state = AdamState.for_tensors([params])[0]
-        with pytest.raises(ValueError, match="differ"):
-            adam_step(params, [np.zeros(4)], state, TrainConfig())
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match="overruns"):
+            adam_step(params, [(0, np.zeros(4))], state, TrainConfig())
 
-    @pytest.mark.parametrize("blocks", [[np.zeros(2)], [np.zeros(2), np.zeros(2)],
-                                        [np.zeros((1, 3))]],
-                             ids=["short", "overrun", "not-flat"])
-    def test_blocks_that_do_not_cover_params_are_refused(self, blocks):
-        params = np.zeros(3)
-        state = AdamState.for_tensors([params])[0]
-        with pytest.raises(ValueError, match="differ"):
+    # params of 4 elements; "overlap-and-gap" covers [0, 2) and [1, 3), so
+    # its sizes add up to 4 but element 1 is stepped twice and 3 never
+    @pytest.mark.parametrize("blocks,match", [
+        ([(0, np.zeros(2))], "gap"),
+        ([(0, np.zeros(2)), (2, np.zeros(2)), (4, np.zeros(1))], "overruns"),
+        ([(3, np.zeros(2)), (0, np.zeros(3))], "overruns"),
+        ([(-1, np.zeros(1)), (0, np.zeros(4))], "overruns"),
+        ([(0, np.zeros(4)), (2, np.zeros(1))], "overlap"),
+        ([(0, np.zeros(2)), (1, np.zeros(2))], "overlap or leave a gap"),
+        ([(0, np.zeros((1, 4)))], "overruns"),
+    ], ids=["short", "overrun", "straddles-the-end", "negative-offset", "overlap",
+            "overlap-and-gap", "not-flat"])
+    def test_blocks_that_do_not_cover_params_are_refused(self, blocks, match):
+        params = np.zeros(4)
+        state = AdamState.for_params(params)
+        with pytest.raises(ValueError, match=match):
             adam_step(params, blocks, state, TrainConfig())
 
     def test_a_bare_array_is_refused(self):
         # iterating it would give one scalar per element, not blocks
         params = np.zeros(3)
-        with pytest.raises(TypeError, match=r"pass a whole gradient g as \[g\]"):
-            adam_step(params, np.zeros(3), AdamState.for_tensors([params])[0], TrainConfig())
+        with pytest.raises(TypeError, match=r"pass a whole gradient g as \[\(0, g\)\]"):
+            adam_step(params, np.zeros(3), AdamState.for_params(params), TrainConfig())
 
     def test_params_must_be_flat(self):
         params = np.zeros((2, 3))
         state = AdamState(m=np.zeros((2, 3)), v=np.zeros((2, 3)), scratch=np.empty(6))
         with pytest.raises(ValueError, match="not flat"):
-            adam_step(params, [np.zeros(6)], state, TrainConfig())
+            adam_step(params, [(0, np.zeros(6))], state, TrainConfig())
 
 
 class TestTrain:
@@ -382,7 +409,7 @@ class TestTrain:
         params, before = model.params, model.params.copy()
         trained, _ = train(model, ds, TrainConfig(epochs=3, batch_size=8, seed=1))
         assert trained is model and trained.params is params
-        assert all(np.shares_memory(t, params) for t in tensors(trained))
+        assert all(np.shares_memory(t, params) for t in tensors_in_order(trained))
         assert not np.array_equal(params, before)
 
     def test_separable_blobs_reach_tiny_loss(self):
@@ -440,25 +467,43 @@ class TestTrain:
         rows = random_rows(45, seed=5, width=dims[0])
         cfg = TrainConfig(epochs=2, seed=5)
 
-        def trained_with_states():
+        def trained_with_state():
             made = []
-            for_tensors = AdamState.for_tensors
+            for_params = AdamState.for_params
             with monkeypatch.context() as m:
-                m.setattr(AdamState, "for_tensors",
-                          lambda tensors: made.extend(for_tensors(tensors)) or made)
+                m.setattr(AdamState, "for_params",
+                          lambda params: made.append(for_params(params)) or made[-1])
                 model, _ = train(bundled(dims, seed=5), rows, cfg)
-            return model, made
+            [state] = made
+            return model, state
 
-        got, got_states = trained_with_states()
+        got, got_state = trained_with_state()
         monkeypatch.setattr(mlp, "_layer_gradients", whole_tensor_layer_gradients)
         monkeypatch.setattr(mlp, "adam_step", full_array_adam_step)
-        want, want_states = trained_with_states()
+        want, want_state = trained_with_state()
         np.testing.assert_array_equal(got.params, want.params)
-        assert len(got_states) == len(want_states) == 2 * (len(dims) - 1)
-        for g, w in zip(got_states, want_states):
-            assert g.t == w.t == 4
-            np.testing.assert_array_equal(g.m, w.m)
-            np.testing.assert_array_equal(g.v, w.v)
+        assert got_state.t == want_state.t == 4
+        np.testing.assert_array_equal(got_state.m, want_state.m)
+        np.testing.assert_array_equal(got_state.v, want_state.v)
+
+    @pytest.mark.parametrize("arch", sorted(mlp.ARCHITECTURES))
+    def test_one_adam_step_per_batch_on_one_state(self, arch, monkeypatch):
+        # 45 rows in batches of 32 for 2 epochs: 4 batches, so 4 calls, each
+        # on all of `params` and the one state whose step count is 4 at the end
+        dims = layer_dims_for(arch, 26, 4)
+        model = bundled(dims, seed=5)
+        calls, step = [], mlp.adam_step
+
+        def counted(params, grad, state, cfg):
+            calls.append((params, state))
+            step(params, grad, state, cfg)
+
+        monkeypatch.setattr(mlp, "adam_step", counted)
+        train(model, random_rows(45, seed=5), TrainConfig(epochs=2, seed=5))
+        assert len(calls) == 4
+        assert all(params is model.params for params, _ in calls)
+        [state] = {id(state): state for _, state in calls}.values()
+        assert state.t == 4 and state.m.shape == model.params.shape
 
     @pytest.mark.parametrize("dims,rows", [(layer_dims_for("paper4", 26, 4), [512, 64, 64, 4]),
                                            ([448, 600, 4], [72, 4]), ([300, 200, 4], [200, 4]),
@@ -473,29 +518,32 @@ class TestTrain:
         x = random_rows(3, width=dims[0]).features
         probs, activations = mlp._forward_cached(model, x)
         buffer = mlp._gradient_buffer(dims)
-        sizes = {}
-        for index, blocks in mlp._layer_gradients(model, activations, probs, [0, 1, 2], buffer):
-            sizes[index] = []
-            for block in blocks:
-                assert np.shares_memory(block, buffer)
-                sizes[index].append(block.size)
-        for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-            block = rows[layer] * w.shape[1]
-            assert sizes[2 * layer][:-1] == [block] * (len(sizes[2 * layer]) - 1)
-            assert sum(sizes[2 * layer]) == w.size and sizes[2 * layer + 1] == [b.size]
-        assert buffer.size == max(s for blocks in sizes.values() for s in blocks)
+        got = []
+        for offset, block in mlp._layer_gradients(model, activations, probs, [0, 1, 2], buffer):
+            assert np.shares_memory(block, buffer)
+            got.append((offset, block.size))
+        # from the output layer down: each weight's row blocks at their
+        # offsets, the last one holding what rows are left, then its bias
+        starts, want = tensor_offsets(model), []
+        for layer in reversed(range(len(model.weights))):
+            w, block = model.weights[layer], rows[layer] * model.weights[layer].shape[1]
+            want += [(starts[2 * layer] + lo, min(block, w.size - lo))
+                     for lo in range(0, w.size, block)]
+            want.append((starts[2 * layer + 1], model.biases[layer].size))
+        assert got == want
+        assert buffer.size == max(size for _, size in got)
 
     def test_one_step_is_adam_on_the_backward_gradients(self):
-        # one batch of every row: `train` steps each tensor as soon as its
-        # gradient is ready, and must still give the one flat Adam step on
-        # the gradients of the weights before that step
+        # one batch of every row: `train` steps each block as soon as it is
+        # made, and must still give the one flat Adam step on the gradients
+        # of the weights before that step
         rows = random_rows(12, seed=6)
         cfg = TrainConfig(epochs=1, batch_size=rows.n, learning_rate=0.05, seed=6)
         want = bundled([26, 16, 8, 4], seed=6)
         perm = np.random.default_rng(cfg.seed).permutation(rows.n)
         grad_w, grad_b = layer_gradients(want, rows.features[perm], rows.labels[perm])
         grad = np.concatenate([g.ravel() for pair in zip(grad_w, grad_b) for g in pair])
-        adam_step(want.params, [grad], AdamState.for_tensors([want.params])[0], cfg)
+        adam_step(want.params, [(0, grad)], AdamState.for_params(want.params), cfg)
         trained, _ = train(bundled([26, 16, 8, 4], seed=6), rows, cfg)
         np.testing.assert_array_equal(trained.params, want.params)
 
@@ -782,10 +830,10 @@ class TestPersistence:
     def test_version_1_text_file_must_be_retrained(self, tmp_path):
         # the version-1 layout: one line of .17g text per tensor after the header
         model = self.make_model()
-        lines = [" ".join(format(v, ".17g") for v in t.ravel()) for t in tensors(model)]
+        lines = [" ".join(format(v, ".17g") for v in t.ravel()) for t in tensors_in_order(model)]
         header = {"format": "wrice-model", "version": 1, "layer_dims": model.layer_dims,
                   "tensors": [{"name": f"t{i}", "shape": list(t.shape)}
-                              for i, t in enumerate(tensors(model))]}
+                              for i, t in enumerate(tensors_in_order(model))]}
         path = tmp_path / "model.wrice"
         path.write_bytes(json.dumps(header).encode() + b"\n"
                          + ("\n".join(lines) + "\n").encode())
@@ -798,12 +846,12 @@ class TestPersistence:
         save_model(model, path)
         raw = path.read_bytes()
         head, _, body = raw.partition(b"\n")
-        assert body == b"".join(p.astype("<f8").tobytes() for p in tensors(model))
+        assert body == b"".join(p.astype("<f8").tobytes() for p in tensors_in_order(model))
         assert body == model.params.astype("<f8").tobytes()
-        n_params = sum(p.size for p in tensors(model))
+        n_params = sum(p.size for p in tensors_in_order(model))
         assert len(raw) == len(head) + 1 + 8 * n_params
         assert [t["shape"] for t in json.loads(head)["tensors"]] == \
-            [list(p.shape) for p in tensors(model)]
+            [list(p.shape) for p in tensors_in_order(model)]
 
     @pytest.mark.parametrize("cut", [
         pytest.param(lambda body: body[:-8], id="short-by-one-value"),
