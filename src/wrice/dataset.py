@@ -228,8 +228,10 @@ def file_rows(path, ex: Extraction, scales=(None,), seed: int = 0,
     the file is read, resampled, noised and analysed one `dsp.block_spans`
     block at a time. Each scale's noise is drawn in sample order: samples
     that two blocks share keep their draws, and samples that no frame covers
-    are drawn too. So a call holds one block of samples per scale and the
-    buffers of one `BlockFeatures`, whatever the file's length.
+    are drawn too. So a call holds, whatever the file's length, the buffers
+    of one `BlockFeatures`, one block of clean samples, one block of noisy
+    samples that the noisy scales take in turn, and for each noisy scale
+    the `frame_len - hop` samples that its next block shares with the last.
     """
     scales = tuple(scales)
     for scale in scales:
@@ -254,23 +256,28 @@ def _streamed_rows(wav: WavReader, ex: Extraction, scales: tuple, seed: int,
     blocks = BlockFeatures(ex.stft, ex.n_mels, ex.sample_rate)
     longest = (BLOCK_FRAMES - 1) * ex.stft.hop + ex.stft.frame_len
     clean = np.empty(longest)
-    noisy = {i: np.empty(longest) for i, rng in enumerate(rngs) if rng is not None}
+    # the noisy scales take turns in one buffer; each keeps the samples that
+    # its next block of the segment shares with this one (frame_len - hop)
+    tails = {i: np.empty(ex.stft.frame_len - ex.stft.hop)
+             for i, rng in enumerate(rngs) if rng is not None}
+    noisy = np.empty(longest) if tails else None
     rows = np.empty((len(scales), len(segments), N_FEATURES))
     for k, (first, last) in enumerate(segments):
         sums, frames = np.zeros((len(scales), N_FEATURES)), np.zeros((len(scales), 1))
         done = held = 0  # samples of the segment read so far, and in the last block
         for start, stop in block_spans(last - first, ex.stft):
-            keep = done - start  # samples the previous block covers too
-            for signal in (clean, *noisy.values()):
-                signal[:keep] = signal[held - keep : held]
+            keep = done - start  # samples the previous block covers too: 0 or a tail
+            clean[:keep] = clean[held - keep : held]
             fresh = slice(keep, stop - start)
             clean[fresh] = wav.read_resampled(ex.sample_rate, first + done, first + stop)
             for i, (scale, rng) in enumerate(zip(scales, rngs)):
-                signal = clean
+                signal = clean[: stop - start]
                 if rng is not None:
-                    signal = noisy[i]
+                    signal, tail = noisy[: stop - start], tails[i]
+                    signal[:keep] = tail[:keep]
                     add_noise_into(signal[fresh], clean[fresh], scale, rng)
-                frames[i] += blocks.add(signal[: stop - start], sums[i])
+                    tail[:] = signal[len(signal) - len(tail) :]
+                frames[i] += blocks.add(signal, sums[i])
             done, held = stop, stop - start
         for rng in rngs:
             if rng is not None:

@@ -317,8 +317,9 @@ def chroma_projector(frame_len: int, sample_rate: int) -> csr_array:
 
 class BlockFeatures:
     """The per-block feature code: the seven families on one block of
-    frames, summed over its frames. The spectrum, its magnitudes and their
-    squares are computed in buffers that every block reuses."""
+    frames, summed over its frames. The spectrum (one `dsp.STAGE_FRAMES`
+    stage at a time), the block's magnitudes and their squares are computed
+    in buffers that every block reuses."""
 
     def __init__(self, stft_cfg: StftConfig, n_mels: int, sample_rate: int):
         n = stft_cfg.frame_len

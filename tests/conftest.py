@@ -24,8 +24,9 @@ Gradients pass between them as `mlp.adam_step` takes them: (element offset
 in `params`, flat block) pairs, which `assembled_gradient` joins into one
 array, checking that they cover it exactly once.
 `magnitudes` stacks the package's `BlockSpectra` blocks into a whole
-spectrogram, and `layer_gradients` joins the gradient blocks of
-`mlp._layer_gradients` into the model's tensors, so tests check the
+spectrogram, `whole_block_magnitudes` is one block's transform in one stage
+(the oracle for `BlockSpectra`'s stages), and `layer_gradients` joins the
+gradient blocks of `mlp._layer_gradients` into the model's tensors, so tests check the
 spectrum and the backpropagation that extraction and `train` run.
 `whole_recording_synth_sample` and `per_block_sinusoid` are the
 synthesis as it ran before it was fused into one chunked pass: each
@@ -57,7 +58,7 @@ import pytest
 import wrice
 from wrice.audio_io import _WAVE_FORMAT_PCM, AudioBuffer, read_wav, write_wav
 from wrice.dataset import Extraction, Scaler
-from wrice.dsp import BlockSpectra, StftConfig, block_spans
+from wrice.dsp import BlockSpectra, StftConfig, block_spans, frame_signal, hann_window
 from wrice.features import (N_MELS, ROLLOFF_PCT, bandwidths, centroids, chroma_projector,
                             chromas, extract_features, mel_projector, mfccs, rms)
 from wrice.synth import (_BASE_LEVEL, _HARMONIC_LEVEL, _JITTER_PCT, _MOD_DEPTH, _N_HARMONICS,
@@ -492,6 +493,14 @@ def magnitudes(buf: AudioBuffer, cfg: StftConfig) -> np.ndarray:
     spectra = BlockSpectra(cfg)
     return np.concatenate([spectra(buf.samples[start:stop])[1].copy()
                            for start, stop in block_spans(len(buf), cfg)])
+
+
+def whole_block_magnitudes(span: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """The oracle for `BlockSpectra`, which runs a block in stages of
+    STAGE_FRAMES frames: one window multiply, one `rfft` and one `abs` over
+    every frame of the block `span`."""
+    frames = frame_signal(span, cfg)
+    return np.abs(np.fft.rfft(frames * hann_window(cfg.frame_len), axis=-1))
 
 
 def frame_zcr(frames: np.ndarray) -> np.ndarray:

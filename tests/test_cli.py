@@ -550,10 +550,11 @@ class TestPeakMemory:
                                    22050))
         out = tmp_path / f"spec.{fmt}"
         peak = traced_peak(lambda: run(["spectrogram", "--in", str(wav), "--out", str(out)]))
-        # 1030 frames of 1025 bins: one block's buffers (2.5 MiB) and the
-        # arithmetic on it, and for a PGM its one byte per pixel; the file's
-        # samples (4.0 MiB) or every frame's magnitudes (8.1 MiB) would
-        # exceed it
+        # 1030 frames of 1025 bins: one block's spectrum buffers (1.0 MiB:
+        # one stage's windowed frames and complex spectrum, the block's
+        # magnitudes) and the arithmetic on them, and for a PGM its one byte
+        # per pixel; the file's samples (4.0 MiB) or every frame's
+        # magnitudes (8.1 MiB) would exceed it
         image = 1030 * 1025 if fmt == "pgm" else 0
         bound = image + 6 * 2**20
         assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

@@ -21,7 +21,7 @@ from wrice.dataset import (Extraction, LabeledDataset, Scaler, add_noise_into,
                            stratified_split, write_features_csv)
 from wrice.errors import (ClassTooSmallError, DuplicateLabelError, EmptyCorpusError,
                           MalformedWavError, NonFiniteError, SchemaMismatchError)
-from wrice.dsp import BLOCK_FRAMES, StftConfig
+from wrice.dsp import BLOCK_FRAMES, STAGE_FRAMES, StftConfig
 from wrice.features import N_FEATURES, N_MELS, SCHEMA_VERSION, extract_features
 
 
@@ -683,20 +683,29 @@ class TestFileRows:
         path.write_bytes(wav_bytes(source.read_bytes()[44:] * 10, sample_rate=22050))
         assert_streamed_peak(path)
 
+    def test_peak_memory_of_the_clean_scale_alone(self, realistic_corpus):
+        # `extract`'s job: no noisy block and no tails
+        path = sorted(realistic_corpus.glob("*/*.wav"))[0]
+        assert_streamed_peak(path, scales=(None,))
 
-def assert_streamed_peak(path):
-    """The tracemalloc peak of `file_rows` at four scales is a constant
-    number of block-sized buffers, whatever the file's length: twice the
-    spectrum buffers of one block (windowed frames, complex spectrum,
-    magnitudes, power) and one block of samples per scale and for the clean
-    signal. Decoding, resampling and noising a whole file first needed 13.9
-    MiB at 30 s and 107 MiB at 300 s."""
+
+def assert_streamed_peak(path, scales=(None, 0.5, 0.05, 0.005)):
+    """The tracemalloc peak of `file_rows` at `scales` is a constant number
+    of block-sized buffers, whatever the file's length: twice the spectrum
+    buffers (one stage's windowed frames and complex spectrum, one block's
+    magnitudes and power), one block of clean samples, one block of noisy
+    samples if a scale draws noise, and each noisy scale's overlap of
+    frame_len - hop samples. At four scales that is 3.56 MiB at the
+    defaults, which one block of samples per scale and whole-block spectrum
+    buffers (4.69 MiB at 30 s) would exceed, as would decoding, resampling
+    and noising a whole file first (13.9 MiB at 30 s, 107 MiB at 300 s)."""
     ex = Extraction()
-    scales = (None, 0.5, 0.05, 0.005)
-    n = ex.stft.frame_len
-    spectra = BLOCK_FRAMES * (8 * n + (16 + 8 + 8) * (n // 2 + 1))
-    samples = 8 * ((BLOCK_FRAMES - 1) * ex.stft.hop + n)
-    bound = 2 * spectra + (len(scales) + 1) * samples
+    n, hop = ex.stft.frame_len, ex.stft.hop
+    bins = n // 2 + 1
+    spectra = STAGE_FRAMES * (8 * n + 16 * bins) + BLOCK_FRAMES * (8 + 8) * bins
+    samples = 8 * ((BLOCK_FRAMES - 1) * hop + n)
+    noisy = sum(1 for scale in scales if scale)
+    bound = 2 * spectra + (1 + (noisy > 0)) * samples + noisy * 8 * (n - hop)
     file_rows(path, ex, scales)  # caches filled before tracing
     tracemalloc.start()
     try:
@@ -704,7 +713,7 @@ def assert_streamed_peak(path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 # analysis segments of 2.5 s at 11025 Hz hold 104 frames of 1024 at hop 256,

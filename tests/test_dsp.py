@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import fft, magnitudes, naive_dft, rfft, sine_buffer
+from conftest import fft, magnitudes, naive_dft, rfft, sine_buffer, whole_block_magnitudes
 from wrice.audio_io import AudioBuffer, write_wav
 from wrice.cli import run
-from wrice.dsp import StftConfig, block_spans, frame_signal, hann_window
+from wrice.dsp import (BLOCK_FRAMES, STAGE_FRAMES, BlockSpectra, StftConfig, block_spans,
+                       frame_signal, hann_window)
 from wrice.features import zcr
 
 # (frame_len, hop) settings: the default, hop equal to the frame, a hop that
@@ -163,6 +164,24 @@ class TestStft:
         mags = magnitudes(AudioBuffer(sig, 8000), cfg)
         shifted = magnitudes(AudioBuffer(sig[64:], 8000), cfg)
         np.testing.assert_array_equal(mags[1 : shifted.shape[0] + 1], shifted)
+
+
+class TestBlockSpectraStages:
+    """A block is transformed STAGE_FRAMES frames at a time, with the bits of
+    one transform over the whole block."""
+
+    @pytest.mark.parametrize("cfg", [StftConfig(), StftConfig(1024, 256)])
+    def test_every_span_around_a_stage_boundary_matches_one_whole_block_pass(self, cfg):
+        rng = np.random.default_rng(cfg.frame_len)
+        spectra = BlockSpectra(cfg)  # one instance, as the blocks of a file reuse it
+        for n_frames in (1, STAGE_FRAMES - 1, STAGE_FRAMES, STAGE_FRAMES + 1,
+                         BLOCK_FRAMES - 1, BLOCK_FRAMES):
+            span = rng.standard_normal((n_frames - 1) * cfg.hop + cfg.frame_len)
+            frames, mags = spectra(span)
+            assert frames.shape[0] == mags.shape[0] == n_frames
+            np.testing.assert_array_equal(frames, frame_signal(span, cfg))
+            np.testing.assert_array_equal(mags, whole_block_magnitudes(span, cfg),
+                                          f"{n_frames} frames")
 
 
 class TestStftConfig:
