@@ -5,6 +5,14 @@ Adam updates. Every model carries its feature scaler, label map and
 extraction settings, so `train`, `predict` and evaluation all scale raw rows
 with its own scaler and a saved file suffices for end-to-end inference.
 Everything is float64 and deterministic for a fixed seed.
+
+Memory: a model's `params`, and Adam's two moments while `train` runs, each
+live in an anonymous shared mapping of their own (`_mapped_zeros`), not in
+the heap. A pool worker forked while a model is loaded (`wrice eval`'s
+extraction pools) holds none of its pages unless it reads them, and freeing
+the model unmaps them. Forked workers share those pages, writes included,
+so no pool job may write a model; none receives one. Under the spawn or
+forkserver start methods a worker inherits nothing of the parent's memory.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
@@ -87,8 +96,25 @@ class AdamState:
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
         """The state before the first step of the flat array `params`."""
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+        return cls(m=_mapped_zeros(params.size), v=_mapped_zeros(params.size),
                    scratch=np.empty(min(params.size, _ADAM_BLOCK)))
+
+
+def _mapped_zeros(n: int) -> np.ndarray:
+    """`n` float64 zeros in an anonymous mapping of their own: the store of
+    a model's `params` and of Adam's moments.
+
+    The mapping is `mmap`'s default, MAP_SHARED, and its pages start as
+    zeros. `fork` copies no page-table entries of a shared mapping, so a
+    process forked while the array lives holds none of its pages until it
+    reads them; and freeing the array unmaps them, so they do not stay
+    behind as heap that the next pool inherits. The rule that comes with
+    it: a forked process shares these pages for writing too, so no pool job
+    may write a model or Adam's state, or the parent would see the write.
+    No job receives one.
+    """
+    # 8 bytes at least: `mmap` refuses an empty mapping
+    return np.frombuffer(mmap.mmap(-1, 8 * max(n, 1)), dtype=np.float64, count=n)
 
 
 @dataclass
@@ -126,11 +152,12 @@ class MlpModel:
     """A dense ReLU network and the settings that inference needs.
 
     `params` holds every parameter in one 1-D float64 array, in the model
-    file's body order (w0, b0, w1, b1, ...). `weights` and `biases` are
-    views into it, so a write through them changes `params`, and rebinding
-    `params` would leave them stale. The scaler is
-    as wide as the input layer; the label map is a list of distinct names,
-    one per output.
+    file's body order (w0, b0, w1, b1, ...); `init_model`, `load_model` and
+    `copy` put it in a mapping of its own (`_mapped_zeros`). `weights` and
+    `biases` are views into it, so a write through them changes `params`,
+    and rebinding `params` would leave them stale. The scaler is as wide as
+    the input layer; the label map is a list of distinct names, one per
+    output.
     """
 
     layer_dims: list[int]
@@ -164,7 +191,10 @@ class MlpModel:
         return self.layer_dims[0]
 
     def copy(self) -> "MlpModel":
-        return replace(self, params=self.params.copy(), layer_dims=list(self.layer_dims))
+        """A model with its own `params`, in a mapping of their own."""
+        params = _mapped_zeros(self.params.size)
+        params[:] = self.params
+        return replace(self, params=params, layer_dims=list(self.layer_dims))
 
 
 def layer_dims_for(arch: str, n_inputs: int, n_outputs: int) -> list[int]:
@@ -178,7 +208,8 @@ def init_model(layer_dims, seed: int = 0, *, scaler: Scaler, label_map: list[str
     """Glorot-uniform weights, zero biases; deterministic per seed (at least 0)."""
     check_seed(seed)
     dims = [int(d) for d in layer_dims]
-    model = MlpModel(dims, np.zeros(_tensor_starts(dims)[-1]), scaler, label_map, extraction)
+    model = MlpModel(dims, _mapped_zeros(_tensor_starts(dims)[-1]), scaler, label_map,
+                     extraction)
     rng = np.random.default_rng(seed)
     for w in model.weights:
         fan_out, fan_in = w.shape
@@ -553,8 +584,8 @@ def _model_from(header: dict, fh, body_size: int, path) -> MlpModel:
     size = 8 * _tensor_starts(dims)[-1]
     if body_size != size:
         raise CorruptModelError(f"{path}: body has {body_size} bytes, its tensors need {size}")
-    # the body is read into the array that the model then owns, not copied
-    params = np.empty(size // 8, dtype="<f8")
+    # the body is read into the mapping that the model then owns, not copied
+    params = _mapped_zeros(size // 8).view("<f8")
     got = fh.readinto(memoryview(params).cast("B"))
     if got != size:
         raise CorruptModelError(f"{path}: body has {got} bytes, its tensors need {size}")

@@ -166,7 +166,10 @@ def _sinusoid(tone: _Tone, start: int, out: np.ndarray, scratch: np.ndarray) -> 
 
 
 def _n_samples(spec: ConditionSpec, sample_rate: int) -> int:
-    """Check the spec against the sample rate; return the recording's length."""
+    """Check the sample rate, then the spec against it; return the
+    recording's length."""
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
     if not 0 < spec.cutoff_hz < sample_rate / 2:
         raise ValueError(
             f"noise cutoff {spec.cutoff_hz} Hz outside (0, {sample_rate / 2}) Hz")

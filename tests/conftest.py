@@ -36,7 +36,9 @@ full-length conversion. They are the byte-identity oracles of
 `synth.synth_sample`, `synth._sinusoid` and `write_wav`.
 `write_pcm` writes 16-bit files with `write_wav` and 24- and 32-bit ones,
 which wrice reads but does not write, with `wav_bytes`.
-`traced_peak` is the tracemalloc peak of a call, for the memory tests.
+`traced_peak` is the tracemalloc peak of a call plus the peak of the
+parameter-length mappings it holds, which tracemalloc cannot see, for the
+memory tests.
 `fresh_python` runs a command in a new interpreter that imports this
 checkout's wrice, for what one process cannot show of another: which
 modules a verb loads, and the bytes a shell run writes.
@@ -49,6 +51,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -204,15 +207,35 @@ def full_array_adam_step(params, grad, state, cfg) -> None:
 
 
 def traced_peak(fn) -> int:
-    """tracemalloc's peak, in bytes, of a second call of `fn`; the first
-    fills any cache before tracing."""
+    """The peak bytes of a second call of `fn` (the first fills any cache
+    before tracing): tracemalloc's peak, plus the peak bytes of the
+    mappings that `mlp._mapped_zeros` made in the call and that were still
+    live, which tracemalloc cannot see. The two peaks are added, so where
+    they fall at different moments of the call the sum is an upper bound."""
+    from wrice import mlp
+
+    mapped = {"live": 0, "peak": 0}
+
+    def unmapped(nbytes):
+        mapped["live"] -= nbytes
+
+    def recorded(n):
+        arr = made(n)
+        mapped["live"] += arr.nbytes
+        mapped["peak"] = max(mapped["peak"], mapped["live"])
+        weakref.finalize(arr.base.obj, unmapped, arr.nbytes)  # the mmap, freed with its views
+        return arr
+
+    made = mlp._mapped_zeros
     fn()
+    mlp._mapped_zeros = recorded
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] + mapped["peak"]
     finally:
         tracemalloc.stop()
+        mlp._mapped_zeros = made
 
 
 def finite_difference_grads(model, x, y, h=1e-5):

@@ -793,6 +793,15 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not root.exists()
 
+    @pytest.mark.parametrize("rate", ["0", "-22050"])
+    def test_synth_rate_not_positive_writes_nothing(self, tmp_path, capsys, rate):
+        # refused as a rate, not as a noise cutoff above its Nyquist rate
+        root = tmp_path / "corpus"
+        assert run(["synth", "--out", str(root), "--sr", rate, "--counts", "1,1,1,1",
+                    "--workers", "1"]) == 1
+        assert capsys.readouterr().err == f"error: sample_rate must be positive, got {rate}\n"
+        assert not root.exists()
+
     def test_synth_rate_beyond_a_wav_header_writes_nothing(self, tmp_path, capsys):
         # 2 bytes a sample at this rate overflow the header's 32-bit byte rate
         root = tmp_path / "corpus"

@@ -1,6 +1,8 @@
 """Network forward/backward math, Adam, training loop, persistence."""
 
+import gc
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from conftest import (MODEL_V2, RESPELT_HEADERS, edit_model_header, finite_diffe
                       full_array_adam_step, identity_bundle, layer_gradients, tensor_offsets,
                       tensors_in_order, traced_peak, whole_tensor_layer_gradients)
 from wrice import mlp
-from wrice.dataset import Extraction, LabeledDataset, Scaler, scale_rows
+from wrice.dataset import Extraction, LabeledDataset, Scaler, map_per_file, scale_rows
 from wrice.dsp import StftConfig
 from wrice.errors import (CorruptModelError, NonFiniteError, SchemaMismatchError,
                           VersionMismatchError)
@@ -915,3 +917,47 @@ class TestPersistence:
         path.write_text("{}\n")
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+
+def resident_anon_and_shmem(_job) -> int:
+    """This process's resident anonymous and shared-memory bytes, RssAnon +
+    RssShmem of `/proc/self/status`: what a forked worker holds of its
+    parent's memory, page by page."""
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return 1024 * sum(int(fields[key].split()[0]) for key in ("RssAnon", "RssShmem"))
+
+
+def mapping_of(arr) -> str | None:
+    """The `/proc/self/maps` line of the mapping that holds `arr`'s first byte."""
+    address = arr.__array_interface__["data"][0]
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            start, end = (int(edge, 16) for edge in line.split(maxsplit=1)[0].split("-"))
+            if start <= address < end:
+                return line
+    return None
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status and /proc/self/maps")
+class TestForkedWorkers:
+    def test_a_worker_forked_while_a_model_is_loaded_holds_none_of_it(self, tmp_path):
+        # `wrice eval` forks its extraction pools while the model is loaded;
+        # paper4's parameters are 4.1 MiB, and a worker that held their
+        # pages, as fork would copy them from the heap, exceeds the 1 MiB
+        path = tmp_path / "paper4.wrice"
+        save_model(paper4_model(), path)
+        map_per_file(resident_anon_and_shmem, [0, 1], workers=2)  # the pool's own imports
+        without = max(map_per_file(resident_anon_and_shmem, [0, 1], workers=2))
+        model = load_model(path)
+        held = max(map_per_file(resident_anon_and_shmem, [0, 1], workers=2))
+        assert held - without <= 2**20, (f"a worker holds {(held - without) / 2**20:.2f} MiB "
+                                         "more with the model loaded")
+        # its own mapping, shared, unmapped when the model is freed
+        line = mapping_of(model.params)
+        assert line is not None and line.split()[1].endswith("s"), line
+        del model
+        gc.collect()
+        with open("/proc/self/maps") as fh:
+            assert line not in fh.read().splitlines(keepends=True)

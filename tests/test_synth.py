@@ -145,6 +145,12 @@ class TestConditionSpec:
         with pytest.raises(ValueError):
             synth_sample(spec, 8000, seed=0)  # default dry cutoff = 4000 = Nyquist
 
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_a_rate_not_positive_is_refused_as_a_rate(self, rate):
+        spec = ConditionSpec(friction="dry", speed_rpm=40, duration_s=0.5)
+        with pytest.raises(ValueError, match=f"^sample_rate must be positive, got {rate}$"):
+            synth_sample(spec, rate, seed=0)
+
 
 class TestSynthSample:
     # every class at three rates, seeds 0-2; dry cutoffs sit at the Nyquist
@@ -235,14 +241,16 @@ class TestSynthCorpus:
          "negative count for category 'wet_40'"),
         ({c: 1 for c in CATEGORIES}, 4000, 2, 0,
          r"noise cutoff 4000.0 Hz outside \(0, 2000.0\)"),
+        ({c: 1 for c in CATEGORIES}, 0, 2, 0, "^sample_rate must be positive, got 0$"),
+        ({c: 1 for c in CATEGORIES}, -8000, 2, 0, "^sample_rate must be positive, got -8000$"),
         ({"dry_nan": 1}, TINY_SR, 2, 0,
          "^bad category name 'dry_nan': speed_rpm must be positive and finite, got nan$"),
         ({"dry_inf": 1}, TINY_SR, 2, 0,
          "^bad category name 'dry_inf': speed_rpm must be positive and finite, got inf$"),
         ({c: 1 for c in CATEGORIES}, TINY_SR, 0, 0, "^workers must be at least 1, got 0$"),
         ({c: 1 for c in CATEGORIES}, TINY_SR, 2, -1, "^seed must be at least 0, got -1$"),
-    ], ids=["negative-count", "dry-cutoff-above-nyquist", "nan-speed", "inf-speed",
-            "zero-workers", "negative-seed"])
+    ], ids=["negative-count", "dry-cutoff-above-nyquist", "zero-rate", "negative-rate",
+            "nan-speed", "inf-speed", "zero-workers", "negative-seed"])
     @pytest.mark.filterwarnings("error")
     def test_bad_settings_write_nothing(self, tmp_path, counts, sample_rate, workers, seed,
                                         match):
